@@ -20,12 +20,10 @@ from .psi_core import (CharacteristicProfile, Lemma2Margins, MembershipReport,
 from .series import FourierSeries
 from .kernels import (EnvelopeReport, KernelEvaluator, TailBoundReport,
                       certified_tail_sum, dirichlet, envelope_check,
-                      lemma1_check, psi_star_eval, tail_sum_bound_check,
-                      truncation_index)
+                      lemma1_check, tail_sum_bound_check, truncation_index)
 from .approx_ops import (ExtremalFunction, NormValue, QuadratureSpec,
                          TaperCoefficients, apply_vn, duality_extremal_phi,
-                         kernel_norm, lp_norm, partial_sum,
-                         residual_consistency, sup_norm,
+                         kernel_norm, lp_norm, residual_consistency, sup_norm,
                          synthesize_class_function, taper_coefficients)
 from .bounds import (AsympRow, AsympScan, BoundReport,
                      ExpPowerCharacteristics, asymp_scan, cab_p_crossover,
@@ -46,10 +44,10 @@ __all__ = [
     "validate_psi_samples",
     "FourierSeries",
     "KernelEvaluator", "EnvelopeReport", "TailBoundReport", "dirichlet",
-    "psi_star_eval", "truncation_index", "certified_tail_sum",
+    "truncation_index", "certified_tail_sum",
     "lemma1_check", "envelope_check", "tail_sum_bound_check",
     "TaperCoefficients", "QuadratureSpec", "NormValue", "ExtremalFunction",
-    "taper_coefficients", "apply_vn", "partial_sum",
+    "taper_coefficients", "apply_vn",
     "synthesize_class_function", "residual_consistency", "lp_norm",
     "sup_norm", "kernel_norm", "duality_extremal_phi",
     "BoundReport", "AsympRow", "AsympScan", "ExpPowerCharacteristics",

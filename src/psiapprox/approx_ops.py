@@ -4,10 +4,10 @@ The linear method is a Fourier multiplier: harmonics below the taper window
 pass through, harmonics in the window are damped by lam(k), and everything
 from n on is dropped.  Its residual against a synthesized class function is
 a convolution with the residual kernel, which is what ties this module to
-`kernels`.  Norm computation is deliberately boring: composite trapezoid on
-uniform grids (spectrally accurate for periodic integrands, with a local
-correction at sign-change panels of |g|^p) and an adaptive Gauss pair rule
-as the cross-check alternative.
+`kernels`, which also owns the taper window.  Norm computation is
+deliberately boring: composite trapezoid on uniform grids (spectrally
+accurate for periodic integrands, with a local correction at sign-change
+panels of |g|^p).
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateGapError, DomainError, NumericError
-from .kernels import KernelEvaluator, _wrap
+from .errors import DomainError, NumericError
+from .kernels import KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
 from .series import FourierSeries
 
 TWO_PI = 2.0 * math.pi
-
-_GL_HI = np.polynomial.legendre.leggauss(15)
-_GL_LO = np.polynomial.legendre.leggauss(7)
 
 
 # -- the multiplier ----------------------------------------------------------
@@ -48,8 +45,9 @@ class TaperCoefficients:
 
 def taper_coefficients(psi: PsiFunction, n: int,
                        tol_inv: float = 1e-12) -> TaperCoefficients:
-    """lam(k) = 1 up to 2n - F - 1, then 1 - ((F-2n+k)/(F-n)) psi(n)/psi(k)
-    across the taper window, F = floor(eta(n)).
+    """lam(k) = 1 - c_k / psi(k), with c_k the kernel's taper weights
+    psi(n) (F-2n+k)/(F-n) across the window and c_k = 0 below it,
+    F = floor(eta(n)).
 
     The ramp numerator vanishes at k = 2n - F, so the window's first
     multiplier is still exactly 1.  F = n (halving inside one step) leaves
@@ -59,18 +57,12 @@ def taper_coefficients(psi: PsiFunction, n: int,
         raise DomainError("taper needs integer n >= 2")
     n = int(n)
     prof = characteristics(psi, float(n), tol_inv)
-    eta_floor = n + prof.floor_gap
-    g = eta_floor - n
-    if g == 0:
-        raise DegenerateGapError(
-            f"floor(eta({n})) = {n}: taper denominator vanishes")
+    eta_floor, start, weights = _taper_window(psi, n, prof)
     lam = np.ones(n)
-    ks = np.arange(max(1, 2 * n - eta_floor), n)
-    if ks.size:
-        psi_n = float(psi(float(n)))
-        psi_ks = np.asarray(psi(ks.astype(float)), dtype=float)
-        lam[ks] = 1.0 - (eta_floor - 2 * n + ks) / g * psi_n / psi_ks
-    return TaperCoefficients(n=n, lam=lam, eta_floor=eta_floor, gap=g)
+    ks = np.arange(start, n)
+    lam[ks] = 1.0 - weights / np.asarray(psi(ks.astype(float)), dtype=float)
+    return TaperCoefficients(n=n, lam=lam, eta_floor=eta_floor,
+                             gap=eta_floor - n)
 
 
 def apply_vn(f: FourierSeries, tc: TaperCoefficients) -> FourierSeries:
@@ -86,11 +78,6 @@ def apply_vn(f: FourierSeries, tc: TaperCoefficients) -> FourierSeries:
     b[:upto] = f.b[:upto]
     w = tc.lam[1:]
     return FourierSeries(a0=f.a0, a=a * w, b=b * w)
-
-
-def partial_sum(f: FourierSeries, m: int) -> FourierSeries:
-    """Plain truncation to harmonics 0..m."""
-    return f.truncated(m)
 
 
 def synthesize_class_function(psi: PsiFunction, beta: float,
@@ -149,29 +136,20 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate |g|^p over the period.
+    """How to integrate |g|^p over the period: the composite trapezoid rule.
 
-    rule "trapezoid": uniform grid of >= points_per_wavelength nodes per
-    retained wavelength (power of two, capped), Richardson error estimate
-    from the half grid.  rule "adaptive": bisected Gauss 15/7 panels laid
-    over a panel set geometrically shrunk toward t = 0 by `shrink`.
+    The uniform grid carries >= points_per_wavelength nodes per retained
+    wavelength (power of two, capped at max_grid); grid_size overrides
+    that choice.  The error estimate is Richardson's, from the half grid.
     """
 
-    rule: str = "trapezoid"
     points_per_wavelength: float = 16.0
-    shrink: float = 0.5
-    grid_size: Optional[int] = None     # explicit override (trapezoid)
+    grid_size: Optional[int] = None     # explicit override
     max_grid: int = 1 << 21
-    rel_tol: float = 1e-9               # adaptive target
-    max_panels: int = 200000
 
     def __post_init__(self):
-        if self.rule not in ("trapezoid", "adaptive"):
-            raise DomainError(f"unknown quadrature rule {self.rule!r}")
         if self.points_per_wavelength < 8.0:
             raise DomainError("points_per_wavelength must be >= 8")
-        if not (0.0 < self.shrink < 1.0):
-            raise DomainError("shrink must be in (0, 1)")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -289,7 +267,14 @@ def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
     return float(h * np.sum(exact - trap))
 
 
-def _trap_lp(tgt: _Target, p: float, quad: QuadratureSpec) -> NormValue:
+def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
+    """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm."""
+    quad = quad or DEFAULT_QUAD
+    if math.isinf(p):
+        return sup_norm(g, grid_density=quad.points_per_wavelength)
+    if p < 1.0:
+        raise DomainError("p must be >= 1")
+    tgt = _Target(g)
     G = _grid_size(quad, tgt.max_freq)
     s = np.asarray(tgt.samples(G), dtype=float)
     h = TWO_PI / G
@@ -305,72 +290,6 @@ def _trap_lp(tgt: _Target, p: float, quad: QuadratureSpec) -> NormValue:
         return NormValue(0.0, err_i ** (1.0 / p))
     value = full ** (1.0 / p)
     return NormValue(value=value, error_estimate=value * err_i / (p * full))
-
-
-def _gl_panel(fn, lo: float, hi: float):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    hi_val = half * float(np.sum(_GL_HI[1] * fn(mid + half * _GL_HI[0])))
-    lo_val = half * float(np.sum(_GL_LO[1] * fn(mid + half * _GL_LO[0])))
-    return hi_val, abs(hi_val - lo_val)
-
-
-def _adaptive_lp(tgt: _Target, p: float, quad: QuadratureSpec) -> NormValue:
-    freq = tgt.max_freq if tgt.max_freq is not None else 256
-
-    def fn(t):
-        return np.abs(np.asarray(tgt.eval(t), dtype=float)) ** p
-
-    # geometric edges toward the kernel peak at t = 0, then density split
-    min_w = max(TWO_PI / (quad.points_per_wavelength * freq * 4.0), 1e-10)
-    edges = [math.pi]
-    while edges[-1] * quad.shrink > min_w:
-        edges.append(edges[-1] * quad.shrink)
-    edges.append(0.0)
-    panels = []
-    for side in (-1.0, 1.0):
-        for e1, e2 in zip(edges[1:], edges[:-1]):
-            lo, hi = sorted((side * e1, side * e2))
-            width_cap = 15.0 * TWO_PI / (quad.points_per_wavelength * freq)
-            parts = max(1, int(math.ceil((hi - lo) / width_cap)))
-            for i in range(parts):
-                panels.append((lo + (hi - lo) * i / parts,
-                               lo + (hi - lo) * (i + 1) / parts))
-    rough = sum(_gl_panel(fn, lo, hi)[0] for lo, hi in panels)
-    tol_total = max(quad.rel_tol * abs(rough), 1e-300)
-    total, err = 0.0, 0.0
-    stack = [(lo, hi, tol_total * (hi - lo) / TWO_PI) for lo, hi in panels]
-    spent = 0
-    while stack:
-        lo, hi, tol = stack.pop()
-        spent += 1
-        if spent > quad.max_panels:
-            raise NumericError("adaptive quadrature failed to converge")
-        val, diff = _gl_panel(fn, lo, hi)
-        if diff <= tol or hi - lo < 1e-13:
-            total += val
-            err += diff
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * tol))
-            stack.append((mid, hi, 0.5 * tol))
-    if total <= 0.0:
-        return NormValue(0.0, err ** (1.0 / p))
-    value = total ** (1.0 / p)
-    return NormValue(value=value, error_estimate=value * err / (p * total))
-
-
-def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
-    """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm."""
-    quad = quad or DEFAULT_QUAD
-    if math.isinf(p):
-        return sup_norm(g, grid_density=quad.points_per_wavelength)
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
-    tgt = _Target(g)
-    if quad.rule == "adaptive":
-        return _adaptive_lp(tgt, p, quad)
-    return _trap_lp(tgt, p, quad)
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,

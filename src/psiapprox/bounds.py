@@ -196,18 +196,27 @@ def _resolve_thresholds(psi: PsiFunction, a: Optional[float],
     return float(a), float(b)
 
 
+def _mode_exponents(mode: str, value: float) -> tuple[float, float]:
+    """(X exponent, norm order) of a bracket mode.
+
+    theorem1 pairs X = psi(n) gap^{1/p} with ||K*||_{p'}; theorem2 pairs
+    X = psi(n) gap^{1/s'} with ||K*||_s.
+    """
+    if mode == "theorem1":
+        x_den, norm_order = value, conjugate_exponent(value)
+    elif mode == "theorem2":
+        x_den, norm_order = conjugate_exponent(value), value
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return (0.0 if math.isinf(x_den) else 1.0 / x_den), norm_order
+
+
 def _verify(psi: PsiFunction, beta: float, value: float, n: int, mode: str,
             quad: Optional[QuadratureSpec], a: Optional[float],
             b: Optional[float], tail_eps: Optional[float],
             evaluator: Optional[KernelEvaluator]) -> BoundReport:
     a, b = _resolve_thresholds(psi, a, b)
-    if mode == "theorem1":
-        x_exp = 0.0 if math.isinf(value) else 1.0 / value
-        norm_order = conjugate_exponent(value)
-    else:
-        sp = conjugate_exponent(value)
-        x_exp = 0.0 if math.isinf(sp) else 1.0 / sp
-        norm_order = value
+    x_exp, norm_order = _mode_exponents(mode, value)
     if evaluator is not None:
         gap, mu = evaluator.eta_gap, evaluator.mu
     else:
@@ -330,15 +339,7 @@ def asymp_scan(alpha: float, r: float, mode: str, value: float,
     if ns[0] < n_min and not force:
         raise DomainError(
             f"n = {ns[0]} is below the validity threshold n_min = {n_min}")
-    if mode == "theorem1":
-        x_exp = 0.0 if math.isinf(value) else 1.0 / value
-        norm_order = conjugate_exponent(value)
-    elif mode == "theorem2":
-        sp = conjugate_exponent(value)
-        x_exp = 0.0 if math.isinf(sp) else 1.0 / sp
-        norm_order = value
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
+    x_exp, norm_order = _mode_exponents(mode, value)
     rows = []
     for n in ns:
         ke = KernelEvaluator.build(psi, n, beta, tail_eps)

@@ -57,7 +57,6 @@ class RunConfig:
     b: Optional[float] = None
     tail_eps: Optional[float] = None
     quad_points: float = 16.0
-    quad_rule: str = "trapezoid"
     representation: str = "direct"
     trials: int = 100
     tol: Optional[float] = None
@@ -128,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def quad_opts(sp):
         sp.add_argument("--quad-points", dest="quad_points", type=float,
                         default=16.0, help="nodes per retained wavelength")
-        sp.add_argument("--quad-rule", dest="quad_rule",
-                        choices=("trapezoid", "adaptive"), default="trapezoid")
 
     sp = sub.add_parser("characteristics",
                         help="halving point, gap and ratio of the profile")
@@ -232,8 +229,7 @@ def _make_psi(cfg: RunConfig) -> PsiFunction:
 
 
 def _quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(rule=cfg.quad_rule,
-                          points_per_wavelength=cfg.quad_points)
+    return QuadratureSpec(points_per_wavelength=cfg.quad_points)
 
 
 def _fmt(v) -> str:
@@ -334,10 +330,14 @@ def _cmd_lambda(cfg: RunConfig) -> int:
 
 def _cmd_kernel_eval(cfg: RunConfig) -> int:
     psi = _make_psi(cfg)
+    ts = np.asarray(cfg.t, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise NumericError(f"kernel-eval needs finite --t values, got {cfg.t}")
     ke = KernelEvaluator.build(psi, cfg.n, cfg.beta, cfg.tail_eps)
-    vals = ke.eval(np.asarray(cfg.t, dtype=float), cfg.representation)
-    rows = [{"t": float(t), "value": float(v)}
-            for t, v in zip(cfg.t, np.atleast_1d(vals))]
+    vals = np.atleast_1d(ke.eval(ts, cfg.representation))
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("kernel value is not finite")
+    rows = [{"t": float(t), "value": float(v)} for t, v in zip(ts, vals)]
     payload = {"n": ke.n, "beta": ke.beta,
                "truncation_index": ke.truncation_index,
                "tail_eps": ke.tail_eps, "rows": rows}
@@ -475,14 +475,7 @@ def _cmd_verify_envelopes(cfg: RunConfig) -> int:
     psi = _make_psi(cfg)
     ns = _ns_for(cfg)
     _threshold_gate(cfg, psi, ns)
-    if cfg.a is not None and cfg.b is not None:
-        a, b = cfg.a, cfg.b
-    elif psi.family == "exp-power":
-        a0, b0, _ = bnd.exp_power_thresholds(psi.alpha, psi.r)
-        a = cfg.a if cfg.a is not None else a0
-        b = cfg.b if cfg.b is not None else b0
-    else:
-        raise DomainError("custom profile needs explicit --a and --b")
+    a, b = bnd._resolve_thresholds(psi, cfg.a, cfg.b)
     rows, failed, violated = [], 0, 0
     for n in ns:
         ke = KernelEvaluator.build(psi, n, cfg.beta, cfg.tail_eps)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (DegenerateGapError, DomainError, InvalidPsiError,
                      NumericError)
-from .psi_core import LN2, PsiFunction, _solve_log_decreasing, characteristics
+from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
+                       _solve_log_decreasing, characteristics)
 from .series import FourierSeries
 
 TWO_PI = 2.0 * math.pi
@@ -166,14 +167,39 @@ def certified_tail_sum(psi: PsiFunction, K: int, max_blocks: int = 400,
     raise NumericError("tail certification failed: halving gaps kept growing")
 
 
-def _certified_truncation(psi: PsiFunction, n: int, tail_eps: float) -> int:
-    """Probe index, then enlarge until the certified tail bound fits."""
+def _certified_truncation(psi: PsiFunction, n: int,
+                          tail_eps: float) -> tuple[int, float]:
+    """Probe index, then enlarge until the certified tail bound fits.
+
+    Returns K together with its certified bound on sum_{k>K} psi(k).
+    """
     K = truncation_index(psi, n, tail_eps)
     for _ in range(60):
-        if certified_tail_sum(psi, K) <= tail_eps:
-            return K
+        bound = certified_tail_sum(psi, K)
+        if bound <= tail_eps:
+            return K, bound
         K = int(K * 1.25) + 1
     raise NumericError("could not certify the truncation budget")
+
+
+def _taper_window(psi: PsiFunction, n: int,
+                  prof: CharacteristicProfile) -> tuple[int, int, np.ndarray]:
+    """F = floor(eta(n)), the first taper harmonic, and the taper weights
+    psi(n) (F - 2n + k) / (F - n) for k from that harmonic to n - 1.
+
+    The weight at k = 2n - F is exactly 0, so the window starts one past
+    it (and never below harmonic 1).  F = n leaves no window to build and
+    raises DegenerateGapError.
+    """
+    eta_floor = n + prof.floor_gap
+    g = eta_floor - n
+    if g == 0:
+        raise DegenerateGapError(
+            f"floor(eta({n})) = {n}: taper denominator vanishes; "
+            "use a larger n or a slower-decaying generator")
+    start = max(1, 2 * n - eta_floor + 1)
+    ks = np.arange(start, n)
+    return eta_floor, start, float(psi(float(n))) * (eta_floor - 2 * n + ks) / g
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,34 +233,20 @@ class KernelEvaluator:
             raise DomainError("n must be a positive integer")
         n = int(n)
         prof = characteristics(psi, float(n), tol_inv)
-        eta_floor = n + prof.floor_gap
-        g = eta_floor - n
-        if g == 0:
-            raise DegenerateGapError(
-                f"floor(eta({n})) = {n}: taper denominator vanishes; "
-                "use a larger n or a slower-decaying generator")
-        psi_n = float(psi(float(n)))
+        eta_floor, start, c_taper = _taper_window(psi, n, prof)
         if tail_eps is None:
-            tail_eps = TAIL_EPS_SCALE * psi_n * prof.eta_gap
+            tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * prof.eta_gap
         if not (tail_eps > 0.0):
             raise DomainError("tail_eps must be positive")
-        K = _certified_truncation(psi, n, tail_eps)
-        bound = certified_tail_sum(psi, K)
-        start = max(1, 2 * n - eta_floor + 1)
-        ks_taper = np.arange(start, n)
-        c_taper = psi_n * (eta_floor - 2 * n + ks_taper) / g
+        K, bound = _certified_truncation(psi, n, tail_eps)
         ks_tail = np.arange(n, K + 1)
         c_tail = np.asarray(psi(ks_tail.astype(float)), dtype=float)
-        if ks_taper.size:
-            coeffs = np.concatenate([c_taper, c_tail])
-            k0 = start
-        else:
-            coeffs = c_tail
-            k0 = n
-        series = FourierSeries.from_cosine_profile(k0, coeffs, 0.5 * math.pi * beta)
+        k0 = start if c_taper.size else n
+        series = FourierSeries.from_cosine_profile(
+            k0, np.concatenate([c_taper, c_tail]), 0.5 * math.pi * beta)
         return cls(psi=psi, n=n, beta=float(beta), tail_eps=float(tail_eps),
                    truncation_index=K, eta=prof.eta, eta_gap=prof.eta_gap,
-                   mu=prof.mu, eta_floor=eta_floor, gap_int=g,
+                   mu=prof.mu, eta_floor=eta_floor, gap_int=eta_floor - n,
                    taper_start=int(k0), series=series, certified_tail=float(bound))
 
     # -- coefficient access --------------------------------------------------
@@ -323,11 +335,6 @@ class KernelEvaluator:
         return self.series.uniform_samples(grid_size)
 
 
-def psi_star_eval(ke: KernelEvaluator, t, representation: str = "direct"):
-    """Kernel value at t with |truncation error| <= ke.tail_eps."""
-    return ke.eval(t, representation=representation)
-
-
 def lemma1_check(lambda_seq: Sequence[float], gamma: float, N: int, M: int,
                  t_grid) -> float:
     """Max grid discrepancy of the delayed-mean summation identity.
@@ -379,14 +386,14 @@ class EnvelopeReport:
         return self.status == "ok" and bool(self.pointwise_ok) and bool(self.uniform_ok)
 
 
-def _grid_and_values(ke: KernelEvaluator, t_grid, min_size: int = 4096):
+def _grid_and_values(g: Union[KernelEvaluator, FourierSeries], t_grid):
+    """(t, g(t)) on t_grid, or on 4096 uniform points by the FFT route;
+    t is reduced to (-pi, pi]."""
     if t_grid is None:
-        size = 1 << max(12, int(math.ceil(math.log2(max(min_size, 1)))))
-        vals = ke.uniform_samples(size)
-        ts = _wrap(TWO_PI * np.arange(size) / size)
-        return ts, vals
+        size = 4096
+        return _wrap(TWO_PI * np.arange(size) / size), g.uniform_samples(size)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return _wrap(ts), np.asarray(ke.eval(ts), dtype=float)
+    return _wrap(ts), np.asarray(g.eval(ts), dtype=float)
 
 
 def envelope_check(ke: KernelEvaluator, a: float, b: float,
@@ -484,17 +491,11 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
                                max_abs=None, margin=None, ok=None, worst_t=None)
-    K = _certified_truncation(psi, n, tail_eps)
+    K, _ = _certified_truncation(psi, n, tail_eps)
     ks = np.arange(n, K + 1)
     coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
     tail = FourierSeries.from_cosine_profile(n, coeffs, 0.5 * math.pi * beta)
-    if t_grid is None:
-        size = 4096
-        vals = tail.uniform_samples(size)
-        ts = _wrap(TWO_PI * np.arange(size) / size)
-    else:
-        ts = _wrap(np.atleast_1d(np.asarray(t_grid, dtype=float)))
-        vals = np.asarray(tail.eval(ts), dtype=float)
+    ts, vals = _grid_and_values(tail, t_grid)
     bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap + tail_eps
     abs_vals = np.abs(vals)
     i = int(np.argmax(abs_vals))

@@ -62,6 +62,14 @@ class TestLambdaAndKernel:
         assert vals["direct"] == pytest.approx(vals["x"], abs=1e-12)
         assert vals["direct"] == pytest.approx(vals["for1"], abs=1e-12)
 
+    def test_kernel_eval_non_finite_exits_numeric(self, capsys):
+        for t in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "kernel-eval", *HALF, "--n", "9",
+                                     "--t", "0.5", t)
+            assert code == 3
+            assert out == ""
+            assert "finite" in err
+
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",
                                "--p", "2", "inf")

@@ -8,7 +8,7 @@ import pytest
 from psiapprox import (DegenerateGapError, DomainError, InvalidPsiError,
                        KernelEvaluator, PsiFunction, certified_tail_sum,
                        characteristics, dirichlet, envelope_check,
-                       exp_power_thresholds, lemma1_check, psi_star_eval,
+                       exp_power_thresholds, lemma1_check,
                        tail_sum_bound_check, taper_coefficients,
                        truncation_index)
 
@@ -151,11 +151,6 @@ class TestKernelEvaluator:
         k2 = KernelEvaluator.build(psi_half, 9, 2.0)
         ts = np.linspace(0.2, 3.0, 9)
         np.testing.assert_allclose(k2.eval(ts), -k0.eval(ts), atol=1e-15)
-
-    def test_psi_star_eval_wrapper(self, psi_half):
-        ke = KernelEvaluator.build(psi_half, 9, 0.0)
-        t = 0.77
-        assert psi_star_eval(ke, t) == float(ke.eval(t))
 
     def test_tail_eps_budget_certified(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 16, 0.0)
