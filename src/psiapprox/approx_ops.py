@@ -167,26 +167,21 @@ class NormValue:
 
 
 class _Target:
-    """Uniform adapter over the things we take norms of."""
+    """Uniform adapter over the things we take norms of; `series` is the
+    coefficient form, or None for a plain callable."""
 
     def __init__(self, g, max_frequency: Optional[int] = None):
-        if isinstance(g, KernelEvaluator):
-            self.samples = g.uniform_samples
-            self.eval = lambda t: g.eval(t)
-            self.max_freq = g.truncation_index
-            self.curvature = g.second_moment()
-        elif isinstance(g, FourierSeries):
-            self.samples = g.uniform_samples
-            self.eval = g.eval
-            self.max_freq = g.degree
-            k = np.arange(1, g.degree + 1, dtype=float)
-            self.curvature = float(np.sum(k * k * np.hypot(g.a, g.b)))
+        if isinstance(g, (KernelEvaluator, FourierSeries)):
+            self.series = g.series if isinstance(g, KernelEvaluator) else g
+            self.samples = self.series.uniform_samples
+            self.eval = self.series.eval
+            self.max_freq = self.series.degree
         elif callable(g):
+            self.series = None
             self.eval = g
             self.samples = lambda G: np.asarray(
                 g(TWO_PI * np.arange(G) / G), dtype=float)
             self.max_freq = max_frequency
-            self.curvature = None
         else:
             raise DomainError(f"cannot take norms of {type(g).__name__}")
 
@@ -200,12 +195,13 @@ def _grid_size(quad: QuadratureSpec, freq: Optional[int]) -> int:
 
 def sup_norm(g, grid_density: float = 16.0,
              max_frequency: Optional[int] = None) -> NormValue:
-    """max |g| by dense grid plus golden-section refinement at the argmax.
+    """max |g| by dense grid plus refinement at the argmax.
 
     The grid carries >= grid_density points per wavelength of the highest
     retained harmonic, so the true peak sits within one grid cell of the
-    sampled one; the refinement error estimate uses the curvature bound
-    sum k^2 |c_k| when coefficients are known.
+    sampled one.  Series refine by Newton steps on g' (clamped to that
+    cell), with error estimate (1/2) sum k^2 |c_k| (last step)^2 from the
+    curvature bound; plain callables by golden-section search.
     """
     tgt = _Target(g, max_frequency)
     freq = tgt.max_freq
@@ -216,6 +212,23 @@ def sup_norm(g, grid_density: float = 16.0,
     i = int(np.argmax(vals))
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
+    if tgt.series is not None:
+        d1 = tgt.series.derivative()
+        d2 = d1.derivative()
+        t, step = i * h, 0.0
+        for _ in range(8):
+            curv = float(d2.eval(t))
+            if curv == 0.0:
+                break
+            t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
+            step, t = t_new - t, t_new
+            if abs(step) < 1e-13:
+                break
+        peak = float(vals[i])
+        if t != i * h:  # at the node itself the grid sample is the value
+            peak = max(peak, abs(float(tgt.eval(t))))
+        curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
+        return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
 
     def f(t):
         return abs(float(tgt.eval(t)))
@@ -236,11 +249,7 @@ def sup_norm(g, grid_density: float = 16.0,
         if hi - lo < 1e-12:
             break
     peak = max(float(vals[i]), f1, f2)
-    if tgt.curvature is not None:
-        err = 0.5 * tgt.curvature * (hi - lo) ** 2
-    else:
-        err = abs(f1 - f2) + 1e-15 * peak
-    return NormValue(value=peak, error_estimate=err)
+    return NormValue(value=peak, error_estimate=abs(f1 - f2) + 1e-15 * peak)
 
 
 def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
@@ -268,13 +277,21 @@ def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
 
 
 def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
-    """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm."""
+    """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm.
+
+    p = 2 on a series is Parseval's sqrt(pi * energy), exact up to the
+    rounding of its degree-term sum; everything else takes the grid.
+    """
     quad = quad or DEFAULT_QUAD
     if math.isinf(p):
         return sup_norm(g, grid_density=quad.points_per_wavelength)
     if p < 1.0:
         raise DomainError("p must be >= 1")
     tgt = _Target(g)
+    if p == 2.0 and tgt.series is not None:
+        value = math.sqrt(math.pi * tgt.series.energy())
+        return NormValue(value=value, error_estimate=value * (
+            tgt.series.degree + 1) * float(np.finfo(float).eps))
     G = _grid_size(quad, tgt.max_freq)
     s = np.asarray(tgt.samples(G), dtype=float)
     h = TWO_PI / G
@@ -299,11 +316,15 @@ def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
     """||K*||_{p'} for the (psi, n, beta) residual kernel.
 
     The truncation budget enters the error estimate as tail_eps (uniform
-    coefficient-tail bound) times the measure factor (2 pi)^{1/p'}.
+    coefficient-tail bound) times the measure factor (2 pi)^{1/p'}.  The
+    evaluator keeps each (p', quadrature) norm, so repeated orders are free.
     """
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta, tail_eps)
-    nv = lp_norm(ke, p_prime, quad)
+    key = (p_prime, quad or DEFAULT_QUAD)
+    nv = ke._norm_cache.get(key)
+    if nv is None:
+        nv = ke._norm_cache[key] = lp_norm(ke, p_prime, quad)
     measure = 1.0 if math.isinf(p_prime) else TWO_PI ** (1.0 / p_prime)
     return NormValue(value=nv.value,
                      error_estimate=nv.error_estimate + ke.tail_eps * measure)

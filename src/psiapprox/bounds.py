@@ -269,7 +269,7 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  a: Optional[float] = None, b: Optional[float] = None,
                  tail_eps: Optional[float] = None) -> list[BoundReport]:
     """Batch runner that builds one kernel evaluator per (n, beta) and
-    reuses its cached samples across every requested exponent."""
+    reuses its cached samples and norms across every requested exponent."""
     a_r, b_r = _resolve_thresholds(psi, a, b)
     out = []
     for n in ns:

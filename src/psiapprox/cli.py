@@ -187,6 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--p", type=_exponent)
     sp.add_argument("--s", type=_exponent)
+    sp.add_argument("--a", type=float)
+    sp.add_argument("--b", type=float)
     sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--force", action="store_true")
     quad_opts(sp)
@@ -481,7 +483,7 @@ def _cmd_verify_envelopes(cfg: RunConfig) -> int:
         ke = KernelEvaluator.build(psi, n, cfg.beta, cfg.tail_eps)
         env = envelope_check(ke, a, b)
         tail = tail_sum_bound_check(psi, n, a, b, beta=cfg.beta,
-                                    tail_eps=cfg.tail_eps)
+                                    evaluator=ke)
         row = {"n": n, "beta": cfg.beta, "a": a, "b": b,
                "envelope_status": env.status,
                "pointwise_ok": env.pointwise_ok,
@@ -531,7 +533,8 @@ def _cmd_table(cfg: RunConfig) -> int:
     mode, value = (("theorem1", cfg.p) if cfg.p is not None
                    else ("theorem2", cfg.s))
     reports = bnd.verify_sweep(psi, [cfg.beta], [(mode, value)], ns,
-                               quad=_quad(cfg), tail_eps=cfg.tail_eps)
+                               quad=_quad(cfg), a=cfg.a, b=cfg.b,
+                               tail_eps=cfg.tail_eps)
     dicts = [rep.to_dict() for rep in reports]
     rows = [[d[k] for k in _TABLE_COLS] for d in dicts]
     _emit(cfg, {"rows": [{k: d[k] for k in _TABLE_COLS} for d in dicts]},

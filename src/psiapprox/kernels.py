@@ -14,7 +14,7 @@ kernels); their mutual agreement is a standing regression check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -208,7 +208,8 @@ class KernelEvaluator:
 
     Construction fixes the taper window, certifies the truncation index K
     (so the dropped tail sums below tail_eps in absolute value) and packs
-    the coefficients into a FourierSeries for grid work.
+    the coefficients into a FourierSeries for grid work.  `_norm_cache`
+    holds the norms `approx_ops.kernel_norm` has computed for it.
     """
 
     psi: PsiFunction
@@ -224,6 +225,7 @@ class KernelEvaluator:
     taper_start: int        # first harmonic actually present
     series: FourierSeries
     certified_tail: float
+    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, psi: PsiFunction, n: int, beta: float,
@@ -274,11 +276,6 @@ class KernelEvaluator:
     def coefficient_l1(self) -> float:
         """Sum of |c_k|; trivial uniform bound on |K*|."""
         return float(np.sum(np.abs(self.coefficients())))
-
-    def second_moment(self) -> float:
-        """Sum of k^2 |c_k|; uniform bound on |K*''| for refinement errors."""
-        k = np.arange(self.taper_start, self.truncation_index + 1, dtype=float)
-        return float(np.sum(k * k * np.abs(self.coefficients())))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -467,15 +464,24 @@ class TailBoundReport:
 
 def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                          t_grid=None, beta: float = 0.0,
-                         tail_eps: Optional[float] = None) -> TailBoundReport:
+                         tail_eps: Optional[float] = None,
+                         evaluator: Optional[KernelEvaluator] = None
+                         ) -> TailBoundReport:
     """Check |sum_{k=n}^{K} psi(k) cos(kt - beta pi/2)|
     <= (2b/(b-2) + 1/a) psi(n)(eta(n)-n) + tail_eps on the grid.
 
     Preconditions eta(n)-n >= a > 0 and mu(n) >= b > 2; on violation the
-    check refuses (status "precondition_violated", no scan)."""
-    prof = characteristics(psi, float(n))
+    check refuses (status "precondition_violated", no scan).  Given the
+    (psi, n, beta) kernel evaluator, gap, ratio, tail_eps, K and the tail
+    coefficients (its harmonics >= n) come from it instead of being
+    recomputed."""
+    # the evaluator carries eta_gap and mu just as the profile does
+    prof = (evaluator if evaluator is not None
+            else characteristics(psi, float(n)))
     psi_n = float(psi(float(n)))
-    if tail_eps is None:
+    if evaluator is not None:
+        tail_eps = evaluator.tail_eps
+    elif tail_eps is None:
         tail_eps = TAIL_EPS_SCALE * psi_n * prof.eta_gap
     failed = []
     if not a > 0.0:
@@ -491,10 +497,13 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
                                max_abs=None, margin=None, ok=None, worst_t=None)
-    K, _ = _certified_truncation(psi, n, tail_eps)
-    ks = np.arange(n, K + 1)
-    coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
-    tail = FourierSeries.from_cosine_profile(n, coeffs, 0.5 * math.pi * beta)
+    if evaluator is not None:
+        tail = evaluator.series - evaluator.series.truncated(n - 1)
+    else:
+        K, _ = _certified_truncation(psi, n, tail_eps)
+        ks = np.arange(n, K + 1)
+        coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
+        tail = FourierSeries.from_cosine_profile(n, coeffs, 0.5 * math.pi * beta)
     ts, vals = _grid_and_values(tail, t_grid)
     bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap + tail_eps
     abs_vals = np.abs(vals)

@@ -72,21 +72,27 @@ class FourierSeries:
     def uniform_samples(self, grid_size: int) -> np.ndarray:
         """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, via inverse FFT.
 
-        Exact (to rounding) for any grid size: harmonics at or above the grid
-        size wrap onto their aliases, which is the identity the sample values
-        themselves satisfy.  Results are cached per grid size; treat them as
-        read-only.
+        Exact (to rounding) for any grid size: below the Nyquist harmonic by
+        a real inverse FFT, otherwise with harmonics wrapped onto their
+        aliases, the identity the sample values themselves satisfy.  Results
+        are cached per grid size; treat them as read-only.
         """
         if grid_size < 1:
             raise DomainError("grid size must be positive")
         cached = self._sample_cache.get(grid_size)
         if cached is not None:
             return cached
-        buf = np.zeros(grid_size, dtype=complex)
-        buf[0] = 0.5 * self.a0
-        k = np.arange(1, self.degree + 1)
-        np.add.at(buf, k % grid_size, self.a - 1j * self.b)
-        samples = np.fft.ifft(buf).real * grid_size
+        if 2 * self.degree < grid_size:
+            half = np.zeros(grid_size // 2 + 1, dtype=complex)
+            half[0] = self.a0
+            half[1:self.degree + 1] = self.a - 1j * self.b
+            samples = np.fft.irfft(half, grid_size) * (0.5 * grid_size)
+        else:
+            buf = np.zeros(grid_size, dtype=complex)
+            buf[0] = 0.5 * self.a0
+            k = np.arange(1, self.degree + 1)
+            np.add.at(buf, k % grid_size, self.a - 1j * self.b)
+            samples = np.fft.ifft(buf).real * grid_size
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
         return samples
@@ -97,6 +103,11 @@ class FourierSeries:
             raise DomainError("antiderivative of a nonzero-mean series is not periodic")
         k = np.arange(1, self.degree + 1, dtype=float)
         return FourierSeries(a0=0.0, a=-self.b / k, b=self.a / k)
+
+    def derivative(self) -> "FourierSeries":
+        """Term-by-term derivative; the mean term drops out."""
+        k = np.arange(1, self.degree + 1, dtype=float)
+        return FourierSeries(a0=0.0, a=k * self.b, b=-k * self.a)
 
     def scaled(self, factor: float) -> "FourierSeries":
         return FourierSeries(a0=factor * self.a0, a=factor * self.a, b=factor * self.b)

@@ -46,6 +46,22 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
     return total ** (1.0 / p)
 
 
+def golden_peak(ke, G=1 << 14):
+    """max |K*| by golden-section search in the cell around the FFT argmax."""
+    h = TWO_PI / G
+    i = int(np.argmax(np.abs(ke.uniform_samples(G))))
+    lo, hi = (i - 1) * h, (i + 1) * h
+    f = lambda t: abs(float(ke.eval(t)))
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-12:
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        if f(x1) < f(x2):
+            lo = x1
+        else:
+            hi = x2
+    return max(f(lo), f(hi), f(0.5 * (lo + hi)))
+
+
 class TestTaper:
     def test_frozen_window_values(self, psi_half):
         tc = taper_coefficients(psi_half, 9)
@@ -197,6 +213,32 @@ class TestNorms:
         f = FourierSeries(a0=0.0, a=[0.0, 0.0, 1.0], b=[0.0])
         nv = sup_norm(f)
         assert nv.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_sup_norm_off_grid_peak(self):
+        # peaks of cos(7(t - t0)) sit between nodes of the 4096-point grid;
+        # the grid alone is off by ~1.4e-5, so this measures the refinement
+        for frac in (0.11, 0.37, 0.5, 0.93):
+            t0 = TWO_PI * (100.0 + frac) / 4096
+            f = FourierSeries(a0=0.0, a=[0.0] * 6 + [math.cos(7 * t0)],
+                              b=[0.0] * 6 + [math.sin(7 * t0)])
+            nv = sup_norm(f)
+            assert abs(nv.value - 1.0) <= 1e-13
+            assert nv.error_estimate <= 1e-13
+
+    def test_sup_norm_matches_golden_section(self, psi_half):
+        for beta in (0.0, 0.5, 1.0):
+            ke = KernelEvaluator.build(psi_half, 16, beta)
+            nv = sup_norm(ke)
+            ref = golden_peak(ke)
+            assert abs(nv.value - ref) <= nv.error_estimate + 1e-15 * ref
+
+    def test_l2_by_parseval_takes_no_grid(self, psi_half):
+        ke = KernelEvaluator.build(psi_half, 16, 0.5)
+        nv = lp_norm(ke, 2.0)
+        assert ke.series._sample_cache == {}
+        assert nv.value == math.sqrt(math.pi * ke.series.energy())
+        # worst-case rounding of the degree-term sum, nothing more
+        assert nv.error_estimate <= 1e-12 * nv.value
 
     def test_sup_norm_callable_needs_frequency(self):
         with pytest.raises(DomainError):

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from psiapprox import (DomainError, PsiFunction, asymp_scan, cab_p_crossover,
-                       characteristics, conjugate_exponent, const_Ca,
-                       const_Cab, const_Cab_p, const_Cab_star,
+from psiapprox import (DomainError, KernelEvaluator, PsiFunction, approx_ops,
+                       asymp_scan, cab_p_crossover, characteristics,
+                       conjugate_exponent, const_Ca, const_Cab, const_Cab_p,
+                       const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
                        parallel_map, thread_count, verify_sweep,
                        verify_theorem1, verify_theorem2)
@@ -181,6 +182,29 @@ class TestVerify:
         assert [r.n for r in reps] == [11, 11, 11, 11, 12, 12, 12, 12]
         assert [r.beta for r in reps[:4]] == [0.0, 0.0, 1.0, 1.0]
         assert all(r.ok for r in reps)
+
+    def test_sweep_computes_each_norm_order_once(self, psi_half, monkeypatch):
+        modes = ([("theorem1", v) for v in (1.0, 2.0, 4.0, math.inf)]
+                 + [("theorem2", v) for v in (1.0, 2.0, 4.0, math.inf)])
+        fresh = []   # one evaluator per report: nothing to share
+        for n in (11, 12):
+            for beta in (0.0, 1.0):
+                for mode, value in modes:
+                    fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
+                    ke = KernelEvaluator.build(psi_half, n, beta)
+                    fresh.append(fn(psi_half, beta, value, n, evaluator=ke))
+        calls = []
+        lp_norm = approx_ops.lp_norm
+
+        def counting(g, p, quad=None):
+            calls.append((g, p))   # holding g keeps every id distinct
+            return lp_norm(g, p, quad)
+        monkeypatch.setattr(approx_ops, "lp_norm", counting)
+        reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
+        # orders {inf, 2, 4/3, 1} and {1, 2, 4, inf}: five distinct
+        assert len(calls) == 4 * 5
+        assert len({(id(g), p) for g, p in calls}) == len(calls)
+        assert reps == fresh
 
     def test_sweep_matches_single_calls(self, psi_half):
         rep_s = verify_sweep(psi_half, [0.0], [("theorem1", 2.0)], [16])[0]

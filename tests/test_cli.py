@@ -5,8 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from psiapprox import exp_power_thresholds
 from psiapprox.cli import RunConfig, main
 
 HALF = ["--alpha", "1", "--r", "0.5"]
@@ -156,6 +158,25 @@ class TestTableAndAsymp:
         assert lines[0] == "n,alpha,r,beta,mode,p_or_s,lower,proxy,upper"
         assert len(lines) == 4
         assert all(len(line.split(",")) == 9 for line in lines)
+
+    def test_table_family_with_explicit_thresholds(self, capsys, tmp_path):
+        # a tabulated exp(-sqrt t) has no closed-form thresholds, so a and b
+        # come from the command line; at integer t it is the exp-power psi
+        table = tmp_path / "psi.csv"
+        t = np.arange(1, 2001, dtype=float)
+        np.savetxt(table, np.column_stack([t, np.exp(-np.sqrt(t))]),
+                   delimiter=",")
+        a, b, _ = exp_power_thresholds(1.0, 0.5)
+        code, out, _ = run_cli(capsys, "table", "--family", "table",
+                               "--psi-table", str(table), "--n-range", "20:21",
+                               "--p", "2", "--a", repr(a), "--b", repr(b))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        _, ref, _ = run_cli(capsys, "table", *HALF, "--n-range", "20:21",
+                            "--p", "2")
+        for row, want in zip(rows, json.loads(ref)["rows"]):
+            assert row["lower"] <= row["proxy"] <= row["upper"]
+            assert row["proxy"] == pytest.approx(want["proxy"], rel=1e-9)
 
     def test_table_needs_one_mode(self, capsys):
         code, _, err = run_cli(capsys, "table", *HALF, "--n-range", "11:12")

@@ -212,6 +212,15 @@ class TestEnvelopes:
         assert rep.ok
         assert rep.max_abs <= rep.bound
 
+    def test_tail_bound_from_evaluator_is_identical(self, psi_half):
+        a, b, _ = exp_power_thresholds(1.0, 0.5)
+        for n in range(11, 41):
+            for beta in (0.0, 1.0):
+                ke = KernelEvaluator.build(psi_half, n, beta)
+                assert (tail_sum_bound_check(psi_half, n, a, b, beta=beta)
+                        == tail_sum_bound_check(psi_half, n, a, b, beta=beta,
+                                                evaluator=ke))
+
     def test_tail_bound_refuses_bad_preconditions(self, psi_half):
         rep = tail_sum_bound_check(psi_half, 16, 50.0, 3.0)
         assert rep.status == "precondition_violated"

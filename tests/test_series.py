@@ -42,6 +42,17 @@ def test_uniform_samples_alias_exact():
                                rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("degree", [63, 64, 65])
+def test_uniform_samples_near_nyquist(degree):
+    # degree < G/2 takes the real-FFT route, G/2 and above the wrap route
+    rng = np.random.default_rng(degree)
+    f = random_series(rng, degree)
+    G = 128
+    grid = TWO_PI * np.arange(G) / G
+    np.testing.assert_allclose(f.uniform_samples(G), f(grid),
+                               rtol=0, atol=1e-12)
+
+
 def test_sample_cache_is_reused():
     f = FourierSeries(a0=1.0, a=[1.0], b=[0.5])
     s1 = f.uniform_samples(32)
@@ -70,6 +81,20 @@ def test_antiderivative_inverts_differentiation():
     ts = np.linspace(0.5, 5.5, 11)
     dF = (F(ts + h) - F(ts - h)) / (2 * h)
     np.testing.assert_allclose(dF, f(ts), rtol=1e-7, atol=1e-7)
+
+
+def test_derivative_mirrors_antiderivative():
+    rng = np.random.default_rng(6)
+    f = random_series(rng, 20)
+    df = f.derivative()
+    assert df.a0 == 0.0
+    back = df.antiderivative()
+    np.testing.assert_allclose(back.a, f.a, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(back.b, f.b, rtol=1e-14, atol=0)
+    h = 1e-6
+    ts = np.linspace(0.5, 5.5, 11)
+    np.testing.assert_allclose(df(ts), (f(ts + h) - f(ts - h)) / (2 * h),
+                               rtol=1e-6, atol=1e-6)
 
 
 def test_antiderivative_needs_zero_mean():
