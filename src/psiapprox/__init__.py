@@ -29,8 +29,8 @@ from .bounds import (AsympRow, AsympScan, BoundReport,
                      ExpPowerCharacteristics, asymp_scan, cab_p_crossover,
                      conjugate_exponent, const_Ca, const_Cab, const_Cab_p,
                      const_Cab_star, exp_power_characteristics,
-                     exp_power_thresholds, parallel_map, thread_count,
-                     verify_sweep, verify_theorem1, verify_theorem2)
+                     exp_power_thresholds, verify_sweep, verify_theorem1,
+                     verify_theorem2)
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,5 @@ __all__ = [
     "conjugate_exponent", "const_Ca", "const_Cab", "const_Cab_p",
     "const_Cab_star", "cab_p_crossover", "exp_power_thresholds",
     "exp_power_characteristics", "verify_theorem1", "verify_theorem2",
-    "verify_sweep", "asymp_scan", "parallel_map", "thread_count",
-    "__version__",
+    "verify_sweep", "asymp_scan", "__version__",
 ]

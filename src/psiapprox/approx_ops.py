@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -134,22 +134,23 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 # -- norms -------------------------------------------------------------------
 
+MAX_GRID = 1 << 21   # cap on every norm grid
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to integrate |g|^p over the period: the composite trapezoid rule.
 
     The uniform grid carries >= points_per_wavelength nodes per retained
-    wavelength (power of two, capped at max_grid); grid_size overrides
-    that choice.  The error estimate is Richardson's, from the half grid.
+    wavelength (a power of two, capped at MAX_GRID); the sup norm scans the
+    same grid.  The error estimate is Richardson's, from the half grid.
     """
 
     points_per_wavelength: float = 16.0
-    grid_size: Optional[int] = None     # explicit override
-    max_grid: int = 1 << 21
 
     def __post_init__(self):
-        if self.points_per_wavelength < 8.0:
-            raise DomainError("points_per_wavelength must be >= 8")
+        if not 8.0 <= self.points_per_wavelength < math.inf:
+            raise DomainError("points_per_wavelength must be finite and >= 8")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -166,90 +167,51 @@ class NormValue:
         return self.value
 
 
-class _Target:
-    """Uniform adapter over the things we take norms of; `series` is the
-    coefficient form, or None for a plain callable."""
-
-    def __init__(self, g, max_frequency: Optional[int] = None):
-        if isinstance(g, (KernelEvaluator, FourierSeries)):
-            self.series = g.series if isinstance(g, KernelEvaluator) else g
-            self.samples = self.series.uniform_samples
-            self.eval = self.series.eval
-            self.max_freq = self.series.degree
-        elif callable(g):
-            self.series = None
-            self.eval = g
-            self.samples = lambda G: np.asarray(
-                g(TWO_PI * np.arange(G) / G), dtype=float)
-            self.max_freq = max_frequency
-        else:
-            raise DomainError(f"cannot take norms of {type(g).__name__}")
+def _series(g) -> FourierSeries:
+    """The coefficient form of a norm target: a kernel's series, or a series."""
+    if isinstance(g, KernelEvaluator):
+        return g.series
+    if isinstance(g, FourierSeries):
+        return g
+    raise DomainError(f"cannot take norms of {type(g).__name__}")
 
 
-def _grid_size(quad: QuadratureSpec, freq: Optional[int]) -> int:
-    if quad.grid_size is not None:
-        return int(quad.grid_size)
-    base = 4096 if freq is None else max(4096, quad.points_per_wavelength * freq)
-    return min(1 << int(math.ceil(math.log2(base))), quad.max_grid)
+def _grid_size(quad: QuadratureSpec, degree: int) -> int:
+    base = max(4096, quad.points_per_wavelength * degree)
+    return min(1 << int(math.ceil(math.log2(base))), MAX_GRID)
 
 
-def sup_norm(g, grid_density: float = 16.0,
-             max_frequency: Optional[int] = None) -> NormValue:
+def sup_norm(g, quad: Optional[QuadratureSpec] = None) -> NormValue:
     """max |g| by dense grid plus refinement at the argmax.
 
-    The grid carries >= grid_density points per wavelength of the highest
-    retained harmonic, so the true peak sits within one grid cell of the
-    sampled one.  Series refine by Newton steps on g' (clamped to that
-    cell), with error estimate (1/2) sum k^2 |c_k| (last step)^2 from the
-    curvature bound; plain callables by golden-section search.
+    The quadrature grid carries >= points_per_wavelength points per
+    wavelength of the highest retained harmonic, so the true peak sits
+    within one grid cell of the sampled one.  Newton steps on g' (clamped
+    to that cell) refine it, with error estimate (1/2) sum k^2 |c_k|
+    (last step)^2 from the curvature bound.
     """
-    tgt = _Target(g, max_frequency)
-    freq = tgt.max_freq
-    if freq is None:
-        raise DomainError("callable targets need max_frequency")
-    G = min(1 << int(math.ceil(math.log2(max(4096, grid_density * freq)))), 1 << 21)
-    vals = np.abs(np.asarray(tgt.samples(G), dtype=float))
+    series = _series(g)
+    G = _grid_size(quad or DEFAULT_QUAD, series.degree)
+    vals = np.abs(series.uniform_samples(G))
     i = int(np.argmax(vals))
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
-    if tgt.series is not None:
-        d1 = tgt.series.derivative()
-        d2 = d1.derivative()
-        t, step = i * h, 0.0
-        for _ in range(8):
-            curv = float(d2.eval(t))
-            if curv == 0.0:
-                break
-            t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
-            step, t = t_new - t, t_new
-            if abs(step) < 1e-13:
-                break
-        peak = float(vals[i])
-        if t != i * h:  # at the node itself the grid sample is the value
-            peak = max(peak, abs(float(tgt.eval(t))))
-        curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
-        return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
-
-    def f(t):
-        return abs(float(tgt.eval(t)))
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - golden * (hi - lo)
-    x2 = lo + golden * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(64):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + golden * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - golden * (hi - lo)
-            f1 = f(x1)
-        if hi - lo < 1e-12:
+    d1 = series.derivative()
+    d2 = d1.derivative()
+    t, step = i * h, 0.0
+    for _ in range(8):
+        curv = float(d2.eval(t))
+        if curv == 0.0:
             break
-    peak = max(float(vals[i]), f1, f2)
-    return NormValue(value=peak, error_estimate=abs(f1 - f2) + 1e-15 * peak)
+        t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
+        step, t = t_new - t, t_new
+        if abs(step) < 1e-13:
+            break
+    peak = float(vals[i])
+    if t != i * h:  # at the node itself the grid sample is the value
+        peak = max(peak, abs(float(series.eval(t))))
+    curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
+    return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
 
 
 def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
@@ -279,21 +241,22 @@ def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
 def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
     """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm.
 
-    p = 2 on a series is Parseval's sqrt(pi * energy), exact up to the
-    rounding of its degree-term sum; everything else takes the grid.
+    g is a FourierSeries or a KernelEvaluator.  p = 2 is Parseval's
+    sqrt(pi * energy), exact up to the rounding of its degree-term sum;
+    every other finite order takes the grid.
     """
     quad = quad or DEFAULT_QUAD
     if math.isinf(p):
-        return sup_norm(g, grid_density=quad.points_per_wavelength)
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
-    tgt = _Target(g)
-    if p == 2.0 and tgt.series is not None:
-        value = math.sqrt(math.pi * tgt.series.energy())
+        return sup_norm(g, quad)
+    if not p >= 1.0:
+        raise DomainError(f"p must be >= 1, got {p}")
+    series = _series(g)
+    if p == 2.0:
+        value = math.sqrt(math.pi * series.energy())
         return NormValue(value=value, error_estimate=value * (
-            tgt.series.degree + 1) * float(np.finfo(float).eps))
-    G = _grid_size(quad, tgt.max_freq)
-    s = np.asarray(tgt.samples(G), dtype=float)
+            series.degree + 1) * float(np.finfo(float).eps))
+    G = _grid_size(quad, series.degree)
+    s = series.uniform_samples(G)
     h = TWO_PI / G
 
     def integral(samples, step):
@@ -379,8 +342,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta, tail_eps)
     if grid_size is None:
-        grid_size = min(max(1 << 17, _grid_size(DEFAULT_QUAD, ke.truncation_index)),
-                        1 << 21)
+        grid_size = max(1 << 17, _grid_size(DEFAULT_QUAD, ke.truncation_index))
     G = int(grid_size)
     h = TWO_PI / G
     samples = ke.uniform_samples(G)

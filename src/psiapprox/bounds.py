@@ -10,10 +10,8 @@ consequence of the bound chain, not a claim of sharpness.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .approx_ops import QuadratureSpec, kernel_norm
 from .errors import DomainError
@@ -355,28 +353,3 @@ def asymp_scan(alpha: float, r: float, mode: str, value: float,
                      p_or_s=float(value), rows=tuple(rows),
                      ratio_min=rmin, ratio_max=rmax, spread=rmax / rmin)
 
-
-# -- worker pool --------------------------------------------------------------
-
-def thread_count() -> int:
-    """Worker count from PSIAPPROX_THREADS; defaults to 1 (fully serial)."""
-    raw = os.environ.get("PSIAPPROX_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise DomainError(f"PSIAPPROX_THREADS must be an integer, got {raw!r}")
-    return max(1, k)
-
-
-def parallel_map(fn, items: Iterable, threads: Optional[int] = None) -> list:
-    """Order-preserving map, threaded when threads > 1.
-
-    Results are identical to the serial path; threading only overlaps the
-    numpy-heavy sections that release the interpreter lock.
-    """
-    items = list(items)
-    k = thread_count() if threads is None else max(1, int(threads))
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))

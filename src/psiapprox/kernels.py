@@ -95,8 +95,8 @@ def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not (tail_eps > 0.0):
-        raise DomainError("tail_eps must be positive")
+    if not 0.0 < tail_eps < math.inf:
+        raise DomainError("tail_eps must be finite and positive")
     log_budget = math.log(tail_eps)
 
     def ok(K: int) -> bool:
@@ -233,13 +233,15 @@ class KernelEvaluator:
               tol_inv: float = 1e-12) -> "KernelEvaluator":
         if n < 1 or int(n) != n:
             raise DomainError("n must be a positive integer")
+        if not math.isfinite(beta):
+            raise DomainError(f"beta must be finite, got {beta}")
         n = int(n)
         prof = characteristics(psi, float(n), tol_inv)
         eta_floor, start, c_taper = _taper_window(psi, n, prof)
         if tail_eps is None:
             tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * prof.eta_gap
-        if not (tail_eps > 0.0):
-            raise DomainError("tail_eps must be positive")
+        if not 0.0 < tail_eps < math.inf:
+            raise DomainError("tail_eps must be finite and positive")
         K, bound = _certified_truncation(psi, n, tail_eps)
         ks_tail = np.arange(n, K + 1)
         c_tail = np.asarray(psi(ks_tail.astype(float)), dtype=float)
@@ -266,16 +268,6 @@ class KernelEvaluator:
         c = math.cos(self.theta)
         s = math.sin(self.theta)
         return a_k * c + b_k * s  # rotate back: (a,b) = c_k (cos, sin)(theta)
-
-    def coefficients(self) -> np.ndarray:
-        k = np.arange(self.taper_start, self.truncation_index + 1)
-        a = self.series.a[k - 1]
-        b = self.series.b[k - 1]
-        return a * math.cos(self.theta) + b * math.sin(self.theta)
-
-    def coefficient_l1(self) -> float:
-        """Sum of |c_k|; trivial uniform bound on |K*|."""
-        return float(np.sum(np.abs(self.coefficients())))
 
     # -- evaluation -----------------------------------------------------------
 

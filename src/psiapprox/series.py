@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +61,20 @@ class FourierSeries:
                 and np.array_equal(self.b, other.b))
 
     def eval(self, t):
-        """Evaluate at scalar or array t by direct summation."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        """Evaluate at scalar or array t by direct summation.
+
+        Points go in blocks of EVAL_BLOCK // degree (at least one), so a
+        block's points x degree phase matrix holds at most EVAL_BLOCK
+        entries whenever the degree does.
+        """
+        t_arr = np.ravel(np.asarray(t, dtype=float))
         k = np.arange(1, self.degree + 1)
-        kt = np.outer(t_arr, k)
-        out = 0.5 * self.a0 + np.cos(kt) @ self.a + np.sin(kt) @ self.b
+        step = max(1, EVAL_BLOCK // max(1, self.degree))
+        out = np.empty(t_arr.size)
+        for i in range(0, t_arr.size, step):
+            kt = np.outer(t_arr[i:i + step], k)
+            out[i:i + step] = (0.5 * self.a0 + np.cos(kt) @ self.a
+                               + np.sin(kt) @ self.b)
         return out if np.ndim(t) else float(out[0])
 
     __call__ = eval

@@ -240,11 +240,20 @@ class TestNorms:
         # worst-case rounding of the degree-term sum, nothing more
         assert nv.error_estimate <= 1e-12 * nv.value
 
-    def test_sup_norm_callable_needs_frequency(self):
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_callable_targets_refused(self, p):
+        # norms take coefficient series; a plain callable has no degree
         with pytest.raises(DomainError):
-            sup_norm(lambda t: np.cos(t))
-        nv = sup_norm(lambda t: np.cos(3 * np.asarray(t)), max_frequency=3)
-        assert nv.value == pytest.approx(1.0, rel=1e-9)
+            lp_norm(lambda t: np.cos(t), p)
+
+    @pytest.mark.parametrize("quad", [None, QuadratureSpec(8.0)])
+    def test_orders_share_one_grid(self, psi_half, quad):
+        # the trapezoid orders and the sup scan size their grid alike, so a
+        # kernel is sampled on one grid however many orders it is normed in
+        ke = KernelEvaluator.build(psi_half, 40, 0.5)
+        for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
+            lp_norm(ke, p, quad)
+        assert len(ke.series._sample_cache) == 1
 
     def test_float_protocol(self):
         f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
@@ -252,12 +261,14 @@ class TestNorms:
 
     def test_invalid_exponent(self):
         f = FourierSeries(a0=0.0, a=[1.0], b=[0.0])
-        with pytest.raises(DomainError):
-            lp_norm(f, 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(DomainError):
+                lp_norm(f, p)
 
     def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(points_per_wavelength=4.0)
+        for points in (4.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                QuadratureSpec(points_per_wavelength=points)
 
     def test_kernel_norm_tail_budget(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 16, 0.0)

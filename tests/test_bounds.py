@@ -1,7 +1,6 @@
 """Bracket constants, validity thresholds, certified reports."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ from psiapprox import (DomainError, KernelEvaluator, PsiFunction, approx_ops,
                        conjugate_exponent, const_Ca, const_Cab, const_Cab_p,
                        const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
-                       parallel_map, thread_count, verify_sweep,
-                       verify_theorem1, verify_theorem2)
+                       verify_sweep, verify_theorem1, verify_theorem2)
 
 # direct formula evaluations, frozen before the module was written
 THRESHOLD_TABLE = {
@@ -244,31 +242,3 @@ class TestAsymp:
         assert len(d["rows"]) == 2
         assert d["spread"] == scan.spread
 
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items, threads=4) == [
-            x * x for x in items]
-
-    def test_serial_default(self, monkeypatch):
-        monkeypatch.delenv("PSIAPPROX_THREADS", raising=False)
-        assert thread_count() == 1
-        assert parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PSIAPPROX_THREADS", "3")
-        assert thread_count() == 3
-        assert parallel_map(lambda x: x + 1, [1, 2]) == [2, 3]
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("PSIAPPROX_THREADS", "many")
-        with pytest.raises(DomainError):
-            thread_count()
-
-    def test_threaded_matches_serial_reports(self, psi_half):
-        def job(n):
-            return verify_theorem1(psi_half, 0.0, 2.0, n).proxy
-        serial = parallel_map(job, [11, 12, 13], threads=1)
-        threaded = parallel_map(job, [11, 12, 13], threads=3)
-        assert serial == threaded

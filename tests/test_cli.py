@@ -72,6 +72,21 @@ class TestLambdaAndKernel:
             assert out == ""
             assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel-eval", *HALF, "--n", "9", "--beta", "inf", "--t", "0.5"],
+        ["kernel-norm", *HALF, "--n", "12", "--beta", "nan", "--p", "2"],
+        ["kernel-norm", *HALF, "--n", "12", "--p", "1", "--quad-points", "nan"],
+        ["kernel-norm", *HALF, "--n", "12", "--p", "1", "--quad-points", "inf"],
+        ["kernel-norm", *HALF, "--n", "12", "--p", "nan"],
+        ["verify", "theorem1", *HALF, "--n", "12", "--p", "2",
+         "--tail-eps", "inf"],
+    ])
+    def test_non_finite_options_exit_config(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",
                                "--p", "2", "inf")

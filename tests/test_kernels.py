@@ -160,6 +160,19 @@ class TestKernelEvaluator:
         with pytest.raises(DomainError):
             KernelEvaluator.build(psi_half, 0, 0.0)
 
+    @pytest.mark.parametrize("tail_eps", [math.inf, math.nan, 0.0, -1e-12])
+    def test_tail_budget_must_be_finite_positive(self, psi_half, tail_eps):
+        # an infinite budget would certify any truncation
+        with pytest.raises(DomainError):
+            KernelEvaluator.build(psi_half, 12, 0.0, tail_eps=tail_eps)
+        with pytest.raises(DomainError):
+            truncation_index(psi_half, 12, tail_eps)
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_beta_must_be_finite(self, psi_half, beta):
+        with pytest.raises(DomainError):
+            KernelEvaluator.build(psi_half, 12, beta)
+
 
 class TestLemma1:
     def test_random_instances(self):

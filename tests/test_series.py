@@ -1,11 +1,12 @@
 """Dense trigonometric polynomials and their exact FFT sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from psiapprox import DomainError, FourierSeries
+from psiapprox import DomainError, FourierSeries, KernelEvaluator, PsiFunction
 
 TWO_PI = 2.0 * math.pi
 
@@ -15,6 +16,22 @@ def random_series(rng, degree, decay=1.0):
     return FourierSeries(a0=float(rng.standard_normal()),
                          a=rng.standard_normal(degree) / k ** decay,
                          b=rng.standard_normal(degree) / k ** decay)
+
+
+def test_eval_memory_is_blocked():
+    # 4096 points on the (1.0, 0.5), n = 9 kernel (degree 2041): dense
+    # points x degree matrices would take over 100 MB
+    ke = KernelEvaluator.build(PsiFunction.exp_power(1.0, 0.5), 9, 0.0)
+    ts = TWO_PI * np.arange(4096) / 4096
+    ref = ke.series.uniform_samples(4096)
+    tracemalloc.start()
+    try:
+        vals = ke.series.eval(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_eval_single_harmonic():
