@@ -135,6 +135,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 # -- norms -------------------------------------------------------------------
 
 MAX_GRID = 1 << 21   # cap on every norm grid
+_BLOCK = 1 << 16     # points per pass block: 512 KB of float64
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,30 @@ def _grid_size(quad: QuadratureSpec, degree: int) -> int:
     return min(1 << int(math.ceil(math.log2(base))), MAX_GRID)
 
 
+def _blocks(s: np.ndarray, overlap: int = 0):
+    """(start, view) of s in _BLOCK-point blocks, in order, each view
+    extended by up to `overlap` points of the next block so a caller can
+    see neighbours.
+
+    One block fits in L2 with room for a same-sized scratch array, so a
+    norm makes one cache-sized pass over the grid instead of whole-grid
+    temporaries.
+    """
+    for i in range(0, s.size, _BLOCK):
+        yield i, s[i:i + _BLOCK + overlap]
+
+
+def _argmax_abs(s: np.ndarray) -> int:
+    """np.argmax(np.abs(s)) block by block, keeping its first-index rule:
+    a later block wins only with a strictly larger magnitude."""
+    i, peak = 0, -1.0
+    for start, blk in _blocks(s):
+        j = int(np.argmax(np.abs(blk)))
+        if abs(blk[j]) > peak:
+            i, peak = start + j, abs(blk[j])
+    return i
+
+
 def sup_norm(g, quad: Optional[QuadratureSpec] = None) -> NormValue:
     """max |g| by dense grid plus refinement at the argmax.
 
@@ -192,8 +217,9 @@ def sup_norm(g, quad: Optional[QuadratureSpec] = None) -> NormValue:
     """
     series = _series(g)
     G = _grid_size(quad or DEFAULT_QUAD, series.degree)
-    vals = np.abs(series.uniform_samples(G))
-    i = int(np.argmax(vals))
+    s = series.uniform_samples(G)
+    i = _argmax_abs(s)
+    peak = float(abs(s[i]))
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
     d1 = series.derivative()
@@ -207,7 +233,6 @@ def sup_norm(g, quad: Optional[QuadratureSpec] = None) -> NormValue:
         step, t = t_new - t, t_new
         if abs(step) < 1e-13:
             break
-    peak = float(vals[i])
     if t != i * h:  # at the node itself the grid sample is the value
         peak = max(peak, abs(float(series.eval(t))))
     curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
@@ -220,6 +245,7 @@ def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
     Modeling g as linear across such a panel, the exact integral of
     |linear|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B)) against the
     trapezoid's h (A^p + B^p)/2, with A, B the endpoint magnitudes.
+    Panels are found block by block, the wrap panel (G-1, 0) last.
 
     Even integer p makes |g|^p a plain trigonometric polynomial, for
     which the composite rule is already exact; correcting there would
@@ -227,15 +253,49 @@ def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
     """
     if p == 2.0 * round(p / 2.0):
         return 0.0
-    nxt = np.roll(s, -1)
-    cross = s * nxt < 0.0
-    if not np.any(cross):
+    G = s.size
+    panels = [start + np.flatnonzero(seg[:-1] * seg[1:] < 0.0)
+              for start, seg in _blocks(s, overlap=1)]
+    if s[-1] * s[0] < 0.0:
+        panels.append(np.array([G - 1]))
+    idx = np.concatenate(panels)
+    if not idx.size:
         return 0.0
-    A = np.abs(s[cross])
-    B = np.abs(nxt[cross])
+    A = np.abs(s[idx])
+    B = np.abs(s[(idx + 1) % G])
     exact = (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
     trap = 0.5 * (A ** p + B ** p)
     return float(h * np.sum(exact - trap))
+
+
+def _halving_sum(parts: list) -> float:
+    """Sum block partials pairwise, neighbours first.
+
+    np.sum's pairwise summation halves a power-of-two array down to
+    blocks of _BLOCK points, so on such grids this adds the blocks'
+    np.sum values in its order and gives its bits.
+    """
+    while len(parts) > 1:
+        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    return float(parts[0])
+
+
+def _trapezoid(s: np.ndarray, p: float, h: float) -> tuple[float, float]:
+    """int |g|^p by the composite rule on the grid s (step h) and on its
+    even nodes (step 2h), both from one blocked pass over |s|^p.
+
+    _BLOCK is even, so a block's even entries are the half grid's nodes.
+    """
+    full, half = [], []
+    for _, blk in _blocks(s):
+        w = np.abs(blk)
+        if p != 1.0:
+            np.power(w, p, out=w)
+        full.append(w.sum())
+        half.append(w[::2].sum())
+    return (h * _halving_sum(full) + _kink_correction(s, p, h),
+            2.0 * h * _halving_sum(half)
+            + _kink_correction(s[::2], p, 2.0 * h))
 
 
 def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
@@ -256,15 +316,7 @@ def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
         return NormValue(value=value, error_estimate=value * (
             series.degree + 1) * float(np.finfo(float).eps))
     G = _grid_size(quad, series.degree)
-    s = series.uniform_samples(G)
-    h = TWO_PI / G
-
-    def integral(samples, step):
-        return (step * float(np.sum(np.abs(samples) ** p))
-                + _kink_correction(samples, p, step))
-
-    full = integral(s, h)
-    half = integral(s[::2], 2.0 * h)
+    full, half = _trapezoid(series.uniform_samples(G), p, TWO_PI / G)
     err_i = abs(full - half) / 3.0
     if full <= 0.0:
         return NormValue(0.0, err_i ** (1.0 / p))
@@ -370,8 +422,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         def fn(t):
             raw = np.sign(S_of(t))
             return (raw - shift) / (1.0 + abs(shift)) if mean_corrected else raw
-        target = (h * float(np.sum(np.abs(S)))
-                  + _kink_correction(S, 1.0, h)) / math.pi
+        target = _trapezoid(S, 1.0, h)[0] / math.pi
     elif p == 1.0:
         p_prime = math.inf
         i_star = int(np.argmax(np.abs(S)))

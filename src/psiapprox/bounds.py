@@ -213,6 +213,9 @@ def _verify(psi: PsiFunction, beta: float, value: float, n: int, mode: str,
             quad: Optional[QuadratureSpec], a: Optional[float],
             b: Optional[float], tail_eps: Optional[float],
             evaluator: Optional[KernelEvaluator]) -> BoundReport:
+    # below the preconditions no evaluator is built to check beta
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     a, b = _resolve_thresholds(psi, a, b)
     x_exp, norm_order = _mode_exponents(mode, value)
     if evaluator is not None:

@@ -93,16 +93,20 @@ class FourierSeries:
         if cached is not None:
             return cached
         if 2 * self.degree < grid_size:
-            half = np.zeros(grid_size // 2 + 1, dtype=complex)
-            half[0] = self.a0
-            half[1:self.degree + 1] = self.a - 1j * self.b
-            samples = np.fft.irfft(half, grid_size) * (0.5 * grid_size)
+            # irfft pads the spectrum with zeros up to grid_size // 2 + 1
+            spec = np.empty(self.degree + 1, dtype=complex)
+            spec[0] = self.a0
+            spec[1:] = self.a - 1j * self.b
+            samples = np.fft.irfft(spec, grid_size)
+            samples *= 0.5 * grid_size
         else:
             buf = np.zeros(grid_size, dtype=complex)
             buf[0] = 0.5 * self.a0
             k = np.arange(1, self.degree + 1)
             np.add.at(buf, k % grid_size, self.a - 1j * self.b)
-            samples = np.fft.ifft(buf).real * grid_size
+            # transform in place, then copy the real part out scaled: a
+            # view of it would pin the complex buffer in the cache
+            samples = np.fft.ifft(buf, out=buf).real * grid_size
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
         return samples

@@ -1,6 +1,7 @@
 """Taper multiplier, synthesis, norm machinery, duality extremals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.optimize import brentq
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        KernelEvaluator, PsiFunction, QuadratureSpec,
-                       apply_vn, duality_extremal_phi, kernel_norm, lp_norm,
-                       residual_consistency, sup_norm,
+                       approx_ops, apply_vn, duality_extremal_phi,
+                       kernel_norm, lp_norm, residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients)
 
 TWO_PI = 2.0 * math.pi
@@ -44,6 +45,45 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
         vals = np.abs(np.asarray(ke.eval((mid + half * x).ravel()))) ** p
         total += float(np.sum(half * w * vals.reshape(mid.shape[0], order)))
     return total ** (1.0 / p)
+
+
+def roll_kink(s, p, h):
+    """Sign-change panel correction over whole-grid np.roll neighbours."""
+    if p == 2.0 * round(p / 2.0):
+        return 0.0
+    nxt = np.roll(s, -1)
+    cross = s * nxt < 0.0
+    if not np.any(cross):
+        return 0.0
+    A = np.abs(s[cross])
+    B = np.abs(nxt[cross])
+    exact = (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
+    trap = 0.5 * (A ** p + B ** p)
+    return float(h * np.sum(exact - trap))
+
+
+def unblocked_lp(s, p):
+    """lp_norm's trapezoid and Richardson estimate with whole-grid arrays:
+    one np.sum over |s|^p per grid, the half grid copied out of s."""
+    h = TWO_PI / s.size
+
+    def integral(samples, step):
+        return (step * float(np.sum(np.abs(samples) ** p))
+                + roll_kink(samples, p, step))
+
+    full = integral(s, h)
+    half = integral(s[::2], 2.0 * h)
+    value = full ** (1.0 / p)
+    return value, value * (abs(full - half) / 3.0) / (p * full)
+
+
+@pytest.fixture(scope="module")
+def deep_kernel(psi_slow):
+    """(2.0, 0.3), n = 200: K ~ 51k, so its norms take a 2^20-point grid."""
+    ke = KernelEvaluator.build(psi_slow, 200, 0.0)
+    assert approx_ops._grid_size(approx_ops.DEFAULT_QUAD,
+                                 ke.series.degree) == 1 << 20
+    return ke
 
 
 def golden_peak(ke, G=1 << 14):
@@ -215,12 +255,14 @@ class TestNorms:
         assert nv.value == pytest.approx(1.0, rel=1e-12)
 
     def test_sup_norm_off_grid_peak(self):
-        # peaks of cos(7(t - t0)) sit between nodes of the 4096-point grid;
-        # the grid alone is off by ~1.4e-5, so this measures the refinement
-        for frac in (0.11, 0.37, 0.5, 0.93):
+        # peaks of +-cos(7(t - t0)) sit between nodes of the 4096-point
+        # grid; the grid alone is off by ~1.4e-5, so this measures the
+        # refinement, at a positive and at a negative peak
+        for sign, frac in [(sign, frac) for sign in (1.0, -1.0)
+                           for frac in (0.11, 0.37, 0.5, 0.93)]:
             t0 = TWO_PI * (100.0 + frac) / 4096
-            f = FourierSeries(a0=0.0, a=[0.0] * 6 + [math.cos(7 * t0)],
-                              b=[0.0] * 6 + [math.sin(7 * t0)])
+            f = FourierSeries(a0=0.0, a=[0.0] * 6 + [sign * math.cos(7 * t0)],
+                              b=[0.0] * 6 + [sign * math.sin(7 * t0)])
             nv = sup_norm(f)
             assert abs(nv.value - 1.0) <= 1e-13
             assert nv.error_estimate <= 1e-13
@@ -276,6 +318,73 @@ class TestNorms:
         kn = kernel_norm(psi_half, 0.0, 16, 2.0, evaluator=ke)
         assert kn.value == plain.value
         assert kn.error_estimate >= plain.error_estimate
+
+
+class TestBlockedPasses:
+    """Grid norms run block by block; the results are the whole-grid ones."""
+
+    @pytest.mark.parametrize("degree", [200, 4000])   # 4096, 65,536 points
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
+    def test_lp_norm_bitwise_on_one_block(self, degree, p):
+        f = zero_mean_series(np.random.default_rng(degree), degree)
+        G = approx_ops._grid_size(approx_ops.DEFAULT_QUAD, degree)
+        assert G <= approx_ops._BLOCK
+        nv = lp_norm(f, p)
+        assert (nv.value, nv.error_estimate) == unblocked_lp(
+            f.uniform_samples(G), p)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
+    def test_lp_norm_on_many_blocks(self, deep_kernel, p):
+        value, err = unblocked_lp(deep_kernel.uniform_samples(1 << 20), p)
+        nv = lp_norm(deep_kernel, p)
+        assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert nv.error_estimate == pytest.approx(err, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("G", [1 << 17, (1 << 17) + 3])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0])
+    def test_kink_correction_across_blocks(self, G, p):
+        B = approx_ops._BLOCK
+        rng = np.random.default_rng(G)
+        s = rng.uniform(0.5, 2.0, G)
+        s[B - 1], s[B] = 0.7, -0.3           # across a block boundary
+        s[B + 1] = -1.1                      # first panel of a block
+        s[G - 1], s[0] = -0.5, 0.9           # the wrap panel (G-1, 0)
+        s[100], s[101], s[102] = -1.0, 0.0, 1.0   # an exact zero: no panel
+        s[200], s[201] = -0.0, -1.0
+        s[300:310] = np.where(np.arange(10) % 2, -1.0, 1.0) * 1.3
+        h = TWO_PI / G
+        for grid in (s, s[::2]):
+            assert approx_ops._kink_correction(grid, p, h) == roll_kink(
+                grid, p, h)
+
+    def test_argmax_keeps_first_index_rule(self):
+        B = approx_ops._BLOCK
+        base = np.random.default_rng(4).uniform(-1.0, 1.0, 2 * B + 5)
+        cases = [
+            {B + 7: -5.0},                   # negative peak, second block
+            {10: 5.0, B + 7: -5.0},          # tie across blocks
+            {10: -5.0, B + 7: 5.0},
+            {20: -5.0, 30: 5.0},             # tie inside a block
+            {20: 5.0, 30: -5.0},
+            {2 * B + 4: -5.0},               # peak in the short last block
+        ]
+        for case in cases:
+            s = base.copy()
+            for i, v in case.items():
+                s[i] = v
+            assert approx_ops._argmax_abs(s) == int(np.argmax(np.abs(s)))
+
+    def test_grid_norms_take_no_grid_sized_temporaries(self, deep_kernel):
+        deep_kernel.uniform_samples(1 << 20)   # cache the 8 MB grid first
+        for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
+                     lambda g: lp_norm(g, 1.0), sup_norm):
+            tracemalloc.start()
+            try:
+                norm(deep_kernel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20
 
 
 class TestDuality:

@@ -150,6 +150,13 @@ class TestVerify:
         assert r1.X == pytest.approx(w * prof.eta_gap ** 0.25, rel=1e-9)
         assert r2.X == pytest.approx(w * prof.eta_gap ** 0.75, rel=1e-9)
 
+    def test_non_finite_beta_refused(self, psi_half):
+        # n = 3 is below the preconditions, so no evaluator checks beta
+        for beta in (math.nan, math.inf):
+            for n in (3, 16):
+                with pytest.raises(DomainError):
+                    verify_theorem1(psi_half, beta, 2.0, n)
+
     def test_below_threshold_reports_violation(self, psi_half):
         rep = verify_theorem1(psi_half, 0.0, 2.0, 5)
         assert rep.status == "precondition_violated"

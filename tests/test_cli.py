@@ -80,6 +80,8 @@ class TestLambdaAndKernel:
         ["kernel-norm", *HALF, "--n", "12", "--p", "nan"],
         ["verify", "theorem1", *HALF, "--n", "12", "--p", "2",
          "--tail-eps", "inf"],
+        ["verify", "theorem1", *HALF, "--n", "3", "--p", "2", "--beta", "nan",
+         "--force"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
