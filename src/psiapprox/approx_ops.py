@@ -37,14 +37,8 @@ class TaperCoefficients:
     eta_floor: int
     gap: int  # eta_floor - n
 
-    def value(self, k: int) -> float:
-        if k < 0:
-            raise DomainError("harmonic index must be >= 0")
-        return float(self.lam[k]) if k < self.n else 0.0
 
-
-def taper_coefficients(psi: PsiFunction, n: int,
-                       tol_inv: float = 1e-12) -> TaperCoefficients:
+def taper_coefficients(psi: PsiFunction, n: int) -> TaperCoefficients:
     """lam(k) = 1 - c_k / psi(k), with c_k the kernel's taper weights
     psi(n) (F-2n+k)/(F-n) across the window and c_k = 0 below it,
     F = floor(eta(n)).
@@ -56,7 +50,7 @@ def taper_coefficients(psi: PsiFunction, n: int,
     if n < 2 or int(n) != n:
         raise DomainError("taper needs integer n >= 2")
     n = int(n)
-    prof = characteristics(psi, float(n), tol_inv)
+    prof = characteristics(psi, float(n))
     eta_floor, start, weights = _taper_window(psi, n, prof)
     lam = np.ones(n)
     ks = np.arange(start, n)
@@ -347,6 +341,10 @@ def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
 
 # -- duality -----------------------------------------------------------------
 
+# sign-function mean beyond which the p = inf extremal is shifted
+MEAN_TOL = 5e-3
+
+
 @dataclass(frozen=True)
 class ExtremalFunction:
     """Near-extremal phi of the Hoelder duality step at a fixed point x0.
@@ -378,19 +376,18 @@ class ExtremalFunction:
 
 def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
                          x0: float, tail_eps: Optional[float] = None,
-                         mean_tol: float = 5e-3,
                          grid_size: Optional[int] = None,
                          evaluator: Optional[KernelEvaluator] = None) -> ExtremalFunction:
     """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0.
 
     p in (1, inf): phi = sign(S)|S|^{p'-1} / ||S||_{p'}^{p'/p} with
     S(t) = K*(x0 - t); equality is exact up to quadrature.  p = inf: the
-    sign function (mean-corrected only beyond mean_tol, and the correction
+    sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid so S is an exact index reversal.
     """
-    if p < 1.0 and not math.isinf(p):
-        raise DomainError("p must be in [1, inf]")
+    if not p >= 1.0:
+        raise DomainError(f"p must be in [1, inf], got {p}")
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta, tail_eps)
     if grid_size is None:
@@ -412,7 +409,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         phi_s = np.sign(S)
         mean = float(np.mean(phi_s))
         shift = 0.0
-        if abs(mean) > mean_tol:
+        if abs(mean) > MEAN_TOL:
             shift = mean
             phi_s = (phi_s - shift) / (1.0 + abs(shift))
             mean_corrected = True

@@ -16,18 +16,19 @@ from typing import Optional, Sequence
 from .approx_ops import QuadratureSpec, kernel_norm
 from .errors import DomainError
 from .kernels import KernelEvaluator
-from .psi_core import LN2, PsiFunction, characteristics
+from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
+                       characteristics)
 
 _PI2 = math.pi * math.pi
 
 
 def conjugate_exponent(p: float) -> float:
+    if not p >= 1.0:
+        raise DomainError(f"exponent must be >= 1, got {p}")
     if p == 1.0:
         return math.inf
     if math.isinf(p):
         return 1.0
-    if p < 1.0:
-        raise DomainError("exponent must be >= 1")
     return p / (p - 1.0)
 
 
@@ -65,17 +66,6 @@ def const_Cab_p(a: float, b: float, p: float) -> float:
                const_Cab_star(a, b))
 
 
-def cab_p_crossover(a: float, b: float) -> int:
-    """Smallest integer p at which the C*_{a,b} branch takes over."""
-    ratio = const_Cab_star(a, b) / const_Cab(a, b)
-    p = 1
-    while (2.0 * p) ** (1.0 - 1.0 / p) < ratio:
-        p += 1
-        if p > 10 ** 7:
-            raise DomainError("no crossover below 10^7")
-    return p
-
-
 # -- exponential-power thresholds --------------------------------------------
 
 def exp_power_thresholds(alpha: float, r: float) -> tuple[float, float, int]:
@@ -111,15 +101,6 @@ class ExpPowerCharacteristics:
     n_min: int
     gap_lower: float   # closed-form envelope on eta(n) - n
     gap_upper: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "r": self.r, "n": self.n,
-            "eta_gap": self.eta_gap, "mu": self.mu,
-            "a_thresh": self.a_thresh, "b_thresh": self.b_thresh,
-            "n_min": self.n_min,
-            "gap_lower": self.gap_lower, "gap_upper": self.gap_upper,
-        }
 
 
 def exp_power_characteristics(alpha: float, r: float,
@@ -191,6 +172,8 @@ def _resolve_thresholds(psi: PsiFunction, a: Optional[float],
         a0, b0, _ = exp_power_thresholds(psi.alpha, psi.r)
         a = a0 if a is None else a
         b = b0 if b is None else b
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"thresholds a and b must be finite, got {a}, {b}")
     return float(a), float(b)
 
 
@@ -209,29 +192,20 @@ def _mode_exponents(mode: str, value: float) -> tuple[float, float]:
     return (0.0 if math.isinf(x_den) else 1.0 / x_den), norm_order
 
 
-def _verify(psi: PsiFunction, beta: float, value: float, n: int, mode: str,
-            quad: Optional[QuadratureSpec], a: Optional[float],
-            b: Optional[float], tail_eps: Optional[float],
-            evaluator: Optional[KernelEvaluator]) -> BoundReport:
-    # below the preconditions no evaluator is built to check beta
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
-    a, b = _resolve_thresholds(psi, a, b)
+def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
+            a: float, b: float, prof: CharacteristicProfile,
+            ke: Optional[KernelEvaluator],
+            quad: Optional[QuadratureSpec]) -> BoundReport:
+    """One bracket; ke is None when (prof, a, b) fail the preconditions."""
     x_exp, norm_order = _mode_exponents(mode, value)
-    if evaluator is not None:
-        gap, mu = evaluator.eta_gap, evaluator.mu
-    else:
-        prof = characteristics(psi, float(n))
-        gap, mu = prof.eta_gap, prof.mu
-    X = float(psi(float(n))) * gap ** x_exp
+    X = float(psi(float(n))) * prof.eta_gap ** x_exp
     meta = dict(family=psi.family, alpha=psi.alpha, r=psi.r, beta=beta,
                 n=int(n), mode=mode, p_or_s=float(value), a=a, b=b, X=X)
-    if not (a > 2.0 and b > 2.0 and gap >= a and mu >= b):
+    if ke is None:
         return BoundReport(**meta, lower=None, proxy=None, upper=None,
                            pass_lower=None, pass_upper=None, tol=None,
                            status="precondition_violated")
-    nv = kernel_norm(psi, beta, n, norm_order, quad=quad,
-                     tail_eps=tail_eps, evaluator=evaluator)
+    nv = kernel_norm(psi, beta, n, norm_order, quad=quad, evaluator=ke)
     proxy = nv.value / math.pi
     tol = 1e-6 * X + nv.error_estimate / math.pi
     lower = const_Ca(a) * X
@@ -245,23 +219,19 @@ def _verify(psi: PsiFunction, beta: float, value: float, n: int, mode: str,
 def verify_theorem1(psi: PsiFunction, beta: float, p: float, n: int,
                     quad: Optional[QuadratureSpec] = None,
                     a: Optional[float] = None, b: Optional[float] = None,
-                    tail_eps: Optional[float] = None,
-                    evaluator: Optional[KernelEvaluator] = None) -> BoundReport:
+                    tail_eps: Optional[float] = None) -> BoundReport:
     """Certify C_a X <= (1/pi)||K*||_{p'} <= C*_{a,b} X, X = psi(n) gap^{1/p}."""
-    if p < 1.0 and not math.isinf(p):
-        raise DomainError("p must be in [1, inf]")
-    return _verify(psi, beta, p, n, "theorem1", quad, a, b, tail_eps, evaluator)
+    return verify_sweep(psi, [beta], [("theorem1", p)], [n], quad=quad,
+                        a=a, b=b, tail_eps=tail_eps)[0]
 
 
 def verify_theorem2(psi: PsiFunction, beta: float, s: float, n: int,
                     quad: Optional[QuadratureSpec] = None,
                     a: Optional[float] = None, b: Optional[float] = None,
-                    tail_eps: Optional[float] = None,
-                    evaluator: Optional[KernelEvaluator] = None) -> BoundReport:
+                    tail_eps: Optional[float] = None) -> BoundReport:
     """Same brackets against (1/pi)||K*||_s with X = psi(n) gap^{1/s'}."""
-    if s < 1.0 and not math.isinf(s):
-        raise DomainError("s must be in [1, inf]")
-    return _verify(psi, beta, s, n, "theorem2", quad, a, b, tail_eps, evaluator)
+    return verify_sweep(psi, [beta], [("theorem2", s)], [n], quad=quad,
+                        a=a, b=b, tail_eps=tail_eps)[0]
 
 
 def verify_sweep(psi: PsiFunction, betas: Sequence[float],
@@ -269,19 +239,29 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  quad: Optional[QuadratureSpec] = None,
                  a: Optional[float] = None, b: Optional[float] = None,
                  tail_eps: Optional[float] = None) -> list[BoundReport]:
-    """Batch runner that builds one kernel evaluator per (n, beta) and
-    reuses its cached samples and norms across every requested exponent."""
-    a_r, b_r = _resolve_thresholds(psi, a, b)
+    """Brackets for every (n, beta, mode) in that order.
+
+    Each n's profile decides viability once: a, b > 2, gap >= a and
+    mu >= b.  A viable (n, beta) gets one kernel evaluator, whose cached
+    samples and norms serve every requested exponent; the others are
+    reported precondition_violated without one.
+    """
+    a, b = _resolve_thresholds(psi, a, b)
+    # refuse bad input before any kernel work: no evaluator checks beta
+    # below the preconditions
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise DomainError(f"beta must be finite, got {beta}")
+    for mode, value in modes:
+        _mode_exponents(mode, value)
     out = []
     for n in ns:
         prof = characteristics(psi, float(n))
-        viable = prof.eta_gap >= a_r and prof.mu >= b_r and a_r > 2.0 and b_r > 2.0
+        viable = a > 2.0 and b > 2.0 and prof.eta_gap >= a and prof.mu >= b
         for beta in betas:
             ke = KernelEvaluator.build(psi, n, beta, tail_eps) if viable else None
-            for mode, value in modes:
-                fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
-                out.append(fn(psi, beta, value, n, quad=quad, a=a_r, b=b_r,
-                              tail_eps=tail_eps, evaluator=ke))
+            out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke, quad)
+                       for mode, value in modes)
     return out
 
 

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class RunConfig:
-    """Fully parsed invocation; round-trips through to_dict/from_dict."""
+    """Fully parsed invocation."""
 
     command: str
     what: Optional[str] = None
@@ -65,25 +65,6 @@ class RunConfig:
     format: str = "json"
     seed: int = 0
     force: bool = False
-
-    def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, list):
-                return [enc(x) for x in v]
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-        return {k: enc(v) for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        def dec(v):
-            if isinstance(v, list):
-                return [dec(x) for x in v]
-            if v == "inf":
-                return math.inf
-            return v
-        return cls(**{k: dec(v) for k, v in dict(d).items()})
 
 
 def _exponent(text) -> float:
@@ -222,10 +203,15 @@ def _make_psi(cfg: RunConfig) -> PsiFunction:
     if cfg.psi_table is None:
         raise DomainError("table family needs --psi-table")
     with open(cfg.psi_table) as fh:
-        text = fh.read()
-    delim = "," if "," in text.splitlines()[0] else None
-    data = np.loadtxt(text.splitlines(), delimiter=delim, comments="#")
-    if data.ndim != 2 or data.shape[1] != 2:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DomainError(f"profile table {cfg.psi_table} is empty")
+    delim = "," if "," in lines[0] else None
+    try:
+        data = np.loadtxt(lines, delimiter=delim, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"profile table {cfg.psi_table}: {exc}") from None
+    if data.shape[1] != 2:
         raise DomainError("profile table must have two columns")
     return PsiFunction.from_table(data[:, 0], data[:, 1])
 
@@ -282,6 +268,15 @@ def _ns_for(cfg: RunConfig) -> list:
     if cfg.n_range is not None:
         return _parse_range(cfg.n_range)
     raise DomainError("need --n or --n-range")
+
+
+def _exit_code(failed: int, violated: int) -> int:
+    """A failed check outranks rows outside the preconditions."""
+    if failed:
+        return EXIT_FAIL
+    if violated:
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 def _threshold_gate(cfg: RunConfig, psi: PsiFunction, ns: list) -> None:
@@ -388,11 +383,7 @@ def _emit_reports(cfg: RunConfig, reports: list, label: str) -> int:
           f"{summary['failed']} failed, "
           f"{summary['precondition_violated']} outside preconditions",
           file=sys.stderr)
-    if summary["failed"]:
-        return EXIT_FAIL
-    if summary["precondition_violated"]:
-        return EXIT_CONFIG
-    return EXIT_OK
+    return _exit_code(summary["failed"], summary["precondition_violated"])
 
 
 def _cmd_verify_theorems(cfg: RunConfig) -> int:
@@ -432,7 +423,7 @@ def _cmd_verify_lemma1(cfg: RunConfig) -> int:
     _emit(cfg, payload, header, [[row[k] for k in header] for row in rows])
     print(f"verify lemma1: worst discrepancy {worst:.3e} over {len(rows)} "
           f"trials, {failed} failed", file=sys.stderr)
-    return EXIT_FAIL if failed else EXIT_OK
+    return _exit_code(failed, 0)
 
 
 def _cmd_verify_lemma2(cfg: RunConfig) -> int:
@@ -470,7 +461,7 @@ def _cmd_verify_lemma2(cfg: RunConfig) -> int:
           [[row[k] for k in header] for row in rows])
     print(f"verify lemma2: {len(rows) - failed}/{len(rows)} ordered",
           file=sys.stderr)
-    return EXIT_FAIL if failed else EXIT_OK
+    return _exit_code(failed, 0)
 
 
 def _cmd_verify_envelopes(cfg: RunConfig) -> int:
@@ -503,11 +494,7 @@ def _cmd_verify_envelopes(cfg: RunConfig) -> int:
     print(f"verify envelopes: {len(rows) - failed - violated}/{len(rows)} ok, "
           f"{failed} failed, {violated} outside preconditions",
           file=sys.stderr)
-    if failed:
-        return EXIT_FAIL
-    if violated:
-        return EXIT_CONFIG
-    return EXIT_OK
+    return _exit_code(failed, violated)
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -543,11 +530,7 @@ def _cmd_table(cfg: RunConfig) -> int:
     viol = sum(1 for rep in reports if rep.status != "ok")
     print(f"table: {len(rows)} rows, {bad} out of bracket, "
           f"{viol} outside preconditions", file=sys.stderr)
-    if bad:
-        return EXIT_FAIL
-    if viol:
-        return EXIT_CONFIG
-    return EXIT_OK
+    return _exit_code(bad, viol)
 
 
 def _cmd_asymp(cfg: RunConfig) -> int:

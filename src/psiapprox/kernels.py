@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,9 +26,13 @@ from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
 from .series import FourierSeries
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_T_SWITCH = 1e-3
+T_SWITCH = 1e-3
 # relative scale for the default truncation budget
 TAIL_EPS_SCALE = 1e-15
+# halving blocks certified_tail_sum may take, and its halving-point tolerance
+TAIL_MAX_BLOCKS = 400
+TAIL_ETA_TOL = 1e-6
+SCAN_GRID = 4096   # uniform points of the envelope and tail-bound scans
 
 
 def _wrap(t):
@@ -36,15 +40,15 @@ def _wrap(t):
     return np.pi - np.mod(np.pi - np.asarray(t, dtype=float), TWO_PI)
 
 
-def dirichlet(k: int, beta: float, t, t_switch: float = DEFAULT_T_SWITCH):
+def dirichlet(k: int, beta: float, t):
     """Dirichlet-type kernel cos(theta)/2 + sum_{v=1}^{k} cos(v t - theta),
     theta = beta*pi/2.
 
     Away from the period points the closed form
     [sin((k+1/2)t - theta) + cos(t/2) sin(theta)] / (2 sin(t/2)) is used; within
-    t_switch of a period point the defining sum is evaluated directly, since
+    T_SWITCH of a period point the defining sum is evaluated directly, since
     the closed form loses ~eps/|t| absolute accuracy to cancellation.
-    t_switch = 1e-3 keeps the closed-form branch at the 1e-12 agreement level.
+    T_SWITCH = 1e-3 keeps the closed-form branch at the 1e-12 agreement level.
     """
     if k < 0:
         raise DomainError("dirichlet needs k >= 0")
@@ -53,7 +57,7 @@ def dirichlet(k: int, beta: float, t, t_switch: float = DEFAULT_T_SWITCH):
     scalar = np.ndim(t) == 0
     tw = np.atleast_1d(tw)
     out = np.empty_like(tw)
-    small = np.abs(tw) < t_switch
+    small = np.abs(tw) < T_SWITCH
     if np.any(~small):
         ts = tw[~small]
         out[~small] = ((np.sin((k + 0.5) * ts - theta)
@@ -68,12 +72,11 @@ def dirichlet(k: int, beta: float, t, t_switch: float = DEFAULT_T_SWITCH):
     return float(out[0]) if scalar else out
 
 
-def _dirichlet_many(ks: np.ndarray, beta: float, t: float,
-                    t_switch: float = DEFAULT_T_SWITCH) -> np.ndarray:
+def _dirichlet_many(ks: np.ndarray, beta: float, t: float) -> np.ndarray:
     """D_{k,beta}(t) for an array of orders k at a single point t."""
     theta = 0.5 * math.pi * beta
     tw = float(_wrap(t))
-    if abs(tw) >= t_switch:
+    if abs(tw) >= T_SWITCH:
         return ((np.sin((ks + 0.5) * tw - theta)
                  + math.cos(0.5 * tw) * math.sin(theta))
                 / (2.0 * math.sin(0.5 * tw)))
@@ -130,8 +133,7 @@ def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
     return hi
 
 
-def certified_tail_sum(psi: PsiFunction, K: int, max_blocks: int = 400,
-                       eta_tol: float = 1e-6) -> float:
+def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     """Upper bound on sum_{k > K} psi(k) via halving blocks.
 
     Block j starts at s_j (s_0 = K+1, s_{j+1} solves psi = psi(s_j)/2), holds
@@ -145,9 +147,9 @@ def certified_tail_sum(psi: PsiFunction, K: int, max_blocks: int = 400,
     log0 = float(psi.log_value(s))
     total = 0.0
     gaps = []
-    for j in range(max_blocks):
+    for j in range(TAIL_MAX_BLOCKS):
         target = float(psi.log_value(s)) - LN2
-        s_next = _solve_log_decreasing(psi.log_value, target, s, eta_tol)
+        s_next = _solve_log_decreasing(psi.log_value, target, s, TAIL_ETA_TOL)
         gap = s_next - s
         gaps.append(gap)
         log_block = log0 - j * LN2
@@ -160,8 +162,9 @@ def certified_tail_sum(psi: PsiFunction, K: int, max_blocks: int = 400,
                 q = 0.5 * rho
                 rem = term * q / (1.0 - q)
                 if rem <= 1e-6 * total or term == 0.0:
-                    # eta_tol slop inflates each halving by at most e^{eta_tol}
-                    safety = 1.0 + 1e-4 + max_blocks * eta_tol
+                    # TAIL_ETA_TOL slop inflates each halving by at most
+                    # e^{TAIL_ETA_TOL}
+                    safety = 1.0 + 1e-4 + TAIL_MAX_BLOCKS * TAIL_ETA_TOL
                     return (total + rem) * safety
         s = s_next
     raise NumericError("tail certification failed: halving gaps kept growing")
@@ -229,14 +232,13 @@ class KernelEvaluator:
 
     @classmethod
     def build(cls, psi: PsiFunction, n: int, beta: float,
-              tail_eps: Optional[float] = None,
-              tol_inv: float = 1e-12) -> "KernelEvaluator":
+              tail_eps: Optional[float] = None) -> "KernelEvaluator":
         if n < 1 or int(n) != n:
             raise DomainError("n must be a positive integer")
         if not math.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta}")
         n = int(n)
-        prof = characteristics(psi, float(n), tol_inv)
+        prof = characteristics(psi, float(n))
         eta_floor, start, c_taper = _taper_window(psi, n, prof)
         if tail_eps is None:
             tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * prof.eta_gap
@@ -253,21 +255,9 @@ class KernelEvaluator:
                    mu=prof.mu, eta_floor=eta_floor, gap_int=eta_floor - n,
                    taper_start=int(k0), series=series, certified_tail=float(bound))
 
-    # -- coefficient access --------------------------------------------------
-
     @property
     def theta(self) -> float:
         return 0.5 * math.pi * self.beta
-
-    def coefficient(self, k: int) -> float:
-        """Cosine-profile weight of harmonic k (0 outside [taper_start, K])."""
-        if k < self.taper_start or k > self.truncation_index:
-            return 0.0
-        a_k = self.series.a[k - 1]
-        b_k = self.series.b[k - 1]
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        return a_k * c + b_k * s  # rotate back: (a,b) = c_k (cos, sin)(theta)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -375,18 +365,14 @@ class EnvelopeReport:
         return self.status == "ok" and bool(self.pointwise_ok) and bool(self.uniform_ok)
 
 
-def _grid_and_values(g: Union[KernelEvaluator, FourierSeries], t_grid):
-    """(t, g(t)) on t_grid, or on 4096 uniform points by the FFT route;
-    t is reduced to (-pi, pi]."""
-    if t_grid is None:
-        size = 4096
-        return _wrap(TWO_PI * np.arange(size) / size), g.uniform_samples(size)
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return _wrap(ts), np.asarray(g.eval(ts), dtype=float)
+def _scan(g: FourierSeries) -> tuple[np.ndarray, np.ndarray]:
+    """(t, g(t)) on SCAN_GRID uniform points by the FFT route, t reduced
+    to (-pi, pi]."""
+    return (_wrap(TWO_PI * np.arange(SCAN_GRID) / SCAN_GRID),
+            g.uniform_samples(SCAN_GRID))
 
 
-def envelope_check(ke: KernelEvaluator, a: float, b: float,
-                   t_grid=None) -> EnvelopeReport:
+def envelope_check(ke: KernelEvaluator, a: float, b: float) -> EnvelopeReport:
     """Scan |K*| against its two envelopes.
 
     Pointwise:  |K*(t)| <= pi^2 (2(b+1)^2/b^2 + a/(a-1)) psi(n) / ((eta-n) t^2)
@@ -414,7 +400,7 @@ def envelope_check(ke: KernelEvaluator, a: float, b: float,
                               pointwise_ok=None, pointwise_margin=None,
                               pointwise_worst_t=None, uniform_ok=None,
                               uniform_margin=None, uniform_worst_t=None)
-    ts, vals = _grid_and_values(ke, t_grid)
+    ts, vals = _scan(ke.series)
     scale = float(ke.psi(float(ke.n)))
     abs_vals = np.abs(vals)
     point_coef = math.pi ** 2 * (2.0 * (b + 1.0) ** 2 / b ** 2 + a / (a - 1.0)) \
@@ -455,18 +441,17 @@ class TailBoundReport:
 
 
 def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
-                         t_grid=None, beta: float = 0.0,
+                         beta: float = 0.0,
                          tail_eps: Optional[float] = None,
                          evaluator: Optional[KernelEvaluator] = None
                          ) -> TailBoundReport:
     """Check |sum_{k=n}^{K} psi(k) cos(kt - beta pi/2)|
-    <= (2b/(b-2) + 1/a) psi(n)(eta(n)-n) + tail_eps on the grid.
+    <= (2b/(b-2) + 1/a) psi(n)(eta(n)-n) + tail_eps on the scan grid.
 
     Preconditions eta(n)-n >= a > 0 and mu(n) >= b > 2; on violation the
     check refuses (status "precondition_violated", no scan).  Given the
-    (psi, n, beta) kernel evaluator, gap, ratio, tail_eps, K and the tail
-    coefficients (its harmonics >= n) come from it instead of being
-    recomputed."""
+    (psi, n, beta) kernel evaluator, gap, ratio, tail_eps and K come from
+    it instead of being recomputed."""
     # the evaluator carries eta_gap and mu just as the profile does
     prof = (evaluator if evaluator is not None
             else characteristics(psi, float(n)))
@@ -489,14 +474,12 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
                                max_abs=None, margin=None, ok=None, worst_t=None)
-    if evaluator is not None:
-        tail = evaluator.series - evaluator.series.truncated(n - 1)
-    else:
-        K, _ = _certified_truncation(psi, n, tail_eps)
-        ks = np.arange(n, K + 1)
-        coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
-        tail = FourierSeries.from_cosine_profile(n, coeffs, 0.5 * math.pi * beta)
-    ts, vals = _grid_and_values(tail, t_grid)
+    K = (evaluator.truncation_index if evaluator is not None
+         else _certified_truncation(psi, n, tail_eps)[0])
+    ks = np.arange(n, K + 1)
+    coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
+    ts, vals = _scan(FourierSeries.from_cosine_profile(
+        n, coeffs, 0.5 * math.pi * beta))
     bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap + tail_eps
     abs_vals = np.abs(vals)
     i = int(np.argmax(abs_vals))

@@ -35,7 +35,7 @@ FLOOR_GUARD_BAND = 1e-9
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A generator function with optional derivative/inverse capabilities.
+    """A generator function with an optional derivative capability.
 
     Construct via :meth:`exp_power`, :meth:`custom` or :meth:`from_table`.
     """
@@ -47,7 +47,6 @@ class PsiFunction:
     _eval: Optional[Callable] = field(default=None, repr=False)
     _log_eval: Optional[Callable] = field(default=None, repr=False)
     _deriv: Optional[Callable] = field(default=None, repr=False)
-    _inverse: Optional[Callable] = field(default=None, repr=False)
 
     @classmethod
     def exp_power(cls, alpha: float, r: float) -> "PsiFunction":
@@ -58,15 +57,14 @@ class PsiFunction:
 
     @classmethod
     def custom(cls, eval_fn: Callable, right_derivative: Optional[Callable] = None,
-               inverse: Optional[Callable] = None, log_eval: Optional[Callable] = None,
+               *, log_eval: Optional[Callable] = None,
                domain_start: float = 1.0) -> "PsiFunction":
         """Wrap user callables.  `eval_fn` must be positive and strictly
-        decreasing on [domain_start, inf); `right_derivative` and `inverse`
-        are optional capabilities (operations needing them raise
-        CapabilityError when absent).  `inverse`, when given, must satisfy
-        eval_fn(inverse(y)) == y to the tolerance callers request."""
+        decreasing on [domain_start, inf); `right_derivative` is an optional
+        capability (operations needing it raise CapabilityError when
+        absent)."""
         return cls(family="custom", domain_start=float(domain_start), _eval=eval_fn,
-                   _log_eval=log_eval, _deriv=right_derivative, _inverse=inverse)
+                   _log_eval=log_eval, _deriv=right_derivative)
 
     @classmethod
     def from_table(cls, ts: Sequence[float], values: Sequence[float]) -> "PsiFunction":
@@ -74,14 +72,15 @@ class PsiFunction:
 
         Interpolation is log-linear in the value (linear in t against
         log psi), which keeps positivity and monotonicity; convexity of the
-        interpolant is NOT guaranteed between samples of a convex function,
-        so membership diagnostics on tabulated input are advisory.  Beyond
-        the last sample the final segment's slope is extended.
+        interpolant is NOT guaranteed between samples of a convex function.
+        Beyond the last sample the final segment's slope is extended.
         """
         t_arr = np.asarray(ts, dtype=float)
         v_arr = np.asarray(values, dtype=float)
         if t_arr.ndim != 1 or t_arr.shape != v_arr.shape or t_arr.size < 2:
             raise DomainError("table needs two equal-length 1-d columns with >= 2 rows")
+        if not (np.all(np.isfinite(t_arr)) and np.all(np.isfinite(v_arr))):
+            raise DomainError("table entries must be finite")
         if np.any(np.diff(t_arr) <= 0.0):
             raise DomainError("table abscissae must be strictly increasing")
         if np.any(v_arr <= 0.0):
@@ -143,10 +142,6 @@ class PsiFunction:
     def has_derivative(self) -> bool:
         return self.family == "exp-power" or self._deriv is not None
 
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse is not None
-
     def derivative(self, t):
         """psi'(t) (right derivative for piecewise generators)."""
         if self.family == "exp-power":
@@ -157,14 +152,6 @@ class PsiFunction:
         if self._deriv is None:
             raise CapabilityError("this generator has no derivative callable")
         return self._deriv(t)
-
-
-def eval_psi(psi: PsiFunction, t):
-    """psi(t); DomainError below domain_start."""
-    t_min = np.min(t) if isinstance(t, np.ndarray) else t
-    if t_min < psi.domain_start - 1e-12:
-        raise DomainError(f"t = {t_min} below domain start {psi.domain_start}")
-    return psi(t)
 
 
 def eval_psi_prime(psi: PsiFunction, t):
@@ -232,27 +219,6 @@ def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
     raise NumericError(f"bisection failed to converge after {max_iter} iterations")
 
 
-def psi_inverse(psi: PsiFunction, y: float, tol_inv: float = DEFAULT_TOL_INV) -> float:
-    """t >= domain_start with |psi(t) - y| <= tol_inv * y.
-
-    Monotone bisection with bracket growth on log(psi); a user-supplied
-    inverse callable (custom generators) short-circuits the search.
-    """
-    y = float(y)
-    if not (y > 0.0):
-        raise DomainError(f"inverse needs y > 0, got {y!r}")
-    if psi.has_inverse:
-        t = float(psi._inverse(y))
-        if t < psi.domain_start - 1e-9:
-            raise DomainError("supplied inverse returned a point below domain start")
-        return t
-    target = math.log(y)
-    start_log = float(psi.log_value(psi.domain_start))
-    if target > start_log + tol_inv:
-        raise DomainError(f"y = {y} exceeds psi(domain_start) = {math.exp(start_log)}")
-    return _solve_log_decreasing(psi.log_value, target, psi.domain_start, tol_inv)
-
-
 def _solve_eta(psi: PsiFunction, t: float, tol_inv: float) -> float:
     """eta(t): the abscissa where psi halves, solved on log(psi)."""
     target = float(psi.log_value(t)) - LN2
@@ -304,6 +270,8 @@ def characteristics(psi: PsiFunction, t: float,
     sole consumer and only ever asks at integers).
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if t < psi.domain_start - 1e-12:
         raise DomainError(f"t = {t} below domain start {psi.domain_start}")
     eta = _solve_eta(psi, t, tol_inv)
@@ -346,8 +314,7 @@ class Lemma2Margins:
         return self.lower <= self.value + slack and self.value <= self.upper + slack
 
 
-def lemma2_margins(psi: PsiFunction, t: float, b: float,
-                   tol_inv: float = DEFAULT_TOL_INV) -> Lemma2Margins:
+def lemma2_margins(psi: PsiFunction, t: float, b: float) -> Lemma2Margins:
     """lower = (1/2)(b/(b+1))^2 (eta-t) <= psi/|psi'| <= 4(1+1/b)(eta-t).
 
     Valid whenever mu >= b > 0 on the range swept by the halving; the caller
@@ -357,7 +324,7 @@ def lemma2_margins(psi: PsiFunction, t: float, b: float,
     """
     if not (b > 0.0):
         raise DomainError("lemma 2 needs b > 0")
-    prof = characteristics(psi, t, tol_inv)
+    prof = characteristics(psi, t)
     used_fd = False
     try:
         deriv = float(eval_psi_prime(psi, t))
@@ -380,73 +347,3 @@ def lemma2_margins(psi: PsiFunction, t: float, b: float,
             f"psi/|psi'| = {value} escaped [{result.lower}, {result.upper}] at t = {t}; "
             "check that mu(t) >= b actually holds")
     return result
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Diagnostics from probing characteristics along a dyadic grid.
-
-    The flags summarize observed behaviour only (finite probes cannot prove
-    limit statements): `gap_bounded_above`/`gap_bounded_below` carry the
-    observed sup/inf of eta(t) - t when the tail-half trend is consistent
-    with that bound being the binding one, else None.
-    """
-
-    in_M_plus_inf: bool
-    gap_bounded_above: Optional[float]
-    gap_bounded_below: Optional[float]
-    probe_grid: tuple
-    mu_values: tuple
-    gap_values: tuple
-
-
-def membership_probe(psi: PsiFunction, grid: Optional[Sequence[float]] = None,
-                     tol_inv: float = DEFAULT_TOL_INV) -> MembershipReport:
-    """Probe mu and eta - t along a grid (default 1, 2, 4, ..., 2^20)."""
-    if grid is None:
-        grid = [float(2 ** j) for j in range(21)]
-        grid = [t for t in grid if t >= psi.domain_start]
-        if not grid:
-            grid = [psi.domain_start * 2.0 ** j for j in range(21)]
-    grid = [float(t) for t in grid]
-    if len(grid) < 3:
-        raise DomainError("membership probe needs at least 3 grid points")
-    mus, gaps = [], []
-    for t in grid:
-        prof = characteristics(psi, t, tol_inv)
-        mus.append(prof.mu)
-        gaps.append(prof.eta_gap)
-    mu_arr = np.asarray(mus)
-    gap_arr = np.asarray(gaps)
-    rising = bool(np.all(np.diff(mu_arr) > -1e-9 * mu_arr[:-1]))
-    in_m_plus = rising and mu_arr[-1] > 1.5 * mu_arr[0]
-    tail = gap_arr[gap_arr.size // 2:]
-    above = None
-    below = None
-    if np.all(np.diff(tail) <= 1e-9 * tail[:-1]):
-        above = float(np.max(gap_arr))
-    if np.all(np.diff(tail) >= -1e-9 * tail[:-1]):
-        below = float(np.min(gap_arr))
-    return MembershipReport(in_M_plus_inf=in_m_plus, gap_bounded_above=above,
-                            gap_bounded_below=below, probe_grid=tuple(grid),
-                            mu_values=tuple(float(m) for m in mus),
-                            gap_values=tuple(float(g) for g in gaps))
-
-
-def validate_psi_samples(psi: PsiFunction, grid: Sequence[float],
-                         rel_tol: float = 1e-12) -> None:
-    """Raise InvalidPsiError unless psi is positive, nonincreasing and
-    midpoint-convex on the given grid (within relative tolerance)."""
-    ts = np.sort(np.asarray(list(grid), dtype=float))
-    if ts.size < 3:
-        raise DomainError("validation grid needs at least 3 points")
-    vals = np.asarray([float(psi(t)) for t in ts])
-    if np.any(vals <= 0.0):
-        raise InvalidPsiError("psi must be positive on the grid")
-    if np.any(np.diff(vals) > rel_tol * vals[:-1]):
-        raise InvalidPsiError("psi must be nonincreasing on the grid")
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    mid_vals = np.asarray([float(psi(m)) for m in mids])
-    chord = 0.5 * (vals[:-1] + vals[1:])
-    if np.any(mid_vals > chord * (1.0 + rel_tol) + rel_tol * vals[0]):
-        raise InvalidPsiError("psi failed the midpoint convexity check")

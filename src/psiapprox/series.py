@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class FourierSeries:
         k = np.arange(1, self.degree + 1, dtype=float)
         return FourierSeries(a0=0.0, a=k * self.b, b=-k * self.a)
 
-    def scaled(self, factor: float) -> "FourierSeries":
-        return FourierSeries(a0=factor * self.a0, a=factor * self.a, b=factor * self.b)
-
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         n = max(self.degree, other.degree)
         pad = lambda v, m: np.pad(v, (0, m - v.size))
@@ -133,23 +130,6 @@ class FourierSeries:
                              a=pad(self.a, n) - pad(other.a, n),
                              b=pad(self.b, n) - pad(other.b, n))
 
-    def truncated(self, max_harmonic: int) -> "FourierSeries":
-        """Partial sum keeping harmonics 0..max_harmonic."""
-        if max_harmonic < 0:
-            raise DomainError("max_harmonic must be >= 0")
-        m = min(max_harmonic, self.degree)
-        if m == 0:
-            return FourierSeries(a0=self.a0, a=np.zeros(1), b=np.zeros(1))
-        return FourierSeries(a0=self.a0, a=self.a[:m].copy(), b=self.b[:m].copy())
-
     def energy(self) -> float:
         """Squared L2 norm over the period divided by pi: a0^2/2 + sum(a^2 + b^2)."""
         return 0.5 * self.a0 ** 2 + float(self.a @ self.a + self.b @ self.b)
-
-    def to_dict(self) -> dict:
-        return {"a0": self.a0, "a": self.a.tolist(), "b": self.b.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FourierSeries":
-        return cls(a0=float(data["a0"]), a=np.asarray(data["a"], dtype=float),
-                   b=np.asarray(data["b"], dtype=float))

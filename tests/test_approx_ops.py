@@ -115,8 +115,8 @@ class TestTaper:
     def test_leading_ones(self, psi_half):
         tc = taper_coefficients(psi_half, 9)
         np.testing.assert_array_equal(tc.lam[:6], np.ones(6))
-        assert tc.value(0) == 1.0
-        assert tc.value(9) == 0.0   # beyond degree: dropped entirely
+        assert tc.lam[0] == 1.0
+        assert tc.lam.size == 9   # harmonics from n on are dropped entirely
 
     def test_window_entry_is_one(self, psi_slow):
         # the ramp numerator vanishes at k = 2n - floor(eta), so the
@@ -427,5 +427,6 @@ class TestDuality:
         assert ex.x0 == pytest.approx(round(0.1234 / h) * h, abs=1e-15)
 
     def test_invalid_p(self, psi_half):
-        with pytest.raises(DomainError):
-            duality_extremal_phi(psi_half, 0.0, 9, 0.7, x0=0.0)
+        for p in (0.7, math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0)

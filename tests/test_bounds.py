@@ -1,14 +1,14 @@
 """Bracket constants, validity thresholds, certified reports."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from psiapprox import (DomainError, KernelEvaluator, PsiFunction, approx_ops,
-                       asymp_scan, cab_p_crossover, characteristics,
-                       conjugate_exponent, const_Ca, const_Cab, const_Cab_p,
-                       const_Cab_star,
+from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
+                       characteristics, conjugate_exponent, const_Ca,
+                       const_Cab, const_Cab_p, const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
                        verify_sweep, verify_theorem1, verify_theorem2)
 
@@ -54,20 +54,21 @@ class TestConstants:
             assert const_Cab_p(3.0, 3.0, p) == want
 
     def test_crossover_at_three_three(self):
-        k = cab_p_crossover(3.0, 3.0)
-        assert k == 16
-        grow = (2 * 15) ** (1 - 1 / 15) * const_Cab(3.0, 3.0)
-        assert grow < const_Cab_star(3.0, 3.0)
-        grow = (2 * 16) ** (1 - 1 / 16) * const_Cab(3.0, 3.0)
-        assert grow >= const_Cab_star(3.0, 3.0)
+        # the C*_{a,b} branch takes over from integer p = 16 on
+        star = const_Cab_star(3.0, 3.0)
+        assert const_Cab_p(3.0, 3.0, 15.0) < star
+        assert const_Cab_p(3.0, 3.0, 15.0) == (
+            (2 * 15) ** (1 - 1 / 15) * const_Cab(3.0, 3.0))
+        assert const_Cab_p(3.0, 3.0, 16.0) == star
 
     def test_conjugate_exponent(self):
         assert conjugate_exponent(1.0) == math.inf
         assert conjugate_exponent(math.inf) == 1.0
         assert conjugate_exponent(2.0) == 2.0
         assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0)
-        with pytest.raises(DomainError):
-            conjugate_exponent(0.5)
+        for p in (0.5, math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                conjugate_exponent(p)
 
 
 class TestThresholds:
@@ -121,7 +122,7 @@ class TestExpPowerCharacteristics:
                 assert ch.eta_gap <= ch.gap_upper * (1 + 1e-12)
 
     def test_dict_fields(self):
-        d = exp_power_characteristics(1.0, 0.5, 16).to_dict()
+        d = dataclasses.asdict(exp_power_characteristics(1.0, 0.5, 16))
         assert d["n_min"] == 11
         assert set(d) == {"alpha", "r", "n", "eta_gap", "mu", "a_thresh",
                           "b_thresh", "n_min", "gap_lower", "gap_upper"}
@@ -196,8 +197,7 @@ class TestVerify:
             for beta in (0.0, 1.0):
                 for mode, value in modes:
                     fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
-                    ke = KernelEvaluator.build(psi_half, n, beta)
-                    fresh.append(fn(psi_half, beta, value, n, evaluator=ke))
+                    fresh.append(fn(psi_half, beta, value, n))
         calls = []
         lp_norm = approx_ops.lp_norm
 
@@ -214,8 +214,7 @@ class TestVerify:
     def test_sweep_matches_single_calls(self, psi_half):
         rep_s = verify_sweep(psi_half, [0.0], [("theorem1", 2.0)], [16])[0]
         rep_1 = verify_theorem1(psi_half, 0.0, 2.0, 16)
-        assert rep_s.proxy == pytest.approx(rep_1.proxy, rel=1e-12)
-        assert rep_s.X == rep_1.X
+        assert rep_s == rep_1
 
 
 class TestAsymp:

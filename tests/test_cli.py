@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from psiapprox import exp_power_thresholds
-from psiapprox.cli import RunConfig, main
+from psiapprox.cli import main
 
 HALF = ["--alpha", "1", "--r", "0.5"]
 
@@ -82,6 +82,12 @@ class TestLambdaAndKernel:
          "--tail-eps", "inf"],
         ["verify", "theorem1", *HALF, "--n", "3", "--p", "2", "--beta", "nan",
          "--force"],
+        ["verify", "theorem1", *HALF, "--n", "3", "--p", "nan", "--force"],
+        ["verify", "theorem1", *HALF, "--n", "20", "--p", "2", "--a", "nan",
+         "--b", "nan"],
+        ["verify", "envelopes", *HALF, "--n", "20", "--a", "nan"],
+        ["characteristics", *HALF, "--t", "nan"],
+        ["characteristics", *HALF, "--t", "inf"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -195,6 +201,22 @@ class TestTableAndAsymp:
             assert row["lower"] <= row["proxy"] <= row["upper"]
             assert row["proxy"] == pytest.approx(want["proxy"], rel=1e-9)
 
+    @pytest.mark.parametrize("text", ["", "1,0.5\n2,abc\n",
+                                      "1,0.5\n2,0.25,9\n",
+                                      "1,0.5\n2,nan\n3,0.1\n"])
+    def test_table_family_bad_file_exits_config(self, capsys, tmp_path,
+                                                text):
+        # empty, non-numeric, ragged and non-finite files are
+        # configuration errors
+        table = tmp_path / "psi.csv"
+        table.write_text(text)
+        code, out, err = run_cli(capsys, "table", "--family", "table",
+                                 "--psi-table", str(table), "--n-range",
+                                 "20:21", "--p", "2", "--a", "3", "--b", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_table_needs_one_mode(self, capsys):
         code, _, err = run_cli(capsys, "table", *HALF, "--n-range", "11:12")
         assert code == 2
@@ -248,23 +270,3 @@ class TestOutputPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rows"][0]["floor_gap"] == 4
-
-
-class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig(command="verify", what="theorem1", alpha=1.0, r=0.5,
-                        p=[1.0, 2.0, math.inf], n=16, format="csv",
-                        force=True)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_round_trip_scalar_exponent(self):
-        cfg = RunConfig(command="asymp", alpha=2.0, r=0.3,
-                        p=math.inf, n_range="28:40")
-        back = RunConfig.from_dict(cfg.to_dict())
-        assert back == cfg
-        assert math.isinf(back.p)
-
-    def test_dict_is_json_safe(self):
-        cfg = RunConfig(command="verify", what="theorem1", p=[math.inf])
-        text = json.dumps(cfg.to_dict())
-        assert "Infinity" not in text

@@ -98,15 +98,17 @@ class TestTruncation:
 
 class TestKernelEvaluator:
     def test_coefficients_tie_to_taper(self, psi_half):
-        # c_k must equal (1 - lambda(k)) psi(k) below n and psi(k) above
+        # c_k must equal (1 - lambda(k)) psi(k) below n and psi(k) above;
+        # at beta = 0 the cosine coefficient a_k is c_k itself
         n = 16
         ke = KernelEvaluator.build(psi_half, n, 0.0)
         tc = taper_coefficients(psi_half, n)
         for k in range(1, n):
             want = (1.0 - tc.lam[k]) * float(psi_half(float(k)))
-            assert ke.coefficient(k) == pytest.approx(want, abs=1e-18, rel=1e-13)
+            assert ke.series.a[k - 1] == pytest.approx(want, abs=1e-18,
+                                                       rel=1e-13)
         for k in range(n, n + 40):
-            assert ke.coefficient(k) == pytest.approx(
+            assert ke.series.a[k - 1] == pytest.approx(
                 float(psi_half(float(k))), rel=1e-13)
 
     def test_window_start_and_gap(self, psi_half):
@@ -115,8 +117,8 @@ class TestKernelEvaluator:
         assert ke.eta_floor == 13
         assert ke.gap_int == 4
         assert ke.taper_start == 6
-        assert ke.coefficient(5) == 0.0
-        assert ke.coefficient(6) > 0.0
+        assert ke.series.a[5 - 1] == 0.0
+        assert ke.series.a[6 - 1] > 0.0
 
     def test_degenerate_gap_raises(self):
         psi = PsiFunction.exp_power(2.0, 1.0)  # halves every 0.35 steps

@@ -8,8 +8,7 @@ import pytest
 from psiapprox import (CapabilityError, DomainError, InvalidPsiError,
                        NumericError, PsiFunction, characteristics,
                        eta_derivative, eval_psi_prime,
-                       finite_difference_psi_prime, lemma2_margins,
-                       membership_probe, psi_inverse, validate_psi_samples)
+                       finite_difference_psi_prime, lemma2_margins)
 
 LN2 = math.log(2.0)
 
@@ -70,6 +69,11 @@ class TestPsiFunction:
             PsiFunction.from_table([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(InvalidPsiError):
             PsiFunction.from_table([1.0, 2.0], [0.5, -0.1])
+        for ts, vs in (([1.0, math.nan, 3.0], [0.5, 0.25, 0.1]),
+                       ([1.0, 2.0, 3.0], [0.5, math.nan, 0.1]),
+                       ([1.0, 2.0, math.inf], [0.5, 0.25, 0.1])):
+            with pytest.raises(DomainError):
+                PsiFunction.from_table(ts, vs)
 
 
 class TestHalvingPoint:
@@ -111,16 +115,6 @@ class TestHalvingPoint:
         assert prof.eta_eta == pytest.approx(
             closed_form_eta(1.0, 0.5, prof.eta), rel=1e-9)
 
-    def test_inverse_round_trip(self, psi_half):
-        rng = np.random.default_rng(3)
-        for t in rng.uniform(1.5, 500.0, 20):
-            y = float(psi_half(t))
-            assert psi_inverse(psi_half, y) == pytest.approx(t, rel=1e-9)
-
-    def test_inverse_rejects_nonpositive(self, psi_half):
-        with pytest.raises(DomainError):
-            psi_inverse(psi_half, 0.0)
-
     def test_log_space_survives_underflow(self, psi_half):
         # psi(6e5) = exp(-774.6) underflows to 0.0 in double precision, but
         # the halving point is still found through the log route
@@ -128,9 +122,6 @@ class TestHalvingPoint:
         big = characteristics(psi_half, 6.0e5)
         assert big.eta == pytest.approx(closed_form_eta(1.0, 0.5, 6.0e5),
                                         rel=1e-10)
-        # near-underflow inverse, y = 1e-300
-        t = psi_inverse(psi_half, 1e-300)
-        assert t == pytest.approx(math.log(1e300) ** 2, rel=1e-9)
 
     def test_eta_derivative_routes(self, psi_half):
         # forward difference against the implicit-function form
@@ -173,40 +164,3 @@ class TestLemma2Margins:
         m = lemma2_margins(nod, 9.0, 1.94)
         assert m.used_finite_difference
         assert m.value == pytest.approx(6.0, rel=1e-6)
-
-
-class TestMembership:
-    def test_growing_gap_profile(self, psi_half):
-        rep = membership_probe(psi_half)
-        assert rep.in_M_plus_inf
-        assert rep.gap_bounded_below
-        assert not rep.gap_bounded_above
-
-    def test_unit_gap_profile(self, psi_unit_gap):
-        rep = membership_probe(psi_unit_gap)
-        assert rep.in_M_plus_inf
-        assert rep.gap_bounded_below
-        assert rep.gap_bounded_above
-
-    def test_probe_reports_grids(self, psi_half):
-        rep = membership_probe(psi_half)
-        assert len(rep.probe_grid) == len(rep.mu_values)
-        assert len(rep.probe_grid) == len(rep.gap_values)
-        assert np.all(np.diff(rep.probe_grid) > 0)
-
-
-class TestValidation:
-    def test_accepts_convex_decreasing(self, psi_half):
-        grid = np.linspace(1.0, 60.0, 200)
-        validate_psi_samples(psi_half, grid)
-
-    def test_rejects_concave(self):
-        # 2 - t/100 on [1, 50] is decreasing but linear minus a bump
-        psi = PsiFunction.custom(lambda t: 2.0 - (np.asarray(t) / 10.0) ** 2)
-        with pytest.raises(InvalidPsiError):
-            validate_psi_samples(psi, np.linspace(1.0, 4.0, 30))
-
-    def test_rejects_increasing(self):
-        psi = PsiFunction.custom(lambda t: np.asarray(t) * 0.1)
-        with pytest.raises(InvalidPsiError):
-            validate_psi_samples(psi, np.linspace(1.0, 4.0, 30))

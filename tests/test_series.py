@@ -139,24 +139,6 @@ def test_subtraction_pads_degrees():
     assert d.degree == 2
 
 
-def test_truncated_and_scaled():
-    rng = np.random.default_rng(4)
-    f = random_series(rng, 12)
-    t3 = f.truncated(3)
-    assert t3.degree == 3
-    np.testing.assert_allclose(t3.a, f.a[:3])
-    g = f.scaled(-2.0)
-    ts = np.linspace(0, 6, 7)
-    np.testing.assert_allclose(g(ts), -2.0 * f(ts), atol=1e-13)
-
-
-def test_dict_round_trip():
-    rng = np.random.default_rng(5)
-    f = random_series(rng, 8)
-    g = FourierSeries.from_dict(f.to_dict())
-    assert f == g
-
-
 def test_equality_by_coefficients():
     f = FourierSeries(a0=0.5, a=[1.0, 2.0], b=[3.0, 4.0])
     g = FourierSeries(a0=0.5, a=[1.0, 2.0], b=[3.0, 4.0])
