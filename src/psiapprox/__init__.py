@@ -20,9 +20,9 @@ from .series import FourierSeries
 from .kernels import (EnvelopeReport, KernelEvaluator, TailBoundReport,
                       certified_tail_sum, dirichlet, envelope_check,
                       lemma1_check, tail_sum_bound_check, truncation_index)
-from .approx_ops import (ExtremalFunction, NormValue, QuadratureSpec,
-                         TaperCoefficients, apply_vn, duality_extremal_phi,
-                         kernel_norm, lp_norm, residual_consistency, sup_norm,
+from .approx_ops import (ExtremalFunction, NormValue, TaperCoefficients,
+                         apply_vn, duality_extremal_phi, kernel_norm, lp_norm,
+                         residual_consistency, sup_norm,
                          synthesize_class_function, taper_coefficients)
 from .bounds import (AsympRow, AsympScan, BoundReport,
                      ExpPowerCharacteristics, asymp_scan, conjugate_exponent,
@@ -42,7 +42,7 @@ __all__ = [
     "KernelEvaluator", "EnvelopeReport", "TailBoundReport", "dirichlet",
     "truncation_index", "certified_tail_sum",
     "lemma1_check", "envelope_check", "tail_sum_bound_check",
-    "TaperCoefficients", "QuadratureSpec", "NormValue", "ExtremalFunction",
+    "TaperCoefficients", "NormValue", "ExtremalFunction",
     "taper_coefficients", "apply_vn",
     "synthesize_class_function", "residual_consistency", "lp_norm",
     "sup_norm", "kernel_norm", "duality_extremal_phi",

@@ -130,25 +130,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 MAX_GRID = 1 << 21   # cap on every norm grid
 _BLOCK = 1 << 16     # points per pass block: 512 KB of float64
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to integrate |g|^p over the period: the composite trapezoid rule.
-
-    The uniform grid carries >= points_per_wavelength nodes per retained
-    wavelength (a power of two, capped at MAX_GRID); the sup norm scans the
-    same grid.  The error estimate is Richardson's, from the half grid.
-    """
-
-    points_per_wavelength: float = 16.0
-
-    def __post_init__(self):
-        if not 8.0 <= self.points_per_wavelength < math.inf:
-            raise DomainError("points_per_wavelength must be finite and >= 8")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+_POINTS_PER_WAVELENGTH = 16   # grid nodes per wavelength of the top harmonic
 
 
 @dataclass(frozen=True)
@@ -171,8 +153,11 @@ def _series(g) -> FourierSeries:
     raise DomainError(f"cannot take norms of {type(g).__name__}")
 
 
-def _grid_size(quad: QuadratureSpec, degree: int) -> int:
-    base = max(4096, quad.points_per_wavelength * degree)
+def _grid_size(degree: int) -> int:
+    """The norm grid of a degree-`degree` series: _POINTS_PER_WAVELENGTH
+    nodes per wavelength of its top harmonic, rounded up to a power of two
+    between 4,096 and MAX_GRID.  Every grid norm and the sup scan use it."""
+    base = max(4096, _POINTS_PER_WAVELENGTH * degree)
     return min(1 << int(math.ceil(math.log2(base))), MAX_GRID)
 
 
@@ -200,17 +185,17 @@ def _argmax_abs(s: np.ndarray) -> int:
     return i
 
 
-def sup_norm(g, quad: Optional[QuadratureSpec] = None) -> NormValue:
+def sup_norm(g) -> NormValue:
     """max |g| by dense grid plus refinement at the argmax.
 
-    The quadrature grid carries >= points_per_wavelength points per
-    wavelength of the highest retained harmonic, so the true peak sits
-    within one grid cell of the sampled one.  Newton steps on g' (clamped
+    The norm grid carries at least 16 points per wavelength of the
+    highest retained harmonic, so the true peak sits within one grid cell
+    of the sampled one.  Newton steps on g' (clamped
     to that cell) refine it, with error estimate (1/2) sum k^2 |c_k|
     (last step)^2 from the curvature bound.
     """
     series = _series(g)
-    G = _grid_size(quad or DEFAULT_QUAD, series.degree)
+    G = _grid_size(series.degree)
     s = series.uniform_samples(G)
     i = _argmax_abs(s)
     peak = float(abs(s[i]))
@@ -292,16 +277,15 @@ def _trapezoid(s: np.ndarray, p: float, h: float) -> tuple[float, float]:
             + _kink_correction(s[::2], p, 2.0 * h))
 
 
-def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
+def lp_norm(g, p: float) -> NormValue:
     """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm.
 
     g is a FourierSeries or a KernelEvaluator.  p = 2 is Parseval's
     sqrt(pi * energy), exact up to the rounding of its degree-term sum;
     every other finite order takes the grid.
     """
-    quad = quad or DEFAULT_QUAD
     if math.isinf(p):
-        return sup_norm(g, quad)
+        return sup_norm(g)
     if not p >= 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     series = _series(g)
@@ -309,7 +293,7 @@ def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
         value = math.sqrt(math.pi * series.energy())
         return NormValue(value=value, error_estimate=value * (
             series.degree + 1) * float(np.finfo(float).eps))
-    G = _grid_size(quad, series.degree)
+    G = _grid_size(series.degree)
     full, half = _trapezoid(series.uniform_samples(G), p, TWO_PI / G)
     err_i = abs(full - half) / 3.0
     if full <= 0.0:
@@ -319,21 +303,19 @@ def lp_norm(g, p: float, quad: Optional[QuadratureSpec] = None) -> NormValue:
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
-                quad: Optional[QuadratureSpec] = None,
                 tail_eps: Optional[float] = None,
                 evaluator: Optional[KernelEvaluator] = None) -> NormValue:
     """||K*||_{p'} for the (psi, n, beta) residual kernel.
 
     The truncation budget enters the error estimate as tail_eps (uniform
     coefficient-tail bound) times the measure factor (2 pi)^{1/p'}.  The
-    evaluator keeps each (p', quadrature) norm, so repeated orders are free.
+    evaluator keeps each order's norm, so repeated orders are free.
     """
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta, tail_eps)
-    key = (p_prime, quad or DEFAULT_QUAD)
-    nv = ke._norm_cache.get(key)
+    nv = ke._norm_cache.get(p_prime)
     if nv is None:
-        nv = ke._norm_cache[key] = lp_norm(ke, p_prime, quad)
+        nv = ke._norm_cache[p_prime] = lp_norm(ke, p_prime)
     measure = 1.0 if math.isinf(p_prime) else TWO_PI ** (1.0 / p_prime)
     return NormValue(value=nv.value,
                      error_estimate=nv.error_estimate + ke.tail_eps * measure)
@@ -391,7 +373,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta, tail_eps)
     if grid_size is None:
-        grid_size = max(1 << 17, _grid_size(DEFAULT_QUAD, ke.truncation_index))
+        grid_size = max(1 << 17, _grid_size(ke.truncation_index))
     G = int(grid_size)
     h = TWO_PI / G
     samples = ke.uniform_samples(G)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .approx_ops import QuadratureSpec, kernel_norm
+from .approx_ops import kernel_norm
 from .errors import DomainError
 from .kernels import KernelEvaluator
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
@@ -150,18 +150,6 @@ class BoundReport:
         return (self.status == "ok"
                 and bool(self.pass_lower) and bool(self.pass_upper))
 
-    def to_dict(self) -> dict:
-        d = {
-            "family": self.family, "alpha": self.alpha, "r": self.r,
-            "beta": self.beta, "n": self.n, "mode": self.mode,
-            "p_or_s": "inf" if math.isinf(self.p_or_s) else self.p_or_s,
-            "a": self.a, "b": self.b, "X": self.X,
-            "lower": self.lower, "proxy": self.proxy, "upper": self.upper,
-            "pass_lower": self.pass_lower, "pass_upper": self.pass_upper,
-            "tol": self.tol, "status": self.status,
-        }
-        return d
-
 
 def _resolve_thresholds(psi: PsiFunction, a: Optional[float],
                         b: Optional[float]) -> tuple[float, float]:
@@ -194,8 +182,7 @@ def _mode_exponents(mode: str, value: float) -> tuple[float, float]:
 
 def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
             a: float, b: float, prof: CharacteristicProfile,
-            ke: Optional[KernelEvaluator],
-            quad: Optional[QuadratureSpec]) -> BoundReport:
+            ke: Optional[KernelEvaluator]) -> BoundReport:
     """One bracket; ke is None when (prof, a, b) fail the preconditions."""
     x_exp, norm_order = _mode_exponents(mode, value)
     X = float(psi(float(n))) * prof.eta_gap ** x_exp
@@ -205,7 +192,7 @@ def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
         return BoundReport(**meta, lower=None, proxy=None, upper=None,
                            pass_lower=None, pass_upper=None, tol=None,
                            status="precondition_violated")
-    nv = kernel_norm(psi, beta, n, norm_order, quad=quad, evaluator=ke)
+    nv = kernel_norm(psi, beta, n, norm_order, evaluator=ke)
     proxy = nv.value / math.pi
     tol = 1e-6 * X + nv.error_estimate / math.pi
     lower = const_Ca(a) * X
@@ -217,26 +204,23 @@ def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
 
 
 def verify_theorem1(psi: PsiFunction, beta: float, p: float, n: int,
-                    quad: Optional[QuadratureSpec] = None,
                     a: Optional[float] = None, b: Optional[float] = None,
                     tail_eps: Optional[float] = None) -> BoundReport:
     """Certify C_a X <= (1/pi)||K*||_{p'} <= C*_{a,b} X, X = psi(n) gap^{1/p}."""
-    return verify_sweep(psi, [beta], [("theorem1", p)], [n], quad=quad,
-                        a=a, b=b, tail_eps=tail_eps)[0]
+    return verify_sweep(psi, [beta], [("theorem1", p)], [n], a=a, b=b,
+                        tail_eps=tail_eps)[0]
 
 
 def verify_theorem2(psi: PsiFunction, beta: float, s: float, n: int,
-                    quad: Optional[QuadratureSpec] = None,
                     a: Optional[float] = None, b: Optional[float] = None,
                     tail_eps: Optional[float] = None) -> BoundReport:
     """Same brackets against (1/pi)||K*||_s with X = psi(n) gap^{1/s'}."""
-    return verify_sweep(psi, [beta], [("theorem2", s)], [n], quad=quad,
-                        a=a, b=b, tail_eps=tail_eps)[0]
+    return verify_sweep(psi, [beta], [("theorem2", s)], [n], a=a, b=b,
+                        tail_eps=tail_eps)[0]
 
 
 def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  modes: Sequence[tuple[str, float]], ns: Sequence[int],
-                 quad: Optional[QuadratureSpec] = None,
                  a: Optional[float] = None, b: Optional[float] = None,
                  tail_eps: Optional[float] = None) -> list[BoundReport]:
     """Brackets for every (n, beta, mode) in that order.
@@ -260,7 +244,7 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
         viable = a > 2.0 and b > 2.0 and prof.eta_gap >= a and prof.mu >= b
         for beta in betas:
             ke = KernelEvaluator.build(psi, n, beta, tail_eps) if viable else None
-            out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke, quad)
+            out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
                        for mode, value in modes)
     return out
 
@@ -273,11 +257,6 @@ class AsympRow:
     proxy: float
     ratio_elementary: float   # proxy / (exp(-alpha n^r) n^((1-r)/p))
     ratio_X: float            # proxy / X, bracketed by C_a and C*_{a,b}
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "proxy": self.proxy,
-                "ratio_elementary": self.ratio_elementary,
-                "ratio_X": self.ratio_X}
 
 
 @dataclass(frozen=True)
@@ -292,18 +271,9 @@ class AsympScan:
     ratio_max: float
     spread: float
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "r": self.r, "beta": self.beta,
-                "mode": self.mode,
-                "p_or_s": "inf" if math.isinf(self.p_or_s) else self.p_or_s,
-                "rows": [row.to_dict() for row in self.rows],
-                "ratio_min": self.ratio_min, "ratio_max": self.ratio_max,
-                "spread": self.spread}
-
 
 def asymp_scan(alpha: float, r: float, mode: str, value: float,
                ns: Sequence[int], beta: float = 0.0,
-               quad: Optional[QuadratureSpec] = None,
                tail_eps: Optional[float] = None,
                force: bool = False) -> AsympScan:
     """Track proxy / (exp(-alpha n^r) n^((1-r)/p)) along increasing n.
@@ -324,7 +294,7 @@ def asymp_scan(alpha: float, r: float, mode: str, value: float,
     rows = []
     for n in ns:
         ke = KernelEvaluator.build(psi, n, beta, tail_eps)
-        nv = kernel_norm(psi, beta, n, norm_order, quad=quad, evaluator=ke)
+        nv = kernel_norm(psi, beta, n, norm_order, evaluator=ke)
         proxy = nv.value / math.pi
         elem = math.exp(-alpha * float(n) ** r) * float(n) ** ((1.0 - r) * x_exp)
         X = float(psi(float(n))) * ke.eta_gap ** x_exp

@@ -18,13 +18,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import bounds as bnd
-from .approx_ops import QuadratureSpec, kernel_norm, taper_coefficients
+from .approx_ops import kernel_norm, taper_coefficients
 from .errors import (CapabilityError, DomainError, NumericError,
                      PsiApproxError)
 from .kernels import (KernelEvaluator, envelope_check, lemma1_check,
@@ -35,36 +34,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class RunConfig:
-    """Fully parsed invocation."""
-
-    command: str
-    what: Optional[str] = None
-    family: str = "exp-power"
-    alpha: Optional[float] = None
-    r: Optional[float] = None
-    psi_table: Optional[str] = None
-    beta: float = 0.0
-    p: Optional[list] = None
-    s: Optional[list] = None
-    n: Optional[int] = None
-    n_range: Optional[str] = None
-    t: Optional[list] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    tail_eps: Optional[float] = None
-    quad_points: float = 16.0
-    representation: str = "direct"
-    trials: int = 100
-    tol: Optional[float] = None
-    max_spread: Optional[float] = None
-    out: Optional[str] = None
-    format: str = "json"
-    seed: int = 0
-    force: bool = False
 
 
 def _exponent(text) -> float:
@@ -105,10 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def quad_opts(sp):
-        sp.add_argument("--quad-points", dest="quad_points", type=float,
-                        default=16.0, help="nodes per retained wavelength")
-
     sp = sub.add_parser("characteristics",
                         help="halving point, gap and ratio of the profile")
     family_opts(sp)
@@ -138,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_exponent, nargs="+", required=True,
                     help="norm orders, e.g. --p 1 2 inf")
     sp.add_argument("--tail-eps", dest="tail_eps", type=float)
-    quad_opts(sp)
     io_opts(sp)
 
     sp = sub.add_parser("verify", help="run a certified check suite")
@@ -159,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--force", action="store_true",
                     help="run outside the validity thresholds anyway")
-    quad_opts(sp)
     io_opts(sp)
 
     sp = sub.add_parser("table", help="bracket table over a run of n")
@@ -172,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float)
     sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--force", action="store_true")
-    quad_opts(sp)
     io_opts(sp)
 
     sp = sub.add_parser("asymp", help="decay-rate ratio scan")
@@ -184,18 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--max-spread", dest="max_spread", type=float)
     sp.add_argument("--force", action="store_true")
-    quad_opts(sp)
     io_opts(sp)
     return ap
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    raw = {k: v for k, v in vars(ns).items() if k in known and v is not None}
-    return RunConfig(**raw)
-
-
-def _make_psi(cfg: RunConfig) -> PsiFunction:
+def _make_psi(cfg: argparse.Namespace) -> PsiFunction:
     if cfg.family == "exp-power":
         if cfg.alpha is None or cfg.r is None:
             raise DomainError("exp-power family needs --alpha and --r")
@@ -203,9 +158,10 @@ def _make_psi(cfg: RunConfig) -> PsiFunction:
     if cfg.psi_table is None:
         raise DomainError("table family needs --psi-table")
     with open(cfg.psi_table) as fh:
-        lines = fh.read().splitlines()
+        lines = [line for line in fh.read().splitlines()
+                 if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
-        raise DomainError(f"profile table {cfg.psi_table} is empty")
+        raise DomainError(f"profile table {cfg.psi_table} has no data rows")
     delim = "," if "," in lines[0] else None
     try:
         data = np.loadtxt(lines, delimiter=delim, comments="#", ndmin=2)
@@ -214,10 +170,6 @@ def _make_psi(cfg: RunConfig) -> PsiFunction:
     if data.shape[1] != 2:
         raise DomainError("profile table must have two columns")
     return PsiFunction.from_table(data[:, 0], data[:, 1])
-
-
-def _quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(points_per_wavelength=cfg.quad_points)
 
 
 def _fmt(v) -> str:
@@ -248,7 +200,8 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_header: list, csv_rows: list):
+def _emit(cfg: argparse.Namespace, payload: dict, csv_header: list,
+          csv_rows: list):
     if cfg.format == "json":
         text = json.dumps(_jsonable(payload), indent=2) + "\n"
     else:
@@ -262,7 +215,7 @@ def _emit(cfg: RunConfig, payload: dict, csv_header: list, csv_rows: list):
         sys.stdout.write(text)
 
 
-def _ns_for(cfg: RunConfig) -> list:
+def _ns_for(cfg: argparse.Namespace) -> list:
     if cfg.n is not None:
         return [cfg.n]
     if cfg.n_range is not None:
@@ -279,7 +232,8 @@ def _exit_code(failed: int, violated: int) -> int:
     return EXIT_OK
 
 
-def _threshold_gate(cfg: RunConfig, psi: PsiFunction, ns: list) -> None:
+def _threshold_gate(cfg: argparse.Namespace, psi: PsiFunction,
+                    ns: list) -> None:
     """Refuse sub-threshold sweeps unless --force."""
     if cfg.force or psi.family != "exp-power":
         return
@@ -293,7 +247,7 @@ def _threshold_gate(cfg: RunConfig, psi: PsiFunction, ns: list) -> None:
 
 # -- subcommands --------------------------------------------------------------
 
-def _cmd_characteristics(cfg: RunConfig) -> int:
+def _cmd_characteristics(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     if cfg.t is not None:
         ts = [float(v) for v in cfg.t]
@@ -314,7 +268,7 @@ def _cmd_characteristics(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_lambda(cfg: RunConfig) -> int:
+def _cmd_lambda(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     tc = taper_coefficients(psi, cfg.n)
     payload = {"n": tc.n, "eta_floor": tc.eta_floor, "gap": tc.gap,
@@ -325,7 +279,7 @@ def _cmd_lambda(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel_eval(cfg: RunConfig) -> int:
+def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ts = np.asarray(cfg.t, dtype=float)
     if not np.all(np.isfinite(ts)):
@@ -345,15 +299,13 @@ def _cmd_kernel_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel_norm(cfg: RunConfig) -> int:
+def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ke = KernelEvaluator.build(psi, cfg.n, cfg.beta, cfg.tail_eps)
-    quad = _quad(cfg)
     rows = []
     for p in cfg.p:
-        nv = kernel_norm(psi, cfg.beta, cfg.n, p, quad=quad, evaluator=ke)
-        rows.append({"n": cfg.n, "beta": cfg.beta,
-                     "p": "inf" if math.isinf(p) else p,
+        nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)
+        rows.append({"n": cfg.n, "beta": cfg.beta, "p": p,
                      "norm": nv.value, "error_estimate": nv.error_estimate})
     header = ["n", "beta", "p", "norm", "error_estimate"]
     _emit(cfg, {"rows": rows}, header,
@@ -362,13 +314,11 @@ def _cmd_kernel_norm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_REPORT_COLS = ["family", "alpha", "r", "beta", "n", "mode", "p_or_s",
-                "a", "b", "X", "lower", "proxy", "upper",
-                "pass_lower", "pass_upper", "tol", "status"]
+_REPORT_COLS = [f.name for f in fields(bnd.BoundReport)]
 
 
-def _emit_reports(cfg: RunConfig, reports: list, label: str) -> int:
-    dicts = [rep.to_dict() for rep in reports]
+def _emit_reports(cfg: argparse.Namespace, reports: list, label: str) -> int:
+    dicts = [asdict(rep) for rep in reports]
     rows = [[d[k] for k in _REPORT_COLS] for d in dicts]
     summary = {
         "total": len(reports),
@@ -386,7 +336,7 @@ def _emit_reports(cfg: RunConfig, reports: list, label: str) -> int:
     return _exit_code(summary["failed"], summary["precondition_violated"])
 
 
-def _cmd_verify_theorems(cfg: RunConfig) -> int:
+def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ns = _ns_for(cfg)
     _threshold_gate(cfg, psi, ns)
@@ -396,14 +346,18 @@ def _cmd_verify_theorems(cfg: RunConfig) -> int:
     else:
         values = cfg.s if cfg.s is not None else [1.0]
         modes = [("theorem2", v) for v in values]
-    reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, quad=_quad(cfg),
-                               a=cfg.a, b=cfg.b, tail_eps=cfg.tail_eps)
+    reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, a=cfg.a, b=cfg.b,
+                               tail_eps=cfg.tail_eps)
     return _emit_reports(cfg, reports, f"verify {cfg.what}")
 
 
-def _cmd_verify_lemma1(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-12
+    if not math.isfinite(tol):
+        raise DomainError(f"--tol must be finite, got {tol}")
+    if cfg.trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {cfg.trials}")
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
     for trial in range(cfg.trials):
@@ -426,7 +380,7 @@ def _cmd_verify_lemma1(cfg: RunConfig) -> int:
     return _exit_code(failed, 0)
 
 
-def _cmd_verify_lemma2(cfg: RunConfig) -> int:
+def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     if cfg.t is None:
         raise DomainError("verify lemma2 needs --t")
@@ -464,7 +418,7 @@ def _cmd_verify_lemma2(cfg: RunConfig) -> int:
     return _exit_code(failed, 0)
 
 
-def _cmd_verify_envelopes(cfg: RunConfig) -> int:
+def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ns = _ns_for(cfg)
     _threshold_gate(cfg, psi, ns)
@@ -497,7 +451,7 @@ def _cmd_verify_envelopes(cfg: RunConfig) -> int:
     return _exit_code(failed, violated)
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.what in ("theorem1", "theorem2"):
         return _cmd_verify_theorems(cfg)
     if cfg.what == "lemma1":
@@ -511,18 +465,20 @@ _TABLE_COLS = ["n", "alpha", "r", "beta", "mode", "p_or_s",
                "lower", "proxy", "upper"]
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    psi = _make_psi(cfg)
-    ns = _ns_for(cfg)
-    _threshold_gate(cfg, psi, ns)
+def _one_mode(cfg: argparse.Namespace) -> tuple[str, float]:
+    """(mode, exponent) of table and asymp, which take one of --p and --s."""
     if (cfg.p is None) == (cfg.s is None):
-        raise DomainError("table needs exactly one of --p or --s")
-    mode, value = (("theorem1", cfg.p) if cfg.p is not None
-                   else ("theorem2", cfg.s))
-    reports = bnd.verify_sweep(psi, [cfg.beta], [(mode, value)], ns,
-                               quad=_quad(cfg), a=cfg.a, b=cfg.b,
-                               tail_eps=cfg.tail_eps)
-    dicts = [rep.to_dict() for rep in reports]
+        raise DomainError(f"{cfg.command} needs exactly one of --p or --s")
+    return ("theorem1", cfg.p) if cfg.p is not None else ("theorem2", cfg.s)
+
+
+def _cmd_table(cfg: argparse.Namespace) -> int:
+    psi = _make_psi(cfg)
+    ns = _parse_range(cfg.n_range)
+    _threshold_gate(cfg, psi, ns)
+    reports = bnd.verify_sweep(psi, [cfg.beta], [_one_mode(cfg)], ns,
+                               a=cfg.a, b=cfg.b, tail_eps=cfg.tail_eps)
+    dicts = [asdict(rep) for rep in reports]
     rows = [[d[k] for k in _TABLE_COLS] for d in dicts]
     _emit(cfg, {"rows": [{k: d[k] for k in _TABLE_COLS} for d in dicts]},
           _TABLE_COLS, rows)
@@ -533,21 +489,19 @@ def _cmd_table(cfg: RunConfig) -> int:
     return _exit_code(bad, viol)
 
 
-def _cmd_asymp(cfg: RunConfig) -> int:
+def _cmd_asymp(cfg: argparse.Namespace) -> int:
     if cfg.family != "exp-power":
         raise DomainError("asymp supports the exp-power family only")
     if cfg.alpha is None or cfg.r is None:
         raise DomainError("asymp needs --alpha and --r")
-    if (cfg.p is None) == (cfg.s is None):
-        raise DomainError("asymp needs exactly one of --p or --s")
-    mode, value = (("theorem1", cfg.p) if cfg.p is not None
-                   else ("theorem2", cfg.s))
+    mode, value = _one_mode(cfg)
+    if cfg.max_spread is not None and not math.isfinite(cfg.max_spread):
+        raise DomainError(f"--max-spread must be finite, got {cfg.max_spread}")
     scan = bnd.asymp_scan(cfg.alpha, cfg.r, mode, value,
                           _parse_range(cfg.n_range), beta=cfg.beta,
-                          quad=_quad(cfg), tail_eps=cfg.tail_eps,
-                          force=cfg.force)
+                          tail_eps=cfg.tail_eps, force=cfg.force)
     header = ["n", "proxy", "ratio_elementary", "ratio_X"]
-    _emit(cfg, scan.to_dict(), header,
+    _emit(cfg, asdict(scan), header,
           [[row.n, row.proxy, row.ratio_elementary, row.ratio_X]
            for row in scan.rows])
     print(f"asymp: ratio in [{scan.ratio_min:.6g}, {scan.ratio_max:.6g}], "
@@ -570,8 +524,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     ap = _build_parser()
-    ns = ap.parse_args(argv)
-    cfg = _config_from_args(ns)
+    cfg = ap.parse_args(argv)
     try:
         return _DISPATCH[cfg.command](cfg)
     except (DomainError, CapabilityError, OSError) as exc:

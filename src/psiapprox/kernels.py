@@ -170,17 +170,23 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     raise NumericError("tail certification failed: halving gaps kept growing")
 
 
-def _certified_truncation(psi: PsiFunction, n: int,
-                          tail_eps: float) -> tuple[int, float]:
-    """Probe index, then enlarge until the certified tail bound fits.
+def _tail_budget(psi: PsiFunction, n: int, eta_gap: float,
+                 tail_eps: Optional[float]) -> tuple[float, int, float]:
+    """(tail_eps, K, bound): the truncation budget, the index K that meets
+    it and K's certified bound on sum_{k>K} psi(k).
 
-    Returns K together with its certified bound on sum_{k>K} psi(k).
+    The default budget is TAIL_EPS_SCALE psi(n) (eta(n) - n).  K starts at
+    the probe index and grows until the certified tail bound fits.
     """
+    if tail_eps is None:
+        tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
+    if not 0.0 < tail_eps < math.inf:
+        raise DomainError("tail_eps must be finite and positive")
     K = truncation_index(psi, n, tail_eps)
     for _ in range(60):
         bound = certified_tail_sum(psi, K)
         if bound <= tail_eps:
-            return K, bound
+            return float(tail_eps), K, bound
         K = int(K * 1.25) + 1
     raise NumericError("could not certify the truncation budget")
 
@@ -240,17 +246,13 @@ class KernelEvaluator:
         n = int(n)
         prof = characteristics(psi, float(n))
         eta_floor, start, c_taper = _taper_window(psi, n, prof)
-        if tail_eps is None:
-            tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * prof.eta_gap
-        if not 0.0 < tail_eps < math.inf:
-            raise DomainError("tail_eps must be finite and positive")
-        K, bound = _certified_truncation(psi, n, tail_eps)
+        tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap, tail_eps)
         ks_tail = np.arange(n, K + 1)
         c_tail = np.asarray(psi(ks_tail.astype(float)), dtype=float)
         k0 = start if c_taper.size else n
         series = FourierSeries.from_cosine_profile(
             k0, np.concatenate([c_taper, c_tail]), 0.5 * math.pi * beta)
-        return cls(psi=psi, n=n, beta=float(beta), tail_eps=float(tail_eps),
+        return cls(psi=psi, n=n, beta=float(beta), tail_eps=tail_eps,
                    truncation_index=K, eta=prof.eta, eta_gap=prof.eta_gap,
                    mu=prof.mu, eta_floor=eta_floor, gap_int=eta_floor - n,
                    taper_start=int(k0), series=series, certified_tail=float(bound))
@@ -456,10 +458,6 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
     prof = (evaluator if evaluator is not None
             else characteristics(psi, float(n)))
     psi_n = float(psi(float(n)))
-    if evaluator is not None:
-        tail_eps = evaluator.tail_eps
-    elif tail_eps is None:
-        tail_eps = TAIL_EPS_SCALE * psi_n * prof.eta_gap
     failed = []
     if not a > 0.0:
         failed.append(f"a = {a} is not > 0")
@@ -474,8 +472,10 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
                                max_abs=None, margin=None, ok=None, worst_t=None)
-    K = (evaluator.truncation_index if evaluator is not None
-         else _certified_truncation(psi, n, tail_eps)[0])
+    if evaluator is not None:
+        tail_eps, K = evaluator.tail_eps, evaluator.truncation_index
+    else:
+        tail_eps, K, _ = _tail_budget(psi, n, prof.eta_gap, tail_eps)
     ks = np.arange(n, K + 1)
     coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
     ts, vals = _scan(FourierSeries.from_cosine_profile(

@@ -253,7 +253,6 @@ class CharacteristicProfile:
     eta_gap: float          # eta(t) - t
     mu: float               # t / (eta(t) - t)
     floor_gap: Optional[int]  # floor(eta(t)) - t, only for integer t
-    eta_eta: float          # eta(eta(t))
 
     @property
     def eta_floor(self) -> Optional[int]:
@@ -279,12 +278,11 @@ def characteristics(psi: PsiFunction, t: float,
     if gap <= 0.0:
         raise NumericError(f"eta({t}) did not exceed t; generator is not decreasing here")
     mu = t / gap
-    eta_eta = _solve_eta(psi, eta, tol_inv)
     floor_gap = None
     if float(t).is_integer():
         floor_gap = guarded_eta_floor(psi, t, eta, tol_inv) - int(t)
     return CharacteristicProfile(t=t, eta=eta, eta_gap=gap, mu=mu,
-                                 floor_gap=floor_gap, eta_eta=eta_eta)
+                                 floor_gap=floor_gap)
 
 
 def eta_derivative(psi: PsiFunction, t: float, h: float = 1e-5) -> float:

@@ -177,7 +177,7 @@ def test_criterion_4_inequality_suite(verdict):
                     and gap <= ch.gap_upper * (1 + 1e-9)):
                 failures.append(tag + " gap envelope")
             # gap growth between consecutive halvings
-            step = prof.eta_eta - prof.eta
+            step = characteristics(psi, prof.eta).eta_gap
             if not (0.5 * gap * (1 - 1e-9) <= step
                     <= (1.0 + 1.0 / b) * gap * (1 + 1e-9)):
                 failures.append(tag + " halving step")

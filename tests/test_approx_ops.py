@@ -8,9 +8,9 @@ import pytest
 from scipy.optimize import brentq
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
-                       KernelEvaluator, PsiFunction, QuadratureSpec,
-                       approx_ops, apply_vn, duality_extremal_phi,
-                       kernel_norm, lp_norm, residual_consistency, sup_norm,
+                       KernelEvaluator, PsiFunction, approx_ops, apply_vn,
+                       duality_extremal_phi, kernel_norm, lp_norm,
+                       residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients)
 
 TWO_PI = 2.0 * math.pi
@@ -81,8 +81,7 @@ def unblocked_lp(s, p):
 def deep_kernel(psi_slow):
     """(2.0, 0.3), n = 200: K ~ 51k, so its norms take a 2^20-point grid."""
     ke = KernelEvaluator.build(psi_slow, 200, 0.0)
-    assert approx_ops._grid_size(approx_ops.DEFAULT_QUAD,
-                                 ke.series.degree) == 1 << 20
+    assert approx_ops._grid_size(ke.series.degree) == 1 << 20
     return ke
 
 
@@ -288,13 +287,12 @@ class TestNorms:
         with pytest.raises(DomainError):
             lp_norm(lambda t: np.cos(t), p)
 
-    @pytest.mark.parametrize("quad", [None, QuadratureSpec(8.0)])
-    def test_orders_share_one_grid(self, psi_half, quad):
+    def test_orders_share_one_grid(self, psi_half):
         # the trapezoid orders and the sup scan size their grid alike, so a
         # kernel is sampled on one grid however many orders it is normed in
         ke = KernelEvaluator.build(psi_half, 40, 0.5)
         for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
-            lp_norm(ke, p, quad)
+            lp_norm(ke, p)
         assert len(ke.series._sample_cache) == 1
 
     def test_float_protocol(self):
@@ -306,11 +304,6 @@ class TestNorms:
         for p in (0.5, math.nan):
             with pytest.raises(DomainError):
                 lp_norm(f, p)
-
-    def test_quadrature_spec_validation(self):
-        for points in (4.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                QuadratureSpec(points_per_wavelength=points)
 
     def test_kernel_norm_tail_budget(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 16, 0.0)
@@ -327,7 +320,7 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
     def test_lp_norm_bitwise_on_one_block(self, degree, p):
         f = zero_mean_series(np.random.default_rng(degree), degree)
-        G = approx_ops._grid_size(approx_ops.DEFAULT_QUAD, degree)
+        G = approx_ops._grid_size(degree)
         assert G <= approx_ops._BLOCK
         nv = lp_norm(f, p)
         assert (nv.value, nv.error_estimate) == unblocked_lp(

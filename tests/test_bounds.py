@@ -173,12 +173,12 @@ class TestVerify:
         assert rep.ok
 
     def test_report_dict_schema(self, psi_half):
-        d = verify_theorem1(psi_half, 0.0, math.inf, 16).to_dict()
+        d = dataclasses.asdict(verify_theorem1(psi_half, 0.0, math.inf, 16))
         assert list(d) == ["family", "alpha", "r", "beta", "n", "mode",
                            "p_or_s", "a", "b", "X", "lower", "proxy",
                            "upper", "pass_lower", "pass_upper", "tol",
                            "status"]
-        assert d["p_or_s"] == "inf"
+        assert d["p_or_s"] == math.inf
         assert d["mode"] == "theorem1"
 
     def test_sweep_order_and_reuse(self, psi_half):
@@ -201,9 +201,9 @@ class TestVerify:
         calls = []
         lp_norm = approx_ops.lp_norm
 
-        def counting(g, p, quad=None):
+        def counting(g, p):
             calls.append((g, p))   # holding g keeps every id distinct
-            return lp_norm(g, p, quad)
+            return lp_norm(g, p)
         monkeypatch.setattr(approx_ops, "lp_norm", counting)
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
         # orders {inf, 2, 4/3, 1} and {1, 2, 4, inf}: five distinct
@@ -243,7 +243,7 @@ class TestAsymp:
 
     def test_dict_round(self):
         scan = asymp_scan(1.0, 0.5, "theorem1", 2.0, [11, 13])
-        d = scan.to_dict()
+        d = dataclasses.asdict(scan)
         assert d["mode"] == "theorem1"
         assert len(d["rows"]) == 2
         assert d["spread"] == scan.spread

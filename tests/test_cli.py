@@ -75,8 +75,6 @@ class TestLambdaAndKernel:
     @pytest.mark.parametrize("argv", [
         ["kernel-eval", *HALF, "--n", "9", "--beta", "inf", "--t", "0.5"],
         ["kernel-norm", *HALF, "--n", "12", "--beta", "nan", "--p", "2"],
-        ["kernel-norm", *HALF, "--n", "12", "--p", "1", "--quad-points", "nan"],
-        ["kernel-norm", *HALF, "--n", "12", "--p", "1", "--quad-points", "inf"],
         ["kernel-norm", *HALF, "--n", "12", "--p", "nan"],
         ["verify", "theorem1", *HALF, "--n", "12", "--p", "2",
          "--tail-eps", "inf"],
@@ -88,6 +86,11 @@ class TestLambdaAndKernel:
         ["verify", "envelopes", *HALF, "--n", "20", "--a", "nan"],
         ["characteristics", *HALF, "--t", "nan"],
         ["characteristics", *HALF, "--t", "inf"],
+        ["asymp", *HALF, "--n-range", "11:12", "--p", "2",
+         "--max-spread", "nan"],
+        ["verify", "lemma1", "--trials", "0"],
+        ["verify", "lemma1", "--trials", "-3"],
+        ["verify", "lemma1", "--trials", "2", "--tol", "nan"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -113,6 +116,12 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["summary"]["total"] == 3
         assert payload["summary"]["passed"] == 3
+        report = payload["reports"][2]
+        assert list(report) == ["family", "alpha", "r", "beta", "n", "mode",
+                                "p_or_s", "a", "b", "X", "lower", "proxy",
+                                "upper", "pass_lower", "pass_upper", "tol",
+                                "status"]
+        assert report["p_or_s"] == "inf"
 
     def test_theorem2_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "theorem2", *HALF,
@@ -201,13 +210,14 @@ class TestTableAndAsymp:
             assert row["lower"] <= row["proxy"] <= row["upper"]
             assert row["proxy"] == pytest.approx(want["proxy"], rel=1e-9)
 
-    @pytest.mark.parametrize("text", ["", "1,0.5\n2,abc\n",
+    @pytest.mark.parametrize("text", ["", "# t,v\n", "1,0.5\n2,abc\n",
                                       "1,0.5\n2,0.25,9\n",
                                       "1,0.5\n2,nan\n3,0.1\n"])
+    @pytest.mark.filterwarnings("error")   # nothing may print before error:
     def test_table_family_bad_file_exits_config(self, capsys, tmp_path,
                                                 text):
-        # empty, non-numeric, ragged and non-finite files are
-        # configuration errors
+        # empty, comment-only, non-numeric, ragged and non-finite files
+        # are configuration errors
         table = tmp_path / "psi.csv"
         table.write_text(text)
         code, out, err = run_cli(capsys, "table", "--family", "table",
@@ -229,6 +239,9 @@ class TestTableAndAsymp:
                                  "--n-range", "11:18", "--p", "inf")
         assert code == 0
         assert "spread" in err
+        assert list(json.loads(out)) == ["alpha", "r", "beta", "mode",
+                                         "p_or_s", "rows", "ratio_min",
+                                         "ratio_max", "spread"]
         code, _, _ = run_cli(capsys, "asymp", *HALF, "--n-range", "11:18",
                              "--p", "inf", "--max-spread", "1.0001")
         assert code == 1

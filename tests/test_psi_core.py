@@ -110,11 +110,6 @@ class TestHalvingPoint:
             assert prof.eta - 1.0 < prof.eta_floor <= prof.eta + 1e-9
             assert prof.floor_gap == prof.eta_floor - t
 
-    def test_eta_eta_available(self, psi_half):
-        prof = characteristics(psi_half, 9.0)
-        assert prof.eta_eta == pytest.approx(
-            closed_form_eta(1.0, 0.5, prof.eta), rel=1e-9)
-
     def test_log_space_survives_underflow(self, psi_half):
         # psi(6e5) = exp(-774.6) underflows to 0.0 in double precision, but
         # the halving point is still found through the log route

@@ -1,4 +1,5 @@
-"""The README's quick start and command-line examples run as written."""
+"""The README's quick start and command-line examples run as written, and
+every option it names exists."""
 
 import re
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from psiapprox.cli import main
+from psiapprox.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,6 +28,17 @@ def test_quick_start_snippet_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("True ")
+
+
+def test_named_options_exist():
+    # the "Command line" section, up to the next heading
+    text = README.read_text().split("## Command line\n")[1]
+    named = set(re.findall(r"--[a-z][a-z-]*", text.split("\n## ")[0]))
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    options = {opt for sp in subparsers.values()
+               for opt in sp._option_string_actions}
+    assert named
+    assert not named - options, sorted(named - options)
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
