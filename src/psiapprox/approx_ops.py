@@ -95,8 +95,7 @@ def synthesize_class_function(psi: PsiFunction, beta: float,
 
 
 def residual_consistency(psi: PsiFunction, beta: float, n: int,
-                         phi: FourierSeries, x_samples,
-                         tail_eps: Optional[float] = None) -> float:
+                         phi: FourierSeries, x_samples) -> float:
     """Compare f - V_n(f) computed two ways at the given x points.
 
     Route 1 drops/damps Fourier coefficients directly; route 2 convolves
@@ -110,7 +109,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
         raise DomainError("phi must have zero mean")
     f = synthesize_class_function(psi, beta, phi, a0=0.0)
     resid = f - apply_vn(f, taper_coefficients(psi, n))
-    ke = KernelEvaluator.build(psi, n, beta, tail_eps)
+    ke = KernelEvaluator.build(psi, n, beta)
     band = ke.truncation_index + phi.degree + 8
     grid = 1 << max(12, int(math.ceil(math.log2(2.5 * band))))
     if grid > (1 << 22):
@@ -303,7 +302,6 @@ def lp_norm(g, p: float) -> NormValue:
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
-                tail_eps: Optional[float] = None,
                 evaluator: Optional[KernelEvaluator] = None) -> NormValue:
     """||K*||_{p'} for the (psi, n, beta) residual kernel.
 
@@ -312,7 +310,7 @@ def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
     evaluator keeps each order's norm, so repeated orders are free.
     """
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
-        psi, n, beta, tail_eps)
+        psi, n, beta)
     nv = ke._norm_cache.get(p_prime)
     if nv is None:
         nv = ke._norm_cache[p_prime] = lp_norm(ke, p_prime)
@@ -357,8 +355,7 @@ class ExtremalFunction:
 
 
 def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
-                         x0: float, tail_eps: Optional[float] = None,
-                         grid_size: Optional[int] = None,
+                         x0: float, grid_size: Optional[int] = None,
                          evaluator: Optional[KernelEvaluator] = None) -> ExtremalFunction:
     """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0.
 
@@ -371,7 +368,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     if not p >= 1.0:
         raise DomainError(f"p must be in [1, inf], got {p}")
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
-        psi, n, beta, tail_eps)
+        psi, n, beta)
     if grid_size is None:
         grid_size = max(1 << 17, _grid_size(ke.truncation_index))
     G = int(grid_size)

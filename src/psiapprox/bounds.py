@@ -204,25 +204,23 @@ def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
 
 
 def verify_theorem1(psi: PsiFunction, beta: float, p: float, n: int,
-                    a: Optional[float] = None, b: Optional[float] = None,
-                    tail_eps: Optional[float] = None) -> BoundReport:
+                    a: Optional[float] = None,
+                    b: Optional[float] = None) -> BoundReport:
     """Certify C_a X <= (1/pi)||K*||_{p'} <= C*_{a,b} X, X = psi(n) gap^{1/p}."""
-    return verify_sweep(psi, [beta], [("theorem1", p)], [n], a=a, b=b,
-                        tail_eps=tail_eps)[0]
+    return verify_sweep(psi, [beta], [("theorem1", p)], [n], a=a, b=b)[0]
 
 
 def verify_theorem2(psi: PsiFunction, beta: float, s: float, n: int,
-                    a: Optional[float] = None, b: Optional[float] = None,
-                    tail_eps: Optional[float] = None) -> BoundReport:
+                    a: Optional[float] = None,
+                    b: Optional[float] = None) -> BoundReport:
     """Same brackets against (1/pi)||K*||_s with X = psi(n) gap^{1/s'}."""
-    return verify_sweep(psi, [beta], [("theorem2", s)], [n], a=a, b=b,
-                        tail_eps=tail_eps)[0]
+    return verify_sweep(psi, [beta], [("theorem2", s)], [n], a=a, b=b)[0]
 
 
 def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  modes: Sequence[tuple[str, float]], ns: Sequence[int],
-                 a: Optional[float] = None, b: Optional[float] = None,
-                 tail_eps: Optional[float] = None) -> list[BoundReport]:
+                 a: Optional[float] = None,
+                 b: Optional[float] = None) -> list[BoundReport]:
     """Brackets for every (n, beta, mode) in that order.
 
     Each n's profile decides viability once: a, b > 2, gap >= a and
@@ -243,7 +241,7 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
         prof = characteristics(psi, float(n))
         viable = a > 2.0 and b > 2.0 and prof.eta_gap >= a and prof.mu >= b
         for beta in betas:
-            ke = KernelEvaluator.build(psi, n, beta, tail_eps) if viable else None
+            ke = KernelEvaluator.build(psi, n, beta) if viable else None
             out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
                        for mode, value in modes)
     return out
@@ -274,7 +272,6 @@ class AsympScan:
 
 def asymp_scan(alpha: float, r: float, mode: str, value: float,
                ns: Sequence[int], beta: float = 0.0,
-               tail_eps: Optional[float] = None,
                force: bool = False) -> AsympScan:
     """Track proxy / (exp(-alpha n^r) n^((1-r)/p)) along increasing n.
 
@@ -293,7 +290,7 @@ def asymp_scan(alpha: float, r: float, mode: str, value: float,
     x_exp, norm_order = _mode_exponents(mode, value)
     rows = []
     for n in ns:
-        ke = KernelEvaluator.build(psi, n, beta, tail_eps)
+        ke = KernelEvaluator.build(psi, n, beta)
         nv = kernel_norm(psi, beta, n, norm_order, evaluator=ke)
         proxy = nv.value / math.pi
         elem = math.exp(-alpha * float(n) ** r) * float(n) ** ((1.0 - r) * x_exp)

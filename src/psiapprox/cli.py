@@ -91,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--t", type=float, nargs="+", required=True)
-    sp.add_argument("--representation",
-                    choices=("direct", "x", "for1"), default="direct")
-    sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     io_opts(sp)
 
     sp = sub.add_parser("kernel-norm", help="integral norm of the kernel")
@@ -102,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--p", type=_exponent, nargs="+", required=True,
                     help="norm orders, e.g. --p 1 2 inf")
-    sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     io_opts(sp)
 
     sp = sub.add_parser("verify", help="run a certified check suite")
@@ -117,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, nargs="+")
     sp.add_argument("--a", type=float)
     sp.add_argument("--b", type=float)
-    sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--seed", type=int, default=0)
@@ -133,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=_exponent)
     sp.add_argument("--a", type=float)
     sp.add_argument("--b", type=float)
-    sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--force", action="store_true")
     io_opts(sp)
 
@@ -143,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--p", type=_exponent)
     sp.add_argument("--s", type=_exponent)
-    sp.add_argument("--tail-eps", dest="tail_eps", type=float)
     sp.add_argument("--max-spread", dest="max_spread", type=float)
     sp.add_argument("--force", action="store_true")
     io_opts(sp)
@@ -158,13 +151,13 @@ def _make_psi(cfg: argparse.Namespace) -> PsiFunction:
     if cfg.psi_table is None:
         raise DomainError("table family needs --psi-table")
     with open(cfg.psi_table) as fh:
-        lines = [line for line in fh.read().splitlines()
-                 if line.strip() and not line.lstrip().startswith("#")]
+        rows = [line.split("#", 1)[0] for line in fh.read().splitlines()]
+    lines = [row for row in rows if row.strip()]
     if not lines:
         raise DomainError(f"profile table {cfg.psi_table} has no data rows")
     delim = "," if "," in lines[0] else None
     try:
-        data = np.loadtxt(lines, delimiter=delim, comments="#", ndmin=2)
+        data = np.loadtxt(lines, delimiter=delim, ndmin=2)
     except ValueError as exc:
         raise DomainError(f"profile table {cfg.psi_table}: {exc}") from None
     if data.shape[1] != 2:
@@ -284,8 +277,8 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
     ts = np.asarray(cfg.t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise NumericError(f"kernel-eval needs finite --t values, got {cfg.t}")
-    ke = KernelEvaluator.build(psi, cfg.n, cfg.beta, cfg.tail_eps)
-    vals = np.atleast_1d(ke.eval(ts, cfg.representation))
+    ke = KernelEvaluator.build(psi, cfg.n, cfg.beta)
+    vals = np.atleast_1d(ke.eval(ts))
     if not np.all(np.isfinite(vals)):
         raise NumericError("kernel value is not finite")
     rows = [{"t": float(t), "value": float(v)} for t, v in zip(ts, vals)]
@@ -301,7 +294,7 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
 
 def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
-    ke = KernelEvaluator.build(psi, cfg.n, cfg.beta, cfg.tail_eps)
+    ke = KernelEvaluator.build(psi, cfg.n, cfg.beta)
     rows = []
     for p in cfg.p:
         nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)
@@ -346,15 +339,14 @@ def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
     else:
         values = cfg.s if cfg.s is not None else [1.0]
         modes = [("theorem2", v) for v in values]
-    reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, a=cfg.a, b=cfg.b,
-                               tail_eps=cfg.tail_eps)
+    reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, a=cfg.a, b=cfg.b)
     return _emit_reports(cfg, reports, f"verify {cfg.what}")
 
 
 def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-12
-    if not math.isfinite(tol):
-        raise DomainError(f"--tol must be finite, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0, got {tol}")
     if cfg.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {cfg.trials}")
     rng = np.random.default_rng(cfg.seed)
@@ -425,7 +417,7 @@ def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
     a, b = bnd._resolve_thresholds(psi, cfg.a, cfg.b)
     rows, failed, violated = [], 0, 0
     for n in ns:
-        ke = KernelEvaluator.build(psi, n, cfg.beta, cfg.tail_eps)
+        ke = KernelEvaluator.build(psi, n, cfg.beta)
         env = envelope_check(ke, a, b)
         tail = tail_sum_bound_check(psi, n, a, b, beta=cfg.beta,
                                     evaluator=ke)
@@ -477,7 +469,7 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
     ns = _parse_range(cfg.n_range)
     _threshold_gate(cfg, psi, ns)
     reports = bnd.verify_sweep(psi, [cfg.beta], [_one_mode(cfg)], ns,
-                               a=cfg.a, b=cfg.b, tail_eps=cfg.tail_eps)
+                               a=cfg.a, b=cfg.b)
     dicts = [asdict(rep) for rep in reports]
     rows = [[d[k] for k in _TABLE_COLS] for d in dicts]
     _emit(cfg, {"rows": [{k: d[k] for k in _TABLE_COLS} for d in dicts]},
@@ -495,11 +487,12 @@ def _cmd_asymp(cfg: argparse.Namespace) -> int:
     if cfg.alpha is None or cfg.r is None:
         raise DomainError("asymp needs --alpha and --r")
     mode, value = _one_mode(cfg)
-    if cfg.max_spread is not None and not math.isfinite(cfg.max_spread):
-        raise DomainError(f"--max-spread must be finite, got {cfg.max_spread}")
+    if cfg.max_spread is not None and not 1.0 <= cfg.max_spread < math.inf:
+        raise DomainError(
+            f"--max-spread must be finite and >= 1, got {cfg.max_spread}")
     scan = bnd.asymp_scan(cfg.alpha, cfg.r, mode, value,
                           _parse_range(cfg.n_range), beta=cfg.beta,
-                          tail_eps=cfg.tail_eps, force=cfg.force)
+                          force=cfg.force)
     header = ["n", "proxy", "ratio_elementary", "ratio_X"]
     _emit(cfg, asdict(scan), header,
           [[row.n, row.proxy, row.ratio_elementary, row.ratio_X]

@@ -171,17 +171,21 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
 
 
 def _tail_budget(psi: PsiFunction, n: int, eta_gap: float,
-                 tail_eps: Optional[float]) -> tuple[float, int, float]:
+                 tail_eps: Optional[float] = None) -> tuple[float, int, float]:
     """(tail_eps, K, bound): the truncation budget, the index K that meets
     it and K's certified bound on sum_{k>K} psi(k).
 
-    The default budget is TAIL_EPS_SCALE psi(n) (eta(n) - n).  K starts at
-    the probe index and grows until the certified tail bound fits.
+    The default budget is TAIL_EPS_SCALE psi(n) (eta(n) - n); a tighter one
+    is refused.  K starts at the probe index and grows until the certified
+    tail bound fits.
     """
-    if tail_eps is None:
-        tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
+    default = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
+    tail_eps = default if tail_eps is None else tail_eps
     if not 0.0 < tail_eps < math.inf:
         raise DomainError("tail_eps must be finite and positive")
+    if tail_eps < default:
+        raise DomainError(f"tail_eps = {tail_eps!r} is below the default "
+                          f"budget {default!r}")
     K = truncation_index(psi, n, tail_eps)
     for _ in range(60):
         bound = certified_tail_sum(psi, K)
@@ -444,7 +448,6 @@ class TailBoundReport:
 
 def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                          beta: float = 0.0,
-                         tail_eps: Optional[float] = None,
                          evaluator: Optional[KernelEvaluator] = None
                          ) -> TailBoundReport:
     """Check |sum_{k=n}^{K} psi(k) cos(kt - beta pi/2)|
@@ -475,7 +478,7 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
     if evaluator is not None:
         tail_eps, K = evaluator.tail_eps, evaluator.truncation_index
     else:
-        tail_eps, K, _ = _tail_budget(psi, n, prof.eta_gap, tail_eps)
+        tail_eps, K, _ = _tail_budget(psi, n, prof.eta_gap)
     ks = np.arange(n, K + 1)
     coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
     ts, vals = _scan(FourierSeries.from_cosine_profile(

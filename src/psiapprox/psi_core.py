@@ -162,15 +162,14 @@ def eval_psi_prime(psi: PsiFunction, t):
     return psi.derivative(t)
 
 
-def finite_difference_psi_prime(psi: PsiFunction, t: float, h: Optional[float] = None) -> float:
+def finite_difference_psi_prime(psi: PsiFunction, t: float) -> float:
     """Central-difference fallback for derivative-free generators.
 
     The step balances truncation against cancellation (~eps^(1/3) relative);
     at the domain edge a forward difference is used instead.
     """
     t = float(t)
-    if h is None:
-        h = 6e-6 * max(1.0, abs(t))
+    h = 6e-6 * max(1.0, abs(t))
     if t - h >= psi.domain_start:
         return (float(psi(t + h)) - float(psi(t - h))) / (2.0 * h)
     return (float(psi(t + h)) - float(psi(t))) / h
@@ -285,11 +284,9 @@ def characteristics(psi: PsiFunction, t: float,
                                  floor_gap=floor_gap)
 
 
-def eta_derivative(psi: PsiFunction, t: float, h: float = 1e-5) -> float:
-    """Forward-difference eta'(t) with tightened solver tolerance."""
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    tol = 1e-13
+def eta_derivative(psi: PsiFunction, t: float) -> float:
+    """Forward-difference eta'(t), step 1e-5, at solver tolerance 1e-13."""
+    h, tol = 1e-5, 1e-13
     e0 = _solve_eta(psi, float(t), tol)
     e1 = _solve_eta(psi, float(t) + h, tol)
     return (e1 - e0) / h

@@ -53,17 +53,6 @@ class TestLambdaAndKernel:
                                                      rel=1e-9)
         assert len(payload["lambda"]) == 9
 
-    def test_kernel_eval_representations_consistent(self, capsys):
-        vals = {}
-        for rep in ("direct", "x", "for1"):
-            code, out, _ = run_cli(capsys, "kernel-eval", *HALF, "--n", "9",
-                                   "--t", "0.5", "1.5",
-                                   "--representation", rep)
-            assert code == 0
-            vals[rep] = [r["value"] for r in json.loads(out)["rows"]]
-        assert vals["direct"] == pytest.approx(vals["x"], abs=1e-12)
-        assert vals["direct"] == pytest.approx(vals["for1"], abs=1e-12)
-
     def test_kernel_eval_non_finite_exits_numeric(self, capsys):
         for t in ("nan", "inf"):
             code, out, err = run_cli(capsys, "kernel-eval", *HALF, "--n", "9",
@@ -76,8 +65,6 @@ class TestLambdaAndKernel:
         ["kernel-eval", *HALF, "--n", "9", "--beta", "inf", "--t", "0.5"],
         ["kernel-norm", *HALF, "--n", "12", "--beta", "nan", "--p", "2"],
         ["kernel-norm", *HALF, "--n", "12", "--p", "nan"],
-        ["verify", "theorem1", *HALF, "--n", "12", "--p", "2",
-         "--tail-eps", "inf"],
         ["verify", "theorem1", *HALF, "--n", "3", "--p", "2", "--beta", "nan",
          "--force"],
         ["verify", "theorem1", *HALF, "--n", "3", "--p", "nan", "--force"],
@@ -91,6 +78,9 @@ class TestLambdaAndKernel:
         ["verify", "lemma1", "--trials", "0"],
         ["verify", "lemma1", "--trials", "-3"],
         ["verify", "lemma1", "--trials", "2", "--tol", "nan"],
+        ["verify", "lemma1", "--trials", "3", "--tol", "-1"],
+        ["asymp", *HALF, "--n-range", "11:12", "--p", "2",
+         "--max-spread", "0.5"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -209,6 +199,22 @@ class TestTableAndAsymp:
         for row, want in zip(rows, json.loads(ref)["rows"]):
             assert row["lower"] <= row["proxy"] <= row["upper"]
             assert row["proxy"] == pytest.approx(want["proxy"], rel=1e-9)
+
+    def test_table_family_comment_with_comma(self, capsys, tmp_path):
+        # a comment on the first row of a whitespace-separated file may
+        # hold a comma without being taken for the delimiter
+        t = np.arange(1, 2001, dtype=float)
+        rows = [f"{x:.17g} {v:.17g}" for x, v in zip(t, np.exp(-np.sqrt(t)))]
+        rows[0] += " # a,b"
+        table = tmp_path / "psi.txt"
+        table.write_text("\n".join(rows) + "\n")
+        a, b, _ = exp_power_thresholds(1.0, 0.5)
+        code, out, err = run_cli(capsys, "table", "--family", "table",
+                                 "--psi-table", str(table), "--n-range",
+                                 "20:21", "--p", "2", "--a", repr(a),
+                                 "--b", repr(b))
+        assert code == 0, err
+        assert len(json.loads(out)["rows"]) == 2
 
     @pytest.mark.parametrize("text", ["", "# t,v\n", "1,0.5\n2,abc\n",
                                       "1,0.5\n2,0.25,9\n",

@@ -11,6 +11,7 @@ from psiapprox import (DegenerateGapError, DomainError, InvalidPsiError,
                        exp_power_thresholds, lemma1_check,
                        tail_sum_bound_check, taper_coefficients,
                        truncation_index)
+from psiapprox import kernels
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +136,14 @@ class TestKernelEvaluator:
                 np.testing.assert_allclose(ke.eval(ts, rep), base,
                                            rtol=0, atol=10 * ke.tail_eps)
 
+    def test_representations_agree_at_default_budget(self, psi_half):
+        ke = KernelEvaluator.build(psi_half, 9, 0.0)
+        ts = np.array([0.5, 1.5])
+        base = ke.eval(ts, "direct")
+        for rep in ("x", "for1"):
+            np.testing.assert_allclose(ke.eval(ts, rep), base,
+                                       rtol=0, atol=1e-12)
+
     def test_value_at_zero_unit_gap(self, psi_unit_gap):
         # 2^-t profile, n = 10: peak value telescopes to 2^-9
         ke = KernelEvaluator.build(psi_unit_gap, 10, 0.0)
@@ -169,6 +178,30 @@ class TestKernelEvaluator:
             KernelEvaluator.build(psi_half, 12, 0.0, tail_eps=tail_eps)
         with pytest.raises(DomainError):
             truncation_index(psi_half, 12, tail_eps)
+
+    @pytest.mark.parametrize("alpha, r, n", [(1.0, 0.5, 12), (2.0, 0.3, 200)])
+    def test_tail_budget_only_loosens(self, alpha, r, n):
+        psi = PsiFunction.exp_power(alpha, r)
+        default = (kernels.TAIL_EPS_SCALE * float(psi(float(n)))
+                   * characteristics(psi, float(n)).eta_gap)
+        with pytest.raises(DomainError):
+            KernelEvaluator.build(psi, n, 0.0, tail_eps=0.5 * default)
+        ke = KernelEvaluator.build(psi, n, 0.0)
+        assert ke.tail_eps == default
+        same = KernelEvaluator.build(psi, n, 0.0, tail_eps=default)
+        assert same.truncation_index == ke.truncation_index
+        loose = KernelEvaluator.build(psi, n, 0.0, tail_eps=1e-10)
+        assert loose.truncation_index <= ke.truncation_index
+
+    def test_tight_budget_refused_before_truncation(self, monkeypatch):
+        # a budget of 1e-300 would need K = 309,365,321 here
+        def unreachable(*args):
+            raise AssertionError("the truncation search ran")
+        monkeypatch.setattr(kernels, "truncation_index", unreachable)
+        monkeypatch.setattr(kernels, "certified_tail_sum", unreachable)
+        with pytest.raises(DomainError, match="below the default"):
+            KernelEvaluator.build(PsiFunction.exp_power(2.0, 0.3), 200, 0.0,
+                                  tail_eps=1e-300)
 
     @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
     def test_beta_must_be_finite(self, psi_half, beta):
