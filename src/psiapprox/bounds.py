@@ -271,22 +271,17 @@ class AsympScan:
 
 
 def asymp_scan(alpha: float, r: float, mode: str, value: float,
-               ns: Sequence[int], beta: float = 0.0,
-               force: bool = False) -> AsympScan:
+               ns: Sequence[int], beta: float = 0.0) -> AsympScan:
     """Track proxy / (exp(-alpha n^r) n^((1-r)/p)) along increasing n.
 
     Bounded spread of this ratio is the observable face of the two-sided
-    bracket: the elementary factor matches X up to constants.  Entries
-    below n_min are refused unless force is set.
+    bracket: the elementary factor matches X up to constants.  Gating ns
+    against n_min is left to the caller.
     """
     psi = PsiFunction.exp_power(alpha, r)
-    _, _, n_min = exp_power_thresholds(alpha, r)
     ns = sorted(int(n) for n in ns)
     if not ns:
         raise DomainError("empty n list")
-    if ns[0] < n_min and not force:
-        raise DomainError(
-            f"n = {ns[0]} is below the validity threshold n_min = {n_min}")
     x_exp, norm_order = _mode_exponents(mode, value)
     rows = []
     for n in ns:

@@ -57,12 +57,13 @@ def _parse_range(text: str) -> list:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per command and verify check, taking no abbreviations."""
     ap = argparse.ArgumentParser(
-        prog="psiapprox",
+        prog="psiapprox", allow_abbrev=False,
         description="Tapered trigonometric approximation toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+    commands = ap.add_subparsers(dest="command", required=True)
 
-    def family_opts(sp):
+    def family(sp):
         sp.add_argument("--family", choices=("exp-power", "table"),
                         default="exp-power")
         sp.add_argument("--alpha", type=float)
@@ -70,76 +71,88 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--psi-table", dest="psi_table",
                         help="two-column file of (t, value) samples")
 
-    def io_opts(sp):
+    def degrees(sp):
+        one = sp.add_mutually_exclusive_group(required=True)
+        one.add_argument("--n", type=int)
+        one.add_argument("--n-range", dest="n_range")
+
+    def beta(sp):
+        sp.add_argument("--beta", type=float, default=0.0)
+
+    def thresholds(sp):
+        sp.add_argument("--a", type=float)
+        sp.add_argument("--b", type=float)
+
+    def scan(sp):
+        sp.add_argument("--n-range", dest="n_range", required=True)
+        beta(sp)
+        sp.add_argument("--p", type=_exponent)
+        sp.add_argument("--s", type=_exponent)
+
+    def force(sp):
+        sp.add_argument("--force", action="store_true",
+                        help="run outside the validity thresholds anyway")
+
+    def command(subs, name, handler, help, *groups):
+        sp = subs.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+        for group in groups:
+            group(sp)
+        return sp
 
-    sp = sub.add_parser("characteristics",
-                        help="halving point, gap and ratio of the profile")
-    family_opts(sp)
-    sp.add_argument("--t", type=float, nargs="+")
-    sp.add_argument("--n-range", dest="n_range")
-    io_opts(sp)
+    sp = command(commands, "characteristics", _cmd_characteristics,
+                 "halving point, gap and ratio of the profile", family)
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--t", type=float, nargs="+")
+    one.add_argument("--n-range", dest="n_range")
 
-    sp = sub.add_parser("lambda", help="taper multiplier sequence")
-    family_opts(sp)
+    sp = command(commands, "lambda", _cmd_lambda,
+                 "taper multiplier sequence", family)
     sp.add_argument("--n", type=int, required=True)
-    io_opts(sp)
 
-    sp = sub.add_parser("kernel-eval", help="residual kernel values")
-    family_opts(sp)
+    sp = command(commands, "kernel-eval", _cmd_kernel_eval,
+                 "residual kernel values", family)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
+    beta(sp)
     sp.add_argument("--t", type=float, nargs="+", required=True)
-    io_opts(sp)
 
-    sp = sub.add_parser("kernel-norm", help="integral norm of the kernel")
-    family_opts(sp)
+    sp = command(commands, "kernel-norm", _cmd_kernel_norm,
+                 "integral norm of the kernel", family)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
+    beta(sp)
     sp.add_argument("--p", type=_exponent, nargs="+", required=True,
                     help="norm orders, e.g. --p 1 2 inf")
-    io_opts(sp)
 
-    sp = sub.add_parser("verify", help="run a certified check suite")
-    sp.add_argument("what", choices=("theorem1", "theorem2", "lemma1",
-                                     "lemma2", "envelopes"))
-    family_opts(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n-range", dest="n_range")
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", type=_exponent, nargs="+")
-    sp.add_argument("--s", type=_exponent, nargs="+")
-    sp.add_argument("--t", type=float, nargs="+")
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
+    checks = commands.add_parser(
+        "verify", help="run a certified check suite",
+        allow_abbrev=False).add_subparsers(dest="what", required=True)
+    for check, flag, default, help in (
+            ("theorem1", "--p", math.inf, "conjugate-norm brackets"),
+            ("theorem2", "--s", 1.0, "direct-norm brackets")):
+        sp = command(checks, check, _cmd_verify_theorems, help,
+                     family, degrees, beta, thresholds, force)
+        sp.add_argument(flag, dest="exponents", metavar=flag[2:].upper(),
+                        type=_exponent, nargs="+", default=[default])
+    sp = command(checks, "lemma1", _cmd_verify_lemma1,
+                 "summation identity on random instances")
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--force", action="store_true",
-                    help="run outside the validity thresholds anyway")
-    io_opts(sp)
-
-    sp = sub.add_parser("table", help="bracket table over a run of n")
-    family_opts(sp)
-    sp.add_argument("--n-range", dest="n_range", required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", type=_exponent)
-    sp.add_argument("--s", type=_exponent)
-    sp.add_argument("--a", type=float)
+    sp = command(checks, "lemma2", _cmd_verify_lemma2,
+                 "ordering of the psi/|psi'| margins", family, force)
+    sp.add_argument("--t", type=float, nargs="+", required=True)
     sp.add_argument("--b", type=float)
-    sp.add_argument("--force", action="store_true")
-    io_opts(sp)
+    command(checks, "envelopes", _cmd_verify_envelopes,
+            "kernel envelopes and tail-sum bound",
+            family, degrees, beta, thresholds, force)
 
-    sp = sub.add_parser("asymp", help="decay-rate ratio scan")
-    family_opts(sp)
-    sp.add_argument("--n-range", dest="n_range", required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", type=_exponent)
-    sp.add_argument("--s", type=_exponent)
+    command(commands, "table", _cmd_table, "bracket table over a run of n",
+            family, scan, thresholds, force)
+    sp = command(commands, "asymp", _cmd_asymp, "decay-rate ratio scan",
+                 family, scan, force)
     sp.add_argument("--max-spread", dest="max_spread", type=float)
-    sp.add_argument("--force", action="store_true")
-    io_opts(sp)
     return ap
 
 
@@ -209,11 +222,7 @@ def _emit(cfg: argparse.Namespace, payload: dict, csv_header: list,
 
 
 def _ns_for(cfg: argparse.Namespace) -> list:
-    if cfg.n is not None:
-        return [cfg.n]
-    if cfg.n_range is not None:
-        return _parse_range(cfg.n_range)
-    raise DomainError("need --n or --n-range")
+    return [cfg.n] if cfg.n is not None else _parse_range(cfg.n_range)
 
 
 def _exit_code(failed: int, violated: int) -> int:
@@ -242,12 +251,7 @@ def _threshold_gate(cfg: argparse.Namespace, psi: PsiFunction,
 
 def _cmd_characteristics(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
-    if cfg.t is not None:
-        ts = [float(v) for v in cfg.t]
-    elif cfg.n_range is not None:
-        ts = [float(v) for v in _parse_range(cfg.n_range)]
-    else:
-        raise DomainError("need --t or --n-range")
+    ts = [float(v) for v in (cfg.t or _parse_range(cfg.n_range))]
     rows = []
     for t in ts:
         prof = characteristics(psi, t)
@@ -333,20 +337,14 @@ def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ns = _ns_for(cfg)
     _threshold_gate(cfg, psi, ns)
-    if cfg.what == "theorem1":
-        values = cfg.p if cfg.p is not None else [math.inf]
-        modes = [("theorem1", v) for v in values]
-    else:
-        values = cfg.s if cfg.s is not None else [1.0]
-        modes = [("theorem2", v) for v in values]
+    modes = [(cfg.what, v) for v in cfg.exponents]
     reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, a=cfg.a, b=cfg.b)
     return _emit_reports(cfg, reports, f"verify {cfg.what}")
 
 
 def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"--tol must be finite and >= 0, got {tol}")
+    if not 0.0 <= cfg.tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0, got {cfg.tol}")
     if cfg.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {cfg.trials}")
     rng = np.random.default_rng(cfg.seed)
@@ -361,10 +359,10 @@ def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
         disc = lemma1_check(lam, gamma, N, M, t_grid)
         worst = max(worst, disc)
         rows.append({"trial": trial, "N": N, "M": M, "gamma": gamma,
-                     "discrepancy": disc, "pass": bool(disc <= tol)})
+                     "discrepancy": disc, "pass": bool(disc <= cfg.tol)})
     failed = sum(1 for row in rows if not row["pass"])
     payload = {"rows": rows, "summary": {"total": len(rows), "failed": failed,
-                                         "worst": worst, "tol": tol}}
+                                         "worst": worst, "tol": cfg.tol}}
     header = ["trial", "N", "M", "gamma", "discrepancy", "pass"]
     _emit(cfg, payload, header, [[row[k] for k in header] for row in rows])
     print(f"verify lemma1: worst discrepancy {worst:.3e} over {len(rows)} "
@@ -374,8 +372,6 @@ def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
 
 def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
-    if cfg.t is None:
-        raise DomainError("verify lemma2 needs --t")
     if cfg.b is not None:
         b = cfg.b
     elif psi.family == "exp-power":
@@ -443,16 +439,6 @@ def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
     return _exit_code(failed, violated)
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> int:
-    if cfg.what in ("theorem1", "theorem2"):
-        return _cmd_verify_theorems(cfg)
-    if cfg.what == "lemma1":
-        return _cmd_verify_lemma1(cfg)
-    if cfg.what == "lemma2":
-        return _cmd_verify_lemma2(cfg)
-    return _cmd_verify_envelopes(cfg)
-
-
 _TABLE_COLS = ["n", "alpha", "r", "beta", "mode", "p_or_s",
                "lower", "proxy", "upper"]
 
@@ -484,15 +470,14 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
 def _cmd_asymp(cfg: argparse.Namespace) -> int:
     if cfg.family != "exp-power":
         raise DomainError("asymp supports the exp-power family only")
-    if cfg.alpha is None or cfg.r is None:
-        raise DomainError("asymp needs --alpha and --r")
+    psi = _make_psi(cfg)
     mode, value = _one_mode(cfg)
     if cfg.max_spread is not None and not 1.0 <= cfg.max_spread < math.inf:
         raise DomainError(
             f"--max-spread must be finite and >= 1, got {cfg.max_spread}")
-    scan = bnd.asymp_scan(cfg.alpha, cfg.r, mode, value,
-                          _parse_range(cfg.n_range), beta=cfg.beta,
-                          force=cfg.force)
+    ns = _parse_range(cfg.n_range)
+    _threshold_gate(cfg, psi, ns)
+    scan = bnd.asymp_scan(cfg.alpha, cfg.r, mode, value, ns, beta=cfg.beta)
     header = ["n", "proxy", "ratio_elementary", "ratio_X"]
     _emit(cfg, asdict(scan), header,
           [[row.n, row.proxy, row.ratio_elementary, row.ratio_X]
@@ -504,22 +489,11 @@ def _cmd_asymp(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "characteristics": _cmd_characteristics,
-    "lambda": _cmd_lambda,
-    "kernel-eval": _cmd_kernel_eval,
-    "kernel-norm": _cmd_kernel_norm,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "asymp": _cmd_asymp,
-}
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     cfg = ap.parse_args(argv)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return cfg.handler(cfg)
     except (DomainError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

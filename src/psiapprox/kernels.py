@@ -170,22 +170,14 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     raise NumericError("tail certification failed: halving gaps kept growing")
 
 
-def _tail_budget(psi: PsiFunction, n: int, eta_gap: float,
-                 tail_eps: Optional[float] = None) -> tuple[float, int, float]:
-    """(tail_eps, K, bound): the truncation budget, the index K that meets
-    it and K's certified bound on sum_{k>K} psi(k).
+def _tail_budget(psi: PsiFunction, n: int,
+                 eta_gap: float) -> tuple[float, int, float]:
+    """(tail_eps, K, bound): the budget TAIL_EPS_SCALE psi(n) (eta(n) - n),
+    the index K that meets it and K's certified bound on sum_{k>K} psi(k).
 
-    The default budget is TAIL_EPS_SCALE psi(n) (eta(n) - n); a tighter one
-    is refused.  K starts at the probe index and grows until the certified
-    tail bound fits.
+    K starts at the probe index and grows until the certified tail bound fits.
     """
-    default = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
-    tail_eps = default if tail_eps is None else tail_eps
-    if not 0.0 < tail_eps < math.inf:
-        raise DomainError("tail_eps must be finite and positive")
-    if tail_eps < default:
-        raise DomainError(f"tail_eps = {tail_eps!r} is below the default "
-                          f"budget {default!r}")
+    tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
     K = truncation_index(psi, n, tail_eps)
     for _ in range(60):
         bound = certified_tail_sum(psi, K)
@@ -241,8 +233,7 @@ class KernelEvaluator:
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, psi: PsiFunction, n: int, beta: float,
-              tail_eps: Optional[float] = None) -> "KernelEvaluator":
+    def build(cls, psi: PsiFunction, n: int, beta: float) -> "KernelEvaluator":
         if n < 1 or int(n) != n:
             raise DomainError("n must be a positive integer")
         if not math.isfinite(beta):
@@ -250,7 +241,7 @@ class KernelEvaluator:
         n = int(n)
         prof = characteristics(psi, float(n))
         eta_floor, start, c_taper = _taper_window(psi, n, prof)
-        tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap, tail_eps)
+        tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap)
         ks_tail = np.arange(n, K + 1)
         c_tail = np.asarray(psi(ks_tail.astype(float)), dtype=float)
         k0 = start if c_taper.size else n

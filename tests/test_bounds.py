@@ -228,12 +228,10 @@ class TestAsymp:
         for row in scan.rows:
             assert const_Ca(a) <= row.ratio_X <= const_Cab_star(a, b)
 
-    def test_refuses_below_threshold(self):
-        with pytest.raises(DomainError):
-            asymp_scan(1.0, 0.5, "theorem1", 2.0, range(5, 20))
-        scan = asymp_scan(1.0, 0.5, "theorem1", 2.0, [8, 11],
-                          force=True)
-        assert len(scan.rows) == 2
+    def test_scans_below_threshold(self):
+        # n_min = 11 here; the gate against it is the caller's
+        scan = asymp_scan(1.0, 0.5, "theorem1", 2.0, [8, 11])
+        assert [row.n for row in scan.rows] == [8, 11]
 
     def test_mode_validation(self):
         with pytest.raises(DomainError):

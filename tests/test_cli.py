@@ -256,6 +256,7 @@ class TestTableAndAsymp:
         code, _, err = run_cli(capsys, "asymp", *HALF, "--n-range", "5:12",
                                "--p", "2")
         assert code == 2
+        assert "below n_min = 11; pass --force" in err
 
 
 class TestOutputPlumbing:
@@ -281,6 +282,26 @@ class TestOutputPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["characteristics", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        # an option another command or check reads
+        ["verify", "theorem2", *HALF, "--n", "12", "--p", "2"],
+        ["verify", "theorem1", *HALF, "--n", "12", "--s", "2"],
+        ["verify", "lemma1", "--trials", "2", "--alpha", "1", "--n", "5"],
+        ["verify", "envelopes", *HALF, "--n", "12", "--p", "2"],
+        # two ways to give the same degrees or points
+        ["verify", "theorem1", *HALF, "--n", "12", "--n-range", "11:13"],
+        ["characteristics", *HALF, "--t", "9", "--n-range", "11:12"],
+        # abbreviations of options the command lacks
+        ["characteristics", *HALF, "--t", "9", "--a", "2"],
+        ["kernel-eval", *HALF, "--n", "9", "--t", "0.5", "--b", "1"],
+        ["lambda", *HALF, "--n", "9", "--p", "7"],
+    ], ids=" ".join)
+    def test_unread_option_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -30,12 +30,19 @@ def test_quick_start_snippet_runs(capsys):
     assert lines[1].startswith("True ")
 
 
+def all_parsers(parser):
+    """The parser and every parser below it, through nested subcommands."""
+    if parser._subparsers is None:
+        return [parser]
+    children = parser._subparsers._group_actions[0].choices.values()
+    return [parser, *(p for child in children for p in all_parsers(child))]
+
+
 def test_named_options_exist():
     # the "Command line" section, up to the next heading
     text = README.read_text().split("## Command line\n")[1]
     named = set(re.findall(r"--[a-z][a-z-]*", text.split("\n## ")[0]))
-    subparsers = _build_parser()._subparsers._group_actions[0].choices
-    options = {opt for sp in subparsers.values()
+    options = {opt for sp in all_parsers(_build_parser())
                for opt in sp._option_string_actions}
     assert named
     assert not named - options, sorted(named - options)
