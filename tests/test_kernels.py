@@ -137,6 +137,14 @@ class TestKernelEvaluator:
                 np.testing.assert_allclose(ke.eval(ts, rep), base,
                                            rtol=0, atol=1e-12)
 
+    def test_representations_agree_at_default_budget(self, psi_half):
+        ke = KernelEvaluator.build(psi_half, 9, 0.0)
+        ts = np.array([0.5, 1.5])
+        base = ke.eval(ts, "direct")
+        for rep in ("x", "for1"):
+            np.testing.assert_allclose(ke.eval(ts, rep), base,
+                                       rtol=0, atol=1e-12)
+
     def test_value_at_zero_unit_gap(self, psi_unit_gap):
         # 2^-t profile, n = 10: peak value telescopes to 2^-9
         ke = KernelEvaluator.build(psi_unit_gap, 10, 0.0)
