@@ -115,7 +115,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     if grid > (1 << 22):
         raise NumericError("convolution grid would exceed 2^22 points")
     phi_s = phi.uniform_samples(grid)
-    ker_s = ke.uniform_samples(grid)
+    ker_s = ke.series.uniform_samples(grid)
     conv = np.fft.irfft(np.fft.rfft(phi_s) * np.fft.rfft(ker_s), grid)
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
     idx = np.round(xs * grid / TWO_PI).astype(int) % grid
@@ -155,9 +155,14 @@ def _series(g) -> FourierSeries:
 def _grid_size(degree: int) -> int:
     """The norm grid of a degree-`degree` series: _POINTS_PER_WAVELENGTH
     nodes per wavelength of its top harmonic, rounded up to a power of two
-    between 4,096 and MAX_GRID.  Every grid norm and the sup scan use it."""
+    of at least 4,096.  Every grid norm and the sup scan use it; a series
+    that needs more than MAX_GRID points is refused, not under-sampled."""
     base = max(4096, _POINTS_PER_WAVELENGTH * degree)
-    return min(1 << int(math.ceil(math.log2(base))), MAX_GRID)
+    G = 1 << int(math.ceil(math.log2(base)))
+    if G > MAX_GRID:
+        raise NumericError(f"degree {degree} needs a {G}-point norm grid, "
+                           f"above MAX_GRID = {MAX_GRID}")
+    return G
 
 
 def _blocks(s: np.ndarray, overlap: int = 0):
@@ -373,7 +378,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         grid_size = max(1 << 17, _grid_size(ke.truncation_index))
     G = int(grid_size)
     h = TWO_PI / G
-    samples = ke.uniform_samples(G)
+    samples = ke.series.uniform_samples(G)
     i0 = int(round(x0 / h)) % G
     x0s = h * i0
     S = samples[(i0 - np.arange(G)) % G]

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -63,11 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tapered trigonometric approximation toolkit")
     commands = ap.add_subparsers(dest="command", required=True)
 
-    def family(sp):
-        sp.add_argument("--family", choices=("exp-power", "table"),
-                        default="exp-power")
+    def exp_power(sp):
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--r", type=float)
+
+    def profile(sp):
+        exp_power(sp)
         sp.add_argument("--psi-table", dest="psi_table",
                         help="two-column file of (t, value) samples")
 
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(subs, name, handler, help, *groups):
         sp = subs.add_parser(name, help=help, allow_abbrev=False)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, parser=sp)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         for group in groups:
@@ -103,23 +104,23 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command(commands, "characteristics", _cmd_characteristics,
-                 "halving point, gap and ratio of the profile", family)
+                 "halving point, gap and ratio of the profile", profile)
     one = sp.add_mutually_exclusive_group(required=True)
     one.add_argument("--t", type=float, nargs="+")
     one.add_argument("--n-range", dest="n_range")
 
     sp = command(commands, "lambda", _cmd_lambda,
-                 "taper multiplier sequence", family)
+                 "taper multiplier sequence", profile)
     sp.add_argument("--n", type=int, required=True)
 
     sp = command(commands, "kernel-eval", _cmd_kernel_eval,
-                 "residual kernel values", family)
+                 "residual kernel values", profile)
     sp.add_argument("--n", type=int, required=True)
     beta(sp)
     sp.add_argument("--t", type=float, nargs="+", required=True)
 
     sp = command(commands, "kernel-norm", _cmd_kernel_norm,
-                 "integral norm of the kernel", family)
+                 "integral norm of the kernel", profile)
     sp.add_argument("--n", type=int, required=True)
     beta(sp)
     sp.add_argument("--p", type=_exponent, nargs="+", required=True,
@@ -132,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("theorem1", "--p", math.inf, "conjugate-norm brackets"),
             ("theorem2", "--s", 1.0, "direct-norm brackets")):
         sp = command(checks, check, _cmd_verify_theorems, help,
-                     family, degrees, beta, thresholds, force)
+                     profile, degrees, beta, thresholds, force)
         sp.add_argument(flag, dest="exponents", metavar=flag[2:].upper(),
                         type=_exponent, nargs="+", default=[default])
     sp = command(checks, "lemma1", _cmd_verify_lemma1,
@@ -141,53 +142,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--seed", type=int, default=0)
     sp = command(checks, "lemma2", _cmd_verify_lemma2,
-                 "ordering of the psi/|psi'| margins", family, force)
+                 "ordering of the psi/|psi'| margins", profile, force)
     sp.add_argument("--t", type=float, nargs="+", required=True)
     sp.add_argument("--b", type=float)
     command(checks, "envelopes", _cmd_verify_envelopes,
             "kernel envelopes and tail-sum bound",
-            family, degrees, beta, thresholds, force)
+            profile, degrees, beta, thresholds, force)
 
     command(commands, "table", _cmd_table, "bracket table over a run of n",
-            family, scan, thresholds, force)
+            profile, scan, thresholds, force)
     sp = command(commands, "asymp", _cmd_asymp, "decay-rate ratio scan",
-                 family, scan, force)
+                 exp_power, scan, force)
     sp.add_argument("--max-spread", dest="max_spread", type=float)
     return ap
 
 
 def _make_psi(cfg: argparse.Namespace) -> PsiFunction:
-    if cfg.family == "exp-power":
+    """The table profile when --psi-table is given, else the exp-power one."""
+    table = getattr(cfg, "psi_table", None)
+    if table is None:
         if cfg.alpha is None or cfg.r is None:
             raise DomainError("exp-power family needs --alpha and --r")
         return PsiFunction.exp_power(cfg.alpha, cfg.r)
-    if cfg.psi_table is None:
-        raise DomainError("table family needs --psi-table")
-    with open(cfg.psi_table) as fh:
+    if cfg.alpha is not None or cfg.r is not None:
+        raise DomainError("--psi-table excludes --alpha and --r")
+    with open(table) as fh:
         rows = [line.split("#", 1)[0] for line in fh.read().splitlines()]
     lines = [row for row in rows if row.strip()]
     if not lines:
-        raise DomainError(f"profile table {cfg.psi_table} has no data rows")
+        raise DomainError(f"profile table {table} has no data rows")
     delim = "," if "," in lines[0] else None
     try:
         data = np.loadtxt(lines, delimiter=delim, ndmin=2)
     except ValueError as exc:
-        raise DomainError(f"profile table {cfg.psi_table}: {exc}") from None
+        raise DomainError(f"profile table {table}: {exc}") from None
     if data.shape[1] != 2:
         raise DomainError("profile table must have two columns")
     return PsiFunction.from_table(data[:, 0], data[:, 1])
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
 
 
 def _jsonable(obj):
@@ -206,32 +197,35 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(cfg: argparse.Namespace, payload: dict, csv_header: list,
-          csv_rows: list):
+def _fmt(v) -> str:
+    v = _jsonable(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else str(v)
+
+
+def _finish(cfg: argparse.Namespace, payload: dict, rows: list, summary: str,
+            failed: int = 0, violated: int = 0) -> int:
+    """Write the payload as JSON, or the rows as CSV with their keys for
+    columns; print the summary to stderr and return the exit code.  A
+    failed check outranks rows outside the preconditions."""
     if cfg.format == "json":
         text = json.dumps(_jsonable(payload), indent=2) + "\n"
     else:
-        lines = [",".join(csv_header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in csv_rows]
+        lines = [",".join(rows[0])]
+        lines += [",".join(map(_fmt, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    print(summary, file=sys.stderr)
+    return EXIT_FAIL if failed else EXIT_CONFIG if violated else EXIT_OK
 
 
 def _ns_for(cfg: argparse.Namespace) -> list:
     return [cfg.n] if cfg.n is not None else _parse_range(cfg.n_range)
-
-
-def _exit_code(failed: int, violated: int) -> int:
-    """A failed check outranks rows outside the preconditions."""
-    if failed:
-        return EXIT_FAIL
-    if violated:
-        return EXIT_CONFIG
-    return EXIT_OK
 
 
 def _threshold_gate(cfg: argparse.Namespace, psi: PsiFunction,
@@ -247,6 +241,12 @@ def _threshold_gate(cfg: argparse.Namespace, psi: PsiFunction,
             f"n_min = {n_min}; pass --force to run anyway")
 
 
+def _tally(reports: list) -> tuple[int, int]:
+    """(failed, violated): brackets that missed, rows outside preconditions."""
+    return (sum(rep.status == "ok" and not rep.ok for rep in reports),
+            sum(rep.status != "ok" for rep in reports))
+
+
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_characteristics(cfg: argparse.Namespace) -> int:
@@ -258,22 +258,19 @@ def _cmd_characteristics(cfg: argparse.Namespace) -> int:
         rows.append({"t": t, "psi": float(psi(t)), "eta": prof.eta,
                      "eta_gap": prof.eta_gap, "mu": prof.mu,
                      "floor_gap": prof.floor_gap})
-    header = ["t", "psi", "eta", "eta_gap", "mu", "floor_gap"]
-    _emit(cfg, {"rows": rows}, header,
-          [[row[k] for k in header] for row in rows])
-    print(f"characteristics: {len(rows)} rows", file=sys.stderr)
-    return EXIT_OK
+    return _finish(cfg, {"rows": rows}, rows,
+                   f"characteristics: {len(rows)} rows")
 
 
 def _cmd_lambda(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     tc = taper_coefficients(psi, cfg.n)
+    lam = [float(v) for v in tc.lam]
     payload = {"n": tc.n, "eta_floor": tc.eta_floor, "gap": tc.gap,
-               "lambda": [float(v) for v in tc.lam]}
-    rows = [[k, float(v)] for k, v in enumerate(tc.lam)]
-    _emit(cfg, payload, ["k", "lambda"], rows)
-    print(f"lambda: n={tc.n} window gap={tc.gap}", file=sys.stderr)
-    return EXIT_OK
+               "lambda": lam}
+    return _finish(cfg, payload,
+                   [{"k": k, "lambda": v} for k, v in enumerate(lam)],
+                   f"lambda: n={tc.n} window gap={tc.gap}")
 
 
 def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
@@ -289,11 +286,8 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
     payload = {"n": ke.n, "beta": ke.beta,
                "truncation_index": ke.truncation_index,
                "tail_eps": ke.tail_eps, "rows": rows}
-    _emit(cfg, payload, ["t", "value"],
-          [[row["t"], row["value"]] for row in rows])
-    print(f"kernel-eval: K={ke.truncation_index} {len(rows)} points",
-          file=sys.stderr)
-    return EXIT_OK
+    return _finish(cfg, payload, rows,
+                   f"kernel-eval: K={ke.truncation_index} {len(rows)} points")
 
 
 def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
@@ -304,33 +298,8 @@ def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
         nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)
         rows.append({"n": cfg.n, "beta": cfg.beta, "p": p,
                      "norm": nv.value, "error_estimate": nv.error_estimate})
-    header = ["n", "beta", "p", "norm", "error_estimate"]
-    _emit(cfg, {"rows": rows}, header,
-          [[row[k] for k in header] for row in rows])
-    print(f"kernel-norm: {len(rows)} norms", file=sys.stderr)
-    return EXIT_OK
-
-
-_REPORT_COLS = [f.name for f in fields(bnd.BoundReport)]
-
-
-def _emit_reports(cfg: argparse.Namespace, reports: list, label: str) -> int:
-    dicts = [asdict(rep) for rep in reports]
-    rows = [[d[k] for k in _REPORT_COLS] for d in dicts]
-    summary = {
-        "total": len(reports),
-        "passed": sum(1 for rep in reports if rep.ok),
-        "failed": sum(1 for rep in reports
-                      if rep.status == "ok" and not rep.ok),
-        "precondition_violated": sum(1 for rep in reports
-                                     if rep.status == "precondition_violated"),
-    }
-    _emit(cfg, {"reports": dicts, "summary": summary}, _REPORT_COLS, rows)
-    print(f"{label}: {summary['passed']}/{summary['total']} passed, "
-          f"{summary['failed']} failed, "
-          f"{summary['precondition_violated']} outside preconditions",
-          file=sys.stderr)
-    return _exit_code(summary["failed"], summary["precondition_violated"])
+    return _finish(cfg, {"rows": rows}, rows,
+                   f"kernel-norm: {len(rows)} norms")
 
 
 def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
@@ -339,7 +308,15 @@ def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
     _threshold_gate(cfg, psi, ns)
     modes = [(cfg.what, v) for v in cfg.exponents]
     reports = bnd.verify_sweep(psi, [cfg.beta], modes, ns, a=cfg.a, b=cfg.b)
-    return _emit_reports(cfg, reports, f"verify {cfg.what}")
+    failed, violated = _tally(reports)
+    rows = [asdict(rep) for rep in reports]
+    passed = len(rows) - failed - violated
+    summary = {"total": len(rows), "passed": passed, "failed": failed,
+               "precondition_violated": violated}
+    return _finish(cfg, {"reports": rows, "summary": summary}, rows,
+                   f"verify {cfg.what}: {passed}/{len(rows)} passed, "
+                   f"{failed} failed, {violated} outside preconditions",
+                   failed, violated)
 
 
 def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
@@ -363,11 +340,9 @@ def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
     failed = sum(1 for row in rows if not row["pass"])
     payload = {"rows": rows, "summary": {"total": len(rows), "failed": failed,
                                          "worst": worst, "tol": cfg.tol}}
-    header = ["trial", "N", "M", "gamma", "discrepancy", "pass"]
-    _emit(cfg, payload, header, [[row[k] for k in header] for row in rows])
-    print(f"verify lemma1: worst discrepancy {worst:.3e} over {len(rows)} "
-          f"trials, {failed} failed", file=sys.stderr)
-    return _exit_code(failed, 0)
+    return _finish(cfg, payload, rows,
+                   f"verify lemma1: worst discrepancy {worst:.3e} over "
+                   f"{len(rows)} trials, {failed} failed", failed)
 
 
 def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
@@ -397,13 +372,9 @@ def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
                    "upper": None, "ordered": False, "finite_difference": None}
         failed += 0 if ok else 1
         rows.append(row)
-    header = ["t", "b", "lower", "value", "upper", "ordered",
-              "finite_difference"]
-    _emit(cfg, {"rows": rows}, header,
-          [[row[k] for k in header] for row in rows])
-    print(f"verify lemma2: {len(rows) - failed}/{len(rows)} ordered",
-          file=sys.stderr)
-    return _exit_code(failed, 0)
+    return _finish(cfg, {"rows": rows}, rows,
+                   f"verify lemma2: {len(rows) - failed}/{len(rows)} ordered",
+                   failed)
 
 
 def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
@@ -430,13 +401,10 @@ def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
         elif not (env.all_ok and tail.ok):
             failed += 1
         rows.append(row)
-    header = list(rows[0].keys()) if rows else []
-    _emit(cfg, {"rows": rows}, header,
-          [[row[k] for k in header] for row in rows])
-    print(f"verify envelopes: {len(rows) - failed - violated}/{len(rows)} ok, "
-          f"{failed} failed, {violated} outside preconditions",
-          file=sys.stderr)
-    return _exit_code(failed, violated)
+    return _finish(cfg, {"rows": rows}, rows,
+                   f"verify envelopes: {len(rows) - failed - violated}/"
+                   f"{len(rows)} ok, {failed} failed, {violated} outside "
+                   "preconditions", failed, violated)
 
 
 _TABLE_COLS = ["n", "alpha", "r", "beta", "mode", "p_or_s",
@@ -456,20 +424,14 @@ def _cmd_table(cfg: argparse.Namespace) -> int:
     _threshold_gate(cfg, psi, ns)
     reports = bnd.verify_sweep(psi, [cfg.beta], [_one_mode(cfg)], ns,
                                a=cfg.a, b=cfg.b)
-    dicts = [asdict(rep) for rep in reports]
-    rows = [[d[k] for k in _TABLE_COLS] for d in dicts]
-    _emit(cfg, {"rows": [{k: d[k] for k in _TABLE_COLS} for d in dicts]},
-          _TABLE_COLS, rows)
-    bad = sum(1 for rep in reports if rep.status == "ok" and not rep.ok)
-    viol = sum(1 for rep in reports if rep.status != "ok")
-    print(f"table: {len(rows)} rows, {bad} out of bracket, "
-          f"{viol} outside preconditions", file=sys.stderr)
-    return _exit_code(bad, viol)
+    failed, violated = _tally(reports)
+    rows = [{k: getattr(rep, k) for k in _TABLE_COLS} for rep in reports]
+    return _finish(cfg, {"rows": rows}, rows,
+                   f"table: {len(rows)} rows, {failed} out of bracket, "
+                   f"{violated} outside preconditions", failed, violated)
 
 
 def _cmd_asymp(cfg: argparse.Namespace) -> int:
-    if cfg.family != "exp-power":
-        raise DomainError("asymp supports the exp-power family only")
     psi = _make_psi(cfg)
     mode, value = _one_mode(cfg)
     if cfg.max_spread is not None and not 1.0 <= cfg.max_spread < math.inf:
@@ -478,20 +440,18 @@ def _cmd_asymp(cfg: argparse.Namespace) -> int:
     ns = _parse_range(cfg.n_range)
     _threshold_gate(cfg, psi, ns)
     scan = bnd.asymp_scan(cfg.alpha, cfg.r, mode, value, ns, beta=cfg.beta)
-    header = ["n", "proxy", "ratio_elementary", "ratio_X"]
-    _emit(cfg, asdict(scan), header,
-          [[row.n, row.proxy, row.ratio_elementary, row.ratio_X]
-           for row in scan.rows])
-    print(f"asymp: ratio in [{scan.ratio_min:.6g}, {scan.ratio_max:.6g}], "
-          f"spread {scan.spread:.4f}", file=sys.stderr)
-    if cfg.max_spread is not None and scan.spread > cfg.max_spread:
-        return EXIT_FAIL
-    return EXIT_OK
+    payload = asdict(scan)
+    failed = cfg.max_spread is not None and scan.spread > cfg.max_spread
+    return _finish(cfg, payload, payload["rows"],
+                   f"asymp: ratio in [{scan.ratio_min:.6g}, "
+                   f"{scan.ratio_max:.6g}], spread {scan.spread:.4f}",
+                   int(failed))
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    cfg = ap.parse_args(argv)
+    cfg, unread = _build_parser().parse_known_args(argv)
+    if unread:
+        cfg.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return cfg.handler(cfg)
     except (DomainError, CapabilityError, OSError) as exc:

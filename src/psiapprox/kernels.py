@@ -222,7 +222,6 @@ class KernelEvaluator:
     beta: float
     tail_eps: float
     truncation_index: int
-    eta: float
     eta_gap: float
     mu: float
     eta_floor: int
@@ -248,7 +247,7 @@ class KernelEvaluator:
         series = FourierSeries.from_cosine_profile(
             k0, np.concatenate([c_taper, c_tail]), 0.5 * math.pi * beta)
         return cls(psi=psi, n=n, beta=float(beta), tail_eps=tail_eps,
-                   truncation_index=K, eta=prof.eta, eta_gap=prof.eta_gap,
+                   truncation_index=K, eta_gap=prof.eta_gap,
                    mu=prof.mu, eta_floor=eta_floor, gap_int=eta_floor - n,
                    taper_start=int(k0), series=series, certified_tail=float(bound))
 
@@ -305,10 +304,6 @@ class KernelEvaluator:
             tail = (psi_tail[-1] * d_tail[-1] - psi_tail[0] * d_tail[0]
                     + float(np.sum(dpsi * d_tail[1:-1])))
         return self._taper_abel(t) + tail
-
-    def uniform_samples(self, grid_size: int) -> np.ndarray:
-        """Values at t_j = 2 pi j / grid_size via the cached FFT route."""
-        return self.series.uniform_samples(grid_size)
 
 
 def lemma1_check(lambda_seq: Sequence[float], gamma: float, N: int, M: int,

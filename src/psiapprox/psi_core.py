@@ -56,15 +56,11 @@ class PsiFunction:
         return cls(family="exp-power", alpha=float(alpha), r=float(r))
 
     @classmethod
-    def custom(cls, eval_fn: Callable, right_derivative: Optional[Callable] = None,
-               *, log_eval: Optional[Callable] = None,
-               domain_start: float = 1.0) -> "PsiFunction":
-        """Wrap user callables.  `eval_fn` must be positive and strictly
-        decreasing on [domain_start, inf); `right_derivative` is an optional
-        capability (operations needing it raise CapabilityError when
-        absent)."""
-        return cls(family="custom", domain_start=float(domain_start), _eval=eval_fn,
-                   _log_eval=log_eval, _deriv=right_derivative)
+    def custom(cls, eval_fn: Callable) -> "PsiFunction":
+        """Wrap a user callable, positive and strictly decreasing on
+        [1, inf).  It carries no derivative: operations needing one raise
+        CapabilityError."""
+        return cls(family="custom", _eval=eval_fn)
 
     @classmethod
     def from_table(cls, ts: Sequence[float], values: Sequence[float]) -> "PsiFunction":
@@ -178,7 +174,7 @@ def finite_difference_psi_prime(psi: PsiFunction, t: float) -> float:
 # -- root finding on log(psi) ------------------------------------------------
 
 def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
-                          lo: float, tol: float, max_iter: int = 200) -> float:
+                          lo: float, tol: float) -> float:
     """Solve log_eval(x) == target for strictly decreasing log_eval, x >= lo.
 
     Bracket by doubling, then bisect.  Convergence is declared on the
@@ -193,7 +189,7 @@ def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
         return lo
     step = 0.5
     a = lo
-    for _ in range(max_iter):
+    for _ in range(200):
         b = a + step
         f_b = float(log_eval(b))
         if f_b <= target:
@@ -204,7 +200,7 @@ def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
             raise NumericError("bracket growth exhausted; psi decays too slowly")
     else:
         raise NumericError("no upper bracket found")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         f_mid = float(log_eval(mid))
         if abs(f_mid - target) <= tol:
@@ -215,7 +211,7 @@ def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
             a = mid
         else:
             b = mid
-    raise NumericError(f"bisection failed to converge after {max_iter} iterations")
+    raise NumericError("bisection failed to converge after 200 iterations")
 
 
 def _solve_eta(psi: PsiFunction, t: float, tol_inv: float) -> float:

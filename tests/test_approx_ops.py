@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
-                       KernelEvaluator, PsiFunction, approx_ops, apply_vn,
+                       KernelEvaluator, NumericError, PsiFunction,
+                       approx_ops, apply_vn,
                        duality_extremal_phi, kernel_norm, lp_norm,
                        residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients)
@@ -30,7 +31,7 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
     brentq, so |K*|^p is smooth on every piece; pieces are split to at most
     max_width.  Independent of the trapezoid rule under test.
     """
-    s = ke.uniform_samples(grid)
+    s = ke.series.uniform_samples(grid)
     h = TWO_PI / grid
     cross = np.nonzero(s * np.roll(s, -1) < 0.0)[0]
     roots = [brentq(lambda t: float(ke.eval(t)), i * h, (i + 1) * h,
@@ -88,7 +89,7 @@ def deep_kernel(psi_slow):
 def golden_peak(ke, G=1 << 14):
     """max |K*| by golden-section search in the cell around the FFT argmax."""
     h = TWO_PI / G
-    i = int(np.argmax(np.abs(ke.uniform_samples(G))))
+    i = int(np.argmax(np.abs(ke.series.uniform_samples(G))))
     lo, hi = (i - 1) * h, (i + 1) * h
     f = lambda t: abs(float(ke.eval(t)))
     g = (math.sqrt(5.0) - 1.0) / 2.0
@@ -281,6 +282,20 @@ class TestNorms:
         # worst-case rounding of the degree-term sum, nothing more
         assert nv.error_estimate <= 1e-12 * nv.value
 
+    def test_grid_beyond_max_refused(self):
+        # 16 nodes per wavelength fit MAX_GRID up to degree 2^17; past it
+        # the grid norms refuse rather than sample more coarsely
+        top = approx_ops.MAX_GRID // 16
+        f = FourierSeries(a0=0.0, a=np.zeros(top), b=np.ones(top))
+        lp_norm(f, 1.0)
+        assert list(f._sample_cache) == [approx_ops.MAX_GRID]
+        g = FourierSeries(a0=0.0, a=np.zeros(top + 1), b=np.ones(top + 1))
+        for p in (1.0, math.inf):
+            with pytest.raises(NumericError, match="MAX_GRID"):
+                lp_norm(g, p)
+        assert lp_norm(g, 2.0).value == math.sqrt(math.pi * (top + 1))
+        assert g._sample_cache == {}
+
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_callable_targets_refused(self, p):
         # norms take coefficient series; a plain callable has no degree
@@ -328,7 +343,8 @@ class TestBlockedPasses:
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
     def test_lp_norm_on_many_blocks(self, deep_kernel, p):
-        value, err = unblocked_lp(deep_kernel.uniform_samples(1 << 20), p)
+        s = deep_kernel.series.uniform_samples(1 << 20)
+        value, err = unblocked_lp(s, p)
         nv = lp_norm(deep_kernel, p)
         assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
         assert nv.error_estimate == pytest.approx(err, rel=1e-10, abs=0.0)
@@ -368,7 +384,7 @@ class TestBlockedPasses:
             assert approx_ops._argmax_abs(s) == int(np.argmax(np.abs(s)))
 
     def test_grid_norms_take_no_grid_sized_temporaries(self, deep_kernel):
-        deep_kernel.uniform_samples(1 << 20)   # cache the 8 MB grid first
+        deep_kernel.series.uniform_samples(1 << 20)   # cache the 8 MB grid first
         for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
                      lambda g: lp_norm(g, 1.0), sup_norm):
             tracemalloc.start()
@@ -408,7 +424,7 @@ class TestDuality:
         G = ex.grid_size
         grid = TWO_PI * np.arange(G) / G
         vals = np.asarray(ex(grid), dtype=float)
-        kern = ke.uniform_samples(G)
+        kern = ke.series.uniform_samples(G)
         s = kern[(int(round(ex.x0 / (TWO_PI / G))) - np.arange(G)) % G]
         attained = (TWO_PI / G) * float(np.sum(vals * s)) / math.pi
         assert attained == pytest.approx(ex.attainment, rel=1e-9)

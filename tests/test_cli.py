@@ -81,6 +81,9 @@ class TestLambdaAndKernel:
         ["verify", "lemma1", "--trials", "3", "--tol", "-1"],
         ["asymp", *HALF, "--n-range", "11:12", "--p", "2",
          "--max-spread", "0.5"],
+        # --psi-table excludes --alpha and --r; the file is never opened
+        ["characteristics", *HALF, "--psi-table", "/nonexistent.csv",
+         "--t", "9"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -189,7 +192,7 @@ class TestTableAndAsymp:
         np.savetxt(table, np.column_stack([t, np.exp(-np.sqrt(t))]),
                    delimiter=",")
         a, b, _ = exp_power_thresholds(1.0, 0.5)
-        code, out, _ = run_cli(capsys, "table", "--family", "table",
+        code, out, _ = run_cli(capsys, "table",
                                "--psi-table", str(table), "--n-range", "20:21",
                                "--p", "2", "--a", repr(a), "--b", repr(b))
         assert code == 0
@@ -209,7 +212,7 @@ class TestTableAndAsymp:
         table = tmp_path / "psi.txt"
         table.write_text("\n".join(rows) + "\n")
         a, b, _ = exp_power_thresholds(1.0, 0.5)
-        code, out, err = run_cli(capsys, "table", "--family", "table",
+        code, out, err = run_cli(capsys, "table",
                                  "--psi-table", str(table), "--n-range",
                                  "20:21", "--p", "2", "--a", repr(a),
                                  "--b", repr(b))
@@ -226,7 +229,7 @@ class TestTableAndAsymp:
         # are configuration errors
         table = tmp_path / "psi.csv"
         table.write_text(text)
-        code, out, err = run_cli(capsys, "table", "--family", "table",
+        code, out, err = run_cli(capsys, "table",
                                  "--psi-table", str(table), "--n-range",
                                  "20:21", "--p", "2", "--a", "3", "--b", "3")
         assert code == 2
@@ -296,12 +299,21 @@ class TestOutputPlumbing:
         ["characteristics", *HALF, "--t", "9", "--a", "2"],
         ["kernel-eval", *HALF, "--n", "9", "--t", "0.5", "--b", "1"],
         ["lambda", *HALF, "--n", "9", "--p", "7"],
+        # the profile follows from the options: no family to name, and
+        # asymp takes the exp-power options only
+        ["asymp", "--psi-table", "F", "--p", "2", "--n-range", "11:12"],
+        ["characteristics", "--family", "table", "--psi-table", "F",
+         "--t", "9"],
     ], ids=" ".join)
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        # reported under the usage of the command or check that refused it
+        path = " ".join(a for a in argv[:2] if not a.startswith("--"))
+        assert err.startswith(f"usage: psiapprox {path} [-h]")
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -154,7 +154,7 @@ class TestKernelEvaluator:
         ke = KernelEvaluator.build(psi_half, 9, 1.0)
         G = 512
         grid = TWO_PI * np.arange(G) / G
-        np.testing.assert_allclose(ke.uniform_samples(G), ke.eval(grid),
+        np.testing.assert_allclose(ke.series.uniform_samples(G), ke.eval(grid),
                                    rtol=0, atol=1e-12)
 
     def test_beta_rotation_of_coefficients(self, psi_half):

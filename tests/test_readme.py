@@ -1,6 +1,7 @@
 """The README's quick start and command-line examples run as written, and
 every option it names exists."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -52,3 +53,28 @@ def test_named_options_exist():
 def test_command_runs(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def csv_cell(value) -> str:
+    """A JSON value as the CSV writer prints it."""
+    if isinstance(value, bool):
+        return json.dumps(value)
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_csv_carries_the_json_rows(capsys, argv):
+    if "--format" in argv:
+        i = argv.index("--format")
+        argv = argv[:i] + argv[i + 2:]
+    main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    main([*argv, "--format", "csv"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    if "lambda" in payload:
+        rows = [{"k": k, "lambda": v} for k, v in enumerate(payload["lambda"])]
+    else:
+        rows = payload["rows" if "rows" in payload else "reports"]
+    assert header.split(",") == list(rows[0])
+    assert [line.split(",") for line in lines] == [
+        [csv_cell(v) for v in row.values()] for row in rows]
