@@ -7,7 +7,8 @@ a convolution with the residual kernel, which is what ties this module to
 `kernels`, which also owns the taper window.  Norm computation is
 deliberately boring: composite trapezoid on uniform grids (spectrally
 accurate for periodic integrands, with a local correction at sign-change
-panels of |g|^p).
+panels of |g|^p).  A kernel's grid is sampled once and walked once, block
+by block, for every order a caller asks for at the same time.
 """
 
 from __future__ import annotations
@@ -165,92 +166,6 @@ def _grid_size(degree: int) -> int:
     return G
 
 
-def _blocks(s: np.ndarray, overlap: int = 0):
-    """(start, view) of s in _BLOCK-point blocks, in order, each view
-    extended by up to `overlap` points of the next block so a caller can
-    see neighbours.
-
-    One block fits in L2 with room for a same-sized scratch array, so a
-    norm makes one cache-sized pass over the grid instead of whole-grid
-    temporaries.
-    """
-    for i in range(0, s.size, _BLOCK):
-        yield i, s[i:i + _BLOCK + overlap]
-
-
-def _argmax_abs(s: np.ndarray) -> int:
-    """np.argmax(np.abs(s)) block by block, keeping its first-index rule:
-    a later block wins only with a strictly larger magnitude."""
-    i, peak = 0, -1.0
-    for start, blk in _blocks(s):
-        j = int(np.argmax(np.abs(blk)))
-        if abs(blk[j]) > peak:
-            i, peak = start + j, abs(blk[j])
-    return i
-
-
-def sup_norm(g) -> NormValue:
-    """max |g| by dense grid plus refinement at the argmax.
-
-    The norm grid carries at least 16 points per wavelength of the
-    highest retained harmonic, so the true peak sits within one grid cell
-    of the sampled one.  Newton steps on g' (clamped
-    to that cell) refine it, with error estimate (1/2) sum k^2 |c_k|
-    (last step)^2 from the curvature bound.
-    """
-    series = _series(g)
-    G = _grid_size(series.degree)
-    s = series.uniform_samples(G)
-    i = _argmax_abs(s)
-    peak = float(abs(s[i]))
-    h = TWO_PI / G
-    lo, hi = (i - 1) * h, (i + 1) * h
-    d1 = series.derivative()
-    d2 = d1.derivative()
-    t, step = i * h, 0.0
-    for _ in range(8):
-        curv = float(d2.eval(t))
-        if curv == 0.0:
-            break
-        t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
-        step, t = t_new - t, t_new
-        if abs(step) < 1e-13:
-            break
-    if t != i * h:  # at the node itself the grid sample is the value
-        peak = max(peak, abs(float(series.eval(t))))
-    curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
-    return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
-
-
-def _kink_correction(s: np.ndarray, p: float, h: float) -> float:
-    """Trapezoid correction on panels where g changes sign.
-
-    Modeling g as linear across such a panel, the exact integral of
-    |linear|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B)) against the
-    trapezoid's h (A^p + B^p)/2, with A, B the endpoint magnitudes.
-    Panels are found block by block, the wrap panel (G-1, 0) last.
-
-    Even integer p makes |g|^p a plain trigonometric polynomial, for
-    which the composite rule is already exact; correcting there would
-    only add the linear-model error back in.
-    """
-    if p == 2.0 * round(p / 2.0):
-        return 0.0
-    G = s.size
-    panels = [start + np.flatnonzero(seg[:-1] * seg[1:] < 0.0)
-              for start, seg in _blocks(s, overlap=1)]
-    if s[-1] * s[0] < 0.0:
-        panels.append(np.array([G - 1]))
-    idx = np.concatenate(panels)
-    if not idx.size:
-        return 0.0
-    A = np.abs(s[idx])
-    B = np.abs(s[(idx + 1) % G])
-    exact = (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
-    trap = 0.5 * (A ** p + B ** p)
-    return float(h * np.sum(exact - trap))
-
-
 def _halving_sum(parts: list) -> float:
     """Sum block partials pairwise, neighbours first.
 
@@ -263,47 +178,140 @@ def _halving_sum(parts: list) -> float:
     return float(parts[0])
 
 
-def _trapezoid(s: np.ndarray, p: float, h: float) -> tuple[float, float]:
-    """int |g|^p by the composite rule on the grid s (step h) and on its
-    even nodes (step 2h), both from one blocked pass over |s|^p.
+def _kinks(s: np.ndarray, panels: list, orders, h: float) -> dict:
+    """{p: trapezoid correction} on the sign-change panels (i, i+1) of the
+    grid s (step h) in `panels`, then the wrap panel (size-1, 0).  With g
+    linear across a panel, int |g|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B))
+    against the rule's h (A^p + B^p)/2, A and B the endpoint magnitudes."""
+    if not orders:
+        return {}
+    if s[-1] * s[0] < 0.0:
+        panels.append(np.array([s.size - 1]))
+    idx = np.concatenate(panels)
+    A = np.abs(s[idx])
+    B = np.abs(s[(idx + 1) % s.size])
+    return {p: float(h * np.sum(
+        (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
+        - 0.5 * (A ** p + B ** p))) for p in orders}
 
-    _BLOCK is even, so a block's even entries are the half grid's nodes.
+
+def _grid_pass(s: np.ndarray, orders, h: float,
+               peak: bool = False) -> tuple[dict, Optional[int]]:
+    """One blocked walk over the samples s (step h): {p: (full, half)}, the
+    composite rule for int |g|^p on s and on its even nodes (step 2h), and
+    with `peak` the first index of max |s| (else None).  Each _BLOCK-point
+    block (even, so its even entries are the half grid's) takes |s| once
+    and each power once into reused buffers, summed in `_halving_sum`
+    order.  Orders that are not even integers (|g|^p is then no
+    trigonometric polynomial) share one panel scan per grid for `_kinks`.
     """
-    full, half = [], []
-    for _, blk in _blocks(s):
-        w = np.abs(blk)
-        if p != 1.0:
-            np.power(w, p, out=w)
-        full.append(w.sum())
-        half.append(w[::2].sum())
-    return (h * _halving_sum(full) + _kink_correction(s, p, h),
-            2.0 * h * _halving_sum(half)
-            + _kink_correction(s[::2], p, 2.0 * h))
+    kinked = [p for p in orders if p != 2.0 * round(p / 2.0)]
+    sums = {p: ([], []) for p in orders}
+    panels, half_panels = [], []
+    mag = np.empty(min(s.size, _BLOCK))
+    powered = np.empty_like(mag)
+    i_peak, top = (0, -1.0) if peak else (None, None)
+    for start in range(0, s.size, _BLOCK):
+        blk = s[start:start + _BLOCK]
+        w = np.abs(blk, out=mag[:blk.size])
+        if peak:   # a later block wins only with a strictly larger value
+            j = int(np.argmax(w))
+            if w[j] > top:
+                i_peak, top = start + j, w[j]
+        for p in orders:
+            wp = w if p == 1.0 else np.power(w, p, out=powered[:w.size])
+            sums[p][0].append(wp.sum())
+            sums[p][1].append(wp[::2].sum())
+        if kinked:
+            seg = s[start:start + _BLOCK + 1]
+            panels.append(start + np.flatnonzero(seg[:-1] * seg[1:] < 0.0))
+            seg = s[start:start + _BLOCK + 2:2]
+            half_panels.append(start // 2
+                               + np.flatnonzero(seg[:-1] * seg[1:] < 0.0))
+    kink = _kinks(s, panels, kinked, h)
+    kink_half = _kinks(s[::2], half_panels, kinked, 2.0 * h)
+    return {p: (h * _halving_sum(full) + kink.get(p, 0.0),
+                2.0 * h * _halving_sum(half) + kink_half.get(p, 0.0))
+            for p, (full, half) in sums.items()}, i_peak
+
+
+def _sup_refined(series: FourierSeries, s: np.ndarray, i: int) -> NormValue:
+    """max |g| from its grid argmax i, refined by Newton steps on g' that
+    read g' and g'' off one cos/sin table per iterate.  At 16 nodes per
+    wavelength the peak is within one cell of node i, so steps are clamped
+    to it; (1/2) sum k^2 |c_k| (last step)^2 bounds the error."""
+    peak = float(abs(s[i]))
+    h = TWO_PI / s.size
+    lo, hi = (i - 1) * h, (i + 1) * h
+    d1 = series.derivative()
+    d2 = d1.derivative()
+    k = np.arange(1, series.degree + 1)
+    t, step = i * h, 0.0
+    for _ in range(8):
+        kt = np.outer([t], k)
+        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
+        curv = float((cos_kt @ d2.a + sin_kt @ d2.b)[0])
+        if curv == 0.0:
+            break
+        slope = float((cos_kt @ d1.a + sin_kt @ d1.b)[0])
+        t_new = min(max(t - slope / curv, lo), hi)
+        step, t = t_new - t, t_new
+        if abs(step) < 1e-13:
+            break
+    if t != i * h:  # at the node itself the grid sample is the value
+        peak = max(peak, abs(float(series.eval(t))))
+    curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
+    return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
+
+
+def _norms(series: FourierSeries, orders) -> dict:
+    """{p: NormValue} for each order p in [1, inf].  p = 2 is Parseval's
+    sqrt(pi * energy), exact up to the rounding of its degree-term sum;
+    the others share one `_grid_pass` over the norm grid (trapezoid with a
+    half-grid Richardson estimate; the refined maximum at p = inf)."""
+    out, grid = {}, []
+    for p in dict.fromkeys(orders):
+        if not p >= 1.0:
+            raise DomainError(f"p must be >= 1, got {p}")
+        if p == 2.0:
+            value = math.sqrt(math.pi * series.energy())
+            out[p] = NormValue(value=value, error_estimate=value * (
+                series.degree + 1) * float(np.finfo(float).eps))
+        else:
+            grid.append(p)
+    if not grid:
+        return out
+    G = _grid_size(series.degree)
+    s = series.uniform_samples(G)
+    finite = [p for p in grid if not math.isinf(p)]
+    sums, i = _grid_pass(s, finite, TWO_PI / G, peak=len(finite) < len(grid))
+    for p in finite:
+        full, half = sums[p]
+        err_i = abs(full - half) / 3.0
+        value = full ** (1.0 / p) if full > 0.0 else 0.0
+        out[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
+                           else err_i ** (1.0 / p))
+    if i is not None:
+        out[math.inf] = _sup_refined(series, s, i)
+    return out
 
 
 def lp_norm(g, p: float) -> NormValue:
-    """(int_0^{2pi} |g|^p dt)^{1/p}; p = inf delegates to sup_norm.
+    """(int_0^{2pi} |g|^p dt)^{1/p}, or max |g| at p = inf, for a
+    FourierSeries or a KernelEvaluator: `_norms` with one order."""
+    return _norms(_series(g), (p,))[p]
 
-    g is a FourierSeries or a KernelEvaluator.  p = 2 is Parseval's
-    sqrt(pi * energy), exact up to the rounding of its degree-term sum;
-    every other finite order takes the grid.
-    """
-    if math.isinf(p):
-        return sup_norm(g)
-    if not p >= 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    series = _series(g)
-    if p == 2.0:
-        value = math.sqrt(math.pi * series.energy())
-        return NormValue(value=value, error_estimate=value * (
-            series.degree + 1) * float(np.finfo(float).eps))
-    G = _grid_size(series.degree)
-    full, half = _trapezoid(series.uniform_samples(G), p, TWO_PI / G)
-    err_i = abs(full - half) / 3.0
-    if full <= 0.0:
-        return NormValue(0.0, err_i ** (1.0 / p))
-    value = full ** (1.0 / p)
-    return NormValue(value=value, error_estimate=value * err_i / (p * full))
+
+def sup_norm(g) -> NormValue:
+    """max |g| by the dense norm grid plus Newton refinement at its argmax."""
+    return _norms(_series(g), (math.inf,))[math.inf]
+
+
+def kernel_norms(ke: KernelEvaluator, orders) -> dict:
+    """ke's norm cache, with the orders it lacked added by one `_norms`."""
+    missing = [p for p in orders if p not in ke._norm_cache]
+    ke._norm_cache.update(_norms(ke.series, missing))
+    return ke._norm_cache
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
@@ -316,9 +324,7 @@ def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
     """
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta)
-    nv = ke._norm_cache.get(p_prime)
-    if nv is None:
-        nv = ke._norm_cache[p_prime] = lp_norm(ke, p_prime)
+    nv = kernel_norms(ke, (p_prime,))[p_prime]
     measure = 1.0 if math.isinf(p_prime) else TWO_PI ** (1.0 / p_prime)
     return NormValue(value=nv.value,
                      error_estimate=nv.error_estimate + ke.tail_eps * measure)
@@ -403,7 +409,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         def fn(t):
             raw = np.sign(S_of(t))
             return (raw - shift) / (1.0 + abs(shift)) if mean_corrected else raw
-        target = _trapezoid(S, 1.0, h)[0] / math.pi
+        target = _grid_pass(S, (1.0,), h)[0][1.0][0] / math.pi
     elif p == 1.0:
         p_prime = math.inf
         i_star = int(np.argmax(np.abs(S)))

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .approx_ops import kernel_norm
+from .approx_ops import kernel_norm, kernel_norms
 from .errors import DomainError
-from .kernels import KernelEvaluator
+from .kernels import KernelEvaluator, kernel_profile
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
                        characteristics)
 
@@ -223,10 +223,10 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  b: Optional[float] = None) -> list[BoundReport]:
     """Brackets for every (n, beta, mode) in that order.
 
-    Each n's profile decides viability once: a, b > 2, gap >= a and
-    mu >= b.  A viable (n, beta) gets one kernel evaluator, whose cached
-    samples and norms serve every requested exponent; the others are
-    reported precondition_violated without one.
+    Each n's characteristics decide viability once: a, b > 2, gap >= a
+    and mu >= b.  A viable n gets one kernel profile, and each beta one
+    evaluator whose grid is sampled and walked once for every norm order
+    of the modes; the others are reported precondition_violated.
     """
     a, b = _resolve_thresholds(psi, a, b)
     # refuse bad input before any kernel work: no evaluator checks beta
@@ -234,14 +234,16 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
     for beta in betas:
         if not math.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta}")
-    for mode, value in modes:
-        _mode_exponents(mode, value)
+    orders = {_mode_exponents(mode, value)[1] for mode, value in modes}
     out = []
     for n in ns:
         prof = characteristics(psi, float(n))
         viable = a > 2.0 and b > 2.0 and prof.eta_gap >= a and prof.mu >= b
+        kp = kernel_profile(psi, n, prof) if viable else None
         for beta in betas:
-            ke = KernelEvaluator.build(psi, n, beta) if viable else None
+            ke = kp.evaluator(beta) if viable else None
+            if viable:
+                kernel_norms(ke, orders)
             out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
                        for mode, value in modes)
     return out

@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bounds as bnd
-from .approx_ops import kernel_norm, taper_coefficients
+from .approx_ops import kernel_norm, kernel_norms, taper_coefficients
 from .errors import (CapabilityError, DomainError, NumericError,
                      PsiApproxError)
 from .kernels import (KernelEvaluator, envelope_check, lemma1_check,
@@ -162,7 +162,8 @@ def _make_psi(cfg: argparse.Namespace) -> PsiFunction:
     table = getattr(cfg, "psi_table", None)
     if table is None:
         if cfg.alpha is None or cfg.r is None:
-            raise DomainError("exp-power family needs --alpha and --r")
+            alt = ", or --psi-table FILE" if "psi_table" in cfg else ""
+            raise DomainError(f"the profile needs --alpha and --r{alt}")
         return PsiFunction.exp_power(cfg.alpha, cfg.r)
     if cfg.alpha is not None or cfg.r is not None:
         raise DomainError("--psi-table excludes --alpha and --r")
@@ -293,6 +294,7 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
 def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ke = KernelEvaluator.build(psi, cfg.n, cfg.beta)
+    kernel_norms(ke, cfg.p)   # every order from one pass over the grid
     rows = []
     for p in cfg.p:
         nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)

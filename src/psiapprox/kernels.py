@@ -6,15 +6,18 @@ The central object is the kernel
 
 whose taper weights c_k = psi(n) (F - 2n + k) / (F - n) rise linearly from 0
 across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
-truncated at a certified index K.  Three evaluation routes are kept alive on
-purpose (coefficient sum, partial Abel, full Abel over Dirichlet-type
-kernels); their mutual agreement is a standing regression check.
+truncated at a certified index K.  The window, K, its certified tail and
+the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
+per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  Three
+evaluation routes are kept alive on purpose (coefficient sum, partial Abel,
+full Abel over Dirichlet-type kernels); their mutual agreement is a standing
+regression check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateGapError, DomainError, InvalidPsiError,
                      NumericError)
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
-                       _solve_log_decreasing, characteristics)
+                       characteristics)
 from .series import FourierSeries
 
 TWO_PI = 2.0 * math.pi
@@ -136,8 +139,9 @@ def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
 def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     """Upper bound on sum_{k > K} psi(k) via halving blocks.
 
-    Block j starts at s_j (s_0 = K+1, s_{j+1} solves psi = psi(s_j)/2), holds
-    at most gap_j + 1 integers, each with psi <= psi(s_j) = psi(K+1) 2^{-j}.
+    Block j starts at s_j (s_0 = K+1, s_{j+1} = psi.halving_point(s_j),
+    exact for exp-power and to TAIL_ETA_TOL otherwise), holds at most
+    gap_j + 1 integers, each with psi <= psi(s_j) = psi(K+1) 2^{-j}.
     The un-summed remainder is dominated by a geometric series once the
     observed gap growth ratio stays below 1.9; generators whose halving gaps
     keep accelerating (slower than exponential-of-power decay) fail with
@@ -148,8 +152,7 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     total = 0.0
     gaps = []
     for j in range(TAIL_MAX_BLOCKS):
-        target = float(psi.log_value(s)) - LN2
-        s_next = _solve_log_decreasing(psi.log_value, target, s, TAIL_ETA_TOL)
+        s_next = psi.halving_point(s, TAIL_ETA_TOL)
         gap = s_next - s
         gaps.append(gap)
         log_block = log0 - j * LN2
@@ -208,18 +211,14 @@ def _taper_window(psi: PsiFunction, n: int,
 
 
 @dataclass(frozen=True, eq=False)
-class KernelEvaluator:
-    """Immutable evaluator for one (psi, n, beta) residual kernel.
-
-    Construction fixes the taper window, certifies the truncation index K
-    (so the dropped tail sums below tail_eps in absolute value) and packs
-    the coefficients into a FourierSeries for grid work.  `_norm_cache`
-    holds the norms `approx_ops.kernel_norm` has computed for it.
-    """
+class KernelProfile:
+    """The beta-free part of the (psi, n) residual kernel: the taper
+    window, the truncation index K certified so the dropped tail sums below
+    tail_eps in absolute value, and the magnitudes |c_k|, k <= K, that
+    every `evaluator(beta)` shares."""
 
     psi: PsiFunction
     n: int
-    beta: float
     tail_eps: float
     truncation_index: int
     eta_gap: float
@@ -227,33 +226,54 @@ class KernelEvaluator:
     eta_floor: int
     gap_int: int            # F - n, integer taper denominator
     taper_start: int        # first harmonic actually present
-    series: FourierSeries
     certified_tail: float
+    coeffs: np.ndarray      # |c_k|, k = taper_start..truncation_index
+
+    def evaluator(self, beta: float) -> "KernelEvaluator":
+        """The kernel at phase beta*pi/2 over this profile's coefficients."""
+        if not math.isfinite(beta):
+            raise DomainError(f"beta must be finite, got {beta}")
+        series = FourierSeries.from_cosine_profile(
+            self.taper_start, self.coeffs, 0.5 * math.pi * beta)
+        return KernelEvaluator(
+            **{f.name: getattr(self, f.name) for f in fields(KernelProfile)},
+            beta=float(beta), series=series)
+
+
+def kernel_profile(psi: PsiFunction, n: int,
+                   prof: Optional[CharacteristicProfile] = None
+                   ) -> KernelProfile:
+    """The (psi, n) profile; prof is characteristics(psi, n) when given."""
+    if n < 1 or int(n) != n:
+        raise DomainError("n must be a positive integer")
+    n = int(n)
+    if prof is None:
+        prof = characteristics(psi, float(n))
+    eta_floor, start, c_taper = _taper_window(psi, n, prof)
+    tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap)
+    c_tail = np.asarray(psi(np.arange(n, K + 1).astype(float)), dtype=float)
+    return KernelProfile(psi=psi, n=n, tail_eps=tail_eps, truncation_index=K,
+                         eta_gap=prof.eta_gap, mu=prof.mu, eta_floor=eta_floor,
+                         gap_int=eta_floor - n,
+                         taper_start=int(start if c_taper.size else n),
+                         certified_tail=float(bound),
+                         coeffs=np.concatenate([c_taper, c_tail]))
+
+
+@dataclass(frozen=True, eq=False)
+class KernelEvaluator(KernelProfile):
+    """One (psi, n, beta) residual kernel: its profile plus the phase, as a
+    FourierSeries for grid work, and the norms `approx_ops.kernel_norms`
+    has computed for it."""
+
+    beta: float
+    series: FourierSeries
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, psi: PsiFunction, n: int, beta: float) -> "KernelEvaluator":
-        if n < 1 or int(n) != n:
-            raise DomainError("n must be a positive integer")
-        if not math.isfinite(beta):
-            raise DomainError(f"beta must be finite, got {beta}")
-        n = int(n)
-        prof = characteristics(psi, float(n))
-        eta_floor, start, c_taper = _taper_window(psi, n, prof)
-        tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap)
-        ks_tail = np.arange(n, K + 1)
-        c_tail = np.asarray(psi(ks_tail.astype(float)), dtype=float)
-        k0 = start if c_taper.size else n
-        series = FourierSeries.from_cosine_profile(
-            k0, np.concatenate([c_taper, c_tail]), 0.5 * math.pi * beta)
-        return cls(psi=psi, n=n, beta=float(beta), tail_eps=tail_eps,
-                   truncation_index=K, eta_gap=prof.eta_gap,
-                   mu=prof.mu, eta_floor=eta_floor, gap_int=eta_floor - n,
-                   taper_start=int(k0), series=series, certified_tail=float(bound))
-
-    @property
-    def theta(self) -> float:
-        return 0.5 * math.pi * self.beta
+        """One kernel on its own; a sweep over betas shares one profile."""
+        return kernel_profile(psi, n).evaluator(beta)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -296,7 +316,8 @@ class KernelEvaluator:
         ks_tail = np.arange(n, K + 1, dtype=float)
         psi_tail = np.asarray(self.psi(ks_tail), dtype=float)
         if representation == "x":
-            tail = float(np.sum(psi_tail * np.cos(ks_tail * t - self.theta)))
+            tail = float(np.sum(psi_tail * np.cos(
+                ks_tail * t - 0.5 * math.pi * self.beta)))
         else:
             d_tail = _dirichlet_many(np.arange(n - 1, K + 1), self.beta, t)
             # sum psi(k)(D_k - D_{k-1}) = psi(K) D_K - psi(n) D_{n-1} + sum dpsi(k) D_k

@@ -134,6 +134,12 @@ class PsiFunction:
             raise InvalidPsiError(f"psi({t}) = {val} is not positive")
         return math.log(val)
 
+    def halving_point(self, t: float, tol: float) -> float:
+        """eta(t), closed form for exp-power, else bisected to tol in log psi."""
+        if self.family == "exp-power":
+            return (float(t) ** self.r + LN2 / self.alpha) ** (1.0 / self.r)
+        return _solve_eta(self, t, tol)
+
     @property
     def has_derivative(self) -> bool:
         return self.family == "exp-power" or self._deriv is not None

@@ -93,12 +93,14 @@ class FourierSeries:
         if cached is not None:
             return cached
         if 2 * self.degree < grid_size:
-            # irfft pads the spectrum with zeros up to grid_size // 2 + 1
+            # irfft pads the spectrum with zeros up to grid_size // 2 + 1;
+            # a halved spectrum without irfft's 1/G needs no pass over the
+            # samples, and on power-of-two grids both scalings are exact
             spec = np.empty(self.degree + 1, dtype=complex)
             spec[0] = self.a0
             spec[1:] = self.a - 1j * self.b
-            samples = np.fft.irfft(spec, grid_size)
-            samples *= 0.5 * grid_size
+            spec *= 0.5
+            samples = np.fft.irfft(spec, grid_size, norm="forward")
         else:
             buf = np.zeros(grid_size, dtype=complex)
             buf[0] = 0.5 * self.a0

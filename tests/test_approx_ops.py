@@ -63,6 +63,18 @@ def roll_kink(s, p, h):
     return float(h * np.sum(exact - trap))
 
 
+def blocked_trapezoid(s, p, h):
+    """The composite rule on s (step h) and on its even nodes (step 2h):
+    one np.sum of |s|^p per _BLOCK-point block of s, added in the pass's
+    pairwise order, plus the whole-grid np.roll panel correction."""
+    B = approx_ops._BLOCK
+    blocks = [np.abs(s[i:i + B]) ** p for i in range(0, s.size, B)]
+    full = approx_ops._halving_sum([np.sum(b) for b in blocks])
+    half = approx_ops._halving_sum([np.sum(b[::2]) for b in blocks])
+    return (h * full + roll_kink(s, p, h),
+            2.0 * h * half + roll_kink(s[::2], p, 2.0 * h))
+
+
 def unblocked_lp(s, p):
     """lp_norm's trapezoid and Richardson estimate with whole-grid arrays:
     one np.sum over |s|^p per grid, the half grid copied out of s."""
@@ -363,8 +375,8 @@ class TestBlockedPasses:
         s[300:310] = np.where(np.arange(10) % 2, -1.0, 1.0) * 1.3
         h = TWO_PI / G
         for grid in (s, s[::2]):
-            assert approx_ops._kink_correction(grid, p, h) == roll_kink(
-                grid, p, h)
+            sums, _ = approx_ops._grid_pass(grid, (p,), h)
+            assert sums[p] == blocked_trapezoid(grid, p, h)
 
     def test_argmax_keeps_first_index_rule(self):
         B = approx_ops._BLOCK
@@ -381,7 +393,48 @@ class TestBlockedPasses:
             s = base.copy()
             for i, v in case.items():
                 s[i] = v
-            assert approx_ops._argmax_abs(s) == int(np.argmax(np.abs(s)))
+            _, i = approx_ops._grid_pass(s, (), 1.0, peak=True)
+            assert i == int(np.argmax(np.abs(s)))
+
+    def test_orders_in_one_pass_match_single_orders(self, deep_kernel):
+        one_block = zero_mean_series(np.random.default_rng(7), 300)
+        orders = (1.0, 4.0 / 3.0, 4.0, math.inf)
+        for g in (deep_kernel.series, one_block):
+            together = approx_ops._norms(g, orders)
+            assert together == {p: lp_norm(g, p) for p in orders}
+            assert together[math.inf] == sup_norm(g)
+        ke = KernelEvaluator.build(PsiFunction.exp_power(2.0, 0.3), 200, 0.0)
+        approx_ops.kernel_norms(ke, orders)
+        assert ke._norm_cache == {p: lp_norm(deep_kernel, p) for p in orders}
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_sup_norm_matches_per_derivative_newton(self, psi_slow, beta):
+        # the refinement used to evaluate g' and g'' as two series per
+        # iterate; one shared cos/sin table must give the same bits
+        ke = KernelEvaluator.build(psi_slow, 200, beta)
+        series = ke.series
+        G = approx_ops._grid_size(series.degree)
+        s = series.uniform_samples(G)
+        i = int(np.argmax(np.abs(s)))
+        peak = float(abs(s[i]))
+        h = TWO_PI / G
+        lo, hi = (i - 1) * h, (i + 1) * h
+        d1 = series.derivative()
+        d2 = d1.derivative()
+        t, step = i * h, 0.0
+        for _ in range(8):
+            curv = float(d2.eval(t))
+            if curv == 0.0:
+                break
+            t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
+            step, t = t_new - t, t_new
+            if abs(step) < 1e-13:
+                break
+        if t != i * h:
+            peak = max(peak, abs(float(series.eval(t))))
+        curvature = float(np.sum(np.hypot(d2.a, d2.b)))
+        assert sup_norm(ke) == approx_ops.NormValue(
+            value=peak, error_estimate=0.5 * curvature * step ** 2)
 
     def test_grid_norms_take_no_grid_sized_temporaries(self, deep_kernel):
         deep_kernel.series.uniform_samples(1 << 20)   # cache the 8 MB grid first

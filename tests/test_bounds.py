@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
-                       characteristics, conjugate_exponent, const_Ca,
+from psiapprox import (DomainError, FourierSeries, PsiFunction, approx_ops,
+                       asymp_scan, bounds, characteristics, conjugate_exponent, const_Ca,
                        const_Cab, const_Cab_p, const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
                        verify_sweep, verify_theorem1, verify_theorem2)
@@ -198,17 +198,27 @@ class TestVerify:
                 for mode, value in modes:
                     fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
                     fresh.append(fn(psi_half, beta, value, n))
-        calls = []
-        lp_norm = approx_ops.lp_norm
+        counts = {"profiles": 0, "misses": 0, "passes": 0}
 
-        def counting(g, p):
-            calls.append((g, p))   # holding g keeps every id distinct
-            return lp_norm(g, p)
-        monkeypatch.setattr(approx_ops, "lp_norm", counting)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        sample = FourierSeries.uniform_samples
+
+        def sampling(series, grid_size):
+            counts["misses"] += grid_size not in series._sample_cache
+            return sample(series, grid_size)
+        monkeypatch.setattr(bounds, "kernel_profile",
+                            counting("profiles", bounds.kernel_profile))
+        monkeypatch.setattr(approx_ops, "_grid_pass",
+                            counting("passes", approx_ops._grid_pass))
+        monkeypatch.setattr(FourierSeries, "uniform_samples", sampling)
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
-        # orders {inf, 2, 4/3, 1} and {1, 2, 4, inf}: five distinct
-        assert len(calls) == 4 * 5
-        assert len({(id(g), p) for g, p in calls}) == len(calls)
+        # one profile per n; per (n, beta) evaluator one FFT and one walk
+        # over its grid for orders 1, 4/3, 4 and inf (2 is Parseval's)
+        assert counts == {"profiles": 2, "misses": 4, "passes": 4}
         assert reps == fresh
 
     def test_sweep_matches_single_calls(self, psi_half):

@@ -38,9 +38,14 @@ class TestCharacteristics:
         assert len(lines) == 4
 
     def test_missing_profile_params(self, capsys):
-        code, _, err = run_cli(capsys, "characteristics", "--t", "9")
+        code, out, err = run_cli(capsys, "characteristics", "--t", "9")
+        assert (code, out) == (2, "")
+        assert err == ("error: the profile needs --alpha and --r, "
+                       "or --psi-table FILE\n")
+        # asymp takes no table, so it names only the exp-power options
+        code, _, err = run_cli(capsys, "asymp", "--p", "2", "--n-range", "11:12")
         assert code == 2
-        assert "alpha" in err
+        assert err == "error: the profile needs --alpha and --r\n"
 
 
 class TestLambdaAndKernel:

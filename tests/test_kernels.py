@@ -12,6 +12,7 @@ from psiapprox import (DegenerateGapError, DomainError, InvalidPsiError,
                        tail_sum_bound_check, taper_coefficients,
                        truncation_index)
 from psiapprox import kernels
+from psiapprox.psi_core import LN2, _solve_log_decreasing
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +90,46 @@ class TestTruncation:
         bound = certified_tail_sum(psi_unit_gap, 30)
         exact = 2.0 * 2.0 ** (-31.0)
         assert exact <= bound <= 2.2 * exact
+
+    def test_closed_form_halving_keeps_K(self, monkeypatch):
+        # exp-power halving points come in closed form; K must be the one
+        # the bisected chain gave, and each point within its tolerance
+        tol = kernels.TAIL_ETA_TOL
+        closed = PsiFunction.halving_point
+        points = []
+
+        def recording(psi, t, tol):
+            points.append((psi, t))
+            return closed(psi, t, tol)
+
+        def bisected(psi, t, tol):
+            return _solve_log_decreasing(
+                psi.log_value, float(psi.log_value(t)) - LN2, float(t), tol)
+
+        others = [(0.5, 0.5), (0.5, 0.7), (1.0, 0.7), (2.0, 0.5), (2.0, 0.7)]
+        cases = [(2.0, 0.3, range(160, 257)), (1.0, 0.5, range(11, 65))] + [
+            (a, r, range(exp_power_thresholds(a, r)[2], 257, 8))
+            for a, r in others]
+        for alpha, r, ns in cases:
+            psi = PsiFunction.exp_power(alpha, r)
+            for n in ns:
+                gap = characteristics(psi, float(n)).eta_gap
+                monkeypatch.setattr(PsiFunction, "halving_point", recording)
+                K = kernels._tail_budget(psi, n, gap)[1]
+                monkeypatch.setattr(PsiFunction, "halving_point", bisected)
+                assert kernels._tail_budget(psi, n, gap)[1] == K, (alpha, r, n)
+        monkeypatch.undo()
+        assert len(points) > 1000
+        for psi, t in points:
+            assert abs(psi.log_value(closed(psi, t, tol))
+                       - psi.log_value(bisected(psi, t, tol))) <= tol
+
+    def test_halving_point_of_a_table_bisects(self):
+        ts = np.arange(1.0, 200.0)
+        psi = PsiFunction.from_table(ts, np.exp(-np.sqrt(ts)))
+        target = float(psi.log_value(30.0)) - LN2
+        assert psi.halving_point(30.0, 1e-6) == _solve_log_decreasing(
+            psi.log_value, target, 30.0, 1e-6)
 
     def test_rejects_non_decaying_profile(self):
         flat = PsiFunction.custom(lambda t: np.full_like(

@@ -70,6 +70,16 @@ def test_uniform_samples_near_nyquist(degree):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree, G", [(300, 1 << 12), (50_000, 1 << 20)])
+def test_uniform_samples_bitwise_at_power_of_two(degree, G):
+    # the spectrum is halved before an unscaled inverse FFT; on a
+    # power-of-two grid that equals irfft's 1/G then a 0.5 G rescale
+    f = random_series(np.random.default_rng(degree), degree)
+    spec = np.concatenate(([f.a0], f.a - 1j * f.b))
+    assert np.array_equal(f.uniform_samples(G),
+                          np.fft.irfft(spec, G) * (0.5 * G))
+
+
 def test_sample_cache_is_reused():
     f = FourierSeries(a0=1.0, a=[1.0], b=[0.5])
     s1 = f.uniform_samples(32)
