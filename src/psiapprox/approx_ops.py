@@ -7,8 +7,8 @@ a convolution with the residual kernel, which is what ties this module to
 `kernels`, which also owns the taper window.  Norm computation is
 deliberately boring: composite trapezoid on uniform grids (spectrally
 accurate for periodic integrands, with a local correction at sign-change
-panels of |g|^p).  A kernel's grid is sampled once and walked once, block
-by block, for every order a caller asks for at the same time.
+panels of |g|^p).  A kernel's grid (its profile's FFT, mirrored) is walked
+once, block by block, for every order a caller asks for at the same time.
 """
 
 from __future__ import annotations
@@ -144,15 +144,6 @@ class NormValue:
         return self.value
 
 
-def _series(g) -> FourierSeries:
-    """The coefficient form of a norm target: a kernel's series, or a series."""
-    if isinstance(g, KernelEvaluator):
-        return g.series
-    if isinstance(g, FourierSeries):
-        return g
-    raise DomainError(f"cannot take norms of {type(g).__name__}")
-
-
 def _grid_size(degree: int) -> int:
     """The norm grid of a degree-`degree` series: _POINTS_PER_WAVELENGTH
     nodes per wavelength of its top harmonic, rounded up to a power of two
@@ -176,6 +167,16 @@ def _halving_sum(parts: list) -> float:
     while len(parts) > 1:
         parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
     return float(parts[0])
+
+
+def _power(w: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """w**p (w >= 0) into out; at p = 4 the square of the square and at
+    p = 4/3 w cbrt(w), both cheaper than np.power."""
+    if p == 4.0:
+        return np.square(np.square(w, out=out), out=out)
+    if p == 4.0 / 3.0:
+        return np.multiply(np.cbrt(w, out=out), w, out=out)
+    return np.power(w, p, out=out)
 
 
 def _kinks(s: np.ndarray, panels: list, orders, h: float) -> dict:
@@ -219,7 +220,7 @@ def _grid_pass(s: np.ndarray, orders, h: float,
             if w[j] > top:
                 i_peak, top = start + j, w[j]
         for p in orders:
-            wp = w if p == 1.0 else np.power(w, p, out=powered[:w.size])
+            wp = w if p == 1.0 else _power(w, p, powered[:w.size])
             sums[p][0].append(wp.sum())
             sums[p][1].append(wp[::2].sum())
         if kinked:
@@ -235,7 +236,8 @@ def _grid_pass(s: np.ndarray, orders, h: float,
             for p, (full, half) in sums.items()}, i_peak
 
 
-def _sup_refined(series: FourierSeries, s: np.ndarray, i: int) -> NormValue:
+def _sup_refined(series: FourierSeries, s: np.ndarray, i: int,
+                 curvature: Optional[float]) -> NormValue:
     """max |g| from its grid argmax i, refined by Newton steps on g' that
     read g' and g'' off one cos/sin table per iterate.  At 16 nodes per
     wavelength the peak is within one cell of node i, so steps are clamped
@@ -260,23 +262,33 @@ def _sup_refined(series: FourierSeries, s: np.ndarray, i: int) -> NormValue:
             break
     if t != i * h:  # at the node itself the grid sample is the value
         peak = max(peak, abs(float(series.eval(t))))
-    curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
+    if curvature is None:   # a kernel's comes from its profile
+        curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
     return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
 
 
-def _norms(series: FourierSeries, orders) -> dict:
-    """{p: NormValue} for each order p in [1, inf].  p = 2 is Parseval's
-    sqrt(pi * energy), exact up to the rounding of its degree-term sum;
-    the others share one `_grid_pass` over the norm grid (trapezoid with a
-    half-grid Richardson estimate; the refined maximum at p = inf)."""
+def _norms(g, orders) -> dict:
+    """{p: NormValue} for each order p in [1, inf] of a series or a kernel
+    (a kernel's profile gives its energy and sum k^2 |c_k|).  p = 2 is
+    Parseval's sqrt(pi * energy); the others share one `_grid_pass` over
+    the norm grid, the refined maximum at p = inf and else the trapezoid
+    with the half-grid Richardson estimate, except at even p below
+    G / degree: there the rule is exact for |g|^p and, as for Parseval,
+    only the rounding of the summed terms is left."""
+    kernel = isinstance(g, KernelEvaluator)
+    series = g.series if kernel else g
+    if not isinstance(series, FourierSeries):
+        raise DomainError(f"cannot take norms of {type(g).__name__}")
+    eps = float(np.finfo(float).eps)
     out, grid = {}, []
     for p in dict.fromkeys(orders):
         if not p >= 1.0:
             raise DomainError(f"p must be >= 1, got {p}")
         if p == 2.0:
-            value = math.sqrt(math.pi * series.energy())
+            value = math.sqrt(math.pi * (g.energy if kernel
+                                         else series.energy()))
             out[p] = NormValue(value=value, error_estimate=value * (
-                series.degree + 1) * float(np.finfo(float).eps))
+                series.degree + 1) * eps)
         else:
             grid.append(p)
     if not grid:
@@ -287,30 +299,32 @@ def _norms(series: FourierSeries, orders) -> dict:
     sums, i = _grid_pass(s, finite, TWO_PI / G, peak=len(finite) < len(grid))
     for p in finite:
         full, half = sums[p]
-        err_i = abs(full - half) / 3.0
+        exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
+        err_i = full * (G + 2) * eps if exact else abs(full - half) / 3.0
         value = full ** (1.0 / p) if full > 0.0 else 0.0
         out[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                            else err_i ** (1.0 / p))
     if i is not None:
-        out[math.inf] = _sup_refined(series, s, i)
+        out[math.inf] = _sup_refined(series, s, i,
+                                     g.curvature if kernel else None)
     return out
 
 
 def lp_norm(g, p: float) -> NormValue:
     """(int_0^{2pi} |g|^p dt)^{1/p}, or max |g| at p = inf, for a
     FourierSeries or a KernelEvaluator: `_norms` with one order."""
-    return _norms(_series(g), (p,))[p]
+    return _norms(g, (p,))[p]
 
 
 def sup_norm(g) -> NormValue:
     """max |g| by the dense norm grid plus Newton refinement at its argmax."""
-    return _norms(_series(g), (math.inf,))[math.inf]
+    return _norms(g, (math.inf,))[math.inf]
 
 
 def kernel_norms(ke: KernelEvaluator, orders) -> dict:
     """ke's norm cache, with the orders it lacked added by one `_norms`."""
     missing = [p for p in orders if p not in ke._norm_cache]
-    ke._norm_cache.update(_norms(ke.series, missing))
+    ke._norm_cache.update(_norms(ke, missing))
     return ke._norm_cache
 
 

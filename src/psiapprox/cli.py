@@ -56,9 +56,20 @@ def _parse_range(text: str) -> list:
     return list(range(lo, hi + 1))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses under its own usage the options it leaves unread: those in
+    its stretch of the command line, as a command parses inside its parent."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        cfg, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return cfg, unread
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One parser per command and verify check, taking no abbreviations."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="psiapprox", allow_abbrev=False,
         description="Tapered trigonometric approximation toolkit")
     commands = ap.add_subparsers(dest="command", required=True)
@@ -96,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(subs, name, handler, help, *groups):
         sp = subs.add_parser(name, help=help, allow_abbrev=False)
-        sp.set_defaults(handler=handler, parser=sp)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         for group in groups:
@@ -451,9 +462,7 @@ def _cmd_asymp(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    cfg, unread = _build_parser().parse_known_args(argv)
-    if unread:
-        cfg.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    cfg = _build_parser().parse_args(argv)
     try:
         return cfg.handler(cfg)
     except (DomainError, CapabilityError, OSError) as exc:

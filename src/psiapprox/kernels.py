@@ -8,7 +8,10 @@ whose taper weights c_k = psi(n) (F - 2n + k) / (F - n) rise linearly from 0
 across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
 truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
-per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  Three
+per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
+FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
+and each beta's grid is (cos th + sin th) f(t) + (cos th - sin th) f(-t),
+th = beta*pi/2, by one mirrored pass.  Three
 evaluation routes are kept alive on purpose (coefficient sum, partial Abel,
 full Abel over Dirichlet-type kernels); their mutual agreement is a standing
 regression check.
@@ -228,13 +231,16 @@ class KernelProfile:
     taper_start: int        # first harmonic actually present
     certified_tail: float
     coeffs: np.ndarray      # |c_k|, k = taper_start..truncation_index
+    folded: FourierSeries   # sum (c_k/2)(cos kt + sin kt): all betas' grids
+    energy: float           # sum c_k^2, Parseval's energy at every beta
+    curvature: float        # sum k^2 |c_k|, bounds |K*''| at every beta
 
     def evaluator(self, beta: float) -> "KernelEvaluator":
         """The kernel at phase beta*pi/2 over this profile's coefficients."""
         if not math.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta}")
         series = FourierSeries.from_cosine_profile(
-            self.taper_start, self.coeffs, 0.5 * math.pi * beta)
+            self.taper_start, self.coeffs, 0.5 * math.pi * beta, self.folded)
         return KernelEvaluator(
             **{f.name: getattr(self, f.name) for f in fields(KernelProfile)},
             beta=float(beta), series=series)
@@ -252,12 +258,17 @@ def kernel_profile(psi: PsiFunction, n: int,
     eta_floor, start, c_taper = _taper_window(psi, n, prof)
     tail_eps, K, bound = _tail_budget(psi, n, prof.eta_gap)
     c_tail = np.asarray(psi(np.arange(n, K + 1).astype(float)), dtype=float)
+    start = int(start if c_taper.size else n)
+    c = np.zeros(K)   # |c_k| on harmonics 1..K, laid out as the series' a
+    c[start - 1:] = np.concatenate([c_taper, c_tail])
+    k, half = np.arange(1.0, K + 1.0), 0.5 * c
     return KernelProfile(psi=psi, n=n, tail_eps=tail_eps, truncation_index=K,
                          eta_gap=prof.eta_gap, mu=prof.mu, eta_floor=eta_floor,
-                         gap_int=eta_floor - n,
-                         taper_start=int(start if c_taper.size else n),
-                         certified_tail=float(bound),
-                         coeffs=np.concatenate([c_taper, c_tail]))
+                         gap_int=eta_floor - n, taper_start=start,
+                         certified_tail=float(bound), coeffs=c[start - 1:],
+                         folded=FourierSeries(0.0, half, half),
+                         energy=float(c @ c),
+                         curvature=float(np.sum(k * (k * c))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -15,6 +15,19 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
+MIRROR_BLOCK = 1 << 16   # points per block of the mirrored sampling pass
+
+
+def _mirrored(f: np.ndarray, u: float, v: float) -> np.ndarray:
+    """u f_j + v f_{-j}, j = 0..G-1 mod G, one MIRROR_BLOCK at a time."""
+    out, rev = np.empty_like(f), f[::-1]   # rev[j - 1] is f_{G - j}
+    out[0] = u * f[0] + v * f[0]
+    scratch = np.empty(min(f.size, MIRROR_BLOCK))
+    for lo in range(1, f.size, MIRROR_BLOCK):
+        o = out[lo:lo + MIRROR_BLOCK]
+        np.multiply(f[lo:lo + o.size], u, out=o)
+        o += np.multiply(rev[lo - 1:lo - 1 + o.size], v, out=scratch[:o.size])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,6 +36,7 @@ class FourierSeries:
     a: np.ndarray
     b: np.ndarray
     _sample_cache: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _mirror: Optional[tuple] = field(default=None, repr=False)   # (f, u, v)
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -37,17 +51,22 @@ class FourierSeries:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_cosine_profile(cls, k_start: int, coeffs, phase: float) -> "FourierSeries":
-        """Series sum_k c_k cos(kt - phase) for k = k_start, ..."""
+    def from_cosine_profile(cls, k_start: int, coeffs, phase: float,
+                            folded=None) -> "FourierSeries":
+        """Series sum_k c_k cos(kt - phase) for k = k_start, ...  Given f =
+        `folded`, sum_k (c_k/2)(cos kt + sin kt), it is (cos phase + sin phase)
+        f(t) + (cos phase - sin phase) f(-t): its samples mirror f's."""
         c = np.asarray(coeffs, dtype=float)
         if k_start < 1:
             raise DomainError("cosine profile starts at k >= 1")
         n = k_start + c.size - 1
         a = np.zeros(n)
         b = np.zeros(n)
-        a[k_start - 1:] = c * math.cos(phase)
-        b[k_start - 1:] = c * math.sin(phase)
-        return cls(a0=0.0, a=a, b=b)
+        cos, sin = math.cos(phase), math.sin(phase)
+        a[k_start - 1:] = c * cos
+        b[k_start - 1:] = c * sin
+        return cls(a0=0.0, a=a, b=b, _mirror=None if folded is None
+                   else (folded, cos + sin, cos - sin))
 
     @property
     def degree(self) -> int:
@@ -84,15 +103,19 @@ class FourierSeries:
 
         Exact (to rounding) for any grid size: below the Nyquist harmonic by
         a real inverse FFT, otherwise with harmonics wrapped onto their
-        aliases, the identity the sample values themselves satisfy.  Results
-        are cached per grid size; treat them as read-only.
+        aliases, the identity the sample values themselves satisfy.  A series
+        u f(t) + v f(-t) mirrors f's samples instead.  Results are cached per
+        grid size; treat them as read-only.
         """
         if grid_size < 1:
             raise DomainError("grid size must be positive")
         cached = self._sample_cache.get(grid_size)
         if cached is not None:
             return cached
-        if 2 * self.degree < grid_size:
+        if self._mirror is not None:
+            f, u, v = self._mirror
+            samples = _mirrored(f.uniform_samples(grid_size), u, v)
+        elif 2 * self.degree < grid_size:
             # irfft pads the spectrum with zeros up to grid_size // 2 + 1;
             # a halved spectrum without irfft's 1/G needs no pass over the
             # samples, and on power-of-two grids both scalings are exact

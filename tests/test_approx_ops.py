@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
     return total ** (1.0 / p)
 
 
+def power(w, p):
+    """w**p by the pass's own power helper, so references built on it
+    check the block walk, not the power."""
+    return approx_ops._power(w, p, np.empty_like(w))
+
+
 def roll_kink(s, p, h):
     """Sign-change panel correction over whole-grid np.roll neighbours."""
     if p == 2.0 * round(p / 2.0):
@@ -68,7 +75,7 @@ def blocked_trapezoid(s, p, h):
     one np.sum of |s|^p per _BLOCK-point block of s, added in the pass's
     pairwise order, plus the whole-grid np.roll panel correction."""
     B = approx_ops._BLOCK
-    blocks = [np.abs(s[i:i + B]) ** p for i in range(0, s.size, B)]
+    blocks = [power(np.abs(s[i:i + B]), p) for i in range(0, s.size, B)]
     full = approx_ops._halving_sum([np.sum(b) for b in blocks])
     half = approx_ops._halving_sum([np.sum(b[::2]) for b in blocks])
     return (h * full + roll_kink(s, p, h),
@@ -76,18 +83,22 @@ def blocked_trapezoid(s, p, h):
 
 
 def unblocked_lp(s, p):
-    """lp_norm's trapezoid and Richardson estimate with whole-grid arrays:
-    one np.sum over |s|^p per grid, the half grid copied out of s."""
+    """lp_norm's trapezoid and error estimate with whole-grid arrays: one
+    np.sum over |s|^p per grid, the half grid copied out of s.  The
+    estimate is Richardson's, or at even p, where the rule is exact on
+    these 16-nodes-per-wavelength grids, the rounding of G terms."""
     h = TWO_PI / s.size
 
     def integral(samples, step):
-        return (step * float(np.sum(np.abs(samples) ** p))
+        return (step * float(np.sum(power(np.abs(samples), p)))
                 + roll_kink(samples, p, step))
 
     full = integral(s, h)
     half = integral(s[::2], 2.0 * h)
     value = full ** (1.0 / p)
-    return value, value * (abs(full - half) / 3.0) / (p * full)
+    err = (full * (s.size + 2) * np.finfo(float).eps if p % 2.0 == 0.0
+           else abs(full - half) / 3.0)
+    return value, value * err / (p * full)
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +301,9 @@ class TestNorms:
         ke = KernelEvaluator.build(psi_half, 16, 0.5)
         nv = lp_norm(ke, 2.0)
         assert ke.series._sample_cache == {}
-        assert nv.value == math.sqrt(math.pi * ke.series.energy())
+        # the energy is the profile's sum c_k^2, the phased series' to rounding
+        assert nv.value == math.sqrt(math.pi * ke.energy)
+        assert ke.energy == pytest.approx(ke.series.energy(), rel=1e-15)
         # worst-case rounding of the degree-term sum, nothing more
         assert nv.error_estimate <= 1e-12 * nv.value
 
@@ -377,6 +390,36 @@ class TestBlockedPasses:
         for grid in (s, s[::2]):
             sums, _ = approx_ops._grid_pass(grid, (p,), h)
             assert sums[p] == blocked_trapezoid(grid, p, h)
+
+    @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 3.0])
+    def test_power_helper_within_ulps_of_np_power(self, p):
+        rng = np.random.default_rng(11)
+        w = np.concatenate(([0.0, 1.0], 10.0 ** rng.uniform(-30.0, 3.0, 5000),
+                            rng.uniform(0.0, 1.0, 5000)))
+        ref = np.power(w, p)
+        got = approx_ops._power(w, p, np.empty_like(w))
+        assert got[0] == 0.0 and got[1] == 1.0
+        # the float 4/3 is not 4/3: np.power's w^p then differs from
+        # w cbrt(w) by about (p - 4/3) ln w relative, on top of the ulps
+        miss = float(Fraction(p) - Fraction(4, 3)) if p < 2.0 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drift = np.nan_to_num(np.abs(ref * miss * np.log(w)))
+        assert np.all(np.abs(got - ref) <= 3.0 * np.spacing(ref) + drift)
+
+    def test_even_order_error_is_rounding(self):
+        # |sin|^4 is a trigonometric polynomial the 4,096-point rule
+        # integrates exactly: the estimate is the rounding of its terms
+        f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
+        nv = lp_norm(f, 4.0)
+        eps = np.finfo(float).eps
+        assert nv.error_estimate == nv.value * 4098 * eps / 4.0
+        assert abs(nv.value - (0.75 * math.pi) ** 0.25) <= nv.error_estimate
+        # at p = 16 the 4,096 nodes of a degree-256 series no longer
+        # integrate |g|^p exactly, so the half-grid estimate is back
+        top = FourierSeries(a0=0.0, a=np.zeros(256), b=np.ones(256))
+        assert approx_ops._grid_size(top.degree) == 4096
+        nv = lp_norm(top, 16.0)
+        assert nv.error_estimate > 1e-6 * nv.value
 
     def test_argmax_keeps_first_index_rule(self):
         B = approx_ops._BLOCK

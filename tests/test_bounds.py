@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from psiapprox import (DomainError, FourierSeries, PsiFunction, approx_ops,
-                       asymp_scan, bounds, characteristics, conjugate_exponent, const_Ca,
+from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
+                       bounds, characteristics, conjugate_exponent, const_Ca,
                        const_Cab, const_Cab_p, const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
                        verify_sweep, verify_theorem1, verify_theorem2)
@@ -198,27 +198,23 @@ class TestVerify:
                 for mode, value in modes:
                     fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
                     fresh.append(fn(psi_half, beta, value, n))
-        counts = {"profiles": 0, "misses": 0, "passes": 0}
+        counts = {"profiles": 0, "ffts": 0, "passes": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
-        sample = FourierSeries.uniform_samples
-
-        def sampling(series, grid_size):
-            counts["misses"] += grid_size not in series._sample_cache
-            return sample(series, grid_size)
         monkeypatch.setattr(bounds, "kernel_profile",
                             counting("profiles", bounds.kernel_profile))
         monkeypatch.setattr(approx_ops, "_grid_pass",
                             counting("passes", approx_ops._grid_pass))
-        monkeypatch.setattr(FourierSeries, "uniform_samples", sampling)
+        monkeypatch.setattr(np.fft, "irfft", counting("ffts", np.fft.irfft))
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
-        # one profile per n; per (n, beta) evaluator one FFT and one walk
-        # over its grid for orders 1, 4/3, 4 and inf (2 is Parseval's)
-        assert counts == {"profiles": 2, "misses": 4, "passes": 4}
+        # one profile and one FFT per n, which both betas mirror; per
+        # (n, beta) evaluator one walk over its grid for orders 1, 4/3, 4
+        # and inf (2 is Parseval's)
+        assert counts == {"profiles": 2, "ffts": 2, "passes": 4}
         assert reps == fresh
 
     def test_sweep_matches_single_calls(self, psi_half):

@@ -320,6 +320,25 @@ class TestOutputPlumbing:
         path = " ".join(a for a in argv[:2] if not a.startswith("--"))
         assert err.startswith(f"usage: psiapprox {path} [-h]")
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["--frobnicate", "characteristics", *HALF, "--t", "9"], "psiapprox"),
+        (["verify", "--frobnicate", "theorem1", *HALF, "--n", "12"],
+         "psiapprox verify"),
+    ])
+    def test_option_before_its_command_is_refused_by_the_outer_parser(
+            self, capsys, argv, prog):
+        # the parser whose stretch of the command line holds the option
+        # left it unread, so its usage is the one shown
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the usage names the parser and its commands: no leaf's options
+        assert " ".join(err.split()).startswith(f"usage: {prog} [-h] {{")
+        assert err.endswith(
+            f"{prog}: error: unrecognized arguments: --frobnicate\n")
+
     def test_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "psiapprox.cli", "characteristics",

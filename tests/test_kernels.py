@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from psiapprox import (DegenerateGapError, DomainError, InvalidPsiError,
-                       KernelEvaluator, PsiFunction, certified_tail_sum,
-                       characteristics, dirichlet, envelope_check,
-                       exp_power_thresholds, lemma1_check,
+from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
+                       InvalidPsiError, KernelEvaluator, PsiFunction,
+                       certified_tail_sum, characteristics, dirichlet,
+                       envelope_check, exp_power_thresholds, lemma1_check,
                        tail_sum_bound_check, taper_coefficients,
                        truncation_index)
 from psiapprox import kernels
@@ -225,6 +225,43 @@ class TestKernelEvaluator:
     def test_beta_must_be_finite(self, psi_half, beta):
         with pytest.raises(DomainError):
             KernelEvaluator.build(psi_half, 12, beta)
+
+
+def fft_samples(ke, G):
+    """ke's samples by an FFT of its own coefficients, not its profile's."""
+    return FourierSeries(0.0, ke.series.a, ke.series.b).uniform_samples(G)
+
+
+class TestMirroredSamples:
+    """Every beta's grid is its profile's one FFT, mirrored."""
+
+    @pytest.fixture(scope="class")
+    def deep_profile(self, psi_slow):
+        return kernels.kernel_profile(psi_slow, 200)
+
+    @pytest.mark.parametrize("G", [4096, 1 << 20])   # aliased; irfft route
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5, -1.3, 2.7])
+    def test_agrees_with_the_phased_fft(self, deep_profile, beta, G):
+        ke = deep_profile.evaluator(beta)
+        ref = fft_samples(ke, G)
+        s = ke.series.uniform_samples(G)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(s - ref)) <= 4.0 * eps * np.max(np.abs(ref))
+
+    def test_beta_zero_peak_sample_keeps_its_bits(self, psi_slow):
+        # K*(0) at beta = 0 is the p = inf norm of `kernel-norm`; the
+        # mirrored pass doubles f_0, which must equal the phased FFT's value
+        for n in range(160, 257, 8):
+            ke = kernels.kernel_profile(psi_slow, n).evaluator(0.0)
+            G = 1 << 20
+            assert ke.series.uniform_samples(G)[0] == fft_samples(ke, G)[0]
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_profile_sums_keep_the_series_bits(self, deep_profile, beta):
+        ke = deep_profile.evaluator(beta)
+        d2 = ke.series.derivative().derivative()
+        assert ke.energy == ke.series.energy()
+        assert ke.curvature == float(np.sum(np.hypot(d2.a, d2.b)))
 
 
 class TestLemma1:

@@ -99,6 +99,22 @@ def test_from_cosine_profile_offset_and_phase():
     assert f.a0 == 0.0
 
 
+@pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
+def test_mirrored_samples_on_any_grid(G):
+    # odd sizes, one block and a short last block; 7 points alias the
+    # degree-12 series, whose samples still follow the mirror identity
+    rng = np.random.default_rng(G)
+    coeffs = rng.standard_normal(10)
+    half = np.concatenate((np.zeros(2), 0.5 * coeffs))
+    folded = FourierSeries(a0=0.0, a=half, b=half)
+    grid = TWO_PI * np.arange(G) / G
+    for phase in (0.0, 0.4, -2.1):
+        f = FourierSeries.from_cosine_profile(3, coeffs, phase, folded)
+        np.testing.assert_allclose(f.uniform_samples(G), f(grid), rtol=0,
+                                   atol=1e-13)
+    assert list(folded._sample_cache) == [G]
+
+
 def test_antiderivative_inverts_differentiation():
     rng = np.random.default_rng(2)
     f = random_series(rng, 20)
