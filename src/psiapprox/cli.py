@@ -26,8 +26,8 @@ from . import bounds as bnd
 from .approx_ops import kernel_norm, kernel_norms, taper_coefficients
 from .errors import (CapabilityError, DomainError, NumericError,
                      PsiApproxError)
-from .kernels import (KernelEvaluator, envelope_check, lemma1_check,
-                      tail_sum_bound_check)
+from .kernels import (KernelEvaluator, envelope_check, kernel_profile,
+                      lemma1_check, tail_sum_bound_check)
 from .psi_core import PsiFunction, characteristics, lemma2_margins
 
 EXIT_OK = 0
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float)
     command(checks, "envelopes", _cmd_verify_envelopes,
             "kernel envelopes and tail-sum bound",
-            profile, degrees, beta, thresholds, force)
+            profile, degrees, thresholds, force)
 
     command(commands, "table", _cmd_table, "bracket table over a run of n",
             profile, scan, thresholds, force)
@@ -397,11 +397,10 @@ def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
     a, b = bnd._resolve_thresholds(psi, cfg.a, cfg.b)
     rows, failed, violated = [], 0, 0
     for n in ns:
-        ke = KernelEvaluator.build(psi, n, cfg.beta)
-        env = envelope_check(ke, a, b)
-        tail = tail_sum_bound_check(psi, n, a, b, beta=cfg.beta,
-                                    evaluator=ke)
-        row = {"n": n, "beta": cfg.beta, "a": a, "b": b,
+        kp = kernel_profile(psi, n)
+        env = envelope_check(kp, a, b)
+        tail = tail_sum_bound_check(psi, n, a, b, evaluator=kp)
+        row = {"n": n, "a": a, "b": b,
                "envelope_status": env.status,
                "pointwise_ok": env.pointwise_ok,
                "pointwise_margin": env.pointwise_margin,

@@ -11,10 +11,11 @@ the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
 FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
 and each beta's grid is (cos th + sin th) f(t) + (cos th - sin th) f(-t),
-th = beta*pi/2, by one mirrored pass.  Three
-evaluation routes are kept alive on purpose (coefficient sum, partial Abel,
-full Abel over Dirichlet-type kernels); their mutual agreement is a standing
-regression check.
+th = beta*pi/2, by one mirrored pass.  The envelope and tail-sum checks
+certify their bounds from sums over the |c_k|: every beta at once, no grid.
+Three evaluation routes are kept alive on purpose (coefficient sum, partial
+Abel, full Abel over Dirichlet-type kernels); their mutual agreement is a
+standing regression check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ TAIL_EPS_SCALE = 1e-15
 # halving blocks certified_tail_sum may take, and its halving-point tolerance
 TAIL_MAX_BLOCKS = 400
 TAIL_ETA_TOL = 1e-6
-SCAN_GRID = 4096   # uniform points of the envelope and tail-bound scans
 
 
 def _wrap(t):
@@ -368,88 +368,86 @@ def lemma1_check(lambda_seq: Sequence[float], gamma: float, N: int, M: int,
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Outcome of the pointwise/uniform kernel envelope scan."""
+    """Outcome of the envelope certificates: margin = envelope - certificate."""
 
     n: int
-    beta: float
     a: float
     b: float
     status: str                      # "ok" | "precondition_violated"
     preconditions: tuple             # failed precondition descriptions
-    tolerance: float
-    pointwise_ok: Optional[bool]     # decay envelope ~ 1/t^2
+    pointwise_ok: Optional[bool]     # decay envelope ~ 1/t^2, times t^2
     pointwise_margin: Optional[float]
-    pointwise_worst_t: Optional[float]
     uniform_ok: Optional[bool]       # flat envelope ~ psi(n) (eta - n)
     uniform_margin: Optional[float]
-    uniform_worst_t: Optional[float]
 
     @property
     def all_ok(self) -> bool:
         return self.status == "ok" and bool(self.pointwise_ok) and bool(self.uniform_ok)
 
 
-def _scan(g: FourierSeries) -> tuple[np.ndarray, np.ndarray]:
-    """(t, g(t)) on SCAN_GRID uniform points by the FFT route, t reduced
-    to (-pi, pi]."""
-    return (_wrap(TWO_PI * np.arange(SCAN_GRID) / SCAN_GRID),
-            g.uniform_samples(SCAN_GRID))
+def _certified(total: float, K: int) -> float:
+    """total, a sum of at most K + 3 terms, scaled to cover its rounding."""
+    return total * (1.0 + (K + 3) * np.finfo(float).eps)
 
 
-def envelope_check(ke: KernelEvaluator, a: float, b: float) -> EnvelopeReport:
-    """Scan |K*| against its two envelopes.
+def envelope_check(kp: KernelProfile, a: float, b: float) -> EnvelopeReport:
+    """Certify |K*| against its two envelopes from the magnitudes |c_k|.
 
-    Pointwise:  |K*(t)| <= pi^2 (2(b+1)^2/b^2 + a/(a-1)) psi(n) / ((eta-n) t^2)
+    Pointwise:  t^2 |K*(t)| <= pi^2 (2(b+1)^2/b^2 + a/(a-1)) psi(n) / (eta-n)
     Uniform:    |K*(t)| <= (2b/(b-2) + 1/a + 1/2) psi(n) (eta-n)
+
+    With the |c_k| padded by zeros below the taper start and at K+1, K+2,
+    (1-z)^2 sum c_k z^k = sum (D^2 c)_k z^k, and |1 - e^{it}|^2 >= 4t^2/pi^2
+    on |t| <= pi; so t^2 |K*(t)| <= (pi^2/4) V + pi^2 certified_tail with
+    V = sum |D^2 c_k|, and |K*| <= S + certified_tail with S = sum |c_k|.
+    Neither certificate reads the phase, so one check covers every beta of
+    the profile (an evaluator is one), and no grid is sampled.  An envelope
+    holds when it is no smaller than its certificate.
 
     Both presume eta(n) - n >= a > 1 and mu(n) >= b > 2; shortfalls are
     reported as status "precondition_violated" (margins still computed when
-    the formulas stay finite).  Envelope failures beyond 10*tail_eps are
-    reported, never raised.
+    the formulas stay finite).  Envelope failures are reported, never raised.
     """
     failed = []
     if not a > 1.0:
         failed.append(f"a = {a} is not > 1")
     if not b > 2.0:
         failed.append(f"b = {b} is not > 2")
-    if ke.eta_gap < a:
-        failed.append(f"eta(n) - n = {ke.eta_gap:.6g} < a = {a}")
-    if ke.mu < b:
-        failed.append(f"mu(n) = {ke.mu:.6g} < b = {b}")
-    tol = 10.0 * ke.tail_eps
+    if kp.eta_gap < a:
+        failed.append(f"eta(n) - n = {kp.eta_gap:.6g} < a = {a}")
+    if kp.mu < b:
+        failed.append(f"mu(n) = {kp.mu:.6g} < b = {b}")
     if not (a > 1.0 and b > 2.0):
-        return EnvelopeReport(n=ke.n, beta=ke.beta, a=a, b=b,
+        return EnvelopeReport(n=kp.n, a=a, b=b,
                               status="precondition_violated",
-                              preconditions=tuple(failed), tolerance=tol,
+                              preconditions=tuple(failed),
                               pointwise_ok=None, pointwise_margin=None,
-                              pointwise_worst_t=None, uniform_ok=None,
-                              uniform_margin=None, uniform_worst_t=None)
-    ts, vals = _scan(ke.series)
-    scale = float(ke.psi(float(ke.n)))
-    abs_vals = np.abs(vals)
-    point_coef = math.pi ** 2 * (2.0 * (b + 1.0) ** 2 / b ** 2 + a / (a - 1.0)) \
-        * scale / ke.eta_gap
-    nz = np.abs(ts) > 1e-12
-    point_margin = point_coef / ts[nz] ** 2 - abs_vals[nz]
-    i_pt = int(np.argmin(point_margin))
-    uni_bound = (2.0 * b / (b - 2.0) + 1.0 / a + 0.5) * scale * ke.eta_gap
-    uni_margin = uni_bound - abs_vals
-    i_un = int(np.argmin(uni_margin))
+                              uniform_ok=None, uniform_margin=None)
+    c = np.concatenate(([0.0, 0.0], kp.coeffs, [0.0, 0.0]))
+    V = float(np.sum(np.abs(c[2:] - 2.0 * c[1:-1] + c[:-2])))
+    S = float(np.sum(kp.coeffs))
+    K, dropped = kp.truncation_index, kp.certified_tail
+    scale = float(kp.psi(float(kp.n)))
+    point_margin = (
+        math.pi ** 2 * (2.0 * (b + 1.0) ** 2 / b ** 2 + a / (a - 1.0))
+        * scale / kp.eta_gap
+        - _certified(0.25 * math.pi ** 2 * (V + 4.0 * dropped), K))
+    uni_margin = ((2.0 * b / (b - 2.0) + 1.0 / a + 0.5) * scale * kp.eta_gap
+                  - _certified(S + dropped, K))
     return EnvelopeReport(
-        n=ke.n, beta=ke.beta, a=a, b=b,
+        n=kp.n, a=a, b=b,
         status="ok" if not failed else "precondition_violated",
-        preconditions=tuple(failed), tolerance=tol,
-        pointwise_ok=bool(point_margin[i_pt] >= -tol),
-        pointwise_margin=float(point_margin[i_pt]),
-        pointwise_worst_t=float(ts[nz][i_pt]),
-        uniform_ok=bool(uni_margin[i_un] >= -tol),
-        uniform_margin=float(uni_margin[i_un]),
-        uniform_worst_t=float(ts[i_un]))
+        preconditions=tuple(failed),
+        pointwise_ok=bool(point_margin >= 0.0),
+        pointwise_margin=float(point_margin),
+        uniform_ok=bool(uni_margin >= 0.0),
+        uniform_margin=float(uni_margin))
 
 
 @dataclass(frozen=True)
 class TailBoundReport:
-    """Uniform bound check on the pure tail sum_{k>=n} psi(k) cos(kt - theta)."""
+    """Uniform bound check on the pure tail sum_{k>=n} psi(k) cos(kt - theta);
+    `max_abs` is the certified l1 bound on its modulus."""
 
     n: int
     beta: float
@@ -461,21 +459,26 @@ class TailBoundReport:
     max_abs: Optional[float]
     margin: Optional[float]
     ok: Optional[bool]
-    worst_t: Optional[float]
 
 
 def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
                          beta: float = 0.0,
-                         evaluator: Optional[KernelEvaluator] = None
+                         evaluator: Optional[KernelProfile] = None
                          ) -> TailBoundReport:
-    """Check |sum_{k=n}^{K} psi(k) cos(kt - beta pi/2)|
-    <= (2b/(b-2) + 1/a) psi(n)(eta(n)-n) + tail_eps on the scan grid.
+    """Certify |sum_{k>=n} psi(k) cos(kt - beta pi/2)|
+    <= (2b/(b-2) + 1/a) psi(n)(eta(n)-n) by the l1 bound sum_{k=n}^{K}
+    psi(k) + certified_tail, rounded up as in `envelope_check`; it samples
+    no grid and does not read beta, which the report only echoes.
 
     Preconditions eta(n)-n >= a > 0 and mu(n) >= b > 2; on violation the
-    check refuses (status "precondition_violated", no scan).  Given the
-    (psi, n, beta) kernel evaluator, gap, ratio, tail_eps and K come from
-    it instead of being recomputed."""
-    # the evaluator carries eta_gap and mu just as the profile does
+    check refuses (status "precondition_violated", no bound).  Given the
+    (psi, n) kernel profile (or an evaluator of it), gap, ratio, K, the
+    certified tail and the psi(k) come from it instead of being recomputed;
+    a profile of another psi or n raises DomainError."""
+    if evaluator is not None and (evaluator.psi != psi or evaluator.n != n):
+        raise DomainError(f"tail_sum_bound_check(n = {n}) was given the "
+                          f"profile of n = {evaluator.n} or of another psi")
+    # the profile carries eta_gap and mu just as the characteristics do
     prof = (evaluator if evaluator is not None
             else characteristics(psi, float(n)))
     psi_n = float(psi(float(n)))
@@ -492,21 +495,16 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
         return TailBoundReport(n=n, beta=beta, a=a, b=b,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
-                               max_abs=None, margin=None, ok=None, worst_t=None)
+                               max_abs=None, margin=None, ok=None)
     if evaluator is not None:
-        tail_eps, K = evaluator.tail_eps, evaluator.truncation_index
+        K, dropped = evaluator.truncation_index, evaluator.certified_tail
+        coeffs = evaluator.coeffs[n - evaluator.taper_start:]
     else:
-        tail_eps, K, _ = _tail_budget(psi, n, prof.eta_gap)
-    ks = np.arange(n, K + 1)
-    coeffs = np.asarray(psi(ks.astype(float)), dtype=float)
-    ts, vals = _scan(FourierSeries.from_cosine_profile(
-        n, coeffs, 0.5 * math.pi * beta))
-    bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap + tail_eps
-    abs_vals = np.abs(vals)
-    i = int(np.argmax(abs_vals))
-    margin = bound - abs_vals[i]
+        _, K, dropped = _tail_budget(psi, n, prof.eta_gap)
+        coeffs = np.asarray(psi(np.arange(n, K + 1).astype(float)), dtype=float)
+    bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap
+    l1 = _certified(float(np.sum(coeffs)) + dropped, K)
     return TailBoundReport(n=n, beta=beta, a=a, b=b, status="ok",
                            preconditions=(), bound=float(bound),
-                           max_abs=float(abs_vals[i]), margin=float(margin),
-                           ok=bool(margin >= -10.0 * tail_eps),
-                           worst_t=float(ts[i]))
+                           max_abs=l1, margin=float(bound - l1),
+                           ok=bool(bound >= l1))

@@ -27,6 +27,7 @@ from psiapprox import (FourierSeries, KernelEvaluator, PsiFunction,
                        residual_consistency, tail_sum_bound_check,
                        verify_sweep)
 from psiapprox.bounds import asymp_scan
+from psiapprox.kernels import kernel_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +166,7 @@ def test_criterion_4_inequality_suite(verdict):
         psi = PsiFunction.exp_power(alpha, r)
         a, b, _ = exp_power_thresholds(alpha, r)
         kb = (1.0 + b) ** 2 / b ** 2
-        for idx, n in enumerate(_n_values(alpha, r)):
+        for n in _n_values(alpha, r):
             tag = f"({alpha},{r}) n={n}"
             prof = characteristics(psi, float(n))
             gap = prof.eta_gap
@@ -196,14 +197,13 @@ def test_criterion_4_inequality_suite(verdict):
             # local decay-speed margins
             if not lemma2_margins(psi, float(n), b).ordered:
                 failures.append(tag + " margins")
-            # kernel envelopes: every n at beta 0, spot checks at beta 1
-            betas = (0.0, 1.0) if idx % 16 == 0 else (0.0,)
-            for beta in betas:
-                ke = KernelEvaluator.build(psi, n, beta)
-                env = envelope_check(ke, a, b)
-                if not (env.status == "ok" and env.all_ok):
-                    failures.append(tag + f" envelope b{beta}")
-            tail = tail_sum_bound_check(psi, n, a, b)
+            # kernel envelopes and tail sum: certificates from the
+            # beta-free profile, so they hold at every beta
+            kp = kernel_profile(psi, n, prof)
+            env = envelope_check(kp, a, b)
+            if not (env.status == "ok" and env.all_ok):
+                failures.append(tag + " envelope")
+            tail = tail_sum_bound_check(psi, n, a, b, evaluator=kp)
             if not (tail.status == "ok" and tail.ok):
                 failures.append(tag + " tail bound")
     elapsed = time.monotonic() - t0

@@ -297,6 +297,7 @@ class TestOutputPlumbing:
         ["verify", "theorem1", *HALF, "--n", "12", "--s", "2"],
         ["verify", "lemma1", "--trials", "2", "--alpha", "1", "--n", "5"],
         ["verify", "envelopes", *HALF, "--n", "12", "--p", "2"],
+        ["verify", "envelopes", *HALF, "--n", "12", "--beta", "1"],
         # two ways to give the same degrees or points
         ["verify", "theorem1", *HALF, "--n", "12", "--n-range", "11:13"],
         ["characteristics", *HALF, "--t", "9", "--n-range", "11:12"],

@@ -11,7 +11,7 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        envelope_check, exp_power_thresholds, lemma1_check,
                        tail_sum_bound_check, taper_coefficients,
                        truncation_index)
-from psiapprox import kernels
+from psiapprox import approx_ops, kernels
 from psiapprox.psi_core import LN2, _solve_log_decreasing
 
 TWO_PI = 2.0 * math.pi
@@ -285,6 +285,13 @@ class TestLemma1:
             lemma1_check(lam[:2], 1.0, 2, 9, [0.5])  # sequence too short
 
 
+def envelopes(kp, a, b):
+    """The pointwise (times t^2) and uniform envelopes of the kernel."""
+    psi_n, gap = float(kp.psi(float(kp.n))), kp.eta_gap
+    return (math.pi ** 2 * (2 * (b + 1) ** 2 / b ** 2 + a / (a - 1))
+            * psi_n / gap, (2 * b / (b - 2) + 1 / a + 0.5) * psi_n * gap)
+
+
 class TestEnvelopes:
     def test_pointwise_and_uniform_hold(self, psi_half):
         a, b, _ = exp_power_thresholds(1.0, 0.5)
@@ -323,6 +330,50 @@ class TestEnvelopes:
                 assert (tail_sum_bound_check(psi_half, n, a, b, beta=beta)
                         == tail_sum_bound_check(psi_half, n, a, b, beta=beta,
                                                 evaluator=ke))
+
+    @pytest.mark.parametrize("alpha, r, n", [
+        (1.0, 0.5, 11), (2.0, 0.5, 17), (2.0, 0.7, 106), (2.0, 0.3, 200)])
+    def test_certificates_bound_a_dense_scan(self, alpha, r, n):
+        # 16 nodes per wavelength of the top harmonic, as the norm grid
+        psi = PsiFunction.exp_power(alpha, r)
+        a, b, _ = exp_power_thresholds(alpha, r)
+        kp = kernels.kernel_profile(psi, n)
+        rep = envelope_check(kp, a, b)
+        point_env, uni_env = envelopes(kp, a, b)
+        point_cert = point_env - rep.pointwise_margin
+        uni_cert = uni_env - rep.uniform_margin
+        tail_cert = tail_sum_bound_check(psi, n, a, b, evaluator=kp).max_abs
+        G = approx_ops._grid_size(kp.truncation_index)
+        t = kernels._wrap(TWO_PI * np.arange(G) / G)
+        rounding = 1.0 + (kp.truncation_index + 3) * np.finfo(float).eps
+        for beta in (0.0, 0.5, 1.0, 1.7):
+            mag = np.abs(kp.evaluator(beta).series.uniform_samples(G))
+            assert np.max(t * t * mag) <= point_cert
+            assert np.max(mag) <= uni_cert
+            tail = FourierSeries.from_cosine_profile(
+                n, kp.coeffs[n - kp.taper_start:], 0.5 * math.pi * beta)
+            assert np.max(np.abs(tail.uniform_samples(G))) <= tail_cert
+            if beta == 0.0:   # K*(0) = S: attained up to the rounding factor
+                assert uni_cert <= (mag[0] + kp.certified_tail) * rounding ** 2
+
+    def test_tail_bound_refuses_another_profile(self, psi_half, psi_slow):
+        a, b, _ = exp_power_thresholds(1.0, 0.5)
+        for kp in (kernels.kernel_profile(psi_half, 17),
+                   kernels.kernel_profile(psi_slow, 16)):
+            with pytest.raises(DomainError):
+                tail_sum_bound_check(psi_half, 16, a, b, evaluator=kp)
+
+    def test_checks_sample_no_grid(self, psi_half, monkeypatch):
+        a, b, _ = exp_power_thresholds(1.0, 0.5)
+        kp = kernels.kernel_profile(psi_half, 16)
+
+        class NoFFT:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.fft.{name} called")
+        monkeypatch.setattr(np, "fft", NoFFT())
+        assert envelope_check(kp, a, b).all_ok
+        assert tail_sum_bound_check(psi_half, 16, a, b).ok
+        assert tail_sum_bound_check(psi_half, 16, a, b, evaluator=kp).ok
 
     def test_tail_bound_refuses_bad_preconditions(self, psi_half):
         rep = tail_sum_bound_check(psi_half, 16, 50.0, 3.0)
