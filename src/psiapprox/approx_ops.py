@@ -4,11 +4,14 @@ The linear method is a Fourier multiplier: harmonics below the taper window
 pass through, harmonics in the window are damped by lam(k), and everything
 from n on is dropped.  Its residual against a synthesized class function is
 a convolution with the residual kernel, which is what ties this module to
-`kernels`, which also owns the taper window.  Norm computation is
-deliberately boring: composite trapezoid on uniform grids (spectrally
-accurate for periodic integrands, with a local correction at sign-change
-panels of |g|^p).  A kernel's grid (its profile's FFT, mirrored) is walked
+`kernels`, which also owns the taper window and MAX_GRID.  Norm
+computation is deliberately boring: composite trapezoid on uniform grids
+(spectrally accurate for periodic integrands, with a local correction at
+sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
+norms', the sup scan's, the duality extremals' and the residual
+convolution's.  A kernel's grid (its profile's FFT, mirrored) is walked
 once, block by block, for every order a caller asks for at the same time.
+`conjugate_exponent` is the one map from p to p'.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .kernels import KernelEvaluator, _taper_window, _wrap
+from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
 from .series import FourierSeries
 
@@ -101,20 +104,18 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
     Route 1 drops/damps Fourier coefficients directly; route 2 convolves
     phi with the residual kernel, (1/pi) int phi(t) K*(x - t) dt, by exact
-    trapezoid (the integrand is band-limited, so a grid finer than the
-    joint bandwidth integrates it exactly).  x points are snapped to the
-    convolution grid; both routes use the snapped x, so the returned
-    max-absolute discrepancy is grid-artifact-free.
+    trapezoid on the norm grid of degree K + deg phi (the integrand is
+    band-limited, so a grid of more than twice the joint bandwidth
+    integrates it exactly).  x points are snapped to that grid; both
+    routes use the snapped x, so the returned max-absolute discrepancy is
+    grid-artifact-free.
     """
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
     f = synthesize_class_function(psi, beta, phi, a0=0.0)
     resid = f - apply_vn(f, taper_coefficients(psi, n))
     ke = KernelEvaluator.build(psi, n, beta)
-    band = ke.truncation_index + phi.degree + 8
-    grid = 1 << max(12, int(math.ceil(math.log2(2.5 * band))))
-    if grid > (1 << 22):
-        raise NumericError("convolution grid would exceed 2^22 points")
+    grid = _grid_size(ke.truncation_index + phi.degree)
     phi_s = phi.uniform_samples(grid)
     ker_s = ke.series.uniform_samples(grid)
     conv = np.fft.irfft(np.fft.rfft(phi_s) * np.fft.rfft(ker_s), grid)
@@ -128,7 +129,6 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 # -- norms -------------------------------------------------------------------
 
-MAX_GRID = 1 << 21   # cap on every norm grid
 _BLOCK = 1 << 16     # points per pass block: 512 KB of float64
 _POINTS_PER_WAVELENGTH = 16   # grid nodes per wavelength of the top harmonic
 
@@ -155,6 +155,17 @@ def _grid_size(degree: int) -> int:
         raise NumericError(f"degree {degree} needs a {G}-point norm grid, "
                            f"above MAX_GRID = {MAX_GRID}")
     return G
+
+
+def conjugate_exponent(p: float) -> float:
+    """p' with 1/p + 1/p' = 1, for p in [1, inf]."""
+    if not p >= 1.0:
+        raise DomainError(f"exponent must be >= 1, got {p}")
+    if p == 1.0:
+        return math.inf
+    if math.isinf(p):
+        return 1.0
+    return p / (p - 1.0)
 
 
 def _halving_sum(parts: list) -> float:
@@ -390,8 +401,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid so S is an exact index reversal.
     """
-    if not p >= 1.0:
-        raise DomainError(f"p must be in [1, inf], got {p}")
+    p_prime = conjugate_exponent(p)
     ke = evaluator if evaluator is not None else KernelEvaluator.build(
         psi, n, beta)
     if grid_size is None:
@@ -409,7 +419,6 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     mean_corrected = False
     width = None
     if math.isinf(p):
-        p_prime = 1.0
         phi_s = np.sign(S)
         mean = float(np.mean(phi_s))
         shift = 0.0
@@ -425,7 +434,6 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
             return (raw - shift) / (1.0 + abs(shift)) if mean_corrected else raw
         target = _grid_pass(S, (1.0,), h)[0][1.0][0] / math.pi
     elif p == 1.0:
-        p_prime = math.inf
         i_star = int(np.argmax(np.abs(S)))
         t_star = h * i_star
         s_star = float(np.sign(S[i_star]))
@@ -441,7 +449,6 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         target = float(sup_norm(ke).value) / math.pi
         mean = s_star / TWO_PI
     else:
-        p_prime = p / (p - 1.0)
         s_norm_pp = h * float(np.sum(np.abs(S) ** p_prime))
         denom = s_norm_pp ** (1.0 / p)
         phi_s = np.sign(S) * np.abs(S) ** (p_prime - 1.0) / denom

@@ -13,23 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .approx_ops import kernel_norm, kernel_norms
+from .approx_ops import conjugate_exponent, kernel_norm, kernel_norms
 from .errors import DomainError
-from .kernels import KernelEvaluator, kernel_profile
+from .kernels import KernelEvaluator, _unmet_hypotheses, kernel_profile
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
                        characteristics)
 
 _PI2 = math.pi * math.pi
-
-
-def conjugate_exponent(p: float) -> float:
-    if not p >= 1.0:
-        raise DomainError(f"exponent must be >= 1, got {p}")
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 # -- constants ---------------------------------------------------------------
@@ -223,10 +213,11 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
                  b: Optional[float] = None) -> list[BoundReport]:
     """Brackets for every (n, beta, mode) in that order.
 
-    Each n's characteristics decide viability once: a, b > 2, gap >= a
-    and mu >= b.  A viable n gets one kernel profile, and each beta one
-    evaluator whose grid is sampled and walked once for every norm order
-    of the modes; the others are reported precondition_violated.
+    Each n's characteristics decide viability once, by the hypotheses
+    with C_a's floor: a > 2, b > 2, gap >= a and mu >= b.  A viable n gets
+    one kernel profile, and each beta one evaluator whose grid is sampled
+    and walked once for every norm order of the modes; the others are
+    reported precondition_violated.
     """
     a, b = _resolve_thresholds(psi, a, b)
     # refuse bad input before any kernel work: no evaluator checks beta
@@ -238,7 +229,7 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
     out = []
     for n in ns:
         prof = characteristics(psi, float(n))
-        viable = a > 2.0 and b > 2.0 and prof.eta_gap >= a and prof.mu >= b
+        viable = not _unmet_hypotheses(prof, a, b, 2.0)
         kp = kernel_profile(psi, n, prof) if viable else None
         for beta in betas:
             ke = kp.evaluator(beta) if viable else None

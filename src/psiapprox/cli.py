@@ -360,12 +360,8 @@ def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
 
 def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
-    if cfg.b is not None:
-        b = cfg.b
-    elif psi.family == "exp-power":
-        _, b, _ = bnd.exp_power_thresholds(psi.alpha, psi.r)
-    else:
-        raise DomainError("custom profile needs an explicit --b")
+    b = cfg.b if cfg.b is not None else bnd._resolve_thresholds(
+        psi, None, None)[1]
     if not cfg.force:
         low = [t for t in cfg.t if characteristics(psi, t).mu < b]
         if low:

@@ -13,6 +13,9 @@ FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
 and each beta's grid is (cos th + sin th) f(t) + (cos th - sin th) f(-t),
 th = beta*pi/2, by one mirrored pass.  The envelope and tail-sum checks
 certify their bounds from sums over the |c_k|: every beta at once, no grid.
+`_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
+every check and the bracket sweep read with their own floor on a;
+`kernel_profile` alone sets K, which never passes MAX_GRID.
 Three evaluation routes are kept alive on purpose (coefficient sum, partial
 Abel, full Abel over Dirichlet-type kernels); their mutual agreement is a
 standing regression check.
@@ -39,6 +42,8 @@ TAIL_EPS_SCALE = 1e-15
 # halving blocks certified_tail_sum may take, and its halving-point tolerance
 TAIL_MAX_BLOCKS = 400
 TAIL_ETA_TOL = 1e-6
+# cap on every norm grid and on the truncation index K
+MAX_GRID = 1 << 21
 
 
 def _wrap(t):
@@ -93,14 +98,16 @@ def _dirichlet_many(ks: np.ndarray, beta: float, t: float) -> np.ndarray:
 
 
 def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
-    """Smallest probed K >= n whose geometric tail estimate meets the budget.
+    """Smallest K >= n whose geometric tail estimate meets the budget.
 
     The estimate at K is psi(K+1) / (1 - rho) with rho = psi(K+2)/psi(K+1).
     It models the tail as geometric from K+1 onward; for generators whose
     decay ratio creeps toward 1 (exp-power with r < 1) this can undershoot
     the true tail by a bounded factor, so consumers needing a guarantee
     re-certify via `certified_tail_sum` and enlarge K if needed.
-    All comparisons run in log space so deep tails cannot underflow.
+    The probes double from n, capped at MAX_GRID, and then bisect; a K
+    above MAX_GRID is refused.  All comparisons run in log space so deep
+    tails cannot underflow.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -119,23 +126,17 @@ def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
     if ok(n):
         return n
     lo, hi = n, 2 * n
-    for _ in range(200):
-        if ok(hi):
-            break
-        lo, hi = hi, 2 * hi
-    else:
-        raise NumericError("truncation search exhausted; psi decays too slowly")
-    while hi - lo > 1:
+    while not ok(hi):
+        if hi >= MAX_GRID:
+            raise NumericError(f"truncation index would pass MAX_GRID = "
+                               f"{MAX_GRID}; psi decays too slowly")
+        lo, hi = hi, min(2 * hi, MAX_GRID)
+    while hi - lo > 1:   # ok(hi) holds and ok(lo) fails throughout
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
         else:
             lo = mid
-    for _ in range(64):  # nudge down past any flat spot of the estimate
-        if hi > n and ok(hi - 1):
-            hi -= 1
-        else:
-            break
     return hi
 
 
@@ -181,16 +182,19 @@ def _tail_budget(psi: PsiFunction, n: int,
     """(tail_eps, K, bound): the budget TAIL_EPS_SCALE psi(n) (eta(n) - n),
     the index K that meets it and K's certified bound on sum_{k>K} psi(k).
 
-    K starts at the probe index and grows until the certified tail bound fits.
+    K starts at the probe index and grows by 1.25x until the certified tail
+    bound fits; a K above MAX_GRID is refused before anything K-sized is
+    allocated.
     """
     tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
     K = truncation_index(psi, n, tail_eps)
-    for _ in range(60):
+    while K <= MAX_GRID:
         bound = certified_tail_sum(psi, K)
         if bound <= tail_eps:
             return float(tail_eps), K, bound
         K = int(K * 1.25) + 1
-    raise NumericError("could not certify the truncation budget")
+    raise NumericError(f"certifying the truncation budget needs K = {K}, "
+                       f"above MAX_GRID = {MAX_GRID}")
 
 
 def _taper_window(psi: PsiFunction, n: int,
@@ -390,6 +394,24 @@ def _certified(total: float, K: int) -> float:
     return total * (1.0 + (K + 3) * np.finfo(float).eps)
 
 
+def _unmet_hypotheses(prof, a: float, b: float, a_floor: float) -> list:
+    """Messages for the hypotheses that (a, b) and prof miss: a > a_floor,
+    b > 2 and, unless prof is None, eta(n) - n >= a and mu(n) >= b.  prof
+    is the characteristics at n or a kernel profile, which carries eta_gap
+    and mu just as they do.  The estimates' constants set the floor:
+    C*_{a,b} needs a > 1, C_{a,b} a > 0 and C_a a > 2."""
+    failed = []
+    if not a > a_floor:
+        failed.append(f"a = {a} is not > {a_floor:g}")
+    if not b > 2.0:
+        failed.append(f"b = {b} is not > 2")
+    if prof is not None and not prof.eta_gap >= a:
+        failed.append(f"eta(n) - n = {prof.eta_gap:.6g} < a = {a}")
+    if prof is not None and not prof.mu >= b:
+        failed.append(f"mu(n) = {prof.mu:.6g} < b = {b}")
+    return failed
+
+
 def envelope_check(kp: KernelProfile, a: float, b: float) -> EnvelopeReport:
     """Certify |K*| against its two envelopes from the magnitudes |c_k|.
 
@@ -408,16 +430,8 @@ def envelope_check(kp: KernelProfile, a: float, b: float) -> EnvelopeReport:
     reported as status "precondition_violated" (margins still computed when
     the formulas stay finite).  Envelope failures are reported, never raised.
     """
-    failed = []
-    if not a > 1.0:
-        failed.append(f"a = {a} is not > 1")
-    if not b > 2.0:
-        failed.append(f"b = {b} is not > 2")
-    if kp.eta_gap < a:
-        failed.append(f"eta(n) - n = {kp.eta_gap:.6g} < a = {a}")
-    if kp.mu < b:
-        failed.append(f"mu(n) = {kp.mu:.6g} < b = {b}")
-    if not (a > 1.0 and b > 2.0):
+    failed = _unmet_hypotheses(kp, a, b, 1.0)
+    if _unmet_hypotheses(None, a, b, 1.0):   # outside the constants' domain
         return EnvelopeReport(n=kp.n, a=a, b=b,
                               status="precondition_violated",
                               preconditions=tuple(failed),
@@ -473,37 +487,25 @@ def tail_sum_bound_check(psi: PsiFunction, n: int, a: float, b: float,
     Preconditions eta(n)-n >= a > 0 and mu(n) >= b > 2; on violation the
     check refuses (status "precondition_violated", no bound).  Given the
     (psi, n) kernel profile (or an evaluator of it), gap, ratio, K, the
-    certified tail and the psi(k) come from it instead of being recomputed;
-    a profile of another psi or n raises DomainError."""
+    certified tail and the psi(k) come from it; a profile of another psi
+    or n raises DomainError.  Without one, the check builds
+    `kernel_profile(psi, n)` once the preconditions hold."""
     if evaluator is not None and (evaluator.psi != psi or evaluator.n != n):
         raise DomainError(f"tail_sum_bound_check(n = {n}) was given the "
                           f"profile of n = {evaluator.n} or of another psi")
-    # the profile carries eta_gap and mu just as the characteristics do
     prof = (evaluator if evaluator is not None
             else characteristics(psi, float(n)))
-    psi_n = float(psi(float(n)))
-    failed = []
-    if not a > 0.0:
-        failed.append(f"a = {a} is not > 0")
-    if not b > 2.0:
-        failed.append(f"b = {b} is not > 2")
-    if prof.eta_gap < a:
-        failed.append(f"eta(n) - n = {prof.eta_gap:.6g} < a = {a}")
-    if prof.mu < b:
-        failed.append(f"mu(n) = {prof.mu:.6g} < b = {b}")
+    failed = _unmet_hypotheses(prof, a, b, 0.0)
     if failed:
         return TailBoundReport(n=n, beta=beta, a=a, b=b,
                                status="precondition_violated",
                                preconditions=tuple(failed), bound=None,
                                max_abs=None, margin=None, ok=None)
-    if evaluator is not None:
-        K, dropped = evaluator.truncation_index, evaluator.certified_tail
-        coeffs = evaluator.coeffs[n - evaluator.taper_start:]
-    else:
-        _, K, dropped = _tail_budget(psi, n, prof.eta_gap)
-        coeffs = np.asarray(psi(np.arange(n, K + 1).astype(float)), dtype=float)
-    bound = (2.0 * b / (b - 2.0) + 1.0 / a) * psi_n * prof.eta_gap
-    l1 = _certified(float(np.sum(coeffs)) + dropped, K)
+    kp = evaluator if evaluator is not None else kernel_profile(psi, n, prof)
+    bound = ((2.0 * b / (b - 2.0) + 1.0 / a) * float(psi(float(n)))
+             * kp.eta_gap)
+    l1 = _certified(float(np.sum(kp.coeffs[n - kp.taper_start:]))
+                    + kp.certified_tail, kp.truncation_index)
     return TailBoundReport(n=n, beta=beta, a=a, b=b, status="ok",
                            preconditions=(), bound=float(bound),
                            max_abs=l1, margin=float(bound - l1),

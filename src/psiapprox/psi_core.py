@@ -9,9 +9,11 @@ two derived quantities:
 
 All root finding runs on log(psi) so that families decaying below the
 float64 underflow threshold (e.g. exp(-2 t^0.7) past t ~ 5000) still
-resolve.  Closed forms for the exp-power family deliberately do NOT live
-here; they sit in `bounds.exp_power_characteristics` so tests can compare
-the two routes independently.
+resolve.  `characteristics` bisects even for the exp-power family, on
+purpose: its closed forms sit in `bounds.exp_power_characteristics`, so
+tests can compare the two routes independently.  The one closed form kept
+here is `PsiFunction.halving_point`'s exp-power eta, which the certified
+tail sums walk block by block.
 """
 
 from __future__ import annotations

@@ -228,6 +228,21 @@ class TestResidualConsistency:
         xs = rng.uniform(0.0, TWO_PI, 5)
         assert residual_consistency(psi_half, 1.0, 9, phi, xs) <= 1e-8
 
+    def test_convolution_takes_the_norm_grid(self, psi_half, monkeypatch):
+        # the grid of degree K + deg phi: exact, since G >= 16 x that band,
+        # and refused, as every grid is, once it would pass MAX_GRID
+        K = KernelEvaluator.build(psi_half, 9, 0.0).truncation_index
+        degrees, grid_size = [], approx_ops._grid_size
+        monkeypatch.setattr(approx_ops, "_grid_size", lambda degree: (
+            degrees.append(degree) or grid_size(degree)))
+        rng = np.random.default_rng(14)
+        phi = zero_mean_series(rng, 25)
+        assert residual_consistency(psi_half, 0.0, 9, phi, [0.3]) <= 1e-8
+        assert degrees == [K + 25]
+        wide = zero_mean_series(rng, approx_ops.MAX_GRID // 16 - K + 1)
+        with pytest.raises(NumericError, match="MAX_GRID"):
+            residual_consistency(psi_half, 0.0, 9, wide, [0.3])
+
 
 class TestNorms:
     def test_sine_closed_forms_trapezoid(self):
@@ -530,6 +545,11 @@ class TestDuality:
                                   grid_size=1 << 14)
         h = TWO_PI / ex.grid_size
         assert ex.x0 == pytest.approx(round(0.1234 / h) * h, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_p_prime_is_the_conjugate_exponent(self, psi_half, p):
+        ex = duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0)
+        assert ex.p_prime == approx_ops.conjugate_exponent(p)
 
     def test_invalid_p(self, psi_half):
         for p in (0.7, math.nan, -math.inf):

@@ -69,6 +69,9 @@ class TestConstants:
         for p in (0.5, math.nan, -math.inf):
             with pytest.raises(DomainError):
                 conjugate_exponent(p)
+        # one map from p to p', the norm engine's, under every name
+        assert conjugate_exponent is approx_ops.conjugate_exponent
+        assert bounds.conjugate_exponent is approx_ops.conjugate_exponent
 
 
 class TestThresholds:

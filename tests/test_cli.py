@@ -241,6 +241,32 @@ class TestTableAndAsymp:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_missing_thresholds_read_alike(self, capsys, tmp_path):
+        # every command that needs a or b of a table profile refuses with
+        # one text, naming no option the command lacks (lemma2 has no --a)
+        table = tmp_path / "psi.csv"
+        t = np.arange(1, 2001, dtype=float)
+        np.savetxt(table, np.column_stack([t, np.exp(-np.sqrt(t))]),
+                   delimiter=",")
+        profile = ["--psi-table", str(table)]
+        for argv in (["verify", "lemma2", *profile, "--t", "20"],
+                     ["verify", "theorem1", *profile, "--n", "20", "--b", "3"],
+                     ["verify", "envelopes", *profile, "--n", "20"],
+                     ["table", *profile, "--n-range", "20:21", "--p", "2"]):
+            assert run_cli(capsys, *argv) == (2, "", (
+                "error: a and b must be given explicitly for a "
+                "non-closed-form psi\n")), argv
+
+    def test_truncation_past_max_grid_exits_numeric(self, capsys, tmp_path):
+        # log psi falls by 4e-7 per step past t = 3: K would be ~1.1e8,
+        # so the kernel is refused before any K-sized array exists
+        table = tmp_path / "flat.csv"
+        table.write_text("1,1.0\n2,0.5\n3,0.25\n4,0.2499999\n")
+        code, out, err = run_cli(capsys, "kernel-eval", "--psi-table",
+                                 str(table), "--n", "3", "--t", "0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: ") and "MAX_GRID" in err
+
     def test_table_needs_one_mode(self, capsys):
         code, _, err = run_cli(capsys, "table", *HALF, "--n-range", "11:12")
         assert code == 2

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
-                       InvalidPsiError, KernelEvaluator, PsiFunction,
-                       certified_tail_sum, characteristics, dirichlet,
-                       envelope_check, exp_power_thresholds, lemma1_check,
-                       tail_sum_bound_check, taper_coefficients,
-                       truncation_index)
+                       InvalidPsiError, KernelEvaluator, NumericError,
+                       PsiFunction, certified_tail_sum, characteristics,
+                       dirichlet, envelope_check, exp_power_thresholds,
+                       lemma1_check, tail_sum_bound_check, taper_coefficients,
+                       truncation_index, verify_sweep)
 from psiapprox import approx_ops, kernels
 from psiapprox.psi_core import LN2, _solve_log_decreasing
 
@@ -130,6 +130,44 @@ class TestTruncation:
         target = float(psi.log_value(30.0)) - LN2
         assert psi.halving_point(30.0, 1e-6) == _solve_log_decreasing(
             psi.log_value, target, 30.0, 1e-6)
+
+    @pytest.mark.parametrize("alpha, r", [
+        (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7),
+        (2.0, 0.3), (2.0, 0.5), (2.0, 0.7)])
+    def test_index_is_minimal(self, alpha, r):
+        # the bisection leaves K - 1 a failed probe, so no step down can pay
+        psi = PsiFunction.exp_power(alpha, r)
+        n_min = exp_power_thresholds(alpha, r)[2]
+        for n in (n_min, (n_min + 256) // 2, 256):
+            eps = (kernels.TAIL_EPS_SCALE * float(psi(float(n)))
+                   * characteristics(psi, float(n)).eta_gap)
+            K = truncation_index(psi, n, eps)
+            assert K > n, (alpha, r, n)
+            l1, l2 = (float(psi.log_value(float(k))) for k in (K, K + 1))
+            estimate = l1 - math.log1p(-math.exp(l2 - l1))
+            assert estimate > math.log(eps) + 1e-12, (alpha, r, n, K)
+
+    def test_search_refuses_past_max_grid(self):
+        # log psi falls by 4e-7 per step past t = 3: K would be ~8.7e7
+        flat = PsiFunction.from_table([1.0, 2.0, 3.0, 4.0],
+                                      [1.0, 0.5, 0.25, 0.2499999])
+        eps = (kernels.TAIL_EPS_SCALE * float(flat(3.0))
+               * characteristics(flat, 3.0).eta_gap)
+        with pytest.raises(NumericError, match="MAX_GRID"):
+            truncation_index(flat, 3, eps)
+        with pytest.raises(NumericError, match="MAX_GRID"):
+            kernels.kernel_profile(flat, 3)
+
+    def test_enlargement_refuses_past_max_grid(self, psi_half, monkeypatch):
+        seen = []
+
+        def never_fits(psi, K):
+            seen.append(K)
+            return math.inf
+        monkeypatch.setattr(kernels, "certified_tail_sum", never_fits)
+        with pytest.raises(NumericError, match="MAX_GRID"):
+            kernels.kernel_profile(psi_half, 16)
+        assert max(seen) <= kernels.MAX_GRID < int(max(seen) * 1.25) + 1
 
     def test_rejects_non_decaying_profile(self):
         flat = PsiFunction.custom(lambda t: np.full_like(
@@ -381,3 +419,65 @@ class TestEnvelopes:
         assert rep.max_abs is None
         rep2 = tail_sum_bound_check(psi_half, 16, 3.0, 2.0)
         assert rep2.status == "precondition_violated"
+
+
+class TestHypotheses:
+    """One rule for the paper's hypotheses: a > floor, b > 2,
+    eta(n) - n >= a and mu(n) >= b, with floor 2 for the brackets, 1 for
+    the envelopes and 0 for the tail-sum bound."""
+
+    N = 20   # psi_half: gap 6.68, mu 2.99
+
+    def statuses(self, psi, a, b):
+        kp = kernels.kernel_profile(psi, self.N)
+        rows = verify_sweep(psi, [0.0], [("theorem1", 2.0)], [self.N], a=a, b=b)
+        return (rows[0].status, envelope_check(kp, a, b).status,
+                tail_sum_bound_check(psi, self.N, a, b).status)
+
+    def test_boundaries_are_inclusive(self, psi_half):
+        prof = characteristics(psi_half, float(self.N))
+        gap, mu = prof.eta_gap, prof.mu
+        assert gap > 2.0 and mu > 2.0
+        assert self.statuses(psi_half, gap, mu) == ("ok",) * 3
+        violated = ("precondition_violated",) * 3
+        above = np.nextafter(gap, math.inf)
+        assert self.statuses(psi_half, above, mu) == violated
+        assert self.statuses(psi_half, gap, np.nextafter(mu, math.inf)) \
+            == violated
+
+    def test_floors(self, psi_half):
+        b = characteristics(psi_half, float(self.N)).mu
+        kp = kernels.kernel_profile(psi_half, self.N)
+        for a in (1.5, 2.0):   # (1, 2]: no brackets, envelopes certified
+            assert self.statuses(psi_half, a, b) == (
+                "precondition_violated", "ok", "ok")
+            assert envelope_check(kp, a, b).all_ok
+        for a in (1.0, 0.5):   # <= 1: the envelope constants are undefined
+            env = envelope_check(kp, a, b)
+            assert env.preconditions == (f"a = {a} is not > 1",)
+            assert env.pointwise_margin is None and env.uniform_margin is None
+            assert tail_sum_bound_check(psi_half, self.N, a, b).ok
+        for a in (0.0, -1.0):  # <= 0: the tail-sum bound refuses too
+            tail = tail_sum_bound_check(psi_half, self.N, a, b)
+            assert tail.status == "precondition_violated"
+            assert tail.preconditions == (f"a = {a} is not > 0",)
+            assert tail.bound is None
+
+    @pytest.mark.parametrize("a, b", [(100.0, 1.5), (3.0, 50.0),
+                                      (100.0, 50.0), (3.0, 2.0)])
+    def test_checks_word_a_shortfall_alike(self, psi_half, a, b):
+        kp = kernels.kernel_profile(psi_half, self.N)
+        env = envelope_check(kp, a, b).preconditions
+        assert env
+        assert env == tail_sum_bound_check(psi_half, self.N, a, b).preconditions
+        assert env == tail_sum_bound_check(psi_half, self.N, a, b,
+                                           evaluator=kp).preconditions
+
+    def test_tail_check_builds_the_kernel_profile(self):
+        # exp(-t): eta(n) - n = ln 2 < 1, so floor(eta(n)) = n and no
+        # kernel exists, once the hypotheses with a = 0.5 hold
+        psi = PsiFunction.exp_power(1.0, 1.0)
+        with pytest.raises(DegenerateGapError):
+            tail_sum_bound_check(psi, 5, 0.5, 3.0)
+        assert tail_sum_bound_check(psi, 5, 1.0, 3.0).status \
+            == "precondition_violated"
