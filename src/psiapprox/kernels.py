@@ -18,7 +18,9 @@ every check and the bracket sweep read with their own floor on a;
 `kernel_profile` alone sets K, which never passes MAX_GRID.
 Three evaluation routes are kept alive on purpose (coefficient sum, partial
 Abel, full Abel over Dirichlet-type kernels); their mutual agreement is a
-standing regression check.
+standing regression check.  Both Abel routes sum by parts in `_by_parts`,
+over the one Dirichlet kernel `dirichlet`, which takes arrays of orders and
+of points alike.
 """
 
 from __future__ import annotations
@@ -51,50 +53,48 @@ def _wrap(t):
     return np.pi - np.mod(np.pi - np.asarray(t, dtype=float), TWO_PI)
 
 
-def dirichlet(k: int, beta: float, t):
+def dirichlet(k, beta: float, t):
     """Dirichlet-type kernel cos(theta)/2 + sum_{v=1}^{k} cos(v t - theta),
-    theta = beta*pi/2.
+    theta = beta*pi/2, with the orders k broadcast against the points t.
 
     Away from the period points the closed form
     [sin((k+1/2)t - theta) + cos(t/2) sin(theta)] / (2 sin(t/2)) is used; within
     T_SWITCH of a period point the defining sum is evaluated directly, since
     the closed form loses ~eps/|t| absolute accuracy to cancellation.
     T_SWITCH = 1e-3 keeps the closed-form branch at the 1e-12 agreement level.
+    The sum runs once per distinct small t, up to the largest order asked
+    there, and every order reads its partial sum, so memory stays O(max k).
     """
-    if k < 0:
+    if np.any(np.asarray(k) < 0):
         raise DomainError("dirichlet needs k >= 0")
     theta = 0.5 * math.pi * beta
-    tw = _wrap(t)
-    scalar = np.ndim(t) == 0
-    tw = np.atleast_1d(tw)
-    out = np.empty_like(tw)
+    ks, tw = np.broadcast_arrays(np.asarray(k), _wrap(t))
+    out = np.empty(tw.shape)
     small = np.abs(tw) < T_SWITCH
     if np.any(~small):
-        ts = tw[~small]
-        out[~small] = ((np.sin((k + 0.5) * ts - theta)
+        kb, ts = ks[~small], tw[~small]
+        out[~small] = ((np.sin((kb + 0.5) * ts - theta)
                         + np.cos(0.5 * ts) * math.sin(theta))
                        / (2.0 * np.sin(0.5 * ts)))
-    if np.any(small):
-        ts = tw[small]
-        acc = np.full(ts.shape, 0.5 * math.cos(theta))
-        for v in range(1, k + 1):
-            acc += np.cos(v * ts - theta)
-        out[small] = acc
-    return float(out[0]) if scalar else out
+    for u in np.unique(tw[small]):
+        at = small & (tw == u)
+        v = np.arange(1, int(np.max(ks[at])) + 1)
+        partial = np.cumsum(np.concatenate(
+            ([0.5 * math.cos(theta)], np.cos(v * u - theta))))
+        out[at] = partial[ks[at]]
+    return float(out) if out.ndim == 0 else out
 
 
-def _dirichlet_many(ks: np.ndarray, beta: float, t: float) -> np.ndarray:
-    """D_{k,beta}(t) for an array of orders k at a single point t."""
-    theta = 0.5 * math.pi * beta
-    tw = float(_wrap(t))
-    if abs(tw) >= T_SWITCH:
-        return ((np.sin((ks + 0.5) * tw - theta)
-                 + math.cos(0.5 * tw) * math.sin(theta))
-                / (2.0 * math.sin(0.5 * tw)))
-    k_max = int(np.max(ks)) if ks.size else 0
-    terms = np.cos(np.arange(1, k_max + 1) * tw - theta)
-    partial = np.concatenate(([0.0], np.cumsum(terms))) + 0.5 * math.cos(theta)
-    return partial[ks]
+def _by_parts(ks: np.ndarray, c: np.ndarray, beta: float, t: float) -> float:
+    """sum_k c_k cos(kt - beta*pi/2) over the consecutive orders ks, summed
+    by parts over the Dirichlet kernels D_k = dirichlet(k, beta, t):
+    c_last D_last - c_first D_{first-1} + sum_{k<last} (c_k - c_{k+1}) D_k.
+    """
+    if not ks.size:
+        return 0.0
+    d = dirichlet(np.arange(ks[0] - 1, ks[-1] + 1), beta, t)
+    return (c[-1] * d[-1] - c[0] * d[0]
+            + float(np.sum((c[:-1] - c[1:]) * d[1:-1])))
 
 
 def truncation_index(psi: PsiFunction, n: int, tail_eps: float) -> int:
@@ -231,7 +231,6 @@ class KernelProfile:
     eta_gap: float
     mu: float
     eta_floor: int
-    gap_int: int            # F - n, integer taper denominator
     taper_start: int        # first harmonic actually present
     certified_tail: float
     coeffs: np.ndarray      # |c_k|, k = taper_start..truncation_index
@@ -268,8 +267,8 @@ def kernel_profile(psi: PsiFunction, n: int,
     k, half = np.arange(1.0, K + 1.0), 0.5 * c
     return KernelProfile(psi=psi, n=n, tail_eps=tail_eps, truncation_index=K,
                          eta_gap=prof.eta_gap, mu=prof.mu, eta_floor=eta_floor,
-                         gap_int=eta_floor - n, taper_start=start,
-                         certified_tail=float(bound), coeffs=c[start - 1:],
+                         taper_start=start, certified_tail=float(bound),
+                         coeffs=c[start - 1:],
                          folded=FourierSeries(0.0, half, half),
                          energy=float(c @ c),
                          curvature=float(np.sum(k * (k * c))))
@@ -310,36 +309,18 @@ class KernelEvaluator(KernelProfile):
         out = np.array([self._eval_abel(float(tt), representation) for tt in ts])
         return float(out[0]) if scalar else out
 
-    def _taper_abel(self, t: float) -> float:
-        """Abel resummation of the taper block; 0 when the block is empty."""
-        n, g = self.n, self.gap_int
-        start = self.taper_start
-        if start >= n:
-            return 0.0
-        psi_n = float(self.psi(float(n)))
-        c_start = psi_n * (self.eta_floor - 2 * n + start) / g
-        w_last = psi_n * (g - 1) / g
-        ks_mid = np.arange(start, n - 1)
-        d_mid = _dirichlet_many(ks_mid, self.beta, t)
-        d_last = dirichlet(n - 1, self.beta, t)
-        d_before = dirichlet(start - 1, self.beta, t)
-        return (w_last * d_last - (psi_n / g) * float(np.sum(d_mid))
-                - c_start * d_before)
-
     def _eval_abel(self, t: float, representation: str) -> float:
-        n, K = self.n, self.truncation_index
-        ks_tail = np.arange(n, K + 1, dtype=float)
-        psi_tail = np.asarray(self.psi(ks_tail), dtype=float)
-        if representation == "x":
-            tail = float(np.sum(psi_tail * np.cos(
-                ks_tail * t - 0.5 * math.pi * self.beta)))
-        else:
-            d_tail = _dirichlet_many(np.arange(n - 1, K + 1), self.beta, t)
-            # sum psi(k)(D_k - D_{k-1}) = psi(K) D_K - psi(n) D_{n-1} + sum dpsi(k) D_k
-            dpsi = psi_tail[:-1] - psi_tail[1:]
-            tail = (psi_tail[-1] * d_tail[-1] - psi_tail[0] * d_tail[0]
-                    + float(np.sum(dpsi * d_tail[1:-1])))
-        return self._taper_abel(t) + tail
+        n, K, g = self.n, self.truncation_index, self.eta_floor - self.n
+        ks_taper = np.arange(self.taper_start, n)
+        taper = _by_parts(ks_taper, float(self.psi(float(n)))
+                          * (self.eta_floor - 2 * n + ks_taper) / g,
+                          self.beta, t)
+        ks_tail = np.arange(n, K + 1)
+        psi_tail = np.asarray(self.psi(ks_tail.astype(float)), dtype=float)
+        if representation == "for1":
+            return taper + _by_parts(ks_tail, psi_tail, self.beta, t)
+        return taper + float(np.sum(psi_tail * np.cos(
+            ks_tail * t - 0.5 * math.pi * self.beta)))
 
 
 def lemma1_check(lambda_seq: Sequence[float], gamma: float, N: int, M: int,

@@ -319,10 +319,10 @@ def lemma2_margins(psi: PsiFunction, t: float, b: float) -> Lemma2Margins:
     Valid whenever mu >= b > 0 on the range swept by the halving; the caller
     is responsible for that precondition.  Ordering failure beyond float
     slack raises NumericError since under the precondition it signals broken
-    numerics, not mathematics.  b = inf degenerates to the limit constants.
+    numerics, not mathematics.  No t has mu(t) >= inf, so b must be finite.
     """
-    if not (b > 0.0):
-        raise DomainError("lemma 2 needs b > 0")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"lemma 2 needs a finite b > 0, got {b}")
     prof = characteristics(psi, t)
     used_fd = False
     try:
@@ -333,13 +333,10 @@ def lemma2_margins(psi: PsiFunction, t: float, b: float) -> Lemma2Margins:
     if deriv >= 0.0:
         raise InvalidPsiError(f"psi'({t}) = {deriv} is not negative")
     value = float(psi(t)) / abs(deriv)
-    if math.isinf(b):
-        lo_coef, hi_coef = 0.5, 4.0
-    else:
-        lo_coef = 0.5 * (b / (b + 1.0)) ** 2
-        hi_coef = 4.0 * (1.0 + 1.0 / b)
-    result = Lemma2Margins(t=float(t), b=float(b), lower=lo_coef * prof.eta_gap,
-                           value=value, upper=hi_coef * prof.eta_gap,
+    result = Lemma2Margins(t=float(t), b=float(b),
+                           lower=0.5 * (b / (b + 1.0)) ** 2 * prof.eta_gap,
+                           value=value,
+                           upper=4.0 * (1.0 + 1.0 / b) * prof.eta_gap,
                            used_finite_difference=used_fd)
     if not result.ordered:
         raise NumericError(

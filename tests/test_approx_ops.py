@@ -528,6 +528,27 @@ class TestDuality:
         assert not ex.mean_corrected
         assert abs(ex.mean_offset) == pytest.approx(1.0 / TWO_PI, rel=1e-12)
 
+    def test_sign_function_mean_corrected(self):
+        # at (0.5, 0.7), n = 12, x0 = 0 the sign function's mean passes
+        # MEAN_TOL, so it is shifted and rescaled to a zero-mean unit phi
+        psi = PsiFunction.exp_power(0.5, 0.7)
+        ke = KernelEvaluator.build(psi, 12, 0.0)
+        ex = duality_extremal_phi(psi, 0.0, 12, math.inf, x0=0.0, evaluator=ke)
+        assert ex.mean_corrected
+        assert ex.norm_p == 1.0
+        assert abs(ex.mean_offset) <= 1e-15
+        assert ex.ratio >= 0.97
+        # the callable, sampled on its working grid, gives the attainment
+        ex = duality_extremal_phi(psi, 0.0, 12, math.inf, x0=0.0, evaluator=ke,
+                                  grid_size=1 << 13)
+        assert ex.mean_corrected
+        G = ex.grid_size
+        vals = np.asarray(ex(TWO_PI * np.arange(G) / G), dtype=float)
+        s = ke.series.uniform_samples(G)[(int(round(ex.x0 / (TWO_PI / G)))
+                                          - np.arange(G)) % G]
+        attained = (TWO_PI / G) * float(np.sum(vals * s)) / math.pi
+        assert attained == pytest.approx(ex.attainment, rel=1e-9)
+
     def test_callable_reproduces_attainment(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 9, 0.0)
         ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.7,

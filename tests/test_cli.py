@@ -76,6 +76,8 @@ class TestLambdaAndKernel:
         ["verify", "theorem1", *HALF, "--n", "20", "--p", "2", "--a", "nan",
          "--b", "nan"],
         ["verify", "envelopes", *HALF, "--n", "20", "--a", "nan"],
+        # no t has mu(t) >= inf, so --force cannot make that row certify
+        ["verify", "lemma2", *HALF, "--t", "20", "--b", "inf", "--force"],
         ["characteristics", *HALF, "--t", "nan"],
         ["characteristics", *HALF, "--t", "inf"],
         ["asymp", *HALF, "--n-range", "11:12", "--p", "2",
@@ -169,6 +171,30 @@ class TestVerifyCommand:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert all(r["ordered"] for r in rows)
+
+    def test_lemma2_table_profile_uses_its_derivative(self, capsys, tmp_path):
+        table = tmp_path / "psi.csv"
+        t = np.arange(1.0, 400.0, 0.25)
+        np.savetxt(table, np.column_stack([t, np.exp(-np.sqrt(t))]),
+                   delimiter=",")
+        code, out, _ = run_cli(capsys, "verify", "lemma2", "--psi-table",
+                               str(table), "--t", "20", "50", "--b", "2.11")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["finite_difference"] for r in rows] == [False, False]
+        assert all(r["ordered"] for r in rows)
+
+    def test_envelopes_force_below_threshold(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "envelopes", *HALF,
+                                 "--n-range", "6:11", "--force",
+                                 "--format", "csv")
+        assert code == 2
+        rows = out.strip().split("\n")[1:]
+        status = [row.split(",")[3] for row in rows]
+        assert status == ["precondition_violated"] * 5 + ["ok"]
+        assert rows[-1].startswith("11,")
+        assert err == ("verify envelopes: 1/6 ok, 0 failed, "
+                       "5 outside preconditions\n")
 
     def test_envelopes_ok(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "envelopes", *HALF,

@@ -61,6 +61,26 @@ class TestDirichlet:
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
             dirichlet(-1, 0.0, 0.5)
+        with pytest.raises(DomainError):
+            dirichlet(np.array([3, -1]), 0.0, 0.5)
+
+    def test_orders_array_matches_scalar_calls(self):
+        # both branches: closed form away from 0 and the summed series within
+        # T_SWITCH, where one partial sum serves every order at a point
+        ks = np.array([0, 1, 2, 7, 40, 333, 7])
+        ts = np.array([0.0, 1e-4, -1e-4, 9.99e-4, 1e-4, 0.3, -2.5, math.pi,
+                       TWO_PI + 5e-4])
+        for beta in (0.0, 1.0, 0.35):
+            for t in ts:
+                got = dirichlet(ks, beta, t)
+                want = [dirichlet(int(k), beta, t) for k in ks]
+                assert np.array_equal(got, want)
+            table = dirichlet(ks[:, None], beta, ts[None, :])
+            assert np.array_equal(table, [dirichlet(int(k), beta, ts)
+                                          for k in ks])
+            assert np.array_equal(dirichlet(ks, beta, ts[:ks.size]),
+                                  [dirichlet(int(k), beta, float(t))
+                                   for k, t in zip(ks, ts)])
 
 
 class TestTruncation:
@@ -195,7 +215,7 @@ class TestKernelEvaluator:
         ke = KernelEvaluator.build(psi_half, 9, 0.0)
         # eta(9) = 13.639..., floor 13, so harmonics start at 2*9-13+1 = 6
         assert ke.eta_floor == 13
-        assert ke.gap_int == 4
+        assert ke.eta_floor - ke.n == 4
         assert ke.taper_start == 6
         assert ke.series.a[5 - 1] == 0.0
         assert ke.series.a[6 - 1] > 0.0
@@ -205,12 +225,18 @@ class TestKernelEvaluator:
         with pytest.raises(DegenerateGapError):
             KernelEvaluator.build(psi, 5, 0.0)
 
-    def test_representations_agree(self, psi_half):
+    def test_representations_agree(self, psi_half, psi_unit_gap):
+        # points inside T_SWITCH take the summed Dirichlet kernels; the
+        # unit-gap profile at n = 10 has an empty taper
+        assert KernelEvaluator.build(psi_unit_gap, 10, 0.0).taper_start == 10
         ts = np.concatenate([np.linspace(0.01, math.pi, 101),
-                             -np.linspace(0.01, math.pi, 7)])
-        for n, beta in ((9, 0.0), (9, 1.0), (16, 0.5)):
+                             -np.linspace(0.01, math.pi, 7),
+                             [0.0, 1e-4, -1e-4, 9.99e-4]])
+        for psi, n, beta in ((psi_half, 9, 0.0), (psi_half, 9, 1.0),
+                             (psi_half, 16, 0.5), (psi_unit_gap, 10, 0.0),
+                             (psi_unit_gap, 10, 0.7)):
             # the three routes share K, so they differ only by rounding
-            ke = KernelEvaluator.build(psi_half, n, beta)
+            ke = KernelEvaluator.build(psi, n, beta)
             base = ke.eval(ts, "direct")
             for rep in ("x", "for1"):
                 np.testing.assert_allclose(ke.eval(ts, rep), base,

@@ -159,3 +159,19 @@ class TestLemma2Margins:
         m = lemma2_margins(nod, 9.0, 1.94)
         assert m.used_finite_difference
         assert m.value == pytest.approx(6.0, rel=1e-6)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
+    def test_b_outside_the_positive_reals_refused(self, psi_half, b):
+        # no t has mu(t) >= inf, so an infinite b would certify nothing
+        with pytest.raises(DomainError):
+            lemma2_margins(psi_half, 20.0, b)
+
+    def test_table_profile_right_derivative(self, psi_half):
+        t = np.arange(1.0, 400.0, 0.25)
+        tab = PsiFunction.from_table(t, np.exp(-np.sqrt(t)))
+        for at in (20.0, 50.0, 100.0):
+            m = lemma2_margins(tab, at, 2.11)
+            assert m.ordered
+            assert not m.used_finite_difference
+            assert m.value == pytest.approx(
+                lemma2_margins(psi_half, at, 2.11).value, rel=5e-3)
