@@ -9,8 +9,8 @@ computation is deliberately boring: composite trapezoid on uniform grids
 (spectrally accurate for periodic integrands, with a local correction at
 sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
-convolution's.  A kernel's grid (its profile's FFT, mirrored) is walked
-once, block by block, for every order a caller asks for at the same time.
+convolution's.  A kernel's grid is built block by block from its profile's
+FFT, walked once for all orders asked together, half of it at integer beta.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries
+from .series import FourierSeries, _mirror_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,7 +168,7 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _halving_sum(parts: list) -> float:
+def _halving_sum(parts) -> float:
     """Sum block partials pairwise, neighbours first.
 
     np.sum's pairwise summation halves a power-of-two array down to
@@ -190,83 +190,100 @@ def _power(w: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return np.power(w, p, out=out)
 
 
-def _kinks(s: np.ndarray, panels: list, orders, h: float) -> dict:
-    """{p: trapezoid correction} on the sign-change panels (i, i+1) of the
-    grid s (step h) in `panels`, then the wrap panel (size-1, 0).  With g
-    linear across a panel, int |g|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B))
-    against the rule's h (A^p + B^p)/2, A and B the endpoint magnitudes."""
+def _kinks(A: list, B: list, orders, h: float) -> dict:
+    """{p: trapezoid correction} on the sign-change panels of a grid (step
+    h) whose endpoint magnitudes are gathered in A and B.  With g linear
+    across a panel, int |g|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B))
+    against the rule's h (A^p + B^p)/2."""
     if not orders:
         return {}
-    if s[-1] * s[0] < 0.0:
-        panels.append(np.array([s.size - 1]))
-    idx = np.concatenate(panels)
-    A = np.abs(s[idx])
-    B = np.abs(s[(idx + 1) % s.size])
+    A, B = np.concatenate(A), np.concatenate(B)
     return {p: float(h * np.sum(
         (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
         - 0.5 * (A ** p + B ** p))) for p in orders}
 
 
-def _grid_pass(s: np.ndarray, orders, h: float,
-               peak: bool = False) -> tuple[dict, Optional[int]]:
-    """One blocked walk over the samples s (step h): {p: (full, half)}, the
-    composite rule for int |g|^p on s and on its even nodes (step 2h), and
-    with `peak` the first index of max |s| (else None).  Each _BLOCK-point
-    block (even, so its even entries are the half grid's) takes |s| once
-    and each power once into reused buffers, summed in `_halving_sum`
-    order.  Orders that are not even integers (|g|^p is then no
-    trigonometric polynomial) share one panel scan per grid for `_kinks`.
-    """
+def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
+               mirror: Optional[tuple] = None) -> tuple[dict, Optional[tuple]]:
+    """One blocked walk over a grid g (step h): {p: (full, half)}, the
+    composite rule for int |g|^p on g and on its even nodes (step 2h), and
+    with `peak` (i, |g_i|) at the first index i of max |g| (else None).
+    g is s, or with mirror = (u, v) `_mirror_block`'s u f(t) + v f(-t) of
+    f's samples s; if |u| == |v|, |g| is even and the walk ends at node G/2
+    (G a multiple of 4): nodes 0 and G/2 count once, the rest and their
+    panels twice.  Each _BLOCK-point block (even, so its even entries are
+    the half grid's) takes |g| once and each power once into reused
+    buffers, summed in `_halving_sum` order.  Orders that are not even
+    integers (|g|^p is then no trigonometric polynomial) share one panel
+    scan per grid for `_kinks`; a whole walk adds its wrap panels."""
+    G = s.size
+    halved = mirror is not None and abs(mirror[0]) == abs(mirror[1])
+    stop = G // 2 if halved else G
     kinked = [p for p in orders if p != 2.0 * round(p / 2.0)]
-    sums = {p: ([], []) for p in orders}
-    panels, half_panels = [], []
-    mag = np.empty(min(s.size, _BLOCK))
-    powered = np.empty_like(mag)
-    i_peak, top = (0, -1.0) if peak else (None, None)
-    for start in range(0, s.size, _BLOCK):
-        blk = s[start:start + _BLOCK]
-        w = np.abs(blk, out=mag[:blk.size])
+    sums = {p: [] for p in orders}
+    panels = ([], []), ([], [])      # endpoint magnitudes A, B per grid
+    buf, powered = np.empty((2, min(G, _BLOCK + 1)))
+    found = (0, -1.0) if peak else None
+    for start in range(0, stop, _BLOCK):
+        n = min(_BLOCK, stop - start)   # the block's nodes, and node
+        m = min(n + 1, G - start)       # start + n for its last panel
+        blk = s[start:start + m] if mirror is None else _mirror_block(
+            s, *mirror, start, buf[:m], powered)
+        if start == 0:
+            g0 = float(blk[0])
+        for (A, B), b in zip(panels if kinked else (), (blk, blk[::2])):
+            c = np.flatnonzero(b[:-1] * b[1:] < 0.0)
+            A.append(np.abs(b[c]))
+            B.append(np.abs(b[c + 1]))
+            if start + m == G and b[-1] * g0 < 0.0:   # a whole walk's wrap
+                A.append([abs(b[-1])])
+                B.append([abs(g0)])
+        w = np.abs(blk, out=buf[:m])   # in place for a mirrored block
         if peak:   # a later block wins only with a strictly larger value
             j = int(np.argmax(w))
-            if w[j] > top:
-                i_peak, top = start + j, w[j]
+            if w[j] > found[1]:
+                found = (start + j, float(w[j]))
         for p in orders:
-            wp = w if p == 1.0 else _power(w, p, powered[:w.size])
-            sums[p][0].append(wp.sum())
-            sums[p][1].append(wp[::2].sum())
-        if kinked:
-            seg = s[start:start + _BLOCK + 1]
-            panels.append(start + np.flatnonzero(seg[:-1] * seg[1:] < 0.0))
-            seg = s[start:start + _BLOCK + 2:2]
-            half_panels.append(start // 2
-                               + np.flatnonzero(seg[:-1] * seg[1:] < 0.0))
-    kink = _kinks(s, panels, kinked, h)
-    kink_half = _kinks(s[::2], half_panels, kinked, 2.0 * h)
-    return {p: (h * _halving_sum(full) + kink.get(p, 0.0),
-                2.0 * h * _halving_sum(half) + kink_half.get(p, 0.0))
-            for p, (full, half) in sums.items()}, i_peak
+            wp = w if p == 1.0 else _power(w, p, powered[:m])
+            sums[p].append((wp[:n].sum(), wp[:n:2].sum(), float(wp[0]),
+                            float(wp[-1])))
+    twice = 2.0 if halved else 1.0
+    kink = _kinks(*panels[0], kinked, twice * h)
+    kink_half = _kinks(*panels[1], kinked, twice * 2.0 * h)
+    out = {}
+    for p, blocks in sums.items():
+        full, half, firsts, lasts = zip(*blocks)
+        full, half = _halving_sum(full), _halving_sum(half)
+        if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
+            full = 2.0 * full - firsts[0] + lasts[-1]
+            half = 2.0 * half - firsts[0] + lasts[-1]
+        out[p] = (h * full + kink.get(p, 0.0),
+                  2.0 * h * half + kink_half.get(p, 0.0))
+    return out, found
 
 
-def _sup_refined(series: FourierSeries, s: np.ndarray, i: int,
+def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
                  curvature: Optional[float]) -> NormValue:
-    """max |g| from its grid argmax i, refined by Newton steps on g' that
-    read g' and g'' off one cos/sin table per iterate.  At 16 nodes per
-    wavelength the peak is within one cell of node i, so steps are clamped
-    to it; (1/2) sum k^2 |c_k| (last step)^2 bounds the error."""
-    peak = float(abs(s[i]))
-    h = TWO_PI / s.size
+    """max |g| from peak = |g_i| at the argmax i of its G-point grid, refined
+    by Newton steps on g' that read g' and g'' off one cos/sin table per
+    iterate.  At 16 nodes per wavelength the peak is within a cell of node
+    i, so steps are clamped to it; (1/2) sum k^2 |c_k| step^2 bounds error."""
+    h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
     d1 = series.derivative()
     d2 = d1.derivative()
     k = np.arange(1, series.degree + 1)
-    t, step = i * h, 0.0
-    for _ in range(8):
+
+    def derivatives(t):   # (g'', g') at t; the table dies on return
         kt = np.outer([t], k)
         cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        curv = float((cos_kt @ d2.a + sin_kt @ d2.b)[0])
+        return (float((cos_kt @ d2.a + sin_kt @ d2.b)[0]),
+                float((cos_kt @ d1.a + sin_kt @ d1.b)[0]))
+    t, step = i * h, 0.0
+    for _ in range(8):
+        curv, slope = derivatives(t)
         if curv == 0.0:
             break
-        slope = float((cos_kt @ d1.a + sin_kt @ d1.b)[0])
         t_new = min(max(t - slope / curv, lo), hi)
         step, t = t_new - t, t_new
         if abs(step) < 1e-13:
@@ -305,9 +322,11 @@ def _norms(g, orders) -> dict:
     if not grid:
         return out
     G = _grid_size(series.degree)
-    s = series.uniform_samples(G)
+    f, *mirror = series._mirror or (series,)   # a kernel's grid mirrors f's
     finite = [p for p in grid if not math.isinf(p)]
-    sums, i = _grid_pass(s, finite, TWO_PI / G, peak=len(finite) < len(grid))
+    sums, found = _grid_pass(f.uniform_samples(G), finite, TWO_PI / G,
+                             peak=len(finite) < len(grid),
+                             mirror=tuple(mirror) or None)
     for p in finite:
         full, half = sums[p]
         exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
@@ -315,8 +334,8 @@ def _norms(g, orders) -> dict:
         value = full ** (1.0 / p) if full > 0.0 else 0.0
         out[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                            else err_i ** (1.0 / p))
-    if i is not None:
-        out[math.inf] = _sup_refined(series, s, i,
+    if found is not None:
+        out[math.inf] = _sup_refined(series, *found, G,
                                      g.curvature if kernel else None)
     return out
 

@@ -184,7 +184,7 @@ def _verify(psi: PsiFunction, beta: float, mode: str, value: float, n: int,
                            status="precondition_violated")
     nv = kernel_norm(psi, beta, n, norm_order, evaluator=ke)
     proxy = nv.value / math.pi
-    tol = 1e-6 * X + nv.error_estimate / math.pi
+    tol = nv.error_estimate / math.pi
     lower = const_Ca(a) * X
     upper = const_Cab_star(a, b) * X
     return BoundReport(**meta, lower=lower, proxy=proxy, upper=upper,

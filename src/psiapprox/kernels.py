@@ -11,8 +11,10 @@ the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
 FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
 and each beta's grid is (cos th + sin th) f(t) + (cos th - sin th) f(-t),
-th = beta*pi/2, by one mirrored pass.  The envelope and tail-sum checks
-certify their bounds from sums over the |c_k|: every beta at once, no grid.
+th = beta*pi/2, mirrored from it; at integer beta cos th and sin th are
+exact, the kernel exactly even or odd, and a norm walks half its period.
+The envelope and tail-sum checks certify their bounds from sums over the
+|c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
 every check and the bracket sweep read with their own floor on a;
 `kernel_profile` alone sets K, which never passes MAX_GRID.

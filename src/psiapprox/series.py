@@ -1,6 +1,7 @@
 """Finite trigonometric series with FFT-backed uniform sampling.
 
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
+A series u f(t) + v f(-t) samples by `_mirror_block`, as the norm pass does.
 """
 
 from __future__ import annotations
@@ -18,15 +19,24 @@ EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 MIRROR_BLOCK = 1 << 16   # points per block of the mirrored sampling pass
 
 
+def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out[i] = u f_j + v f_{-j}, j = lo + i, for f's G samples and
+    lo + out.size <= G; scratch holds at least out.size points."""
+    n, j = out.size, max(lo, 1)   # f_{-0} is f_0, then f_{-j} is f_{G-j}
+    np.multiply(f[lo:lo + n], u, out=out)
+    out[j - lo:] += np.multiply(f[f.size - j::-1][:lo + n - j], v,
+                                out=scratch[:lo + n - j])
+    if lo == 0:
+        out[0] += v * f[0]
+    return out
+
+
 def _mirrored(f: np.ndarray, u: float, v: float) -> np.ndarray:
     """u f_j + v f_{-j}, j = 0..G-1 mod G, one MIRROR_BLOCK at a time."""
-    out, rev = np.empty_like(f), f[::-1]   # rev[j - 1] is f_{G - j}
-    out[0] = u * f[0] + v * f[0]
-    scratch = np.empty(min(f.size, MIRROR_BLOCK))
-    for lo in range(1, f.size, MIRROR_BLOCK):
-        o = out[lo:lo + MIRROR_BLOCK]
-        np.multiply(f[lo:lo + o.size], u, out=o)
-        o += np.multiply(rev[lo - 1:lo - 1 + o.size], v, out=scratch[:o.size])
+    out, scratch = np.empty_like(f), np.empty(min(f.size, MIRROR_BLOCK))
+    for lo in range(0, f.size, MIRROR_BLOCK):
+        _mirror_block(f, u, v, lo, out[lo:lo + MIRROR_BLOCK], scratch)
     return out
 
 
@@ -55,14 +65,21 @@ class FourierSeries:
                             folded=None) -> "FourierSeries":
         """Series sum_k c_k cos(kt - phase) for k = k_start, ...  Given f =
         `folded`, sum_k (c_k/2)(cos kt + sin kt), it is (cos phase + sin phase)
-        f(t) + (cos phase - sin phase) f(-t): its samples mirror f's."""
+        f(t) + (cos phase - sin phase) f(-t): its samples mirror f's.  At
+        whole quarter turns (math.cos(pi/2) is 6.1e-17) cos and sin are
+        exact, so the series is exactly even or odd."""
         c = np.asarray(coeffs, dtype=float)
         if k_start < 1:
             raise DomainError("cosine profile starts at k >= 1")
+        if not math.isfinite(phase):
+            raise DomainError(f"phase must be finite, got {phase}")
         n = k_start + c.size - 1
         a = np.zeros(n)
         b = np.zeros(n)
-        cos, sin = math.cos(phase), math.sin(phase)
+        q = round(phase / (0.5 * math.pi))   # whole quarter turns are exact
+        cos, sin = (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[q % 4]
+                    if 0.5 * math.pi * q == phase
+                    else (math.cos(phase), math.sin(phase)))
         a[k_start - 1:] = c * cos
         b[k_start - 1:] = c * sin
         return cls(a0=0.0, a=a, b=b, _mirror=None if folded is None

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        KernelEvaluator, NumericError, PsiFunction,
-                       approx_ops, apply_vn,
+                       approx_ops, apply_vn, kernels,
                        duality_extremal_phi, kernel_norm, lp_norm,
                        residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients)
@@ -49,25 +52,61 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
     return total ** (1.0 / p)
 
 
+def odd_kernel_lp(ke, p, G=1 << 20, order=20):
+    """||K*||_p of the odd kernel sum c_k sin kt (ke's sine coefficients) as
+    (2 int_0^pi |K*|^p)^{1/p}, by Gauss-Legendre on (0, pi) split at the
+    roots of K*, independent of the trapezoid rule and of ke's phase.
+
+    K* is the cubic spline through its samples on a G-point grid (off by
+    about (kh)^4 / 77 of harmonic k: below 1e-12 relative for these kernels).
+    Each piece is halved and each half mapped by t = root + L u^3 from its
+    root end, so |K*|^p ~ |t - root|^p is smooth in u; u-panels keep t-steps
+    below 80 / K.
+    """
+    g = FourierSeries(0.0, np.zeros(ke.series.degree), ke.series.b)
+    t = TWO_PI / G * np.arange(G // 2 + 1)
+    s = g.uniform_samples(G)[:G // 2 + 1]
+    spline = CubicSpline(t, s)
+    cells = np.flatnonzero(s[1:-2] * s[2:-1] < 0.0) + 1   # none at 0, pi
+    edges = [0.0, *(brentq(spline, t[i], t[i + 1], xtol=1e-16)
+                    for i in cells), math.pi]
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w   # on (0, 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for root, L in ((lo, 0.5 * (hi - lo)), (hi, -0.5 * (hi - lo))):
+            ub = np.linspace(0.0, 1.0, math.ceil(
+                3.0 * abs(L) * ke.truncation_index / 80.0) + 1)
+            u = (ub[:-1, None] + np.diff(ub)[:, None] * x).ravel()
+            wu = (np.diff(ub)[:, None] * w).ravel()
+            vals = np.abs(spline(root + L * u ** 3)) ** p
+            total += float(np.sum(wu * 3.0 * abs(L) * u ** 2 * vals))
+    return (2.0 * total) ** (1.0 / p)
+
+
 def power(w, p):
     """w**p by the pass's own power helper, so references built on it
     check the block walk, not the power."""
     return approx_ops._power(w, p, np.empty_like(w))
 
 
-def roll_kink(s, p, h):
-    """Sign-change panel correction over whole-grid np.roll neighbours."""
+def panel_kink(a, b, p, h):
+    """Sign-change correction over the panels (a_i, b_i), in their order."""
     if p == 2.0 * round(p / 2.0):
         return 0.0
-    nxt = np.roll(s, -1)
-    cross = s * nxt < 0.0
+    cross = a * b < 0.0
     if not np.any(cross):
         return 0.0
-    A = np.abs(s[cross])
-    B = np.abs(nxt[cross])
+    A = np.abs(a[cross])
+    B = np.abs(b[cross])
     exact = (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
     trap = 0.5 * (A ** p + B ** p)
     return float(h * np.sum(exact - trap))
+
+
+def roll_kink(s, p, h):
+    """Sign-change panel correction over whole-grid np.roll neighbours."""
+    return panel_kink(s, np.roll(s, -1), p, h)
 
 
 def blocked_trapezoid(s, p, h):
@@ -82,23 +121,44 @@ def blocked_trapezoid(s, p, h):
             2.0 * h * half + roll_kink(s[::2], p, 2.0 * h))
 
 
-def unblocked_lp(s, p):
-    """lp_norm's trapezoid and error estimate with whole-grid arrays: one
-    np.sum over |s|^p per grid, the half grid copied out of s.  The
-    estimate is Richardson's, or at even p, where the rule is exact on
-    these 16-nodes-per-wavelength grids, the rounding of G terms."""
-    h = TWO_PI / s.size
-
+def whole_grid_trapezoid(s, p, h):
+    """The rule on s and on s[::2] with one np.sum over |s|^p per grid."""
     def integral(samples, step):
         return (step * float(np.sum(power(np.abs(samples), p)))
                 + roll_kink(samples, p, step))
+    return integral(s, h), integral(s[::2], 2.0 * h)
 
-    full = integral(s, h)
-    half = integral(s[::2], 2.0 * h)
+
+def half_period_trapezoid(s, p, h):
+    """The same two rules for an even |s| from nodes 0..G/2 alone, with
+    whole-array sums: twice the np.sum over the nodes below G/2, less
+    node 0, plus node G/2, and twice the panels between those nodes."""
+    def integral(H, step):
+        w = power(np.abs(H), p)
+        return (step * (2.0 * np.sum(w[:-1]) - w[0] + w[-1])
+                + 2.0 * panel_kink(H[:-1], H[1:], p, step))
+    H = s[:s.size // 2 + 1]
+    return integral(H, h), integral(H[::2], 2.0 * h)
+
+
+def unblocked_lp(s, p, rule=whole_grid_trapezoid):
+    """lp_norm's value and error estimate from the two whole-array
+    integrals of `rule`.  The estimate is Richardson's, or at even p,
+    where the rule is exact on these 16-nodes-per-wavelength grids, the
+    rounding of G terms."""
+    full, half = rule(s, p, TWO_PI / s.size)
     value = full ** (1.0 / p)
     err = (full * (s.size + 2) * np.finfo(float).eps if p % 2.0 == 0.0
            else abs(full - half) / 3.0)
     return value, value * err / (p * full)
+
+
+@pytest.fixture(scope="module")
+def deep_profile(psi_slow):
+    """(2.0, 0.3), n = 200: K ~ 51k, so its norms take a 2^20-point grid."""
+    kp = kernels.kernel_profile(psi_slow, 200)
+    assert approx_ops._grid_size(kp.truncation_index) == 1 << 20
+    return kp
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +408,9 @@ class TestNorms:
         ke = KernelEvaluator.build(psi_half, 40, 0.5)
         for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
             lp_norm(ke, p)
-        assert len(ke.series._sample_cache) == 1
+        # the one grid is the profile's f; the kernel's own is never built
+        assert len(ke.folded._sample_cache) == 1
+        assert ke.series._sample_cache == {}
 
     def test_float_protocol(self):
         f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
@@ -381,13 +443,26 @@ class TestBlockedPasses:
         assert (nv.value, nv.error_estimate) == unblocked_lp(
             f.uniform_samples(G), p)
 
-    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
-    def test_lp_norm_on_many_blocks(self, deep_kernel, p):
-        s = deep_kernel.series.uniform_samples(1 << 20)
-        value, err = unblocked_lp(s, p)
-        nv = lp_norm(deep_kernel, p)
+    @staticmethod
+    def check_many_blocks(ke, p, rule):
+        s = ke.series.uniform_samples(1 << 20)
+        value, err = unblocked_lp(s, p, rule)
+        nv = lp_norm(ke, p)
         assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
         assert nv.error_estimate == pytest.approx(err, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
+    def test_lp_norm_on_many_blocks(self, deep_profile, p):
+        # a non-integer beta walks the whole grid
+        self.check_many_blocks(deep_profile.evaluator(0.5), p,
+                               whole_grid_trapezoid)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
+    def test_half_walk_on_many_blocks(self, deep_profile, beta, p):
+        # an integer beta walks half the grid, as strictly checked
+        self.check_many_blocks(deep_profile.evaluator(beta), p,
+                               half_period_trapezoid)
 
     @pytest.mark.parametrize("G", [1 << 17, (1 << 17) + 3])
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0])
@@ -451,8 +526,9 @@ class TestBlockedPasses:
             s = base.copy()
             for i, v in case.items():
                 s[i] = v
-            _, i = approx_ops._grid_pass(s, (), 1.0, peak=True)
+            _, (i, top) = approx_ops._grid_pass(s, (), 1.0, peak=True)
             assert i == int(np.argmax(np.abs(s)))
+            assert top == abs(s[i])
 
     def test_orders_in_one_pass_match_single_orders(self, deep_kernel):
         one_block = zero_mean_series(np.random.default_rng(7), 300)
@@ -494,17 +570,103 @@ class TestBlockedPasses:
         assert sup_norm(ke) == approx_ops.NormValue(
             value=peak, error_estimate=0.5 * curvature * step ** 2)
 
-    def test_grid_norms_take_no_grid_sized_temporaries(self, deep_kernel):
-        deep_kernel.series.uniform_samples(1 << 20)   # cache the 8 MB grid first
+    @staticmethod
+    def check_no_grid_sized_temporaries(ke):
+        ke.folded.uniform_samples(1 << 20)   # cache the profile's 8 MB grid
         for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
                      lambda g: lp_norm(g, 1.0), sup_norm):
             tracemalloc.start()
             try:
-                norm(deep_kernel)
+                norm(ke)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2 ** 20
+
+    def test_grid_norms_take_no_grid_sized_temporaries(self, deep_profile):
+        self.check_no_grid_sized_temporaries(deep_profile.evaluator(0.5))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_half_walk_takes_no_grid_sized_temporaries(self, deep_profile,
+                                                       beta):
+        self.check_no_grid_sized_temporaries(deep_profile.evaluator(beta))
+
+
+class TestHalfWalk:
+    """At integer beta K* is exactly even or odd, so the pass walks |K*|
+    over nodes 0..G/2 of the grid only."""
+
+    ORDERS = (1.0, 4.0 / 3.0, 3.0, 4.0)
+
+    @staticmethod
+    def check_half_walk(series):
+        """The half walk of a mirrored series against its whole grid."""
+        G = approx_ops._grid_size(series.degree)
+        h = TWO_PI / G
+        f, u, v = series._mirror
+        assert abs(u) == abs(v) == 1.0
+        g = series.uniform_samples(G)     # the mirrored grid, written out
+        assert np.array_equal(np.abs(g[1:]), np.abs(g[:0:-1]))
+        if u != v:   # odd: exact zeros at 0 and pi
+            assert g[0] == 0.0 and g[G // 2] == 0.0
+        sums, found = approx_ops._grid_pass(
+            f.uniform_samples(G), TestHalfWalk.ORDERS, h, peak=True,
+            mirror=(u, v))
+        for p in TestHalfWalk.ORDERS:
+            # the bits of whole-array sums, on one block or on eight
+            assert sums[p] == half_period_trapezoid(g, p, h)
+            assert all(type(x) is float for x in sums[p])   # not np.float64
+            # and the whole walk, up to the order of the rounding
+            assert sums[p] == pytest.approx(whole_grid_trapezoid(g, p, h),
+                                            rel=1e-12, abs=0.0)
+        # the p = inf node and value are the whole walk's, bit for bit
+        i = int(np.argmax(np.abs(g)))
+        assert found == (i, abs(g[i]))
+        assert found == approx_ops._grid_pass(g, (), h, peak=True)[1]
+
+    @pytest.fixture(scope="class", params=["deep", "one block"])
+    def profile(self, request, deep_profile, psi_half):
+        if request.param == "deep":   # 2^20 points: eight half-walk blocks
+            return deep_profile
+        kp = kernels.kernel_profile(psi_half, 40)   # 2^16 points
+        assert approx_ops._grid_size(kp.truncation_index) == 1 << 16
+        return kp
+
+    @pytest.mark.parametrize("beta", [0, 1, 2, 3])
+    def test_half_walk_matches_whole_arrays(self, profile, beta):
+        ke = profile.evaluator(beta)
+        self.check_half_walk(ke.series)
+        G = approx_ops._grid_size(ke.truncation_index)
+        g = ke.series.uniform_samples(G)
+        whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
+        assert sup_norm(ke) == approx_ops._sup_refined(
+            ke.series, *whole, G, ke.curvature)
+
+    @pytest.mark.parametrize("alpha, r, n, before", [
+        (1.0, 0.5, 20, 4.27e-8), (2.0, 0.7, 112, 2.31e-4),
+        (0.5, 0.7, 60, 1.13e-5), (2.0, 0.3, 170, 9.28e-9)])
+    def test_odd_kernel_four_thirds_accuracy(self, alpha, r, n, before):
+        # at beta = 1 the kernel's samples at 0 and pi are exact zeros, so
+        # no sign change (and no kink panel) is born from rounding there;
+        # `before` is the relative error when cos(pi/2) was 6.1e-17
+        ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, 1.0)
+        nv = lp_norm(ke, 4.0 / 3.0)
+        ref = odd_kernel_lp(ke, 4.0 / 3.0)
+        assert abs(nv.value - ref) < before * ref
+        assert abs(nv.value - ref) <= nv.error_estimate
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 2000))
+    def test_random_coefficient_tables(self, k_start, beta, seed, size):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(size) * np.exp(-rng.uniform(0, 30, size))
+        half = np.concatenate((np.zeros(k_start - 1), 0.5 * coeffs))
+        folded = FourierSeries(a0=0.0, a=half, b=half)
+        series = FourierSeries.from_cosine_profile(
+            k_start, coeffs, 0.5 * math.pi * beta, folded)
+        self.check_half_walk(series)
 
 
 class TestDuality:

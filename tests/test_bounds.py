@@ -10,7 +10,8 @@ from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
                        bounds, characteristics, conjugate_exponent, const_Ca,
                        const_Cab, const_Cab_p, const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
-                       verify_sweep, verify_theorem1, verify_theorem2)
+                       series, verify_sweep, verify_theorem1,
+                       verify_theorem2)
 
 # direct formula evaluations, frozen before the module was written
 THRESHOLD_TABLE = {
@@ -154,6 +155,15 @@ class TestVerify:
         assert r1.X == pytest.approx(w * prof.eta_gap ** 0.25, rel=1e-9)
         assert r2.X == pytest.approx(w * prof.eta_gap ** 0.75, rel=1e-9)
 
+    def test_zero_proxy_fails_the_lower_bracket(self):
+        # ||K*||_4 underflows to 0 at (2.0, 0.7), n = 1000, where C_a < 1e-6:
+        # the tolerance is the error estimate alone, so 0 cannot pass
+        rep = verify_theorem2(PsiFunction.exp_power(2.0, 0.7), 0.0, 4.0, 1000)
+        assert rep.status == "ok" and rep.proxy == 0.0
+        assert 0.0 < rep.lower < 1e-6 * rep.X
+        assert rep.tol < rep.lower
+        assert not rep.pass_lower and rep.pass_upper and not rep.ok
+
     def test_non_finite_beta_refused(self, psi_half):
         # n = 3 is below the preconditions, so no evaluator checks beta
         for beta in (math.nan, math.inf):
@@ -201,7 +211,7 @@ class TestVerify:
                 for mode, value in modes:
                     fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
                     fresh.append(fn(psi_half, beta, value, n))
-        counts = {"profiles": 0, "ffts": 0, "passes": 0}
+        counts = {"profiles": 0, "ffts": 0, "passes": 0, "mirrored": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -213,11 +223,15 @@ class TestVerify:
         monkeypatch.setattr(approx_ops, "_grid_pass",
                             counting("passes", approx_ops._grid_pass))
         monkeypatch.setattr(np.fft, "irfft", counting("ffts", np.fft.irfft))
+        monkeypatch.setattr(series, "_mirrored",
+                            counting("mirrored", series._mirrored))
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
-        # one profile and one FFT per n, which both betas mirror; per
-        # (n, beta) evaluator one walk over its grid for orders 1, 4/3, 4
-        # and inf (2 is Parseval's)
-        assert counts == {"profiles": 2, "ffts": 2, "passes": 4}
+        # one profile and one FFT per n, which both betas mirror block by
+        # block, no beta's grid written out whole; per (n, beta) evaluator
+        # one walk over its grid for orders 1, 4/3, 4 and inf (2 is
+        # Parseval's)
+        assert counts == {"profiles": 2, "ffts": 2, "passes": 4,
+                          "mirrored": 0}
         assert reps == fresh
 
     def test_sweep_matches_single_calls(self, psi_half):

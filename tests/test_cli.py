@@ -129,6 +129,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["reports"][0]["mode"] == "theorem2"
 
+    def test_zero_proxy_exits_one(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "theorem2", "--alpha", "2",
+                               "--r", "0.7", "--n", "1000", "--s", "4")
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["proxy"] == 0.0
+        assert (report["pass_lower"], report["pass_upper"]) == (False, True)
+
     def test_below_threshold_exits_config(self, capsys):
         code, _, err = run_cli(capsys, "verify", "theorem1", *HALF,
                                "--n-range", "5:16", "--p", "2")

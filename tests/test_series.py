@@ -99,6 +99,21 @@ def test_from_cosine_profile_offset_and_phase():
     assert f.a0 == 0.0
 
 
+def test_from_cosine_profile_quarter_turns_are_exact():
+    # every whole number of quarter turns gives cos, sin in {0, +-1}
+    coeffs = np.array([2.0, -1.0, 0.5])
+    for q, (cos, sin) in zip(range(-4, 5), [(1, 0), (0, 1), (-1, 0),
+                                            (0, -1)] * 3):
+        f = FourierSeries.from_cosine_profile(3, coeffs, 0.5 * math.pi * q)
+        assert np.array_equal(f.a[2:], coeffs * cos)
+        assert np.array_equal(f.b[2:], coeffs * sin)
+    f = FourierSeries.from_cosine_profile(3, coeffs, 0.25 * math.pi)
+    assert np.array_equal(f.a[2:], coeffs * math.cos(0.25 * math.pi))
+    for phase in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            FourierSeries.from_cosine_profile(3, coeffs, phase)
+
+
 @pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
 def test_mirrored_samples_on_any_grid(G):
     # odd sizes, one block and a short last block; 7 points alias the
