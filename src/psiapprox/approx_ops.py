@@ -9,8 +9,10 @@ computation is deliberately boring: composite trapezoid on uniform grids
 (spectrally accurate for periodic integrands, with a local correction at
 sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
-convolution's.  A kernel's grid is built block by block from its profile's
-FFT, walked once for all orders asked together, half of it at integer beta.
+convolution's.  `_norms` makes every norm's record, a kernel's with its
+certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
+built block by block from its profile's FFT, walked once for all orders
+asked together, half of it at integer beta.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries, _mirror_block
+from .series import FourierSeries
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +114,9 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     """
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
+    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"x samples must be finite, got {x_samples}")
     f = synthesize_class_function(psi, beta, phi, a0=0.0)
     resid = f - apply_vn(f, taper_coefficients(psi, n))
     ke = KernelEvaluator.build(psi, n, beta)
@@ -119,7 +124,6 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     phi_s = phi.uniform_samples(grid)
     ker_s = ke.series.uniform_samples(grid)
     conv = np.fft.irfft(np.fft.rfft(phi_s) * np.fft.rfft(ker_s), grid)
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
     idx = np.round(xs * grid / TWO_PI).astype(int) % grid
     x_snap = TWO_PI * idx / grid
     route1 = np.asarray(resid.eval(x_snap), dtype=float)
@@ -201,6 +205,19 @@ def _kinks(A: list, B: list, orders, h: float) -> dict:
     return {p: float(h * np.sum(
         (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
         - 0.5 * (A ** p + B ** p))) for p in orders}
+
+
+def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out[i] = u f_j + v f_{-j}, j = lo + i, for f's G samples and
+    lo + out.size <= G; scratch holds at least out.size points."""
+    n, j = out.size, max(lo, 1)   # f_{-0} is f_0, then f_{-j} is f_{G-j}
+    np.multiply(f[lo:lo + n], u, out=out)
+    out[j - lo:] += np.multiply(f[f.size - j::-1][:lo + n - j], v,
+                                out=scratch[:lo + n - j])
+    if lo == 0:
+        out[0] += v * f[0]
+    return out
 
 
 def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
@@ -296,48 +313,57 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
 
 
 def _norms(g, orders) -> dict:
-    """{p: NormValue} for each order p in [1, inf] of a series or a kernel
-    (a kernel's profile gives its energy and sum k^2 |c_k|).  p = 2 is
-    Parseval's sqrt(pi * energy); the others share one `_grid_pass` over
-    the norm grid, the refined maximum at p = inf and else the trapezoid
-    with the half-grid Richardson estimate, except at even p below
-    G / degree: there the rule is exact for |g|^p and, as for Parseval,
-    only the rounding of the summed terms is left."""
+    """{p: NormValue} for each order p in [1, inf] of a series or a kernel,
+    the one place a norm's record is made.  p = 2 is Parseval's
+    sqrt(pi * energy); the others share one `_grid_pass` over the norm
+    grid, the refined maximum at p = inf and else the trapezoid with the
+    half-grid Richardson estimate, except at even p below G / degree:
+    there the rule is exact for |g|^p and, as for Parseval, only the
+    rounding of the summed terms is left.  A kernel's profile gives its
+    energy and sum k^2 |c_k|, each order's estimate adds the certified
+    tail, tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so
+    an order is computed once however it is asked for."""
     kernel = isinstance(g, KernelEvaluator)
     series = g.series if kernel else g
     if not isinstance(series, FourierSeries):
         raise DomainError(f"cannot take norms of {type(g).__name__}")
+    record = g._norm_cache if kernel else {}
     eps = float(np.finfo(float).eps)
-    out, grid = {}, []
+    new, grid = {}, []
     for p in dict.fromkeys(orders):
+        if p in record:
+            continue
         if not p >= 1.0:
             raise DomainError(f"p must be >= 1, got {p}")
         if p == 2.0:
             value = math.sqrt(math.pi * (g.energy if kernel
                                          else series.energy()))
-            out[p] = NormValue(value=value, error_estimate=value * (
+            new[p] = NormValue(value=value, error_estimate=value * (
                 series.degree + 1) * eps)
         else:
             grid.append(p)
-    if not grid:
-        return out
-    G = _grid_size(series.degree)
-    f, *mirror = series._mirror or (series,)   # a kernel's grid mirrors f's
-    finite = [p for p in grid if not math.isinf(p)]
-    sums, found = _grid_pass(f.uniform_samples(G), finite, TWO_PI / G,
-                             peak=len(finite) < len(grid),
-                             mirror=tuple(mirror) or None)
-    for p in finite:
-        full, half = sums[p]
-        exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
-        err_i = full * (G + 2) * eps if exact else abs(full - half) / 3.0
-        value = full ** (1.0 / p) if full > 0.0 else 0.0
-        out[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
-                           else err_i ** (1.0 / p))
-    if found is not None:
-        out[math.inf] = _sup_refined(series, *found, G,
-                                     g.curvature if kernel else None)
-    return out
+    if grid:
+        G = _grid_size(series.degree)
+        f, *mirror = series._mirror or (series,)   # a kernel mirrors f's grid
+        finite = [p for p in grid if not math.isinf(p)]
+        sums, found = _grid_pass(f.uniform_samples(G), finite, TWO_PI / G,
+                                 peak=len(finite) < len(grid),
+                                 mirror=tuple(mirror) or None)
+        for p in finite:
+            full, half = sums[p]
+            exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
+            err_i = full * (G + 2) * eps if exact else abs(full - half) / 3.0
+            value = full ** (1.0 / p) if full > 0.0 else 0.0
+            new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
+                               else err_i ** (1.0 / p))
+        if found is not None:
+            new[math.inf] = _sup_refined(series, *found, G,
+                                         g.curvature if kernel else None)
+    tail = g.tail_eps if kernel else 0.0
+    for p, nv in new.items():
+        measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
+        record[p] = NormValue(nv.value, nv.error_estimate + tail * measure)
+    return {p: record[p] for p in orders}
 
 
 def lp_norm(g, p: float) -> NormValue:
@@ -351,27 +377,24 @@ def sup_norm(g) -> NormValue:
     return _norms(g, (math.inf,))[math.inf]
 
 
-def kernel_norms(ke: KernelEvaluator, orders) -> dict:
-    """ke's norm cache, with the orders it lacked added by one `_norms`."""
-    missing = [p for p in orders if p not in ke._norm_cache]
-    ke._norm_cache.update(_norms(ke, missing))
-    return ke._norm_cache
+def _kernel(psi: PsiFunction, n: int, beta: float,
+            evaluator: Optional[KernelEvaluator]) -> KernelEvaluator:
+    """The (psi, n, beta) kernel: evaluator, refused with DomainError when
+    it is another kernel's, or else one built for the call."""
+    if evaluator is None:
+        return KernelEvaluator.build(psi, n, beta)
+    if (evaluator.psi, evaluator.n, evaluator.beta) != (psi, n, beta):
+        raise DomainError(
+            f"the kernel of n = {n}, beta = {beta} was given the evaluator "
+            f"of n = {evaluator.n}, beta = {evaluator.beta} or of another psi")
+    return evaluator
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
                 evaluator: Optional[KernelEvaluator] = None) -> NormValue:
-    """||K*||_{p'} for the (psi, n, beta) residual kernel.
-
-    The truncation budget enters the error estimate as tail_eps (uniform
-    coefficient-tail bound) times the measure factor (2 pi)^{1/p'}.  The
-    evaluator keeps each order's norm, so repeated orders are free.
-    """
-    ke = evaluator if evaluator is not None else KernelEvaluator.build(
-        psi, n, beta)
-    nv = kernel_norms(ke, (p_prime,))[p_prime]
-    measure = 1.0 if math.isinf(p_prime) else TWO_PI ** (1.0 / p_prime)
-    return NormValue(value=nv.value,
-                     error_estimate=nv.error_estimate + ke.tail_eps * measure)
+    """||K*||_{p'} for the (psi, n, beta) residual kernel: the record
+    `_norms` keeps on its evaluator, certified tail included."""
+    return _norms(_kernel(psi, n, beta, evaluator), (p_prime,))[p_prime]
 
 
 # -- duality -----------------------------------------------------------------
@@ -385,11 +408,11 @@ class ExtremalFunction:
     """Near-extremal phi of the Hoelder duality step at a fixed point x0.
 
     attainment = (1/pi) int phi(t) K*(x0 - t) dt, to be compared with
-    target = (1/pi) ||K*||_{p'}.  For p = 1 the extremal is a cosine bump of
-    recorded width at the kernel argmax; its nonzero mean is reported rather
-    than corrected, because subtracting a constant from phi cannot change
-    the attained value (the kernel has zero mean) yet would inflate
-    ||phi||_1 and wreck the normalization.
+    target = (1/pi) ||K*||_{p'}, the kernel's `lp_norm`.  For p = 1 the
+    extremal is a cosine bump of recorded width at the kernel argmax; its
+    nonzero mean is reported rather than corrected, because subtracting a
+    constant from phi cannot change the attained value (the kernel has zero
+    mean) yet would inflate ||phi||_1 and wreck the normalization.
     """
 
     p: float
@@ -421,8 +444,9 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     x0 is snapped to the working grid so S is an exact index reversal.
     """
     p_prime = conjugate_exponent(p)
-    ke = evaluator if evaluator is not None else KernelEvaluator.build(
-        psi, n, beta)
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
+    ke = _kernel(psi, n, beta, evaluator)
     if grid_size is None:
         grid_size = max(1 << 17, _grid_size(ke.truncation_index))
     G = int(grid_size)
@@ -451,7 +475,6 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         def fn(t):
             raw = np.sign(S_of(t))
             return (raw - shift) / (1.0 + abs(shift)) if mean_corrected else raw
-        target = _grid_pass(S, (1.0,), h)[0][1.0][0] / math.pi
     elif p == 1.0:
         i_star = int(np.argmax(np.abs(S)))
         t_star = h * i_star
@@ -465,7 +488,6 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
             return s_star * out
         phi_s = np.asarray(fn(h * np.arange(G)), dtype=float)
         norm_p = 1.0  # analytic: the bump integrates to exactly its width
-        target = float(sup_norm(ke).value) / math.pi
         mean = s_star / TWO_PI
     else:
         s_norm_pp = h * float(np.sum(np.abs(S) ** p_prime))
@@ -477,11 +499,11 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         def fn(t):
             sv = np.asarray(S_of(t), dtype=float)
             return np.sign(sv) * np.abs(sv) ** (p_prime - 1.0) / denom
-        target = s_norm_pp ** (1.0 / p_prime) / math.pi
     attainment = h * float(np.sum(phi_s * S)) / math.pi
+    target = lp_norm(ke, p_prime).value / math.pi
     return ExtremalFunction(p=p, p_prime=p_prime, x0=x0s, grid_size=G,
                             norm_p=float(norm_p), attainment=float(attainment),
-                            target=float(target),
+                            target=target,
                             ratio=float(attainment / target) if target else math.nan,
                             mean_offset=float(mean), mean_corrected=mean_corrected,
                             mollify_width=width, _fn=fn)

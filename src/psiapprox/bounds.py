@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .approx_ops import conjugate_exponent, kernel_norm, kernel_norms
+from .approx_ops import _norms, conjugate_exponent, kernel_norm
 from .errors import DomainError
 from .kernels import KernelEvaluator, _unmet_hypotheses, kernel_profile
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
@@ -234,7 +234,7 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
         for beta in betas:
             ke = kp.evaluator(beta) if viable else None
             if viable:
-                kernel_norms(ke, orders)
+                _norms(ke, orders)
             out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
                        for mode, value in modes)
     return out

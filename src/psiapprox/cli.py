@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bounds as bnd
-from .approx_ops import kernel_norm, kernel_norms, taper_coefficients
+from .approx_ops import _norms, kernel_norm, taper_coefficients
 from .errors import (CapabilityError, DomainError, NumericError,
                      PsiApproxError)
 from .kernels import (KernelEvaluator, envelope_check, kernel_profile,
@@ -305,7 +305,7 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
 def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ke = KernelEvaluator.build(psi, cfg.n, cfg.beta)
-    kernel_norms(ke, cfg.p)   # every order from one pass over the grid
+    _norms(ke, cfg.p)   # every order from one pass over the grid
     rows = []
     for p in cfg.p:
         nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)

@@ -10,9 +10,10 @@ truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
 FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
-and each beta's grid is (cos th + sin th) f(t) + (cos th - sin th) f(-t),
-th = beta*pi/2, mirrored from it; at integer beta cos th and sin th are
-exact, the kernel exactly even or odd, and a norm walks half its period.
+and the norm pass mirrors each beta's grid, (cos th + sin th) f(t) +
+(cos th - sin th) f(-t), th = beta*pi/2, from it; at integer beta cos th
+and sin th are exact, the kernel exactly even or odd, and a norm walks
+half its period.
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
@@ -279,8 +280,8 @@ def kernel_profile(psi: PsiFunction, n: int,
 @dataclass(frozen=True, eq=False)
 class KernelEvaluator(KernelProfile):
     """One (psi, n, beta) residual kernel: its profile plus the phase, as a
-    FourierSeries for grid work, and the norms `approx_ops.kernel_norms`
-    has computed for it."""
+    FourierSeries for grid work, and the norm records `approx_ops._norms`
+    has made for it, certified tail included."""
 
     beta: float
     series: FourierSeries

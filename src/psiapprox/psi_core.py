@@ -142,10 +142,6 @@ class PsiFunction:
             return (float(t) ** self.r + LN2 / self.alpha) ** (1.0 / self.r)
         return _solve_eta(self, t, tol)
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.family == "exp-power" or self._deriv is not None
-
     def derivative(self, t):
         """psi'(t) (right derivative for piecewise generators)."""
         if self.family == "exp-power":

@@ -1,7 +1,8 @@
 """Finite trigonometric series with FFT-backed uniform sampling.
 
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
-A series u f(t) + v f(-t) samples by `_mirror_block`, as the norm pass does.
+A series built as u f(t) + v f(-t) keeps (f, u, v) for the norm pass,
+which mirrors f's samples; its own samples come from its coefficients.
 """
 
 from __future__ import annotations
@@ -16,28 +17,6 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
-MIRROR_BLOCK = 1 << 16   # points per block of the mirrored sampling pass
-
-
-def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
-                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """out[i] = u f_j + v f_{-j}, j = lo + i, for f's G samples and
-    lo + out.size <= G; scratch holds at least out.size points."""
-    n, j = out.size, max(lo, 1)   # f_{-0} is f_0, then f_{-j} is f_{G-j}
-    np.multiply(f[lo:lo + n], u, out=out)
-    out[j - lo:] += np.multiply(f[f.size - j::-1][:lo + n - j], v,
-                                out=scratch[:lo + n - j])
-    if lo == 0:
-        out[0] += v * f[0]
-    return out
-
-
-def _mirrored(f: np.ndarray, u: float, v: float) -> np.ndarray:
-    """u f_j + v f_{-j}, j = 0..G-1 mod G, one MIRROR_BLOCK at a time."""
-    out, scratch = np.empty_like(f), np.empty(min(f.size, MIRROR_BLOCK))
-    for lo in range(0, f.size, MIRROR_BLOCK):
-        _mirror_block(f, u, v, lo, out[lo:lo + MIRROR_BLOCK], scratch)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +44,7 @@ class FourierSeries:
                             folded=None) -> "FourierSeries":
         """Series sum_k c_k cos(kt - phase) for k = k_start, ...  Given f =
         `folded`, sum_k (c_k/2)(cos kt + sin kt), it is (cos phase + sin phase)
-        f(t) + (cos phase - sin phase) f(-t): its samples mirror f's.  At
+        f(t) + (cos phase - sin phase) f(-t), which the norm pass reads.  At
         whole quarter turns (math.cos(pi/2) is 6.1e-17) cos and sin are
         exact, so the series is exactly even or odd."""
         c = np.asarray(coeffs, dtype=float)
@@ -120,19 +99,15 @@ class FourierSeries:
 
         Exact (to rounding) for any grid size: below the Nyquist harmonic by
         a real inverse FFT, otherwise with harmonics wrapped onto their
-        aliases, the identity the sample values themselves satisfy.  A series
-        u f(t) + v f(-t) mirrors f's samples instead.  Results are cached per
-        grid size; treat them as read-only.
+        aliases, the identity the sample values themselves satisfy.  Results
+        are cached per grid size; treat them as read-only.
         """
         if grid_size < 1:
             raise DomainError("grid size must be positive")
         cached = self._sample_cache.get(grid_size)
         if cached is not None:
             return cached
-        if self._mirror is not None:
-            f, u, v = self._mirror
-            samples = _mirrored(f.uniform_samples(grid_size), u, v)
-        elif 2 * self.degree < grid_size:
+        if 2 * self.degree < grid_size:
             # irfft pads the spectrum with zeros up to grid_size // 2 + 1;
             # a halved spectrum without irfft's 1/G needs no pass over the
             # samples, and on power-of-two grids both scalings are exact

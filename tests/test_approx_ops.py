@@ -13,10 +13,11 @@ from scipy.optimize import brentq
 
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        KernelEvaluator, NumericError, PsiFunction,
-                       approx_ops, apply_vn, kernels,
+                       approx_ops, apply_vn, bounds, kernels,
                        duality_extremal_phi, kernel_norm, lp_norm,
                        residual_consistency, sup_norm,
-                       synthesize_class_function, taper_coefficients)
+                       synthesize_class_function, taper_coefficients,
+                       verify_sweep)
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,6 +140,20 @@ def half_period_trapezoid(s, p, h):
                 + 2.0 * panel_kink(H[:-1], H[1:], p, step))
     H = s[:s.size // 2 + 1]
     return integral(H, h), integral(H[::2], 2.0 * h)
+
+
+def mirrored_grid(series, G):
+    """A kernel's G-point norm grid u f_j + v f_{-j} as the pass builds it
+    from its profile's f samples, written out whole."""
+    f, u, v = series._mirror
+    s = f.uniform_samples(G)
+    return u * s + v * s[-np.arange(G) % G]
+
+
+def with_tail(ke, p, err):
+    """err plus ke's certified tail over the period's measure, as a kernel
+    norm's record adds it."""
+    return err + ke.tail_eps * (1.0 if math.isinf(p) else TWO_PI ** (1.0 / p))
 
 
 def unblocked_lp(s, p, rule=whole_grid_trapezoid):
@@ -303,6 +318,13 @@ class TestResidualConsistency:
         with pytest.raises(NumericError, match="MAX_GRID"):
             residual_consistency(psi_half, 0.0, 9, wide, [0.3])
 
+    @pytest.mark.parametrize("xs", [[math.nan], [0.3, math.inf], -math.inf])
+    def test_non_finite_points_refused(self, psi_half, xs):
+        # a NaN point used to be cast to a grid index and compared there
+        phi = zero_mean_series(np.random.default_rng(15), 10)
+        with pytest.raises(DomainError, match="finite"):
+            residual_consistency(psi_half, 0.0, 9, phi, xs)
+
 
 class TestNorms:
     def test_sine_closed_forms_trapezoid(self):
@@ -423,11 +445,58 @@ class TestNorms:
                 lp_norm(f, p)
 
     def test_kernel_norm_tail_budget(self, psi_half):
+        # at beta = 0 the series' Parseval sum is the profile's, bit for
+        # bit; the kernel's record adds the certified tail to its estimate
         ke = KernelEvaluator.build(psi_half, 16, 0.0)
-        plain = lp_norm(ke, 2.0)
+        plain = lp_norm(ke.series, 2.0)
         kn = kernel_norm(psi_half, 0.0, 16, 2.0, evaluator=ke)
         assert kn.value == plain.value
-        assert kn.error_estimate >= plain.error_estimate
+        assert kn.error_estimate == with_tail(ke, 2.0, plain.error_estimate)
+
+
+class TestNormRecord:
+    """A kernel order has one record, certified tail included, whichever
+    function asks for it."""
+
+    ORDERS = (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_every_route_reads_one_record(self, psi_half, beta,
+                                          monkeypatch):
+        filled, fill = [], bounds._norms
+
+        def keep(ke, orders):   # the evaluator verify_sweep fills
+            filled.append(ke)
+            return fill(ke, orders)
+        monkeypatch.setattr(bounds, "_norms", keep)
+        reps = verify_sweep(psi_half, [beta],
+                            [("theorem2", p) for p in self.ORDERS], [40])
+        (swept,) = filled
+        fresh = KernelEvaluator.build(psi_half, 40, beta)
+        for p, rep in zip(self.ORDERS, reps):
+            nv = lp_norm(fresh, p)
+            assert nv == kernel_norm(psi_half, beta, 40, p, evaluator=fresh)
+            assert nv == lp_norm(swept, p)
+            assert nv == kernel_norm(psi_half, beta, 40, p, evaluator=swept)
+            assert nv == kernel_norm(psi_half, beta, 40, p)
+            assert nv.error_estimate >= with_tail(fresh, p, 0.0)
+            assert (rep.proxy, rep.tol) == (nv.value / math.pi,
+                                            nv.error_estimate / math.pi)
+        assert sup_norm(fresh) == lp_norm(fresh, math.inf)
+
+    @pytest.mark.parametrize("other", [
+        dict(n=40), dict(beta=1.0), dict(beta=0.5),
+        dict(psi=PsiFunction.exp_power(2.0, 0.5))])
+    def test_another_kernels_evaluator_refused(self, psi_half, other):
+        # kernel_norm(psi, 1.0, 40, 2.0) with the n = 16, beta = 0
+        # evaluator used to return the n = 16 norm
+        ke = KernelEvaluator.build(psi_half, 16, 0.0)
+        call = {**dict(psi=psi_half, beta=0.0, n=16), **other}
+        with pytest.raises(DomainError, match="evaluator"):
+            kernel_norm(p_prime=2.0, evaluator=ke, **call)
+        with pytest.raises(DomainError, match="evaluator"):
+            duality_extremal_phi(p=2.0, x0=0.0, evaluator=ke, **call)
+        assert ke._norm_cache == {}
 
 
 class TestBlockedPasses:
@@ -445,11 +514,11 @@ class TestBlockedPasses:
 
     @staticmethod
     def check_many_blocks(ke, p, rule):
-        s = ke.series.uniform_samples(1 << 20)
-        value, err = unblocked_lp(s, p, rule)
+        value, err = unblocked_lp(mirrored_grid(ke.series, 1 << 20), p, rule)
         nv = lp_norm(ke, p)
         assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
-        assert nv.error_estimate == pytest.approx(err, rel=1e-10, abs=0.0)
+        assert nv.error_estimate == pytest.approx(with_tail(ke, p, err),
+                                                  rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
     def test_lp_norm_on_many_blocks(self, deep_profile, p):
@@ -538,7 +607,7 @@ class TestBlockedPasses:
             assert together == {p: lp_norm(g, p) for p in orders}
             assert together[math.inf] == sup_norm(g)
         ke = KernelEvaluator.build(PsiFunction.exp_power(2.0, 0.3), 200, 0.0)
-        approx_ops.kernel_norms(ke, orders)
+        approx_ops._norms(ke, orders)
         assert ke._norm_cache == {p: lp_norm(deep_kernel, p) for p in orders}
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -548,7 +617,7 @@ class TestBlockedPasses:
         ke = KernelEvaluator.build(psi_slow, 200, beta)
         series = ke.series
         G = approx_ops._grid_size(series.degree)
-        s = series.uniform_samples(G)
+        s = mirrored_grid(series, G)
         i = int(np.argmax(np.abs(s)))
         peak = float(abs(s[i]))
         h = TWO_PI / G
@@ -568,7 +637,8 @@ class TestBlockedPasses:
             peak = max(peak, abs(float(series.eval(t))))
         curvature = float(np.sum(np.hypot(d2.a, d2.b)))
         assert sup_norm(ke) == approx_ops.NormValue(
-            value=peak, error_estimate=0.5 * curvature * step ** 2)
+            value=peak, error_estimate=with_tail(
+                ke, math.inf, 0.5 * curvature * step ** 2))
 
     @staticmethod
     def check_no_grid_sized_temporaries(ke):
@@ -605,7 +675,7 @@ class TestHalfWalk:
         h = TWO_PI / G
         f, u, v = series._mirror
         assert abs(u) == abs(v) == 1.0
-        g = series.uniform_samples(G)     # the mirrored grid, written out
+        g = mirrored_grid(series, G)
         assert np.array_equal(np.abs(g[1:]), np.abs(g[:0:-1]))
         if u != v:   # odd: exact zeros at 0 and pi
             assert g[0] == 0.0 and g[G // 2] == 0.0
@@ -637,10 +707,11 @@ class TestHalfWalk:
         ke = profile.evaluator(beta)
         self.check_half_walk(ke.series)
         G = approx_ops._grid_size(ke.truncation_index)
-        g = ke.series.uniform_samples(G)
+        g = mirrored_grid(ke.series, G)
         whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
-        assert sup_norm(ke) == approx_ops._sup_refined(
-            ke.series, *whole, G, ke.curvature)
+        ref = approx_ops._sup_refined(ke.series, *whole, G, ke.curvature)
+        assert sup_norm(ke) == approx_ops.NormValue(
+            ref.value, with_tail(ke, math.inf, ref.error_estimate))
 
     @pytest.mark.parametrize("alpha, r, n, before", [
         (1.0, 0.5, 20, 4.27e-8), (2.0, 0.7, 112, 2.31e-4),
@@ -738,3 +809,15 @@ class TestDuality:
         for p in (0.7, math.nan, -math.inf):
             with pytest.raises(DomainError):
                 duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_refused(self, psi_half, x0):
+        # NaN used to raise ValueError and inf OverflowError
+        with pytest.raises(DomainError, match="finite"):
+            duality_extremal_phi(psi_half, 0.0, 16, 2.0, x0=x0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_target_is_the_kernel_norm(self, psi_half, p):
+        ke = KernelEvaluator.build(psi_half, 16, 0.0)
+        ex = duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0, evaluator=ke)
+        assert ex.target == lp_norm(ke, ex.p_prime).value / math.pi

@@ -10,7 +10,7 @@ from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
                        bounds, characteristics, conjugate_exponent, const_Ca,
                        const_Cab, const_Cab_p, const_Cab_star,
                        exp_power_characteristics, exp_power_thresholds,
-                       series, verify_sweep, verify_theorem1,
+                       verify_sweep, verify_theorem1,
                        verify_theorem2)
 
 # direct formula evaluations, frozen before the module was written
@@ -211,7 +211,7 @@ class TestVerify:
                 for mode, value in modes:
                     fn = verify_theorem1 if mode == "theorem1" else verify_theorem2
                     fresh.append(fn(psi_half, beta, value, n))
-        counts = {"profiles": 0, "ffts": 0, "passes": 0, "mirrored": 0}
+        counts = {"profiles": 0, "ffts": 0, "passes": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -223,15 +223,12 @@ class TestVerify:
         monkeypatch.setattr(approx_ops, "_grid_pass",
                             counting("passes", approx_ops._grid_pass))
         monkeypatch.setattr(np.fft, "irfft", counting("ffts", np.fft.irfft))
-        monkeypatch.setattr(series, "_mirrored",
-                            counting("mirrored", series._mirrored))
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
         # one profile and one FFT per n, which both betas mirror block by
-        # block, no beta's grid written out whole; per (n, beta) evaluator
+        # block, no beta's grid sampled on its own; per (n, beta) evaluator
         # one walk over its grid for orders 1, 4/3, 4 and inf (2 is
         # Parseval's)
-        assert counts == {"profiles": 2, "ffts": 2, "passes": 4,
-                          "mirrored": 0}
+        assert counts == {"profiles": 2, "ffts": 2, "passes": 4}
         assert reps == fresh
 
     def test_sweep_matches_single_calls(self, psi_half):

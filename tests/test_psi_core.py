@@ -49,7 +49,6 @@ class TestPsiFunction:
     def test_custom_without_derivative(self):
         raw = PsiFunction.exp_power(1.0, 0.5)
         psi = PsiFunction.custom(lambda t: raw(t))
-        assert not psi.has_derivative
         with pytest.raises(CapabilityError):
             eval_psi_prime(psi, 5.0)
         # finite difference fallback still works
