@@ -821,3 +821,18 @@ class TestDuality:
         ke = KernelEvaluator.build(psi_half, 16, 0.0)
         ex = duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0, evaluator=ke)
         assert ex.target == lp_norm(ke, ex.p_prime).value / math.pi
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha, n", [(1.0, 16), (2.0, 12)])
+    def test_attainment_within_hoelder(self, alpha, n, beta, p):
+        # criterion 6's kernels: Hoelder's inequality caps the attainment at
+        # ||phi||_p ||K*||_{p'} / pi, up to the norm record's estimate.  At
+        # p = inf the p' = 1 estimate is the size of its error, not a margin
+        # above it, so that order waits on an exact p' = 1 quadrature
+        psi = PsiFunction.exp_power(alpha, 0.5)
+        ke = KernelEvaluator.build(psi, n, beta)
+        ex = duality_extremal_phi(psi, beta, n, p, x0=0.0, evaluator=ke)
+        nv = lp_norm(ke, ex.p_prime)
+        assert ex.attainment <= (ex.norm_p * (nv.value + nv.error_estimate)
+                                 / math.pi)

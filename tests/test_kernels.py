@@ -296,8 +296,17 @@ def fft_samples(ke, G):
     return FourierSeries(0.0, ke.series.a, ke.series.b).uniform_samples(G)
 
 
+def pass_grid(ke, G):
+    """The G-point grid the norm pass walks for ke: `_mirror_block`'s
+    u f_j + v f_{-j} over its profile's f samples, as one block."""
+    f, u, v = ke.series._mirror
+    return approx_ops._mirror_block(f.uniform_samples(G), u, v, 0,
+                                    np.empty(G), np.empty(G))
+
+
 class TestMirroredSamples:
-    """Every beta's grid is its profile's one FFT, mirrored."""
+    """The norm pass mirrors its profile's one FFT for every beta; that
+    grid is the FFT of the kernel's own coefficients."""
 
     @pytest.fixture(scope="class")
     def deep_profile(self, psi_slow):
@@ -308,7 +317,7 @@ class TestMirroredSamples:
     def test_agrees_with_the_phased_fft(self, deep_profile, beta, G):
         ke = deep_profile.evaluator(beta)
         ref = fft_samples(ke, G)
-        s = ke.series.uniform_samples(G)
+        s = pass_grid(ke, G)
         eps = np.finfo(float).eps
         assert np.max(np.abs(s - ref)) <= 4.0 * eps * np.max(np.abs(ref))
 
@@ -318,7 +327,7 @@ class TestMirroredSamples:
         for n in range(160, 257, 8):
             ke = kernels.kernel_profile(psi_slow, n).evaluator(0.0)
             G = 1 << 20
-            assert ke.series.uniform_samples(G)[0] == fft_samples(ke, G)[0]
+            assert pass_grid(ke, G)[0] == fft_samples(ke, G)[0]
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_profile_sums_keep_the_series_bits(self, deep_profile, beta):

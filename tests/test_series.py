@@ -117,18 +117,21 @@ def test_from_cosine_profile_quarter_turns_are_exact():
 @pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
 def test_mirrored_samples_on_any_grid(G):
     # odd sizes and sizes past one norm-pass block; 7 points alias the
-    # degree-12 series.  A series built as a mirror of `folded` samples
-    # from its own coefficients and leaves folded's grids alone
+    # degree-12 series.  A series built as a mirror of `folded` samples from
+    # its own coefficients, leaving folded's grids alone, and on any grid
+    # its samples are u f_j + v f_{-j} of folded's, which the norm pass reads
     rng = np.random.default_rng(G)
     coeffs = rng.standard_normal(10)
     half = np.concatenate((np.zeros(2), 0.5 * coeffs))
-    folded = FourierSeries(a0=0.0, a=half, b=half)
-    grid = TWO_PI * np.arange(G) / G
     for phase in (0.0, 0.4, -2.1):
+        folded = FourierSeries(a0=0.0, a=half, b=half)
         f = FourierSeries.from_cosine_profile(3, coeffs, phase, folded)
-        np.testing.assert_allclose(f.uniform_samples(G), f(grid), rtol=0,
-                                   atol=1e-13)
-    assert folded._sample_cache == {}
+        s = f.uniform_samples(G)
+        assert folded._sample_cache == {}
+        _, u, v = f._mirror
+        fs = folded.uniform_samples(G)
+        np.testing.assert_allclose(s, u * fs + v * fs[-np.arange(G) % G],
+                                   rtol=0, atol=1e-13)
 
 
 def test_antiderivative_inverts_differentiation():
