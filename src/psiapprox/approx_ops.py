@@ -12,7 +12,9 @@ norms', the sup scan's, the duality extremals' and the residual
 convolution's.  `_norms` makes every norm's record, a kernel's with its
 certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
 built block by block from its profile's FFT, walked once for all orders
-asked together, half of it at integer beta.
+asked together, half of it at integer beta; at beta = 0 and 1 a block is
+f_j +- f_{-j}, and an even series' sup norm peaking at node 0 is flat there
+and takes no Newton step.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -212,11 +214,15 @@ def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
     """out[i] = u f_j + v f_{-j}, j = lo + i, for f's G samples and
     lo + out.size <= G; scratch holds at least out.size points."""
     n, j = out.size, max(lo, 1)   # f_{-0} is f_0, then f_{-j} is f_{G-j}
-    np.multiply(f[lo:lo + n], u, out=out)
-    out[j - lo:] += np.multiply(f[f.size - j::-1][:lo + n - j], v,
-                                out=scratch[:lo + n - j])
+    back = f[f.size - j::-1][:lo + n - j]
+    if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: the products are exact
+        op = np.add if v > 0.0 else np.subtract
+        op(f[j:lo + n], back, out=out[j - lo:])
+    else:
+        np.multiply(f[j:lo + n], u, out=out[j - lo:])
+        out[j - lo:] += np.multiply(back, v, out=scratch[:lo + n - j])
     if lo == 0:
-        out[0] += v * f[0]
+        out[0] = u * f[0] + v * f[0]
     return out
 
 
@@ -285,6 +291,8 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
     by Newton steps on g' that read g' and g'' off one cos/sin table per
     iterate.  At 16 nodes per wavelength the peak is within a cell of node
     i, so steps are clamped to it; (1/2) sum k^2 |c_k| step^2 bounds error."""
+    if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
+        return NormValue(value=peak, error_estimate=0.0)
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
     d1 = series.derivative()

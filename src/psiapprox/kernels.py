@@ -9,11 +9,11 @@ across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
 truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
-FFT per grid size samples the profile's f = sum (c_k/2)(cos kt + sin kt),
-and the norm pass mirrors each beta's grid, (cos th + sin th) f(t) +
-(cos th - sin th) f(-t), th = beta*pi/2, from it; at integer beta cos th
-and sin th are exact, the kernel exactly even or odd, and a norm walks
-half its period.
+sampling per grid size (cache-sized FFTs on deep grids) serves the
+profile's f = sum (c_k/2)(cos kt + sin kt), and the norm pass mirrors each
+beta's grid, (cos th + sin th) f(t) + (cos th - sin th) f(-t),
+th = beta*pi/2, from it; at integer beta cos th and sin th are exact, the
+kernel exactly even or odd, and a norm walks half its period.
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which

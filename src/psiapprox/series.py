@@ -3,6 +3,8 @@
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series built as u f(t) + v f(-t) keeps (f, u, v) for the norm pass,
 which mirrors f's samples; its own samples come from its coefficients.
+A deep grid is split into cache-sized FFT_BLOCK-point transforms (Bailey,
+FFTs in external or hierarchical memory, 1990).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
+FFT_BLOCK = 1 << 17    # largest one-shot irfft: 1 MB of samples, cache-sized
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +102,11 @@ class FourierSeries:
 
         Exact (to rounding) for any grid size: below the Nyquist harmonic by
         a real inverse FFT, otherwise with harmonics wrapped onto their
-        aliases, the identity the sample values themselves satisfy.  Results
-        are cached per grid size; treat them as read-only.
+        aliases, the identity the sample values themselves satisfy.  L >= 2
+        times FFT_BLOCK points of a series of degree below FFT_BLOCK / 2
+        take L FFT_BLOCK-point transforms: node 0 keeps a one-shot irfft's
+        bits, other nodes its accuracy; smaller grids keep all its bits.
+        Results are cached per grid size; treat them as read-only.
         """
         if grid_size < 1:
             raise DomainError("grid size must be positive")
@@ -115,7 +121,22 @@ class FourierSeries:
             spec[0] = self.a0
             spec[1:] = self.a - 1j * self.b
             spec *= 0.5
-            samples = np.fft.irfft(spec, grid_size, norm="forward")
+            L = grid_size // FFT_BLOCK
+            if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
+                samples = np.fft.irfft(spec, grid_size, norm="forward")
+            else:
+                # nodes Lq + r: the FFT_BLOCK-point transform of the spectrum
+                # times w^{rk}, w = e^{2 pi i/G}, written straight to them (an
+                # (L, FFT_BLOCK) copy freed 8 MB that later faulted back in);
+                # r = 0 is untwisted, and w^k is a K/256 x 256 outer product
+                c = 2j * math.pi / grid_size
+                w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
+                             np.exp(c * np.arange(256))).ravel()[:spec.size]
+                samples = np.empty(grid_size)
+                for r in range(L):
+                    np.fft.irfft(spec, FFT_BLOCK, norm="forward",
+                                 out=samples[r::L])
+                    spec *= w
         else:
             buf = np.zeros(grid_size, dtype=complex)
             buf[0] = 0.5 * self.a0

@@ -640,6 +640,35 @@ class TestBlockedPasses:
             value=peak, error_estimate=with_tail(
                 ke, math.inf, 0.5 * curvature * step ** 2))
 
+    @pytest.mark.parametrize("beta, derivatives", [(0.0, 0), (1.0, 2)])
+    def test_sup_norm_differentiates_off_node_zero(self, deep_profile, beta,
+                                                   derivatives, monkeypatch):
+        # an even kernel peaks at node 0, where g' = sum k b_k is exactly
+        # 0: no Newton table; an odd one vanishes there and refines
+        calls = []
+        derivative = FourierSeries.derivative
+        monkeypatch.setattr(FourierSeries, "derivative",
+                            lambda self: calls.append(self) or derivative(self))
+        sup_norm(deep_profile.evaluator(beta))
+        assert len(calls) == derivatives
+
+    @pytest.mark.parametrize("v", [1.0, -1.0])
+    def test_mirror_block_at_integer_beta_is_the_multiply_add(
+            self, deep_profile, v):
+        # (u, v) = (1, +-1) adds or subtracts f_{-j}; the products by +-1
+        # it skips are exact, so the bits are those of u f_j + v f_{-j}
+        f = deep_profile.folded.uniform_samples(1 << 20)
+        G, B = f.size, approx_ops._BLOCK
+        buf, scratch = np.empty((2, B + 1))
+        # the first block, an interior one, the half walk's last block
+        # (with node G/2) and a whole walk's last
+        for lo, m in ((0, B + 1), (3 * B, B + 1), (G // 2 - B, B + 1),
+                      (G - B, B)):
+            j = lo + np.arange(m)
+            want = np.multiply(f[j], 1.0) + np.multiply(f[-j % G], v)
+            got = approx_ops._mirror_block(f, 1.0, v, lo, buf[:m], scratch)
+            assert np.array_equal(got, want)
+
     @staticmethod
     def check_no_grid_sized_temporaries(ke):
         ke.folded.uniform_samples(1 << 20)   # cache the profile's 8 MB grid

@@ -12,6 +12,7 @@ from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
                        exp_power_characteristics, exp_power_thresholds,
                        verify_sweep, verify_theorem1,
                        verify_theorem2)
+from psiapprox.series import FFT_BLOCK
 
 # direct formula evaluations, frozen before the module was written
 THRESHOLD_TABLE = {
@@ -230,6 +231,31 @@ class TestVerify:
         # Parseval's)
         assert counts == {"profiles": 2, "ffts": 2, "passes": 4}
         assert reps == fresh
+
+    def test_deep_step_samples_f_in_cache_sized_ffts(self, psi_slow,
+                                                      monkeypatch):
+        # (2.0, 0.3), n = 200 takes a 2^20-point grid; a sweep step samples
+        # its profile's f once, as G / FFT_BLOCK irffts of FFT_BLOCK points
+        profiles, sizes = [], []
+        profile, irfft = bounds.kernel_profile, np.fft.irfft
+
+        def profiling(*args, **kwargs):
+            profiles.append(profile(*args, **kwargs))
+            return profiles[-1]
+
+        def sizing(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return irfft(a, n, *args, **kwargs)
+        monkeypatch.setattr(bounds, "kernel_profile", profiling)
+        monkeypatch.setattr(np.fft, "irfft", sizing)
+        modes = [(mode, v) for mode in ("theorem1", "theorem2")
+                 for v in (1.0, 2.0, 4.0, math.inf)]
+        verify_sweep(psi_slow, [0.0, 1.0], modes, [200])
+        (prof,) = profiles
+        G = approx_ops._grid_size(prof.truncation_index)
+        assert G == 1 << 20
+        assert list(prof.folded._sample_cache) == [G]
+        assert sizes == [FFT_BLOCK] * (G // FFT_BLOCK)
 
     def test_sweep_matches_single_calls(self, psi_half):
         rep_s = verify_sweep(psi_half, [0.0], [("theorem1", 2.0)], [16])[0]

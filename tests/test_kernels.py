@@ -13,6 +13,7 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        truncation_index, verify_sweep)
 from psiapprox import approx_ops, kernels
 from psiapprox.psi_core import LN2, _solve_log_decreasing
+from psiapprox.series import FFT_BLOCK
 
 TWO_PI = 2.0 * math.pi
 
@@ -323,11 +324,17 @@ class TestMirroredSamples:
 
     def test_beta_zero_peak_sample_keeps_its_bits(self, psi_slow):
         # K*(0) at beta = 0 is the p = inf norm of `kernel-norm`; the
-        # mirrored pass doubles f_0, which must equal the phased FFT's value
-        for n in range(160, 257, 8):
+        # mirrored pass doubles f_0 of the split transform, which must
+        # equal a one-shot irfft of the kernel's own coefficients
+        for n in range(160, 257):
             ke = kernels.kernel_profile(psi_slow, n).evaluator(0.0)
-            G = 1 << 20
-            assert pass_grid(ke, G)[0] == fft_samples(ke, G)[0]
+            G = approx_ops._grid_size(ke.series.degree)
+            assert G > FFT_BLOCK   # the split route
+            f, u, v = ke.series._mirror
+            node0 = approx_ops._mirror_block(f.uniform_samples(G), u, v, 0,
+                                             np.empty(1), np.empty(1))[0]
+            spec = np.concatenate(([0.0], ke.series.a - 1j * ke.series.b))
+            assert node0 == np.fft.irfft(0.5 * spec, G, norm="forward")[0]
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_profile_sums_keep_the_series_bits(self, deep_profile, beta):

