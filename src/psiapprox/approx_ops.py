@@ -11,10 +11,10 @@ sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
 convolution's.  `_norms` makes every norm's record, a kernel's with its
 certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
-built block by block from its profile's FFT, walked once for all orders
-asked together, half of it at integer beta; at beta = 0 and 1 a block is
-f_j +- f_{-j}, and an even series' sup norm peaking at node 0 is flat there
-and takes no Newton step.
+built block by block from its profile's FFT (gathered from the rows of a
+split FFT), walked once for all orders asked together, half of it at
+integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}, and an even
+series' sup norm peaking at node 0 is flat there and takes no Newton step.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -209,20 +209,36 @@ def _kinks(A: list, B: list, orders, h: float) -> dict:
         - 0.5 * (A ** p + B ** p))) for p in orders}
 
 
-def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
-                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """out[i] = u f_j + v f_{-j}, j = lo + i, for f's G samples and
-    lo + out.size <= G; scratch holds at least out.size points."""
-    n, j = out.size, max(lo, 1)   # f_{-0} is f_0, then f_{-j} is f_{G-j}
-    back = f[f.size - j::-1][:lo + n - j]
-    if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: the products are exact
-        op = np.add if v > 0.0 else np.subtract
-        op(f[j:lo + n], back, out=out[j - lo:])
-    else:
-        np.multiply(f[j:lo + n], u, out=out[j - lo:])
-        out[j - lo:] += np.multiply(back, v, out=scratch[:lo + n - j])
+def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
+                  lo: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = u f_j + v f_{-j}, or with u = None f_j, j = lo + i, for the
+    G samples f: natural order (read as L = 1), or `FourierSeries._phases`
+    rows (L, M) whose row r holds the nodes Lq + r.  lo is a multiple of L,
+    out.size a multiple of L or one more, and lo + out.size <= G."""
+    rows = np.atleast_2d(f)
+    L, M = rows.shape
+    c, q0 = out.size // L, lo // L   # the block's columns, from q0
+
+    def node(j):   # one node, the arithmetic of the vector ops below
+        a = rows[j % L, j // L]
+        return a if u is None else u * a + v * rows[-j % L, -j % (L * M) // L]
+    for r in range(L if c else 0):
+        # f_{-j}, j = Lq + r, is row L - r at column M - 1 - q, and for
+        # r = 0 row 0 at (M - q) mod M; node 0 (f_{-0} is f_0) comes last
+        skip = int(r == 0 and q0 == 0)
+        fwd, dst = rows[r, q0 + skip:q0 + c], out[L * skip + r:L * c:L]
+        back = rows[-r, ::-1][q0 + skip - (r == 0):q0 + c - (r == 0)]
+        if u is None:
+            dst[:] = fwd
+        elif u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
+            (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
+        else:
+            np.multiply(fwd, u, out=dst)
+            dst += v * back
     if lo == 0:
-        out[0] = u * f[0] + v * f[0]
+        out[0] = node(0)
+    if out.size > L * c:   # the next block's first node, or node G/2
+        out[-1] = node(lo + L * c)
     return out
 
 
@@ -231,8 +247,9 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
     """One blocked walk over a grid g (step h): {p: (full, half)}, the
     composite rule for int |g|^p on g and on its even nodes (step 2h), and
     with `peak` (i, |g_i|) at the first index i of max |g| (else None).
-    g is s, or with mirror = (u, v) `_mirror_block`'s u f(t) + v f(-t) of
-    f's samples s; if |u| == |v|, |g| is even and the walk ends at node G/2
+    g is the samples s, natural or in rows as `_mirror_block` reads them,
+    or with mirror = (u, v) its u f(t) + v f(-t) of f's samples s, built
+    block by block; if |u| == |v|, |g| is even and the walk ends at node G/2
     (G a multiple of 4): nodes 0 and G/2 count once, the rest and their
     panels twice.  Each _BLOCK-point block (even, so its even entries are
     the half grid's) takes |g| once and each power once into reused
@@ -250,8 +267,7 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
     for start in range(0, stop, _BLOCK):
         n = min(_BLOCK, stop - start)   # the block's nodes, and node
         m = min(n + 1, G - start)       # start + n for its last panel
-        blk = s[start:start + m] if mirror is None else _mirror_block(
-            s, *mirror, start, buf[:m], powered)
+        blk = _mirror_block(s, *(mirror or (None, None)), start, buf[:m])
         if start == 0:
             g0 = float(blk[0])
         for (A, B), b in zip(panels if kinked else (), (blk, blk[::2])):
@@ -261,7 +277,7 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
             if start + m == G and b[-1] * g0 < 0.0:   # a whole walk's wrap
                 A.append([abs(b[-1])])
                 B.append([abs(g0)])
-        w = np.abs(blk, out=buf[:m])   # in place for a mirrored block
+        w = np.abs(blk, out=buf[:m])
         if peak:   # a later block wins only with a strictly larger value
             j = int(np.argmax(w))
             if w[j] > found[1]:
@@ -354,7 +370,7 @@ def _norms(g, orders) -> dict:
         G = _grid_size(series.degree)
         f, *mirror = series._mirror or (series,)   # a kernel mirrors f's grid
         finite = [p for p in grid if not math.isinf(p)]
-        sums, found = _grid_pass(f.uniform_samples(G), finite, TWO_PI / G,
+        sums, found = _grid_pass(f._phases(G), finite, TWO_PI / G,
                                  peak=len(finite) < len(grid),
                                  mirror=tuple(mirror) or None)
         for p in finite:

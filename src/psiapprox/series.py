@@ -4,7 +4,8 @@ Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series built as u f(t) + v f(-t) keeps (f, u, v) for the norm pass,
 which mirrors f's samples; its own samples come from its coefficients.
 A deep grid is split into cache-sized FFT_BLOCK-point transforms (Bailey,
-FFTs in external or hierarchical memory, 1990).
+FFTs in external or hierarchical memory, 1990) and cached as the rows they
+write; `uniform_samples` reads it in natural order.
 """
 
 from __future__ import annotations
@@ -106,13 +107,26 @@ class FourierSeries:
         times FFT_BLOCK points of a series of degree below FFT_BLOCK / 2
         take L FFT_BLOCK-point transforms: node 0 keeps a one-shot irfft's
         bits, other nodes its accuracy; smaller grids keep all its bits.
-        Results are cached per grid size; treat them as read-only.
+        Samples are cached per grid size in `_phases`' layout and are
+        read-only; a split grid comes back as an uncached natural-order
+        copy of its rows.
         """
+        rows = self._phases(grid_size)
+        if rows.shape[0] == 1:
+            return self._sample_cache[grid_size]
+        samples = rows.T.ravel()
+        samples.flags.writeable = False
+        return samples
+
+    def _phases(self, grid_size: int) -> np.ndarray:
+        """The grid_size samples as (L, M) rows, row r holding the nodes
+        Lq + r: a split grid as its L transforms wrote them, any other as
+        one row.  Cached per grid size and read-only."""
         if grid_size < 1:
             raise DomainError("grid size must be positive")
         cached = self._sample_cache.get(grid_size)
         if cached is not None:
-            return cached
+            return np.atleast_2d(cached)
         if 2 * self.degree < grid_size:
             # irfft pads the spectrum with zeros up to grid_size // 2 + 1;
             # a halved spectrum without irfft's 1/G needs no pass over the
@@ -125,17 +139,16 @@ class FourierSeries:
             if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
                 samples = np.fft.irfft(spec, grid_size, norm="forward")
             else:
-                # nodes Lq + r: the FFT_BLOCK-point transform of the spectrum
-                # times w^{rk}, w = e^{2 pi i/G}, written straight to them (an
-                # (L, FFT_BLOCK) copy freed 8 MB that later faulted back in);
-                # r = 0 is untwisted, and w^k is a K/256 x 256 outer product
+                # row r, the nodes Lq + r, is the FFT_BLOCK-point transform
+                # of the spectrum times w^{rk}, w = e^{2 pi i/G}, written
+                # contiguously; r = 0 is untwisted, and w^k is a
+                # K/256 x 256 outer product
                 c = 2j * math.pi / grid_size
                 w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
                              np.exp(c * np.arange(256))).ravel()[:spec.size]
-                samples = np.empty(grid_size)
-                for r in range(L):
-                    np.fft.irfft(spec, FFT_BLOCK, norm="forward",
-                                 out=samples[r::L])
+                samples = np.empty((L, FFT_BLOCK))
+                for row in samples:
+                    np.fft.irfft(spec, FFT_BLOCK, norm="forward", out=row)
                     spec *= w
         else:
             buf = np.zeros(grid_size, dtype=complex)
@@ -147,7 +160,7 @@ class FourierSeries:
             samples = np.fft.ifft(buf, out=buf).real * grid_size
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
-        return samples
+        return np.atleast_2d(samples)
 
     def antiderivative(self) -> "FourierSeries":
         """Periodic antiderivative with zero mean; requires a0 == 0."""

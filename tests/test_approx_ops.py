@@ -652,26 +652,52 @@ class TestBlockedPasses:
         sup_norm(deep_profile.evaluator(beta))
         assert len(calls) == derivatives
 
-    @pytest.mark.parametrize("v", [1.0, -1.0])
+    @pytest.mark.parametrize("u, v", [
+        pytest.param(1.0, 1.0, id="1.0"), pytest.param(1.0, -1.0, id="-1.0"),
+        (0.7, -0.3)])
     def test_mirror_block_at_integer_beta_is_the_multiply_add(
-            self, deep_profile, v):
+            self, deep_profile, u, v):
         # (u, v) = (1, +-1) adds or subtracts f_{-j}; the products by +-1
-        # it skips are exact, so the bits are those of u f_j + v f_{-j}
-        f = deep_profile.folded.uniform_samples(1 << 20)
-        G, B = f.size, approx_ops._BLOCK
-        buf, scratch = np.empty((2, B + 1))
+        # it skips are exact, so the bits are those of u f_j + v f_{-j},
+        # written here on the natural grid; the block builder reads that
+        # grid (L = 1) or the eight rows its split FFT wrote (L = 8)
+        G, B = 1 << 20, approx_ops._BLOCK
+        f = deep_profile.folded.uniform_samples(G)
+        rows = deep_profile.folded._phases(G)
+        assert rows.shape == (8, G // 8)
         # the first block, an interior one, the half walk's last block
-        # (with node G/2) and a whole walk's last
+        # (with node G/2), a whole walk's last and the whole grid
         for lo, m in ((0, B + 1), (3 * B, B + 1), (G // 2 - B, B + 1),
-                      (G - B, B)):
+                      (G - B, B), (0, G)):
             j = lo + np.arange(m)
-            want = np.multiply(f[j], 1.0) + np.multiply(f[-j % G], v)
-            got = approx_ops._mirror_block(f, 1.0, v, lo, buf[:m], scratch)
-            assert np.array_equal(got, want)
+            want = np.multiply(f[j], u) + np.multiply(f[-j % G], v)
+            for grid in (f, rows):
+                got = approx_ops._mirror_block(grid, u, v, lo, np.empty(m))
+                assert np.array_equal(got, want)
+            assert np.array_equal(approx_ops._mirror_block(
+                rows, None, None, lo, np.empty(m)), f[j])
+
+    @pytest.mark.parametrize("alpha, r, n, L", [
+        (1.0, 0.5, 40, 1), (0.5, 0.5, 100, 2), (2.0, 0.3, 200, 8)])
+    def test_pass_is_layout_blind(self, alpha, r, n, L):
+        # the norm pass walks f in the rows its FFTs wrote; its natural
+        # copy must give the same sums, half-grid sums and argmax, on the
+        # half walk (node G/2), the whole walk (wrap panel) and f itself
+        kp = kernels.kernel_profile(PsiFunction.exp_power(alpha, r), n)
+        G = approx_ops._grid_size(kp.truncation_index)
+        rows, natural = kp.folded._phases(G), kp.folded.uniform_samples(G)
+        assert rows.shape == (L, G // L)
+        orders, h = (1.0, 4.0 / 3.0, 3.0, 4.0), TWO_PI / G
+        for mirror in [tuple(kp.evaluator(beta).series._mirror[1:])
+                       for beta in (0.0, 1.0, 0.5, 1.7)] + [None]:
+            assert approx_ops._grid_pass(
+                rows, orders, h, peak=True, mirror=mirror
+            ) == approx_ops._grid_pass(natural, orders, h, peak=True,
+                                       mirror=mirror)
 
     @staticmethod
     def check_no_grid_sized_temporaries(ke):
-        ke.folded.uniform_samples(1 << 20)   # cache the profile's 8 MB grid
+        ke.folded._phases(1 << 20)   # cache the profile's 8 MB grid
         for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
                      lambda g: lp_norm(g, 1.0), sup_norm):
             tracemalloc.start()

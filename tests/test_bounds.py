@@ -235,8 +235,9 @@ class TestVerify:
     def test_deep_step_samples_f_in_cache_sized_ffts(self, psi_slow,
                                                       monkeypatch):
         # (2.0, 0.3), n = 200 takes a 2^20-point grid; a sweep step samples
-        # its profile's f once, as G / FFT_BLOCK irffts of FFT_BLOCK points
-        profiles, sizes = [], []
+        # its profile's f once, as G / FFT_BLOCK irffts of FFT_BLOCK points,
+        # each written to one contiguous row of the cached grid
+        profiles, sizes, outs = [], [], []
         profile, irfft = bounds.kernel_profile, np.fft.irfft
 
         def profiling(*args, **kwargs):
@@ -245,6 +246,7 @@ class TestVerify:
 
         def sizing(a, n=None, *args, **kwargs):
             sizes.append(n)
+            outs.append(kwargs.get("out"))
             return irfft(a, n, *args, **kwargs)
         monkeypatch.setattr(bounds, "kernel_profile", profiling)
         monkeypatch.setattr(np.fft, "irfft", sizing)
@@ -253,9 +255,24 @@ class TestVerify:
         verify_sweep(psi_slow, [0.0, 1.0], modes, [200])
         (prof,) = profiles
         G = approx_ops._grid_size(prof.truncation_index)
+        L = G // FFT_BLOCK
         assert G == 1 << 20
         assert list(prof.folded._sample_cache) == [G]
-        assert sizes == [FFT_BLOCK] * (G // FFT_BLOCK)
+        assert sizes == [FFT_BLOCK] * L
+        assert all(out.ndim == 1 and out.flags.c_contiguous for out in outs)
+        # the natural-order reader gives the bits of the strided route,
+        # which wrote each transform to the nodes Lq + r of a G-point array
+        f = prof.folded
+        spec = 0.5 * np.concatenate(([f.a0], f.a - 1j * f.b))
+        c = 2j * math.pi / G
+        w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
+                     np.exp(c * np.arange(256))).ravel()[:spec.size]
+        strided = np.empty(G)
+        for r in range(L):
+            irfft(spec, FFT_BLOCK, norm="forward", out=strided[r::L])
+            spec *= w
+        assert np.array_equal(f.uniform_samples(G), strided)
+        assert list(f._sample_cache) == [G]
 
     def test_sweep_matches_single_calls(self, psi_half):
         rep_s = verify_sweep(psi_half, [0.0], [("theorem1", 2.0)], [16])[0]

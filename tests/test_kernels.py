@@ -301,8 +301,7 @@ def pass_grid(ke, G):
     """The G-point grid the norm pass walks for ke: `_mirror_block`'s
     u f_j + v f_{-j} over its profile's f samples, as one block."""
     f, u, v = ke.series._mirror
-    return approx_ops._mirror_block(f.uniform_samples(G), u, v, 0,
-                                    np.empty(G), np.empty(G))
+    return approx_ops._mirror_block(f._phases(G), u, v, 0, np.empty(G))
 
 
 class TestMirroredSamples:
@@ -331,8 +330,8 @@ class TestMirroredSamples:
             G = approx_ops._grid_size(ke.series.degree)
             assert G > FFT_BLOCK   # the split route
             f, u, v = ke.series._mirror
-            node0 = approx_ops._mirror_block(f.uniform_samples(G), u, v, 0,
-                                             np.empty(1), np.empty(1))[0]
+            node0 = approx_ops._mirror_block(f._phases(G), u, v, 0,
+                                             np.empty(1))[0]
             spec = np.concatenate(([0.0], ke.series.a - 1j * ke.series.b))
             assert node0 == np.fft.irfft(0.5 * spec, G, norm="forward")[0]
 
