@@ -11,9 +11,9 @@ sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
 convolution's.  `_norms` makes every norm's record, a kernel's with its
 certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
-built block by block from its profile's FFT (gathered from the rows of a
-split FFT), walked once for all orders asked together, half of it at
-integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}, and an even
+built block by block, on one worker per core, from its profile's FFT
+(or a split FFT's rows), walked once for all orders asked together, half
+at integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}, and an even
 series' sup norm peaking at node 0 is flat there and takes no Newton step.
 `conjugate_exponent` is the one map from p to p'.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries
+from .series import FourierSeries, _spread
 
 TWO_PI = 2.0 * math.pi
 
@@ -252,53 +252,57 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
     block by block; if |u| == |v|, |g| is even and the walk ends at node G/2
     (G a multiple of 4): nodes 0 and G/2 count once, the rest and their
     panels twice.  Each _BLOCK-point block (even, so its even entries are
-    the half grid's) takes |g| once and each power once into reused
-    buffers, summed in `_halving_sum` order.  Orders that are not even
+    the half grid's) takes |g| once and each power once into its worker's
+    buffers (`_spread`); the blocks' records combine in block order, with
+    no bit depending on the worker count: sums in `_halving_sum` order, a
+    later block's max only if strictly larger.  Orders that are not even
     integers (|g|^p is then no trigonometric polynomial) share one panel
     scan per grid for `_kinks`; a whole walk adds its wrap panels."""
     G = s.size
     halved = mirror is not None and abs(mirror[0]) == abs(mirror[1])
     stop = G // 2 if halved else G
     kinked = [p for p in orders if p != 2.0 * round(p / 2.0)]
-    sums = {p: [] for p in orders}
-    panels = ([], []), ([], [])      # endpoint magnitudes A, B per grid
-    buf, powered = np.empty((2, min(G, _BLOCK + 1)))
-    found = (0, -1.0) if peak else None
-    for start in range(0, stop, _BLOCK):
+    starts = range(0, stop, _BLOCK)
+
+    def block(start, bufs):
         n = min(_BLOCK, stop - start)   # the block's nodes, and node
         m = min(n + 1, G - start)       # start + n for its last panel
-        blk = _mirror_block(s, *(mirror or (None, None)), start, buf[:m])
-        if start == 0:
-            g0 = float(blk[0])
-        for (A, B), b in zip(panels if kinked else (), (blk, blk[::2])):
+        buf, powered = bufs[:, :m]
+        blk = _mirror_block(s, *(mirror or (None, None)), start, buf)
+        first, panels = float(blk[0]), []
+        for b in (blk, blk[::2]) if kinked else ():   # grid, half grid
             c = np.flatnonzero(b[:-1] * b[1:] < 0.0)
-            A.append(np.abs(b[c]))
-            B.append(np.abs(b[c + 1]))
-            if start + m == G and b[-1] * g0 < 0.0:   # a whole walk's wrap
-                A.append([abs(b[-1])])
-                B.append([abs(g0)])
-        w = np.abs(blk, out=buf[:m])
-        if peak:   # a later block wins only with a strictly larger value
-            j = int(np.argmax(w))
-            if w[j] > found[1]:
-                found = (start + j, float(w[j]))
+            panels.append((np.abs(b[c]), np.abs(b[c + 1]), float(b[-1])))
+        w = np.abs(blk, out=buf)
+        j = int(np.argmax(w)) if peak else 0
+        top, sums = (start + j, float(w[j])), {}
         for p in orders:
-            wp = w if p == 1.0 else _power(w, p, powered[:m])
-            sums[p].append((wp[:n].sum(), wp[:n:2].sum(), float(wp[0]),
-                            float(wp[-1])))
-    twice = 2.0 if halved else 1.0
-    kink = _kinks(*panels[0], kinked, twice * h)
-    kink_half = _kinks(*panels[1], kinked, twice * 2.0 * h)
+            x = w if p == 1.0 else _power(w, p, powered)   # |g|^p
+            sums[p] = (x[:n].sum(), x[:n:2].sum(), float(x[0]), float(x[-1]))
+        return first, panels, top, sums
+
+    def walk(lo, hi):   # one worker's blocks, in one set of buffers
+        bufs = np.empty((2, min(G, _BLOCK + 1)))
+        return [block(start, bufs) for start in starts[lo:hi]]
+    firsts, panels, tops, sums = zip(*(
+        rec for part in _spread(walk, len(starts)) for rec in part))
+    twice, g0, kinks = (2.0 if halved else 1.0), firsts[0], [{}, {}]
+    for i, step in enumerate((twice * h, twice * 2.0 * h) if kinked else ()):
+        A, B, lasts = zip(*(blk[i] for blk in panels))
+        if not halved and lasts[-1] * g0 < 0.0:   # a whole walk's wrap
+            A, B = (*A, [abs(lasts[-1])]), (*B, [abs(g0)])
+        kinks[i] = _kinks(A, B, kinked, step)
     out = {}
-    for p, blocks in sums.items():
-        full, half, firsts, lasts = zip(*blocks)
+    for p in orders:
+        full, half, heads, tails = zip(*(blk[p] for blk in sums))
         full, half = _halving_sum(full), _halving_sum(half)
         if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
-            full = 2.0 * full - firsts[0] + lasts[-1]
-            half = 2.0 * half - firsts[0] + lasts[-1]
-        out[p] = (h * full + kink.get(p, 0.0),
-                  2.0 * h * half + kink_half.get(p, 0.0))
-    return out, found
+            full = 2.0 * full - heads[0] + tails[-1]
+            half = 2.0 * half - heads[0] + tails[-1]
+        out[p] = (h * full + kinks[0].get(p, 0.0),
+                  2.0 * h * half + kinks[1].get(p, 0.0))
+    # the first block's max, then a later one's only if strictly larger
+    return out, max((0, -1.0), *tops, key=lambda f: f[1]) if peak else None
 
 
 def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
@@ -315,14 +319,14 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
     d2 = d1.derivative()
     k = np.arange(1, series.degree + 1)
 
-    def derivatives(t):   # (g'', g') at t; the table dies on return
-        kt = np.outer([t], k)
+    def at(t, *gs):   # each g(t) off one cos/sin table, by numpy sums: a
+        kt = t * k    # K-long BLAS dot would wake OpenBLAS's threads
         cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        return (float((cos_kt @ d2.a + sin_kt @ d2.b)[0]),
-                float((cos_kt @ d1.a + sin_kt @ d1.b)[0]))
+        return [0.5 * g.a0 + float(np.sum(cos_kt * g.a) + np.sum(sin_kt * g.b))
+                for g in gs]
     t, step = i * h, 0.0
     for _ in range(8):
-        curv, slope = derivatives(t)
+        curv, slope = at(t, d2, d1)
         if curv == 0.0:
             break
         t_new = min(max(t - slope / curv, lo), hi)
@@ -330,7 +334,7 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
         if abs(step) < 1e-13:
             break
     if t != i * h:  # at the node itself the grid sample is the value
-        peak = max(peak, abs(float(series.eval(t))))
+        peak = max(peak, abs(*at(t, series)))
     if curvature is None:   # a kernel's comes from its profile
         curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
     return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)

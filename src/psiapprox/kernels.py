@@ -273,7 +273,7 @@ def kernel_profile(psi: PsiFunction, n: int,
                          taper_start=start, certified_tail=float(bound),
                          coeffs=c[start - 1:],
                          folded=FourierSeries(0.0, half, half),
-                         energy=float(c @ c),
+                         energy=float(np.sum(c * c)),   # as series.energy
                          curvature=float(np.sum(k * (k * c))))
 
 

@@ -5,12 +5,15 @@ A series built as u f(t) + v f(-t) keeps (f, u, v) for the norm pass,
 which mirrors f's samples; its own samples come from its coefficients.
 A deep grid is split into cache-sized FFT_BLOCK-point transforms (Bailey,
 FFTs in external or hierarchical memory, 1990) and cached as the rows they
-write; `uniform_samples` reads it in natural order.
+write; `uniform_samples` reads it in natural order.  `_spread` runs the rows
+(and the norm pass's blocks) on one worker per core, bits unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -21,6 +24,31 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 FFT_BLOCK = 1 << 17    # largest one-shot irfft: 1 MB of samples, cache-sized
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)   # one per available core
+_pool, _pool_lock = None, threading.Lock()   # the pool is made on first use
+# a forked child inherits the pool but not its threads: it makes its own
+os.register_at_fork(after_in_child=lambda: globals().update(
+    _pool=None, _pool_lock=threading.Lock()))
+
+
+def _spread(task, count: int) -> list:
+    """[task(lo, hi) for min(_WORKERS, count) ranges cutting 0..count-1],
+    the first run by the caller, who waits for all; a lone range is inline."""
+    global _pool
+    w = min(_WORKERS, count)
+    if w == 1:
+        return [task(0, count)]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with _pool_lock:
+        _pool = _pool or ThreadPoolExecutor(_WORKERS - 1)
+    cuts = [count * i // w for i in range(w + 1)]
+    rest = [_pool.submit(task, *r) for r in zip(cuts[1:], cuts[2:])]
+    try:
+        first = task(0, cuts[1])
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +175,16 @@ class FourierSeries:
                 w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
                              np.exp(c * np.arange(256))).ravel()[:spec.size]
                 samples = np.empty((L, FFT_BLOCK))
-                for row in samples:
-                    np.fft.irfft(spec, FFT_BLOCK, norm="forward", out=row)
-                    spec *= w
+                copies = [spec.copy() for _ in range(min(_WORKERS, L) - 1)]
+
+                def rows(lo, hi):   # spec w^r by the r products of one loop
+                    twisted = copies.pop() if lo else spec   # caller's: spec
+                    for _ in range(lo):
+                        twisted *= w
+                    for row in samples[lo:hi]:
+                        np.fft.irfft(twisted, FFT_BLOCK, norm="forward", out=row)
+                        twisted *= w
+                _spread(rows, L)
         else:
             buf = np.zeros(grid_size, dtype=complex)
             buf[0] = 0.5 * self.a0
@@ -183,4 +218,5 @@ class FourierSeries:
 
     def energy(self) -> float:
         """Squared L2 norm over the period divided by pi: a0^2/2 + sum(a^2 + b^2)."""
-        return 0.5 * self.a0 ** 2 + float(self.a @ self.a + self.b @ self.b)
+        return 0.5 * self.a0 ** 2 + float(   # numpy sums: no BLAS threads
+            np.sum(self.a * self.a) + np.sum(self.b * self.b))

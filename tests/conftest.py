@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from psiapprox import PsiFunction
+from psiapprox import PsiFunction, series
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,20 @@ def psi_unit_gap():
 def psi_slow():
     """exp(-2 t^0.3): slow decay, wide taper windows."""
     return PsiFunction.exp_power(2.0, 0.3)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(count) runs deep grids on count workers, on a pool of
+    their own that is shut down after the test."""
+    made = []   # the pool before each count: the process's, then ours
+
+    def set_count(count):
+        made.append(series._pool)
+        monkeypatch.setattr(series, "_WORKERS", count)
+        monkeypatch.setattr(series, "_pool", None)
+    yield set_count
+    made.append(series._pool)
+    for pool in made[1:]:
+        if pool is not None:
+            pool.shutdown()

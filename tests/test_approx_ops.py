@@ -613,7 +613,17 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_sup_norm_matches_per_derivative_newton(self, psi_slow, beta):
         # the refinement used to evaluate g' and g'' as two series per
-        # iterate; one shared cos/sin table must give the same bits
+        # iterate; one shared cos/sin table must give the same bits.  Each
+        # one-point value is a numpy sum of the series' terms (a K-long
+        # BLAS dot would wake OpenBLAS's threads), within a few ulps of
+        # the blocked `eval`
+        def at(g, t):
+            kt = t * np.arange(1, g.degree + 1)
+            value = 0.5 * g.a0 + float(np.sum(np.cos(kt) * g.a)
+                                       + np.sum(np.sin(kt) * g.b))
+            scale = float(np.sum(np.abs(g.a)) + np.sum(np.abs(g.b)))
+            assert abs(value - g.eval(t)) <= 8.0 * np.finfo(float).eps * scale
+            return value
         ke = KernelEvaluator.build(psi_slow, 200, beta)
         series = ke.series
         G = approx_ops._grid_size(series.degree)
@@ -626,15 +636,15 @@ class TestBlockedPasses:
         d2 = d1.derivative()
         t, step = i * h, 0.0
         for _ in range(8):
-            curv = float(d2.eval(t))
+            curv = at(d2, t)
             if curv == 0.0:
                 break
-            t_new = min(max(t - float(d1.eval(t)) / curv, lo), hi)
+            t_new = min(max(t - at(d1, t) / curv, lo), hi)
             step, t = t_new - t, t_new
             if abs(step) < 1e-13:
                 break
         if t != i * h:
-            peak = max(peak, abs(float(series.eval(t))))
+            peak = max(peak, abs(at(series, t)))
         curvature = float(np.sum(np.hypot(d2.a, d2.b)))
         assert sup_norm(ke) == approx_ops.NormValue(
             value=peak, error_estimate=with_tail(
@@ -696,7 +706,10 @@ class TestBlockedPasses:
                                        mirror=mirror)
 
     @staticmethod
-    def check_no_grid_sized_temporaries(ke):
+    def check_no_grid_sized_temporaries(ke, set_workers):
+        # on two workers, each with one set of pass buffers; a further
+        # worker adds one set (tests/test_workers.py)
+        set_workers(2)
         ke.folded._phases(1 << 20)   # cache the profile's 8 MB grid
         for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
                      lambda g: lp_norm(g, 1.0), sup_norm):
@@ -708,13 +721,16 @@ class TestBlockedPasses:
                 tracemalloc.stop()
             assert peak < 4 * 2 ** 20
 
-    def test_grid_norms_take_no_grid_sized_temporaries(self, deep_profile):
-        self.check_no_grid_sized_temporaries(deep_profile.evaluator(0.5))
+    def test_grid_norms_take_no_grid_sized_temporaries(self, deep_profile,
+                                                       set_workers):
+        self.check_no_grid_sized_temporaries(deep_profile.evaluator(0.5),
+                                             set_workers)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_half_walk_takes_no_grid_sized_temporaries(self, deep_profile,
-                                                       beta):
-        self.check_no_grid_sized_temporaries(deep_profile.evaluator(beta))
+                                                       set_workers, beta):
+        self.check_no_grid_sized_temporaries(deep_profile.evaluator(beta),
+                                             set_workers)
 
 
 class TestHalfWalk:
