@@ -11,7 +11,7 @@ sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
 convolution's.  `_norms` makes every norm's record, a kernel's with its
 certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
-built block by block, on one worker per core, from its profile's FFT
+built block by block, on up to two workers, from its profile's FFT
 (or a split FFT's rows), walked once for all orders asked together, half
 at integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}, and an even
 series' sup norm peaking at node 0 is flat there and takes no Newton step.
@@ -271,7 +271,7 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
         blk = _mirror_block(s, *(mirror or (None, None)), start, buf)
         first, panels = float(blk[0]), []
         for b in (blk, blk[::2]) if kinked else ():   # grid, half grid
-            c = np.flatnonzero(b[:-1] * b[1:] < 0.0)
+            c = np.flatnonzero(np.multiply(b[:-1], b[1:], out=powered[:b.size - 1]) < 0)
             panels.append((np.abs(b[c]), np.abs(b[c + 1]), float(b[-1])))
         w = np.abs(blk, out=buf)
         j = int(np.argmax(w)) if peak else 0
@@ -310,7 +310,8 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
     """max |g| from peak = |g_i| at the argmax i of its G-point grid, refined
     by Newton steps on g' that read g' and g'' off one cos/sin table per
     iterate.  At 16 nodes per wavelength the peak is within a cell of node
-    i, so steps are clamped to it; (1/2) sum k^2 |c_k| step^2 bounds error."""
+    i, so steps are clamped to it; (1/2) sum k^2 |c_k| step^2 estimates the
+    error left by the last step, not the rounding of the K-term sums."""
     if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
         return NormValue(value=peak, error_estimate=0.0)
     h = TWO_PI / G

@@ -6,7 +6,8 @@ which mirrors f's samples; its own samples come from its coefficients.
 A deep grid is split into cache-sized FFT_BLOCK-point transforms (Bailey,
 FFTs in external or hierarchical memory, 1990) and cached as the rows they
 write; `uniform_samples` reads it in natural order.  `_spread` runs the rows
-(and the norm pass's blocks) on one worker per core, bits unchanged.
+(and the norm pass's blocks) on one thread per core, at most two, with
+bits that do not depend on the count.
 """
 
 from __future__ import annotations
@@ -24,31 +25,38 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 FFT_BLOCK = 1 << 17    # largest one-shot irfft: 1 MB of samples, cache-sized
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)   # one per available core
-_pool, _pool_lock = None, threading.Lock()   # the pool is made on first use
-# a forked child inherits the pool but not its threads: it makes its own
-os.register_at_fork(after_in_child=lambda: globals().update(
-    _pool=None, _pool_lock=threading.Lock()))
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+# a worker past the first holds about 3 MB more, and speed was measured on
+# two cores: raise this only after measuring a larger host
+_MAX_WORKERS = 2
 
 
 def _spread(task, count: int) -> list:
-    """[task(lo, hi) for min(_WORKERS, count) ranges cutting 0..count-1],
-    the first run by the caller, who waits for all; a lone range is inline."""
-    global _pool
-    w = min(_WORKERS, count)
-    if w == 1:
-        return [task(0, count)]
-    from concurrent.futures import ThreadPoolExecutor, wait
-    with _pool_lock:
-        _pool = _pool or ThreadPoolExecutor(_WORKERS - 1)
+    """[task(lo, hi) for min(_CORES, _MAX_WORKERS, count) ranges cutting
+    0..count-1]: the first on the calling thread, each other on a thread of
+    its own, all joined before it returns or raises."""
+    w = min(_CORES, _MAX_WORKERS, count)
     cuts = [count * i // w for i in range(w + 1)]
-    rest = [_pool.submit(task, *r) for r in zip(cuts[1:], cuts[2:])]
+    out, errors, threads = [None] * w, [], []
+
+    def run(i):
+        try:
+            out[i] = task(cuts[i], cuts[i + 1])
+        except BaseException as e:   # raised again on the calling thread
+            errors.append(e)
     try:
-        first = task(0, cuts[1])
+        for i in range(1, w):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        out[0] = task(0, cuts[1])
     finally:
-        wait(rest)
-    return [first] + [f.result() for f in rest]
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +183,7 @@ class FourierSeries:
                 w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
                              np.exp(c * np.arange(256))).ravel()[:spec.size]
                 samples = np.empty((L, FFT_BLOCK))
-                copies = [spec.copy() for _ in range(min(_WORKERS, L) - 1)]
+                copies = [spec.copy() for _ in range(min(_CORES, _MAX_WORKERS, L) - 1)]
 
                 def rows(lo, hi):   # spec w^r by the r products of one loop
                     twisted = copies.pop() if lo else spec   # caller's: spec

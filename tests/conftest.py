@@ -25,16 +25,9 @@ def psi_slow():
 
 @pytest.fixture
 def set_workers(monkeypatch):
-    """set_workers(count) runs deep grids on count workers, on a pool of
-    their own that is shut down after the test."""
-    made = []   # the pool before each count: the process's, then ours
-
+    """set_workers(count) runs deep grids on count workers, whatever the
+    host's cores and the worker cap."""
     def set_count(count):
-        made.append(series._pool)
-        monkeypatch.setattr(series, "_WORKERS", count)
-        monkeypatch.setattr(series, "_pool", None)
-    yield set_count
-    made.append(series._pool)
-    for pool in made[1:]:
-        if pool is not None:
-            pool.shutdown()
+        monkeypatch.setattr(series, "_CORES", count)
+        monkeypatch.setattr(series, "_MAX_WORKERS", count)
+    return set_count

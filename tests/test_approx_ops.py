@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+import psiapprox.series
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        KernelEvaluator, NumericError, PsiFunction,
                        approx_ops, apply_vn, bounds, kernels,
@@ -706,31 +707,32 @@ class TestBlockedPasses:
                                        mirror=mirror)
 
     @staticmethod
-    def check_no_grid_sized_temporaries(ke, set_workers):
-        # on two workers, each with one set of pass buffers; a further
-        # worker adds one set (tests/test_workers.py)
-        set_workers(2)
-        ke.folded._phases(1 << 20)   # cache the profile's 8 MB grid
-        for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
-                     lambda g: lp_norm(g, 1.0), sup_norm):
-            tracemalloc.start()
-            try:
-                norm(ke)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 2 ** 20
+    def check_no_grid_sized_temporaries(profile, beta, monkeypatch):
+        # on this host's cores and as on hosts of 8 and 16 cores: each
+        # worker holds one set of pass buffers, and the worker cap keeps
+        # their sum below half the grid
+        profile.folded._phases(1 << 20)   # cache the profile's 8 MB grid
+        for cores in (psiapprox.series._CORES, 8, 16):
+            monkeypatch.setattr(psiapprox.series, "_CORES", cores)
+            for norm in (lambda g: lp_norm(g, 4.0 / 3.0),
+                         lambda g: lp_norm(g, 1.0), sup_norm):
+                ke = profile.evaluator(beta)
+                tracemalloc.start()
+                try:
+                    norm(ke)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * 2 ** 20
 
     def test_grid_norms_take_no_grid_sized_temporaries(self, deep_profile,
-                                                       set_workers):
-        self.check_no_grid_sized_temporaries(deep_profile.evaluator(0.5),
-                                             set_workers)
+                                                       monkeypatch):
+        self.check_no_grid_sized_temporaries(deep_profile, 0.5, monkeypatch)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_half_walk_takes_no_grid_sized_temporaries(self, deep_profile,
-                                                       set_workers, beta):
-        self.check_no_grid_sized_temporaries(deep_profile.evaluator(beta),
-                                             set_workers)
+                                                       monkeypatch, beta):
+        self.check_no_grid_sized_temporaries(deep_profile, beta, monkeypatch)
 
 
 class TestHalfWalk:
