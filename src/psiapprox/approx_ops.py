@@ -13,8 +13,8 @@ convolution's.  `_norms` makes every norm's record, a kernel's with its
 certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
 built block by block, on up to two workers, from its profile's FFT
 (or a split FFT's rows), walked once for all orders asked together, half
-at integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}, and an even
-series' sup norm peaking at node 0 is flat there and takes no Newton step.
+at integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}.  The sup
+norm's Newton steps read a local interpolant of that cached grid.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -29,9 +29,10 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries, _spread
+from .series import FourierSeries, _moments, _spread
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 # -- the multiplier ----------------------------------------------------------
@@ -137,6 +138,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 _BLOCK = 1 << 16     # points per pass block: 512 KB of float64
 _POINTS_PER_WAVELENGTH = 16   # grid nodes per wavelength of the top harmonic
+_LOCAL_M = 16   # the local interpolant reads 2 _LOCAL_M + 2 grid nodes
 
 
 @dataclass(frozen=True)
@@ -216,12 +218,8 @@ def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
     rows (L, M) whose row r holds the nodes Lq + r.  lo is a multiple of L,
     out.size a multiple of L or one more, and lo + out.size <= G."""
     rows = np.atleast_2d(f)
-    L, M = rows.shape
+    L = rows.shape[0]
     c, q0 = out.size // L, lo // L   # the block's columns, from q0
-
-    def node(j):   # one node, the arithmetic of the vector ops below
-        a = rows[j % L, j // L]
-        return a if u is None else u * a + v * rows[-j % L, -j % (L * M) // L]
     for r in range(L if c else 0):
         # f_{-j}, j = Lq + r, is row L - r at column M - 1 - q, and for
         # r = 0 row 0 at (M - q) mod M; node 0 (f_{-0} is f_0) comes last
@@ -236,10 +234,18 @@ def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
             np.multiply(fwd, u, out=dst)
             dst += v * back
     if lo == 0:
-        out[0] = node(0)
+        out[0] = _node(rows, u, v, 0)
     if out.size > L * c:   # the next block's first node, or node G/2
-        out[-1] = node(lo + L * c)
+        out[-1] = _node(rows, u, v, lo + L * c)
     return out
+
+
+def _node(rows: np.ndarray, u: Optional[float], v: Optional[float], j):
+    """u f_j + v f_{-j}, or f_j with u = None, at node index or indices j
+    (mod G) of `_mirror_block`'s rows, by the arithmetic of its vector ops."""
+    L, M = rows.shape
+    a = rows[j % L, j % (L * M) // L]
+    return a if u is None else u * a + v * rows[-j % L, -j % (L * M) // L]
 
 
 def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
@@ -305,40 +311,58 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
     return out, max((0, -1.0), *tops, key=lambda f: f[1]) if peak else None
 
 
+def _local(series: FourierSeries, G: int, t: float) -> tuple:
+    """g, g' and g'' at t from the 2m + 2 nodes around it (m = _LOCAL_M) of
+    the G-point grid the norm pass cached, read by `_node`: the Gaussian-
+    regularized sinc (Schmeisser & Stenger 2007; Qian 2003) with variance
+    m/(pi - Kh) in node units, h = 2 pi/G.  No weight depends on g's scale."""
+    f, *uv = series._mirror or (series, None, None)
+    h, pi2 = TWO_PI / G, math.pi ** 2
+    j = np.arange(-_LOCAL_M, _LOCAL_M + 2) + math.floor(t / h)
+    y = t / h - j   # the nodes' offsets from t, in nodes
+    z, near = pi2 * y * y, np.abs(y) < 0.03   # Taylor there: quotients cancel
+    s0 = np.sinc(y)   # sin(pi y)/(pi y), its derivatives s1 = r y and s2
+    r = np.where(near, -pi2 / 3 * (1 - z / 10 * (1 - z / 28 * (1 - z / 54 * (
+        1 - z / 88)))), (np.cos(math.pi * y) - s0) / np.where(near, 1.0, y * y))
+    s1, s2 = r * y, -pi2 * s0 - 2 * r
+    b = (math.pi - series.degree * h) / (2 * _LOCAL_M)
+    w = np.exp(-b * y * y) * np.array([   # s0 exp(-b y^2) and its derivatives
+        s0, s1 - 2 * b * y * s0, s2 - 4 * b * y * s1 + (4 * b * y * y - 2) * b * s0])
+    g = (w * _node(f._phases(G), *uv, j)).sum(axis=1) / h ** np.arange(3)
+    return tuple(map(float, g))
+
+
 def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
-                 curvature: Optional[float]) -> NormValue:
-    """max |g| from peak = |g_i| at the argmax i of its G-point grid, refined
-    by Newton steps on g' that read g' and g'' off one cos/sin table per
-    iterate.  At 16 nodes per wavelength the peak is within a cell of node
-    i, so steps are clamped to it; (1/2) sum k^2 |c_k| step^2 estimates the
-    error left by the last step, not the rounding of the K-term sums."""
+                 moments: Optional[tuple]) -> NormValue:
+    """max |g| from peak = |g_i| at the argmax i of its G-point grid,
+    refined by Newton steps on g' that read g' and g'' off `_local`, each
+    clamped to the cell around node i that holds the peak at 16 nodes per
+    wavelength; the value at the last iterate is one K-term sum.  With
+    moments sum k^d |c_k|, d = 0, 1, 2, the estimate is (1/2) sum k^2 |c_k|
+    step^2 plus the sum's rounding: ceil(log2 K) + 22 roundings of eps/2
+    sum |c_k| (pairwise sums at most ceil(log2 K) + 17 for K < 2^21; cos or
+    sin, the product, two additions) and eps |t| sum k |c_k| for kt's."""
     if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
         return NormValue(value=peak, error_estimate=0.0)
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
-    d1 = series.derivative()
-    d2 = d1.derivative()
-    k = np.arange(1, series.degree + 1)
-
-    def at(t, *gs):   # each g(t) off one cos/sin table, by numpy sums: a
-        kt = t * k    # K-long BLAS dot would wake OpenBLAS's threads
-        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        return [0.5 * g.a0 + float(np.sum(cos_kt * g.a) + np.sum(sin_kt * g.b))
-                for g in gs]
     t, step = i * h, 0.0
     for _ in range(8):
-        curv, slope = at(t, d2, d1)
+        _, slope, curv = _local(series, G, t)
         if curv == 0.0:
             break
         t_new = min(max(t - slope / curv, lo), hi)
         step, t = t_new - t, t_new
         if abs(step) < 1e-13:
             break
-    if t != i * h:  # at the node itself the grid sample is the value
-        peak = max(peak, abs(*at(t, series)))
-    if curvature is None:   # a kernel's comes from its profile
-        curvature = float(np.sum(np.hypot(d2.a, d2.b)))  # sum k^2 |c_k|
-    return NormValue(value=peak, error_estimate=0.5 * curvature * step ** 2)
+    if t != i * h:   # at the node itself the grid sample is the value; a
+        kt = np.arange(1.0, series.degree + 1.0) * t   # K-long BLAS dot
+        peak = max(peak, abs(0.5 * series.a0 + float(   # would wake OpenBLAS
+            np.sum(np.cos(kt) * series.a) + np.sum(np.sin(kt) * series.b))))
+    amplitude, gradient, curvature = moments or _moments(np.hypot(series.a, series.b))
+    log2_K = (series.degree - 1).bit_length()   # ceil(log2 K)
+    rounding = _EPS * ((log2_K + 22) / 2 * amplitude + abs(t) * gradient)
+    return NormValue(peak, 0.5 * curvature * step ** 2 + rounding)
 
 
 def _norms(g, orders) -> dict:
@@ -357,7 +381,6 @@ def _norms(g, orders) -> dict:
     if not isinstance(series, FourierSeries):
         raise DomainError(f"cannot take norms of {type(g).__name__}")
     record = g._norm_cache if kernel else {}
-    eps = float(np.finfo(float).eps)
     new, grid = {}, []
     for p in dict.fromkeys(orders):
         if p in record:
@@ -368,7 +391,7 @@ def _norms(g, orders) -> dict:
             value = math.sqrt(math.pi * (g.energy if kernel
                                          else series.energy()))
             new[p] = NormValue(value=value, error_estimate=value * (
-                series.degree + 1) * eps)
+                series.degree + 1) * _EPS)
         else:
             grid.append(p)
     if grid:
@@ -381,13 +404,13 @@ def _norms(g, orders) -> dict:
         for p in finite:
             full, half = sums[p]
             exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
-            err_i = full * (G + 2) * eps if exact else abs(full - half) / 3.0
+            err_i = full * (G + 2) * _EPS if exact else abs(full - half) / 3.0
             value = full ** (1.0 / p) if full > 0.0 else 0.0
             new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                                else err_i ** (1.0 / p))
         if found is not None:
             new[math.inf] = _sup_refined(series, *found, G,
-                                         g.curvature if kernel else None)
+                                         g.moments if kernel else None)
     tail = g.tail_eps if kernel else 0.0
     for p, nv in new.items():
         measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)

@@ -38,7 +38,7 @@ from .errors import (DegenerateGapError, DomainError, InvalidPsiError,
                      NumericError)
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
                        characteristics)
-from .series import FourierSeries
+from .series import FourierSeries, _moments
 
 TWO_PI = 2.0 * math.pi
 T_SWITCH = 1e-3
@@ -239,7 +239,7 @@ class KernelProfile:
     coeffs: np.ndarray      # |c_k|, k = taper_start..truncation_index
     folded: FourierSeries   # sum (c_k/2)(cos kt + sin kt): all betas' grids
     energy: float           # sum c_k^2, Parseval's energy at every beta
-    curvature: float        # sum k^2 |c_k|, bounds |K*''| at every beta
+    moments: tuple          # `_moments` of |c_k|, the same at every beta
 
     def evaluator(self, beta: float) -> "KernelEvaluator":
         """The kernel at phase beta*pi/2 over this profile's coefficients."""
@@ -267,14 +267,14 @@ def kernel_profile(psi: PsiFunction, n: int,
     start = int(start if c_taper.size else n)
     c = np.zeros(K)   # |c_k| on harmonics 1..K, laid out as the series' a
     c[start - 1:] = np.concatenate([c_taper, c_tail])
-    k, half = np.arange(1.0, K + 1.0), 0.5 * c
+    half = 0.5 * c
     return KernelProfile(psi=psi, n=n, tail_eps=tail_eps, truncation_index=K,
                          eta_gap=prof.eta_gap, mu=prof.mu, eta_floor=eta_floor,
                          taper_start=start, certified_tail=float(bound),
                          coeffs=c[start - 1:],
                          folded=FourierSeries(0.0, half, half),
                          energy=float(np.sum(c * c)),   # as series.energy
-                         curvature=float(np.sum(k * (k * c))))
+                         moments=_moments(c))
 
 
 @dataclass(frozen=True, eq=False)

@@ -611,58 +611,6 @@ class TestBlockedPasses:
         approx_ops._norms(ke, orders)
         assert ke._norm_cache == {p: lp_norm(deep_kernel, p) for p in orders}
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_sup_norm_matches_per_derivative_newton(self, psi_slow, beta):
-        # the refinement used to evaluate g' and g'' as two series per
-        # iterate; one shared cos/sin table must give the same bits.  Each
-        # one-point value is a numpy sum of the series' terms (a K-long
-        # BLAS dot would wake OpenBLAS's threads), within a few ulps of
-        # the blocked `eval`
-        def at(g, t):
-            kt = t * np.arange(1, g.degree + 1)
-            value = 0.5 * g.a0 + float(np.sum(np.cos(kt) * g.a)
-                                       + np.sum(np.sin(kt) * g.b))
-            scale = float(np.sum(np.abs(g.a)) + np.sum(np.abs(g.b)))
-            assert abs(value - g.eval(t)) <= 8.0 * np.finfo(float).eps * scale
-            return value
-        ke = KernelEvaluator.build(psi_slow, 200, beta)
-        series = ke.series
-        G = approx_ops._grid_size(series.degree)
-        s = mirrored_grid(series, G)
-        i = int(np.argmax(np.abs(s)))
-        peak = float(abs(s[i]))
-        h = TWO_PI / G
-        lo, hi = (i - 1) * h, (i + 1) * h
-        d1 = series.derivative()
-        d2 = d1.derivative()
-        t, step = i * h, 0.0
-        for _ in range(8):
-            curv = at(d2, t)
-            if curv == 0.0:
-                break
-            t_new = min(max(t - at(d1, t) / curv, lo), hi)
-            step, t = t_new - t, t_new
-            if abs(step) < 1e-13:
-                break
-        if t != i * h:
-            peak = max(peak, abs(at(series, t)))
-        curvature = float(np.sum(np.hypot(d2.a, d2.b)))
-        assert sup_norm(ke) == approx_ops.NormValue(
-            value=peak, error_estimate=with_tail(
-                ke, math.inf, 0.5 * curvature * step ** 2))
-
-    @pytest.mark.parametrize("beta, derivatives", [(0.0, 0), (1.0, 2)])
-    def test_sup_norm_differentiates_off_node_zero(self, deep_profile, beta,
-                                                   derivatives, monkeypatch):
-        # an even kernel peaks at node 0, where g' = sum k b_k is exactly
-        # 0: no Newton table; an odd one vanishes there and refines
-        calls = []
-        derivative = FourierSeries.derivative
-        monkeypatch.setattr(FourierSeries, "derivative",
-                            lambda self: calls.append(self) or derivative(self))
-        sup_norm(deep_profile.evaluator(beta))
-        assert len(calls) == derivatives
-
     @pytest.mark.parametrize("u, v", [
         pytest.param(1.0, 1.0, id="1.0"), pytest.param(1.0, -1.0, id="-1.0"),
         (0.7, -0.3)])
@@ -735,6 +683,135 @@ class TestBlockedPasses:
         self.check_no_grid_sized_temporaries(deep_profile, beta, monkeypatch)
 
 
+class TestSupRefinement:
+    """Newton steps read g' and g'' off `_local`, the interpolant of the
+    cached grid; the value is one K-term sum at the last iterate."""
+
+    @staticmethod
+    def tables(monkeypatch, size):
+        """[(name, argument)] of each np.cos and np.sin call on a
+        `size`-long array, from here on: the refinement's tables."""
+        seen = []
+        for name in ("cos", "sin"):
+            def spy(x, *args, fn=getattr(np, name), name=name, **kwargs):
+                if np.size(x) == size:
+                    seen.append((name, np.array(x)))
+                return fn(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        return seen
+
+    @staticmethod
+    def peak_node(ke):
+        """The grid, and (i, |g_i|) at the argmax, as `_norms` finds them."""
+        G = approx_ops._grid_size(ke.truncation_index)
+        f, u, v = ke.series._mirror
+        return G, approx_ops._grid_pass(f._phases(G), (), TWO_PI / G,
+                                        peak=True, mirror=(u, v))[1]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_sup_norm_matches_an_independent_peak(self, psi_slow, beta):
+        # golden-section search on BLAS sums from the argmax of the
+        # kernel's own FFT, not of its profile's mirrored grid
+        ke = KernelEvaluator.build(psi_slow, 200, beta)
+        nv = sup_norm(ke)
+        ref = golden_peak(ke, approx_ops._grid_size(ke.truncation_index))
+        assert abs(nv.value - ref) <= nv.error_estimate + 1e-15 * ref
+
+    @pytest.mark.parametrize("beta, tables", [(0.0, 0), (1.0, 1)])
+    def test_sup_norm_makes_one_table_off_node_zero(self, deep_profile, beta,
+                                                    tables, monkeypatch):
+        # an even kernel peaks at node 0, where g' = sum k b_k is exactly
+        # 0: no Newton step; an odd one vanishes there, steps on the
+        # interpolant and sums its K terms once
+        ke = deep_profile.evaluator(beta)
+        built = []
+        derivative = FourierSeries.derivative
+        monkeypatch.setattr(FourierSeries, "derivative",
+                            lambda self: built.append(self) or derivative(self))
+        seen = self.tables(monkeypatch, ke.truncation_index)
+        sup_norm(ke)
+        assert [name for name, _ in seen] == ["cos", "sin"] * tables
+        assert not built
+
+    @pytest.mark.parametrize("alpha, r, n", [
+        (2.0, 0.3, 226), (0.5, 0.5, 200), (1.0, 0.5, 40)])
+    def test_estimate_covers_the_sums_rounding(self, alpha, r, n,
+                                               monkeypatch):
+        # the value is a numpy pairwise sum at the last iterate t: the
+        # BLAS sum at that t lies within the estimate, and an independent
+        # peak within it up to that peak's own rounding
+        ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, 1.0)
+        G, found = self.peak_node(ke)
+        seen = self.tables(monkeypatch, ke.truncation_index)
+        nv = approx_ops._sup_refined(ke.series, *found, G, ke.moments)
+        monkeypatch.undo()
+        (_, kt), _ = seen
+        assert abs(nv.value - abs(ke.series.eval(kt[0]))) <= nv.error_estimate
+        assert abs(nv.value - golden_peak(ke, G)) <= (nv.error_estimate
+                                                      + 1e-15 * nv.value)
+
+    def test_refinement_takes_no_table_sized_temporaries(self, deep_profile):
+        # one cos and one sin table, written over kt, and no series
+        ke = deep_profile.evaluator(1.0)
+        G, found = self.peak_node(ke)
+        tracemalloc.start()
+        try:
+            approx_ops._sup_refined(ke.series, *found, G, ke.moments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * ke.truncation_index
+
+    @pytest.fixture(scope="class", params=["split rows", "natural", "plain"])
+    def layout(self, request, deep_profile, psi_half):
+        """A series and its grid: a kernel's profile in eight split-FFT
+        rows or in natural order, or a series without a mirror."""
+        if request.param == "plain":
+            g = zero_mean_series(np.random.default_rng(5), 300)
+            return g, approx_ops._grid_size(g.degree)
+        kp = (deep_profile if request.param == "split rows"
+              else kernels.kernel_profile(psi_half, 40))
+        G = approx_ops._grid_size(kp.truncation_index)
+        assert kp.folded._phases(G).shape[0] == (
+            8 if request.param == "split rows" else 1)
+        return kp.evaluator(0.5).series, G
+
+    def test_local_interpolant_matches_the_sums(self, layout):
+        series, G = layout
+        h, m = TWO_PI / G, approx_ops._LOCAL_M
+        rng = np.random.default_rng(11)
+        # random points, nodes 0 and G - 1 themselves, and points within m
+        # nodes of them, where the nodes read wrap mod G
+        ts = np.concatenate([rng.uniform(0.0, TWO_PI, 20), [0.0, h * (G - 1)],
+                             h * rng.uniform(-m, m, 10),
+                             h * (G - 1 + rng.uniform(-m, m, 10))])
+        d1 = series.derivative()
+        want = np.stack([g.eval(ts) for g in (series, d1, d1.derivative())],
+                        axis=1)
+        got = np.array([approx_ops._local(series, G, t) for t in ts])
+        # relative to sum |c_k| K^d, about ten times the largest errors
+        # measured at m = 16 over the three layouts: 1.4e-13 to 3.1e-13
+        # (g), 1.2e-12 to 5.0e-12 (g') and 4.4e-11 to 1.3e-10 (g'')
+        scale = (float(np.sum(np.hypot(series.a, series.b)))
+                 * float(series.degree) ** np.arange(3))
+        assert np.all(np.abs(got - want) <= [3e-12, 5e-11, 1.5e-9] * scale)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 400),
+           st.integers(-60, 60))
+    def test_power_of_two_scaling_is_exact(self, seed, degree, e):
+        # nothing in the norms, the interpolant or the estimates depends
+        # on g's scale: 2^e g has 2^e times every value and estimate
+        g = zero_mean_series(np.random.default_rng(seed), degree)
+        scaled = FourierSeries(a0=0.0, a=np.ldexp(g.a, e), b=np.ldexp(g.b, e))
+        orders = (1.0, 2.0, math.inf)
+        assert approx_ops._norms(scaled, orders) == {
+            p: approx_ops.NormValue(math.ldexp(nv.value, e),
+                                    math.ldexp(nv.error_estimate, e))
+            for p, nv in approx_ops._norms(g, orders).items()}
+
+
 class TestHalfWalk:
     """At integer beta K* is exactly even or odd, so the pass walks |K*|
     over nodes 0..G/2 of the grid only."""
@@ -782,7 +859,7 @@ class TestHalfWalk:
         G = approx_ops._grid_size(ke.truncation_index)
         g = mirrored_grid(ke.series, G)
         whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
-        ref = approx_ops._sup_refined(ke.series, *whole, G, ke.curvature)
+        ref = approx_ops._sup_refined(ke.series, *whole, G, ke.moments)
         assert sup_norm(ke) == approx_ops.NormValue(
             ref.value, with_tail(ke, math.inf, ref.error_estimate))
 
