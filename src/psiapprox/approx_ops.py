@@ -211,12 +211,12 @@ def _kinks(A: list, B: list, orders, h: float) -> dict:
         - 0.5 * (A ** p + B ** p))) for p in orders}
 
 
-def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
-                  lo: int, out: np.ndarray) -> np.ndarray:
-    """out[i] = u f_j + v f_{-j}, or with u = None f_j, j = lo + i, for the
-    G samples f: natural order (read as L = 1), or `FourierSeries._phases`
-    rows (L, M) whose row r holds the nodes Lq + r.  lo is a multiple of L,
-    out.size a multiple of L or one more, and lo + out.size <= G."""
+def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
+                  out: np.ndarray) -> np.ndarray:
+    """out[i] = u f_j + v f_{-j}, j = lo + i, for the G samples f: natural
+    order (read as L = 1), or `FourierSeries._phases` rows (L, M) whose row
+    r holds the nodes Lq + r.  lo is a multiple of L, out.size a multiple
+    of L or one more, and lo + out.size <= G."""
     rows = np.atleast_2d(f)
     L = rows.shape[0]
     c, q0 = out.size // L, lo // L   # the block's columns, from q0
@@ -226,9 +226,7 @@ def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
         skip = int(r == 0 and q0 == 0)
         fwd, dst = rows[r, q0 + skip:q0 + c], out[L * skip + r:L * c:L]
         back = rows[-r, ::-1][q0 + skip - (r == 0):q0 + c - (r == 0)]
-        if u is None:
-            dst[:] = fwd
-        elif u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
+        if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
             (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
         else:
             np.multiply(fwd, u, out=dst)
@@ -240,32 +238,33 @@ def _mirror_block(f: np.ndarray, u: Optional[float], v: Optional[float],
     return out
 
 
-def _node(rows: np.ndarray, u: Optional[float], v: Optional[float], j):
-    """u f_j + v f_{-j}, or f_j with u = None, at node index or indices j
-    (mod G) of `_mirror_block`'s rows, by the arithmetic of its vector ops."""
+def _node(rows: np.ndarray, u: float, v: float, j):
+    """u f_j + v f_{-j} at node index or indices j (mod G) of
+    `_mirror_block`'s rows, by the arithmetic of its vector ops."""
     L, M = rows.shape
-    a = rows[j % L, j % (L * M) // L]
-    return a if u is None else u * a + v * rows[-j % L, -j % (L * M) // L]
+    return (u * rows[j % L, j % (L * M) // L]
+            + v * rows[-j % L, -j % (L * M) // L])
 
 
 def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
-               mirror: Optional[tuple] = None) -> tuple[dict, Optional[tuple]]:
+               mirror: tuple = (1.0, 0.0)) -> tuple[dict, Optional[tuple]]:
     """One blocked walk over a grid g (step h): {p: (full, half)}, the
     composite rule for int |g|^p on g and on its even nodes (step 2h), and
     with `peak` (i, |g_i|) at the first index i of max |g| (else None).
-    g is the samples s, natural or in rows as `_mirror_block` reads them,
-    or with mirror = (u, v) its u f(t) + v f(-t) of f's samples s, built
-    block by block; if |u| == |v|, |g| is even and the walk ends at node G/2
-    (G a multiple of 4): nodes 0 and G/2 count once, the rest and their
-    panels twice.  Each _BLOCK-point block (even, so its even entries are
-    the half grid's) takes |g| once and each power once into its worker's
-    buffers (`_spread`); the blocks' records combine in block order, with
-    no bit depending on the worker count: sums in `_halving_sum` order, a
-    later block's max only if strictly larger.  Orders that are not even
-    integers (|g|^p is then no trigonometric polynomial) share one panel
-    scan per grid for `_kinks`; a whole walk adds its wrap panels."""
+    g is u f(t) + v f(-t), mirror = (u, v), of f's samples s, natural or
+    in rows as `_mirror_block` reads them, built block by block (the
+    default (1, 0) walks s itself: x 1 + 0 y is x); if |u| == |v|, |g| is
+    even and the walk ends at node G/2 (G a multiple of 4): nodes 0 and G/2
+    count once, the rest and their panels twice.  Each _BLOCK-point block
+    (even, so its even entries are the half grid's) takes |g| once and
+    each power once into its worker's buffers (`_spread`); the blocks'
+    records combine in block order, with no bit depending on the worker
+    count: sums in `_halving_sum` order, a later block's max only if
+    strictly larger.  Orders that are not even integers (|g|^p is then no
+    trigonometric polynomial) share one panel scan per grid for `_kinks`;
+    a whole walk adds its wrap panels."""
     G = s.size
-    halved = mirror is not None and abs(mirror[0]) == abs(mirror[1])
+    halved = abs(mirror[0]) == abs(mirror[1])
     stop = G // 2 if halved else G
     kinked = [p for p in orders if p != 2.0 * round(p / 2.0)]
     starts = range(0, stop, _BLOCK)
@@ -274,7 +273,7 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
         n = min(_BLOCK, stop - start)   # the block's nodes, and node
         m = min(n + 1, G - start)       # start + n for its last panel
         buf, powered = bufs[:, :m]
-        blk = _mirror_block(s, *(mirror or (None, None)), start, buf)
+        blk = _mirror_block(s, *mirror, start, buf)
         first, panels = float(blk[0]), []
         for b in (blk, blk[::2]) if kinked else ():   # grid, half grid
             c = np.flatnonzero(np.multiply(b[:-1], b[1:], out=powered[:b.size - 1]) < 0)
@@ -316,7 +315,7 @@ def _local(series: FourierSeries, G: int, t: float) -> tuple:
     the G-point grid the norm pass cached, read by `_node`: the Gaussian-
     regularized sinc (Schmeisser & Stenger 2007; Qian 2003) with variance
     m/(pi - Kh) in node units, h = 2 pi/G.  No weight depends on g's scale."""
-    f, *uv = series._mirror or (series, None, None)
+    f, *uv = series._mirror or (series, 1.0, 0.0)
     h, pi2 = TWO_PI / G, math.pi ** 2
     j = np.arange(-_LOCAL_M, _LOCAL_M + 2) + math.floor(t / h)
     y = t / h - j   # the nodes' offsets from t, in nodes
@@ -341,7 +340,8 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
     moments sum k^d |c_k|, d = 0, 1, 2, the estimate is (1/2) sum k^2 |c_k|
     step^2 plus the sum's rounding: ceil(log2 K) + 22 roundings of eps/2
     sum |c_k| (pairwise sums at most ceil(log2 K) + 17 for K < 2^21; cos or
-    sin, the product, two additions) and eps |t| sum k |c_k| for kt's."""
+    sin, the product, two additions) and eps |t| sum k |c_k| for kt's, t
+    the last iterate wrapped into [-pi, pi]."""
     if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
         return NormValue(value=peak, error_estimate=0.0)
     h = TWO_PI / G
@@ -355,13 +355,12 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
         step, t = t_new - t, t_new
         if abs(step) < 1e-13:
             break
-    if t != i * h:   # at the node itself the grid sample is the value; a
-        kt = np.arange(1.0, series.degree + 1.0) * t   # K-long BLAS dot
-        peak = max(peak, abs(0.5 * series.a0 + float(   # would wake OpenBLAS
-            np.sum(np.cos(kt) * series.a) + np.sum(np.sin(kt) * series.b))))
+    wrapped = math.remainder(t, TWO_PI)   # in [-pi, pi]: kt rounds less
+    if t != i * h:   # at the node itself the grid sample is the value
+        peak = max(peak, abs(series.eval(wrapped)))
     amplitude, gradient, curvature = moments or _moments(np.hypot(series.a, series.b))
     log2_K = (series.degree - 1).bit_length()   # ceil(log2 K)
-    rounding = _EPS * ((log2_K + 22) / 2 * amplitude + abs(t) * gradient)
+    rounding = _EPS * ((log2_K + 22) / 2 * amplitude + abs(wrapped) * gradient)
     return NormValue(peak, 0.5 * curvature * step ** 2 + rounding)
 
 
@@ -396,11 +395,11 @@ def _norms(g, orders) -> dict:
             grid.append(p)
     if grid:
         G = _grid_size(series.degree)
-        f, *mirror = series._mirror or (series,)   # a kernel mirrors f's grid
+        f, u, v = series._mirror or (series, 1.0, 0.0)
         finite = [p for p in grid if not math.isinf(p)]
         sums, found = _grid_pass(f._phases(G), finite, TWO_PI / G,
                                  peak=len(finite) < len(grid),
-                                 mirror=tuple(mirror) or None)
+                                 mirror=(u, v))
         for p in finite:
             full, half = sums[p]
             exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
@@ -485,23 +484,22 @@ class ExtremalFunction:
 
 
 def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
-                         x0: float, grid_size: Optional[int] = None,
-                         evaluator: Optional[KernelEvaluator] = None) -> ExtremalFunction:
+                         x0: float, evaluator: Optional[KernelEvaluator] = None
+                         ) -> ExtremalFunction:
     """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0.
 
     p in (1, inf): phi = sign(S)|S|^{p'-1} / ||S||_{p'}^{p'/p} with
     S(t) = K*(x0 - t); equality is exact up to quadrature.  p = inf: the
     sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
-    x0 is snapped to the working grid so S is an exact index reversal.
+    x0 is snapped to the working grid, the norm grid of at least 2^17
+    points, so S is an exact index reversal.
     """
     p_prime = conjugate_exponent(p)
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
     ke = _kernel(psi, n, beta, evaluator)
-    if grid_size is None:
-        grid_size = max(1 << 17, _grid_size(ke.truncation_index))
-    G = int(grid_size)
+    G = max(1 << 17, _grid_size(ke.truncation_index))
     h = TWO_PI / G
     samples = ke.series.uniform_samples(G)
     i0 = int(round(x0 / h)) % G

@@ -313,17 +313,13 @@ class KernelEvaluator(KernelProfile):
         return float(out[0]) if scalar else out
 
     def _eval_abel(self, t: float, representation: str) -> float:
-        n, K, g = self.n, self.truncation_index, self.eta_floor - self.n
-        ks_taper = np.arange(self.taper_start, n)
-        taper = _by_parts(ks_taper, float(self.psi(float(n)))
-                          * (self.eta_floor - 2 * n + ks_taper) / g,
-                          self.beta, t)
-        ks_tail = np.arange(n, K + 1)
-        psi_tail = np.asarray(self.psi(ks_tail.astype(float)), dtype=float)
+        c, split = self.coeffs, self.n - self.taper_start   # taper, then tail
+        ks = np.arange(self.taper_start, self.truncation_index + 1)
+        taper = _by_parts(ks[:split], c[:split], self.beta, t)
         if representation == "for1":
-            return taper + _by_parts(ks_tail, psi_tail, self.beta, t)
-        return taper + float(np.sum(psi_tail * np.cos(
-            ks_tail * t - 0.5 * math.pi * self.beta)))
+            return taper + _by_parts(ks[split:], c[split:], self.beta, t)
+        return taper + float(np.sum(c[split:] * np.cos(
+            ks[split:] * t - 0.5 * math.pi * self.beta)))
 
 
 def lemma1_check(lambda_seq: Sequence[float], gamma: float, N: int, M: int,

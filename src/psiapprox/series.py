@@ -123,36 +123,37 @@ class FourierSeries:
                 and np.array_equal(self.b, other.b))
 
     def eval(self, t):
-        """Evaluate at scalar or array t by direct summation.
+        """Evaluate at scalar or array t by direct summation: 0.5 a0 +
+        (sum cos(kt) a_k + sum sin(kt) b_k), each a numpy pairwise row sum.
 
         Points go in blocks of EVAL_BLOCK // degree (at least one), so a
         block's points x degree phase matrix holds at most EVAL_BLOCK
-        entries whenever the degree does.
+        entries whenever the degree does; the products are written over
+        the cos and sin tables.
         """
         t_arr = np.ravel(np.asarray(t, dtype=float))
-        k = np.arange(1, self.degree + 1)
+        k = np.arange(1.0, self.degree + 1.0)
         step = max(1, EVAL_BLOCK // max(1, self.degree))
         out = np.empty(t_arr.size)
         for i in range(0, t_arr.size, step):
             kt = np.outer(t_arr[i:i + step], k)
-            out[i:i + step] = (0.5 * self.a0 + np.cos(kt) @ self.a
-                               + np.sin(kt) @ self.b)
+            cos = np.cos(kt)   # sin goes over kt
+            out[i:i + step] = 0.5 * self.a0 + (
+                np.multiply(cos, self.a, out=cos).sum(axis=1) + np.multiply(
+                    np.sin(kt, out=kt), self.b, out=kt).sum(axis=1))
         return out if np.ndim(t) else float(out[0])
 
     __call__ = eval
 
     def uniform_samples(self, grid_size: int) -> np.ndarray:
-        """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, via inverse FFT.
-
-        Exact (to rounding) for any grid size: below the Nyquist harmonic by
-        a real inverse FFT, otherwise with harmonics wrapped onto their
-        aliases, the identity the sample values themselves satisfy.  L >= 2
-        times FFT_BLOCK points of a series of degree below FFT_BLOCK / 2
-        take L FFT_BLOCK-point transforms: node 0 keeps a one-shot irfft's
-        bits, other nodes its accuracy; smaller grids keep all its bits.
-        Samples are cached per grid size in `_phases`' layout and are
-        read-only; a split grid comes back as an uncached natural-order
-        copy of its rows.
+        """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, by a real
+        inverse FFT, exact to rounding; a grid of at most twice the degree
+        is refused.  L >= 2 times FFT_BLOCK points of a series of degree
+        below FFT_BLOCK / 2 take L FFT_BLOCK-point transforms: node 0 keeps
+        a one-shot irfft's bits, other nodes its accuracy; grids that are
+        not split keep all its bits.  Samples are cached per grid size in
+        `_phases`' layout and are read-only; a split grid comes back as an
+        uncached natural-order copy of its rows.
         """
         rows = self._phases(grid_size)
         if rows.shape[0] == 1:
@@ -165,49 +166,41 @@ class FourierSeries:
         """The grid_size samples as (L, M) rows, row r holding the nodes
         Lq + r: a split grid as its L transforms wrote them, any other as
         one row.  Cached per grid size and read-only."""
-        if grid_size < 1:
-            raise DomainError("grid size must be positive")
+        if grid_size <= 2 * self.degree:
+            raise DomainError(f"a {grid_size}-point grid does not exceed "
+                              f"twice the degree {self.degree}")
         cached = self._sample_cache.get(grid_size)
         if cached is not None:
             return np.atleast_2d(cached)
-        if 2 * self.degree < grid_size:
-            # irfft pads the spectrum with zeros up to grid_size // 2 + 1;
-            # a halved spectrum without irfft's 1/G needs no pass over the
-            # samples, and on power-of-two grids both scalings are exact
-            spec = np.empty(self.degree + 1, dtype=complex)
-            spec[0] = self.a0
-            spec[1:] = self.a - 1j * self.b
-            spec *= 0.5
-            L = grid_size // FFT_BLOCK
-            if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
-                samples = np.fft.irfft(spec, grid_size, norm="forward")
-            else:
-                # row r, the nodes Lq + r, is the FFT_BLOCK-point transform
-                # of the spectrum times w^{rk}, w = e^{2 pi i/G}, written
-                # contiguously; r = 0 is untwisted, and w^k is a
-                # K/256 x 256 outer product
-                c = 2j * math.pi / grid_size
-                w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
-                             np.exp(c * np.arange(256))).ravel()[:spec.size]
-                samples = np.empty((L, FFT_BLOCK))
-                copies = [spec.copy() for _ in range(min(_CORES, _MAX_WORKERS, L) - 1)]
-
-                def rows(lo, hi):   # spec w^r by the r products of one loop
-                    twisted = copies.pop() if lo else spec   # caller's: spec
-                    for _ in range(lo):
-                        twisted *= w
-                    for row in samples[lo:hi]:
-                        np.fft.irfft(twisted, FFT_BLOCK, norm="forward", out=row)
-                        twisted *= w
-                _spread(rows, L)
+        # irfft pads the spectrum with zeros up to grid_size // 2 + 1; a
+        # halved spectrum without irfft's 1/G needs no pass over the
+        # samples, and on power-of-two grids both scalings are exact
+        spec = np.empty(self.degree + 1, dtype=complex)
+        spec[0] = self.a0
+        spec[1:] = self.a - 1j * self.b
+        spec *= 0.5
+        L = grid_size // FFT_BLOCK
+        if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
+            samples = np.fft.irfft(spec, grid_size, norm="forward")
         else:
-            buf = np.zeros(grid_size, dtype=complex)
-            buf[0] = 0.5 * self.a0
-            k = np.arange(1, self.degree + 1)
-            np.add.at(buf, k % grid_size, self.a - 1j * self.b)
-            # transform in place, then copy the real part out scaled: a
-            # view of it would pin the complex buffer in the cache
-            samples = np.fft.ifft(buf, out=buf).real * grid_size
+            # row r, the nodes Lq + r, is the FFT_BLOCK-point transform of
+            # the spectrum times w^{rk}, w = e^{2 pi i/G}, written
+            # contiguously; r = 0 is untwisted, and w^k is a K/256 x 256
+            # outer product
+            c = 2j * math.pi / grid_size
+            w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
+                         np.exp(c * np.arange(256))).ravel()[:spec.size]
+            samples = np.empty((L, FFT_BLOCK))
+            copies = [spec.copy() for _ in range(min(_CORES, _MAX_WORKERS, L) - 1)]
+
+            def rows(lo, hi):   # spec w^r by the r products of one loop
+                twisted = copies.pop() if lo else spec   # caller's: spec
+                for _ in range(lo):
+                    twisted *= w
+                for row in samples[lo:hi]:
+                    np.fft.irfft(twisted, FFT_BLOCK, norm="forward", out=row)
+                    twisted *= w
+            _spread(rows, L)
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
         return np.atleast_2d(samples)

@@ -15,7 +15,8 @@ import psiapprox.series
 from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        KernelEvaluator, NumericError, PsiFunction,
                        approx_ops, apply_vn, bounds, kernels,
-                       duality_extremal_phi, kernel_norm, lp_norm,
+                       duality_extremal_phi, exp_power_thresholds,
+                       kernel_norm, lp_norm,
                        residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients,
                        verify_sweep)
@@ -199,6 +200,26 @@ def golden_peak(ke, G=1 << 14):
         else:
             hi = x2
     return max(f(lo), f(hi), f(0.5 * (lo + hi)))
+
+
+def long_double_sums(series, t):
+    """g, g' and g'' of series at t, summed in long double, whose 64-bit
+    mantissa rounds k t and the terms 2^11 times finer than float64."""
+    k = np.arange(1, series.degree + 1).astype(np.longdouble)
+    a, b = series.a.astype(np.longdouble), series.b.astype(np.longdouble)
+    cos, sin = np.cos(k * t), np.sin(k * t)
+    return (0.5 * np.longdouble(series.a0) + np.sum(a * cos + b * sin),
+            np.sum(k * (b * cos - a * sin)),
+            -np.sum(k * k * (a * cos + b * sin)))
+
+
+def long_double_peak(series, t):
+    """max |g| near t by four long-double Newton steps on g' from t."""
+    t = np.longdouble(t)
+    for _ in range(4):
+        _, slope, curvature = long_double_sums(series, t)
+        t -= slope / curvature
+    return abs(long_double_sums(series, t)[0])
 
 
 class TestTaper:
@@ -633,22 +654,24 @@ class TestBlockedPasses:
             for grid in (f, rows):
                 got = approx_ops._mirror_block(grid, u, v, lo, np.empty(m))
                 assert np.array_equal(got, want)
+            # (1, 0), a series without a mirror, reads f itself
             assert np.array_equal(approx_ops._mirror_block(
-                rows, None, None, lo, np.empty(m)), f[j])
+                rows, 1.0, 0.0, lo, np.empty(m)), f[j])
 
     @pytest.mark.parametrize("alpha, r, n, L", [
         (1.0, 0.5, 40, 1), (0.5, 0.5, 100, 2), (2.0, 0.3, 200, 8)])
     def test_pass_is_layout_blind(self, alpha, r, n, L):
         # the norm pass walks f in the rows its FFTs wrote; its natural
         # copy must give the same sums, half-grid sums and argmax, on the
-        # half walk (node G/2), the whole walk (wrap panel) and f itself
+        # half walk (node G/2), the whole walk (wrap panel) and f itself,
+        # mirror (1, 0)
         kp = kernels.kernel_profile(PsiFunction.exp_power(alpha, r), n)
         G = approx_ops._grid_size(kp.truncation_index)
         rows, natural = kp.folded._phases(G), kp.folded.uniform_samples(G)
         assert rows.shape == (L, G // L)
         orders, h = (1.0, 4.0 / 3.0, 3.0, 4.0), TWO_PI / G
         for mirror in [tuple(kp.evaluator(beta).series._mirror[1:])
-                       for beta in (0.0, 1.0, 0.5, 1.7)] + [None]:
+                       for beta in (0.0, 1.0, 0.5, 1.7)] + [(1.0, 0.0)]:
             assert approx_ops._grid_pass(
                 rows, orders, h, peak=True, mirror=mirror
             ) == approx_ops._grid_pass(natural, orders, h, peak=True,
@@ -710,7 +733,7 @@ class TestSupRefinement:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_sup_norm_matches_an_independent_peak(self, psi_slow, beta):
-        # golden-section search on BLAS sums from the argmax of the
+        # golden-section search on direct sums from the argmax of the
         # kernel's own FFT, not of its profile's mirrored grid
         ke = KernelEvaluator.build(psi_slow, 200, beta)
         nv = sup_norm(ke)
@@ -737,18 +760,55 @@ class TestSupRefinement:
         (2.0, 0.3, 226), (0.5, 0.5, 200), (1.0, 0.5, 40)])
     def test_estimate_covers_the_sums_rounding(self, alpha, r, n,
                                                monkeypatch):
-        # the value is a numpy pairwise sum at the last iterate t: the
-        # BLAS sum at that t lies within the estimate, and an independent
-        # peak within it up to that peak's own rounding
+        # the value is a numpy pairwise sum at the last iterate t, read
+        # off eval's (1, K) kt table: the long-double sum at that t and
+        # the long-double peak both lie within the estimate
         ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, 1.0)
         G, found = self.peak_node(ke)
         seen = self.tables(monkeypatch, ke.truncation_index)
         nv = approx_ops._sup_refined(ke.series, *found, G, ke.moments)
         monkeypatch.undo()
         (_, kt), _ = seen
-        assert abs(nv.value - abs(ke.series.eval(kt[0]))) <= nv.error_estimate
-        assert abs(nv.value - golden_peak(ke, G)) <= (nv.error_estimate
-                                                      + 1e-15 * nv.value)
+        assert kt.shape == (1, ke.truncation_index)
+        t = kt[0, 0]
+        for ref in (abs(long_double_sums(ke.series, t)[0]),
+                    long_double_peak(ke.series, t)):
+            assert abs(nv.value - ref) <= nv.error_estimate
+
+    @pytest.mark.parametrize("beta", [1.25, 1.7])
+    def test_sum_at_the_wrapped_iterate(self, psi_slow, beta, monkeypatch):
+        # at (2.0, 0.3), n = 160 these kernels peak near 2 pi; summed at
+        # the iterate wrapped into [-pi, pi], kt's rounding term
+        # eps |t| sum k |c_k| shrinks with |t| from about 6.28, and the
+        # estimate still holds the long-double peak
+        ke = kernels.kernel_profile(psi_slow, 160).evaluator(beta)
+        G, (i, top) = self.peak_node(ke)
+        assert i > G // 2
+        seen = self.tables(monkeypatch, ke.truncation_index)
+        nv = approx_ops._sup_refined(ke.series, i, top, G, ke.moments)
+        monkeypatch.undo()
+        t = seen[0][1][0, 0]
+        assert -math.pi <= t < 0.0
+        unwrapped = nv.error_estimate + approx_ops._EPS * (
+            abs(t + TWO_PI) - abs(t)) * ke.moments[1]
+        assert 10.0 * nv.error_estimate <= unwrapped
+        ref = long_double_peak(ke.series, t)
+        assert abs(nv.value - ref) <= nv.error_estimate
+
+    @pytest.mark.parametrize("alpha, r", [
+        (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7), (2.0, 0.3),
+        (2.0, 0.5), (2.0, 0.7)])
+    def test_even_kernel_peak_is_its_coefficient_sum(self, alpha, r):
+        # at beta = 0 every c_k >= 0, so the maximum is K*(0) = sum c_k
+        # exactly; on every 8th n of criterion 5 the node-0 sample, taken
+        # with no Newton step, lies within its reported estimate (the
+        # certified tail) of that sum in long double
+        psi = PsiFunction.exp_power(alpha, r)
+        for n in range(exp_power_thresholds(alpha, r)[2], 257, 8):
+            kp = kernels.kernel_profile(psi, n)
+            nv = sup_norm(kp.evaluator(0.0))
+            exact = np.sum(kp.coeffs.astype(np.longdouble))
+            assert abs(nv.value - exact) <= nv.error_estimate, n
 
     def test_refinement_takes_no_table_sized_temporaries(self, deep_profile):
         # one cos and one sin table, written over kt, and no series
@@ -921,32 +981,37 @@ class TestDuality:
         assert ex.norm_p == 1.0
         assert abs(ex.mean_offset) <= 1e-15
         assert ex.ratio >= 0.97
-        # the callable, sampled on its working grid, gives the attainment
-        ex = duality_extremal_phi(psi, 0.0, 12, math.inf, x0=0.0, evaluator=ke,
-                                  grid_size=1 << 13)
-        assert ex.mean_corrected
-        G = ex.grid_size
-        vals = np.asarray(ex(TWO_PI * np.arange(G) / G), dtype=float)
-        s = ke.series.uniform_samples(G)[(int(round(ex.x0 / (TWO_PI / G)))
-                                          - np.arange(G)) % G]
-        attained = (TWO_PI / G) * float(np.sum(vals * s)) / math.pi
+        # the callable, on 256 nodes of the working grid, takes one level
+        # where S > 0 and one where S < 0; with them the grid's S gives
+        # the attainment
+        G, h = ex.grid_size, TWO_PI / ex.grid_size
+        S = ke.series.uniform_samples(G)[(round(ex.x0 / h) - np.arange(G)) % G]
+        j = np.arange(0, G, G // 256)
+        vals = np.asarray(ex(h * j), dtype=float)
+        up, down = vals[S[j] > 0.0], vals[S[j] < 0.0]
+        assert np.ptp(up) == 0.0 and np.ptp(down) == 0.0
+        attained = h * (up[0] * np.sum(S[S > 0.0])
+                        + down[0] * np.sum(S[S < 0.0])) / math.pi
         assert attained == pytest.approx(ex.attainment, rel=1e-9)
 
     def test_callable_reproduces_attainment(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 9, 0.0)
-        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.7,
-                                  evaluator=ke, grid_size=1 << 13)
-        G = ex.grid_size
-        grid = TWO_PI * np.arange(G) / G
-        vals = np.asarray(ex(grid), dtype=float)
-        kern = ke.series.uniform_samples(G)
-        s = kern[(int(round(ex.x0 / (TWO_PI / G))) - np.arange(G)) % G]
-        attained = (TWO_PI / G) * float(np.sum(vals * s)) / math.pi
-        assert attained == pytest.approx(ex.attainment, rel=1e-9)
+        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.7, evaluator=ke)
+        # at p = 2 phi = S / ||S||_2 on the working grid, so the attainment
+        # is h sum S^2 / (pi ||S||_2): the callable on 256 of its nodes is
+        # S times the scale the attainment gives
+        G, h = ex.grid_size, TWO_PI / ex.grid_size
+        S = ke.series.uniform_samples(G)[(round(ex.x0 / h) - np.arange(G)) % G]
+        j = np.arange(0, G, G // 256)
+        vals = np.asarray(ex(h * j), dtype=float)
+        scale = math.pi * ex.attainment / (h * float(np.sum(S * S)))
+        np.testing.assert_allclose(vals, scale * S[j], rtol=1e-9,
+                                   atol=1e-12 * float(np.max(np.abs(vals))))
 
     def test_x0_snapped_to_grid(self, psi_half):
-        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.1234,
-                                  grid_size=1 << 14)
+        # the working grid is the norm grid, at least 2^17 points
+        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.1234)
+        assert ex.grid_size == 1 << 17
         h = TWO_PI / ex.grid_size
         assert ex.x0 == pytest.approx(round(0.1234 / h) * h, abs=1e-15)
 

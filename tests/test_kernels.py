@@ -257,8 +257,8 @@ class TestKernelEvaluator:
         assert float(ke.eval(0.0)) == pytest.approx(2.0 ** -9, rel=1e-9)
 
     def test_uniform_samples_match_eval(self, psi_half):
-        ke = KernelEvaluator.build(psi_half, 9, 1.0)
-        G = 512
+        ke = KernelEvaluator.build(psi_half, 9, 1.0)   # K = 2041
+        G = 4096
         grid = TWO_PI * np.arange(G) / G
         np.testing.assert_allclose(ke.series.uniform_samples(G), ke.eval(grid),
                                    rtol=0, atol=1e-12)
@@ -312,10 +312,16 @@ class TestMirroredSamples:
     def deep_profile(self, psi_slow):
         return kernels.kernel_profile(psi_slow, 200)
 
-    @pytest.mark.parametrize("G", [4096, 1 << 20])   # aliased; irfft route
+    @pytest.mark.parametrize("G", [4096, 1 << 20])   # one-shot; split route
     @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5, -1.3, 2.7])
-    def test_agrees_with_the_phased_fft(self, deep_profile, beta, G):
-        ke = deep_profile.evaluator(beta)
+    def test_agrees_with_the_phased_fft(self, deep_profile, psi_half, beta, G):
+        # 4,096 points carry the (1.0, 0.5), n = 9 kernel (K = 2041) in
+        # one irfft, 2^20 points the (2.0, 0.3), n = 200 one (K ~ 51k) in
+        # eight split transforms
+        kp = (deep_profile if G > FFT_BLOCK
+              else kernels.kernel_profile(psi_half, 9))
+        ke = kp.evaluator(beta)
+        assert ke.folded._phases(G).shape[0] == (8 if G > FFT_BLOCK else 1)
         ref = fft_samples(ke, G)
         s = pass_grid(ke, G)
         eps = np.finfo(float).eps

@@ -49,26 +49,25 @@ def test_uniform_samples_match_eval():
     np.testing.assert_allclose(f.uniform_samples(G), f(grid), atol=1e-12)
 
 
-def test_uniform_samples_alias_exact():
-    # grid coarser than the degree: e^{ik 2pi j/G} = e^{i(k mod G) 2pi j/G},
-    # so the wrapped FFT buffer still reproduces exact point values
-    rng = np.random.default_rng(1)
-    f = random_series(rng, 300)
-    G = 64
-    grid = TWO_PI * np.arange(G) / G
-    np.testing.assert_allclose(f.uniform_samples(G), f(grid),
-                               rtol=0, atol=1e-10)
-
-
 @pytest.mark.parametrize("degree", [63, 64, 65])
 def test_uniform_samples_near_nyquist(degree):
-    # degree < G/2 takes the real-FFT route, G/2 and above the wrap route
-    rng = np.random.default_rng(degree)
-    f = random_series(rng, degree)
-    G = 128
-    grid = TWO_PI * np.arange(G) / G
-    np.testing.assert_allclose(f.uniform_samples(G), f(grid),
-                               rtol=0, atol=1e-12)
+    # the smallest odd and even grids above twice the degree: the top
+    # harmonic sits just below the Nyquist index of the real FFT
+    f = random_series(np.random.default_rng(degree), degree)
+    for G in (2 * degree + 1, 2 * degree + 2):
+        grid = TWO_PI * np.arange(G) / G
+        np.testing.assert_allclose(f.uniform_samples(G), f(grid),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("G", [-1, 0, 1, 99, 100])
+def test_grids_at_most_twice_the_degree_are_refused(G):
+    # a grid of at most twice the degree aliases the top harmonics
+    f = random_series(np.random.default_rng(8), 50)
+    with pytest.raises(DomainError, match="twice the degree"):
+        f.uniform_samples(G)
+    assert f._sample_cache == {}
+    assert f.uniform_samples(101).size == 101
 
 
 @pytest.mark.parametrize("degree, G", [(300, 1 << 12), (50_000, 1 << 20)])
@@ -138,10 +137,11 @@ def test_from_cosine_profile_quarter_turns_are_exact():
 
 @pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
 def test_mirror_built_series_leaves_folded_samples_alone(G):
-    # odd sizes and sizes past one norm-pass block; 7 points alias the
-    # degree-12 series.  A series built as a mirror of `folded` samples
-    # from its own coefficients and caches no grid on folded
-    coeffs = np.random.default_rng(G).standard_normal(10)
+    # odd sizes and sizes past one norm-pass block; 7 points carry a
+    # degree-3 series of one harmonic, the others degree 12.  A series
+    # built as a mirror of `folded` samples from its own coefficients and
+    # caches no grid on folded
+    coeffs = np.random.default_rng(G).standard_normal(min(10, (G - 1) // 2 - 2))
     half = np.concatenate((np.zeros(2), 0.5 * coeffs))
     for phase in (0.0, 0.4, -2.1):
         folded = FourierSeries(a0=0.0, a=half, b=half)
