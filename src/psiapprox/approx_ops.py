@@ -9,12 +9,14 @@ computation is deliberately boring: composite trapezoid on uniform grids
 (spectrally accurate for periodic integrands, with a local correction at
 sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
 norms', the sup scan's, the duality extremals' and the residual
-convolution's.  `_norms` makes every norm's record, a kernel's with its
-certified tail, and keeps a kernel's on its evaluator.  A kernel's grid is
-built block by block, on up to two workers, from its profile's FFT
-(or a split FFT's rows), walked once for all orders asked together, half
-at integer beta; at beta = 0 and 1 a block is f_j +- f_{-j}.  The sup
-norm's Newton steps read a local interpolant of that cached grid.
+convolution's.  `_norms` reads a kernel's or a series' inputs in one
+place, makes every norm's record, a kernel's with its certified tail, and
+keeps a kernel's on its evaluator.  A kernel's grid, its evaluator's
+mirror of its profile's folded f, is built block by block, on up to two
+workers, from f's FFT (or a split FFT's rows), walked once for all orders
+asked together, half at integer beta; at beta = 0 and 1 a block is
+f_j +- f_{-j}.  The sup norm's Newton steps read a local interpolant of
+that cached grid.
 `conjugate_exponent` is the one map from p to p'.
 """
 
@@ -118,8 +120,8 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise DomainError(f"x samples must be finite, got {x_samples}")
+    if not xs.size or not np.all(np.isfinite(xs)):
+        raise DomainError(f"x samples must be finite and not empty, got {x_samples}")
     f = synthesize_class_function(psi, beta, phi, a0=0.0)
     resid = f - apply_vn(f, taper_coefficients(psi, n))
     ke = KernelEvaluator.build(psi, n, beta)
@@ -310,12 +312,13 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
     return out, max((0, -1.0), *tops, key=lambda f: f[1]) if peak else None
 
 
-def _local(series: FourierSeries, G: int, t: float) -> tuple:
+def _local(source: tuple, G: int, t: float) -> tuple:
     """g, g' and g'' at t from the 2m + 2 nodes around it (m = _LOCAL_M) of
-    the G-point grid the norm pass cached, read by `_node`: the Gaussian-
-    regularized sinc (Schmeisser & Stenger 2007; Qian 2003) with variance
-    m/(pi - Kh) in node units, h = 2 pi/G.  No weight depends on g's scale."""
-    f, *uv = series._mirror or (series, 1.0, 0.0)
+    the G-point grid the norm pass cached, g = u f(t) + v f(-t) for
+    source = (f, u, v), read by `_node`: the Gaussian-regularized sinc
+    (Schmeisser & Stenger 2007; Qian 2003) with variance m/(pi - Kh) in
+    node units, h = 2 pi/G.  No weight depends on g's scale."""
+    f, *uv = source
     h, pi2 = TWO_PI / G, math.pi ** 2
     j = np.arange(-_LOCAL_M, _LOCAL_M + 2) + math.floor(t / h)
     y = t / h - j   # the nodes' offsets from t, in nodes
@@ -324,31 +327,32 @@ def _local(series: FourierSeries, G: int, t: float) -> tuple:
     r = np.where(near, -pi2 / 3 * (1 - z / 10 * (1 - z / 28 * (1 - z / 54 * (
         1 - z / 88)))), (np.cos(math.pi * y) - s0) / np.where(near, 1.0, y * y))
     s1, s2 = r * y, -pi2 * s0 - 2 * r
-    b = (math.pi - series.degree * h) / (2 * _LOCAL_M)
+    b = (math.pi - f.degree * h) / (2 * _LOCAL_M)
     w = np.exp(-b * y * y) * np.array([   # s0 exp(-b y^2) and its derivatives
         s0, s1 - 2 * b * y * s0, s2 - 4 * b * y * s1 + (4 * b * y * y - 2) * b * s0])
     g = (w * _node(f._phases(G), *uv, j)).sum(axis=1) / h ** np.arange(3)
     return tuple(map(float, g))
 
 
-def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
-                 moments: Optional[tuple]) -> NormValue:
+def _sup_refined(series: FourierSeries, source: tuple, i: int, peak: float,
+                 G: int, moments: tuple) -> NormValue:
     """max |g| from peak = |g_i| at the argmax i of its G-point grid,
-    refined by Newton steps on g' that read g' and g'' off `_local`, each
-    clamped to the cell around node i that holds the peak at 16 nodes per
-    wavelength; the value at the last iterate is one K-term sum.  With
-    moments sum k^d |c_k|, d = 0, 1, 2, the estimate is (1/2) sum k^2 |c_k|
-    step^2 plus the sum's rounding: ceil(log2 K) + 22 roundings of eps/2
-    sum |c_k| (pairwise sums at most ceil(log2 K) + 17 for K < 2^21; cos or
-    sin, the product, two additions) and eps |t| sum k |c_k| for kt's, t
-    the last iterate wrapped into [-pi, pi]."""
+    refined by Newton steps on g' that read g' and g'' off `_local` of the
+    grid's source (f, u, v), each clamped to the cell around node i that
+    holds the peak at 16 nodes per wavelength; the value at the last
+    iterate is one K-term sum of the series.  With moments sum k^d |c_k|,
+    d = 0, 1, 2, the estimate is (1/2) sum k^2 |c_k| step^2 plus the sum's
+    rounding: ceil(log2 K) + 22 roundings of eps/2 sum |c_k| (pairwise
+    sums at most ceil(log2 K) + 17 for K < 2^21; cos or sin, the product,
+    two additions) and eps |t| sum k |c_k| for kt's, t the last iterate
+    wrapped into [-pi, pi]."""
     if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
         return NormValue(value=peak, error_estimate=0.0)
     h = TWO_PI / G
     lo, hi = (i - 1) * h, (i + 1) * h
     t, step = i * h, 0.0
     for _ in range(8):
-        _, slope, curv = _local(series, G, t)
+        _, slope, curv = _local(source, G, t)
         if curv == 0.0:
             break
         t_new = min(max(t - slope / curv, lo), hi)
@@ -358,7 +362,7 @@ def _sup_refined(series: FourierSeries, i: int, peak: float, G: int,
     wrapped = math.remainder(t, TWO_PI)   # in [-pi, pi]: kt rounds less
     if t != i * h:   # at the node itself the grid sample is the value
         peak = max(peak, abs(series.eval(wrapped)))
-    amplitude, gradient, curvature = moments or _moments(np.hypot(series.a, series.b))
+    amplitude, gradient, curvature = moments
     log2_K = (series.degree - 1).bit_length()   # ceil(log2 K)
     rounding = _EPS * ((log2_K + 22) / 2 * amplitude + abs(wrapped) * gradient)
     return NormValue(peak, 0.5 * curvature * step ** 2 + rounding)
@@ -374,12 +378,16 @@ def _norms(g, orders) -> dict:
     rounding of the summed terms is left.  A kernel's profile gives its
     energy and sum k^2 |c_k|, each order's estimate adds the certified
     tail, tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so
-    an order is computed once however it is asked for."""
-    kernel = isinstance(g, KernelEvaluator)
-    series = g.series if kernel else g
-    if not isinstance(series, FourierSeries):
+    an order is computed once however it is asked for.  A kernel's grid
+    is its mirror of the profile's folded samples; a series' its own."""
+    if isinstance(g, KernelEvaluator):
+        series, source, record = g.series, (g.folded, *g.mirror), g._norm_cache
+        energy, moments, tail = g.energy, g.moments, g.tail_eps
+    elif isinstance(g, FourierSeries):
+        series, source, record = g, (g, 1.0, 0.0), {}
+        energy, moments, tail = g.energy(), _moments(np.hypot(g.a, g.b)), 0.0
+    else:
         raise DomainError(f"cannot take norms of {type(g).__name__}")
-    record = g._norm_cache if kernel else {}
     new, grid = {}, []
     for p in dict.fromkeys(orders):
         if p in record:
@@ -387,19 +395,16 @@ def _norms(g, orders) -> dict:
         if not p >= 1.0:
             raise DomainError(f"p must be >= 1, got {p}")
         if p == 2.0:
-            value = math.sqrt(math.pi * (g.energy if kernel
-                                         else series.energy()))
+            value = math.sqrt(math.pi * energy)
             new[p] = NormValue(value=value, error_estimate=value * (
                 series.degree + 1) * _EPS)
         else:
             grid.append(p)
     if grid:
         G = _grid_size(series.degree)
-        f, u, v = series._mirror or (series, 1.0, 0.0)
         finite = [p for p in grid if not math.isinf(p)]
-        sums, found = _grid_pass(f._phases(G), finite, TWO_PI / G,
-                                 peak=len(finite) < len(grid),
-                                 mirror=(u, v))
+        sums, found = _grid_pass(source[0]._phases(G), finite, TWO_PI / G,
+                                 peak=len(finite) < len(grid), mirror=source[1:])
         for p in finite:
             full, half = sums[p]
             exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
@@ -408,9 +413,7 @@ def _norms(g, orders) -> dict:
             new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                                else err_i ** (1.0 / p))
         if found is not None:
-            new[math.inf] = _sup_refined(series, *found, G,
-                                         g.moments if kernel else None)
-    tail = g.tail_eps if kernel else 0.0
+            new[math.inf] = _sup_refined(series, source, *found, G, moments)
     for p, nv in new.items():
         measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
         record[p] = NormValue(nv.value, nv.error_estimate + tail * measure)

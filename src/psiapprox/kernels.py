@@ -8,12 +8,12 @@ whose taper weights c_k = psi(n) (F - 2n + k) / (F - n) rise linearly from 0
 across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
 truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
-per (psi, n), and each beta's `KernelEvaluator` adds only the phase.  One
-sampling per grid size (cache-sized FFTs on deep grids) serves the
-profile's f = sum (c_k/2)(cos kt + sin kt), and the norm pass mirrors each
-beta's grid, (cos th + sin th) f(t) + (cos th - sin th) f(-t),
-th = beta*pi/2, from it; at integer beta cos th and sin th are exact, the
-kernel exactly even or odd, and a norm walks half its period.
+per (psi, n), and each beta's `KernelEvaluator` adds only the phase
+th = beta*pi/2, as its series and its mirror (u, v) = (cos th + sin th,
+cos th - sin th).  One sampling per grid size (cache-sized FFTs on deep
+grids) serves the profile's f = sum (c_k/2)(cos kt + sin kt); the norm
+pass builds each beta's grid u f(t) + v f(-t) from it, over half the
+period at integer beta, where u, v = +-1 make the kernel even or odd.
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
@@ -242,14 +242,23 @@ class KernelProfile:
     moments: tuple          # `_moments` of |c_k|, the same at every beta
 
     def evaluator(self, beta: float) -> "KernelEvaluator":
-        """The kernel at phase beta*pi/2 over this profile's coefficients."""
-        if not math.isfinite(beta):
-            raise DomainError(f"beta must be finite, got {beta}")
-        series = FourierSeries.from_cosine_profile(
-            self.taper_start, self.coeffs, 0.5 * math.pi * beta, self.folded)
+        """The kernel a_k = c_k cos th, b_k = c_k sin th, th = beta*pi/2,
+        which is (cos th + sin th) f(t) + (cos th - sin th) f(-t), f = folded.
+        At whole quarter turns (math.cos(pi/2) is 6.1e-17) cos and sin are
+        exact, so the kernel is exactly even or odd."""
+        th = 0.5 * math.pi * beta
+        if not math.isfinite(th):
+            raise DomainError(f"beta pi/2 must be finite, got beta = {beta}")
+        q = round(th / (0.5 * math.pi))   # whole quarter turns are exact
+        cos, sin = (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[q % 4]
+                    if 0.5 * math.pi * q == th else (math.cos(th), math.sin(th)))
+        a, b = np.zeros((2, self.truncation_index))
+        a[self.taper_start - 1:] = self.coeffs * cos
+        b[self.taper_start - 1:] = self.coeffs * sin
         return KernelEvaluator(
             **{f.name: getattr(self, f.name) for f in fields(KernelProfile)},
-            beta=float(beta), series=series)
+            beta=float(beta), series=FourierSeries(0.0, a, b),
+            mirror=(cos + sin, cos - sin))
 
 
 def kernel_profile(psi: PsiFunction, n: int,
@@ -280,11 +289,13 @@ def kernel_profile(psi: PsiFunction, n: int,
 @dataclass(frozen=True, eq=False)
 class KernelEvaluator(KernelProfile):
     """One (psi, n, beta) residual kernel: its profile plus the phase, as a
-    FourierSeries for grid work, and the norm records `approx_ops._norms`
-    has made for it, certified tail included."""
+    FourierSeries for grid work and as the mirror (u, v) under which it is
+    u f(t) + v f(-t) of the profile's folded f, and the norm records
+    `approx_ops._norms` has made for it, certified tail included."""
 
     beta: float
     series: FourierSeries
+    mirror: tuple   # (cos th + sin th, cos th - sin th), th = beta*pi/2
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod

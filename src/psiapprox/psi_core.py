@@ -52,9 +52,9 @@ class PsiFunction:
 
     @classmethod
     def exp_power(cls, alpha: float, r: float) -> "PsiFunction":
-        """psi(t) = exp(-alpha * t^r), alpha > 0, r > 0."""
-        if not (alpha > 0.0 and r > 0.0):
-            raise DomainError(f"exp-power needs alpha > 0 and r > 0, got {alpha!r}, {r!r}")
+        """psi(t) = exp(-alpha * t^r), finite alpha > 0 and r > 0."""
+        if not (0.0 < alpha < math.inf and 0.0 < r < math.inf):
+            raise DomainError(f"exp-power needs finite alpha > 0 and r > 0, got {alpha!r}, {r!r}")
         return cls(family="exp-power", alpha=float(alpha), r=float(r))
 
     @classmethod

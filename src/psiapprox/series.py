@@ -1,13 +1,12 @@
 """Finite trigonometric series with FFT-backed uniform sampling.
 
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
-A series built as u f(t) + v f(-t) keeps (f, u, v) for the norm pass,
-which mirrors f's samples; its own samples come from its coefficients.
-A deep grid is split into cache-sized FFT_BLOCK-point transforms (Bailey,
-FFTs in external or hierarchical memory, 1990) and cached as the rows they
-write; `uniform_samples` reads it in natural order.  `_spread` runs the rows
-(and the norm pass's blocks) on one thread per core, at most two, with
-bits that do not depend on the count.
+A series is its coefficients and the grids sampled from them.  A deep grid
+is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
+external or hierarchical memory, 1990) and cached as the rows they write;
+`uniform_samples` reads it in natural order.  `_spread` runs the rows (and
+the norm pass's blocks) on one thread per core, at most two, with bits
+that do not depend on the count.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class FourierSeries:
     a: np.ndarray
     b: np.ndarray
     _sample_cache: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _mirror: Optional[tuple] = field(default=None, repr=False)   # (f, u, v)
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -85,31 +83,6 @@ class FourierSeries:
             b = np.pad(b, (0, n - b.size))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_cosine_profile(cls, k_start: int, coeffs, phase: float,
-                            folded=None) -> "FourierSeries":
-        """Series sum_k c_k cos(kt - phase) for k = k_start, ...  Given f =
-        `folded`, sum_k (c_k/2)(cos kt + sin kt), it is (cos phase + sin phase)
-        f(t) + (cos phase - sin phase) f(-t), which the norm pass reads.  At
-        whole quarter turns (math.cos(pi/2) is 6.1e-17) cos and sin are
-        exact, so the series is exactly even or odd."""
-        c = np.asarray(coeffs, dtype=float)
-        if k_start < 1:
-            raise DomainError("cosine profile starts at k >= 1")
-        if not math.isfinite(phase):
-            raise DomainError(f"phase must be finite, got {phase}")
-        n = k_start + c.size - 1
-        a = np.zeros(n)
-        b = np.zeros(n)
-        q = round(phase / (0.5 * math.pi))   # whole quarter turns are exact
-        cos, sin = (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[q % 4]
-                    if 0.5 * math.pi * q == phase
-                    else (math.cos(phase), math.sin(phase)))
-        a[k_start - 1:] = c * cos
-        b[k_start - 1:] = c * sin
-        return cls(a0=0.0, a=a, b=b, _mirror=None if folded is None
-                   else (folded, cos + sin, cos - sin))
 
     @property
     def degree(self) -> int:

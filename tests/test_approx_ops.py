@@ -144,10 +144,16 @@ def half_period_trapezoid(s, p, h):
     return integral(H, h), integral(H[::2], 2.0 * h)
 
 
-def mirrored_grid(series, G):
-    """A kernel's G-point norm grid u f_j + v f_{-j} as the pass builds it
-    from its profile's f samples, written out whole."""
-    f, u, v = series._mirror
+def grid_source(ke):
+    """The (f, u, v) a kernel's norm grid u f(t) + v f(-t) is built from:
+    its profile's folded f and its evaluator's mirror."""
+    return (ke.folded, *ke.mirror)
+
+
+def mirrored_grid(source, G):
+    """The G-point norm grid u f_j + v f_{-j} of source = (f, u, v) as the
+    pass builds it from f's samples, written out whole."""
+    f, u, v = source
     s = f.uniform_samples(G)
     return u * s + v * s[-np.arange(G) % G]
 
@@ -340,9 +346,11 @@ class TestResidualConsistency:
         with pytest.raises(NumericError, match="MAX_GRID"):
             residual_consistency(psi_half, 0.0, 9, wide, [0.3])
 
-    @pytest.mark.parametrize("xs", [[math.nan], [0.3, math.inf], -math.inf])
+    @pytest.mark.parametrize("xs", [[math.nan], [0.3, math.inf], -math.inf,
+                                    []])
     def test_non_finite_points_refused(self, psi_half, xs):
-        # a NaN point used to be cast to a grid index and compared there
+        # a NaN point used to be cast to a grid index and compared there;
+        # no point at all left numpy's max a zero-size array
         phi = zero_mean_series(np.random.default_rng(15), 10)
         with pytest.raises(DomainError, match="finite"):
             residual_consistency(psi_half, 0.0, 9, phi, xs)
@@ -520,6 +528,15 @@ class TestNormRecord:
             duality_extremal_phi(p=2.0, x0=0.0, evaluator=ke, **call)
         assert ke._norm_cache == {}
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_equal_series_give_equal_records(self, deep_profile, beta):
+        # a kernel's series is its coefficients: its norms are those of an
+        # equal copy, bit for bit, whatever grid its evaluator's norms read
+        series = deep_profile.evaluator(beta).series
+        copy = FourierSeries(0.0, series.a.copy(), series.b.copy())
+        for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
+            assert lp_norm(series, p) == lp_norm(copy, p), p
+
 
 class TestBlockedPasses:
     """Grid norms run block by block; the results are the whole-grid ones."""
@@ -536,7 +553,7 @@ class TestBlockedPasses:
 
     @staticmethod
     def check_many_blocks(ke, p, rule):
-        value, err = unblocked_lp(mirrored_grid(ke.series, 1 << 20), p, rule)
+        value, err = unblocked_lp(mirrored_grid(grid_source(ke), 1 << 20), p, rule)
         nv = lp_norm(ke, p)
         assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
         assert nv.error_estimate == pytest.approx(with_tail(ke, p, err),
@@ -670,7 +687,7 @@ class TestBlockedPasses:
         rows, natural = kp.folded._phases(G), kp.folded.uniform_samples(G)
         assert rows.shape == (L, G // L)
         orders, h = (1.0, 4.0 / 3.0, 3.0, 4.0), TWO_PI / G
-        for mirror in [tuple(kp.evaluator(beta).series._mirror[1:])
+        for mirror in [kp.evaluator(beta).mirror
                        for beta in (0.0, 1.0, 0.5, 1.7)] + [(1.0, 0.0)]:
             assert approx_ops._grid_pass(
                 rows, orders, h, peak=True, mirror=mirror
@@ -727,9 +744,8 @@ class TestSupRefinement:
     def peak_node(ke):
         """The grid, and (i, |g_i|) at the argmax, as `_norms` finds them."""
         G = approx_ops._grid_size(ke.truncation_index)
-        f, u, v = ke.series._mirror
-        return G, approx_ops._grid_pass(f._phases(G), (), TWO_PI / G,
-                                        peak=True, mirror=(u, v))[1]
+        return G, approx_ops._grid_pass(ke.folded._phases(G), (), TWO_PI / G,
+                                        peak=True, mirror=ke.mirror)[1]
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_sup_norm_matches_an_independent_peak(self, psi_slow, beta):
@@ -766,7 +782,8 @@ class TestSupRefinement:
         ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, 1.0)
         G, found = self.peak_node(ke)
         seen = self.tables(monkeypatch, ke.truncation_index)
-        nv = approx_ops._sup_refined(ke.series, *found, G, ke.moments)
+        nv = approx_ops._sup_refined(ke.series, grid_source(ke), *found,
+                                     G, ke.moments)
         monkeypatch.undo()
         (_, kt), _ = seen
         assert kt.shape == (1, ke.truncation_index)
@@ -785,7 +802,8 @@ class TestSupRefinement:
         G, (i, top) = self.peak_node(ke)
         assert i > G // 2
         seen = self.tables(monkeypatch, ke.truncation_index)
-        nv = approx_ops._sup_refined(ke.series, i, top, G, ke.moments)
+        nv = approx_ops._sup_refined(ke.series, grid_source(ke), i, top,
+                                     G, ke.moments)
         monkeypatch.undo()
         t = seen[0][1][0, 0]
         assert -math.pi <= t < 0.0
@@ -816,7 +834,8 @@ class TestSupRefinement:
         G, found = self.peak_node(ke)
         tracemalloc.start()
         try:
-            approx_ops._sup_refined(ke.series, *found, G, ke.moments)
+            approx_ops._sup_refined(ke.series, grid_source(ke), *found,
+                                    G, ke.moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -824,20 +843,22 @@ class TestSupRefinement:
 
     @pytest.fixture(scope="class", params=["split rows", "natural", "plain"])
     def layout(self, request, deep_profile, psi_half):
-        """A series and its grid: a kernel's profile in eight split-FFT
-        rows or in natural order, or a series without a mirror."""
+        """A series, its grid's source (f, u, v) and its grid size: a
+        kernel's profile in eight split-FFT rows or in natural order, or a
+        plain series, the source of its own grid."""
         if request.param == "plain":
             g = zero_mean_series(np.random.default_rng(5), 300)
-            return g, approx_ops._grid_size(g.degree)
+            return g, (g, 1.0, 0.0), approx_ops._grid_size(g.degree)
         kp = (deep_profile if request.param == "split rows"
               else kernels.kernel_profile(psi_half, 40))
         G = approx_ops._grid_size(kp.truncation_index)
         assert kp.folded._phases(G).shape[0] == (
             8 if request.param == "split rows" else 1)
-        return kp.evaluator(0.5).series, G
+        ke = kp.evaluator(0.5)
+        return ke.series, grid_source(ke), G
 
     def test_local_interpolant_matches_the_sums(self, layout):
-        series, G = layout
+        series, source, G = layout
         h, m = TWO_PI / G, approx_ops._LOCAL_M
         rng = np.random.default_rng(11)
         # random points, nodes 0 and G - 1 themselves, and points within m
@@ -848,7 +869,7 @@ class TestSupRefinement:
         d1 = series.derivative()
         want = np.stack([g.eval(ts) for g in (series, d1, d1.derivative())],
                         axis=1)
-        got = np.array([approx_ops._local(series, G, t) for t in ts])
+        got = np.array([approx_ops._local(source, G, t) for t in ts])
         # relative to sum |c_k| K^d, about ten times the largest errors
         # measured at m = 16 over the three layouts: 1.4e-13 to 3.1e-13
         # (g), 1.2e-12 to 5.0e-12 (g') and 4.4e-11 to 1.3e-10 (g'')
@@ -879,13 +900,17 @@ class TestHalfWalk:
     ORDERS = (1.0, 4.0 / 3.0, 3.0, 4.0)
 
     @staticmethod
-    def check_half_walk(series):
-        """The half walk of a mirrored series against its whole grid."""
+    def check_half_walk(series, source):
+        """The half walk of a series' grid, mirrored from source = (f, u, v),
+        against that whole grid and the series' own samples."""
         G = approx_ops._grid_size(series.degree)
         h = TWO_PI / G
-        f, u, v = series._mirror
+        f, u, v = source
         assert abs(u) == abs(v) == 1.0
-        g = mirrored_grid(series, G)
+        g = mirrored_grid(source, G)
+        own = series.uniform_samples(G)
+        assert np.max(np.abs(g - own)) <= 4.0 * approx_ops._EPS * np.max(
+            np.abs(own))
         assert np.array_equal(np.abs(g[1:]), np.abs(g[:0:-1]))
         if u != v:   # odd: exact zeros at 0 and pi
             assert g[0] == 0.0 and g[G // 2] == 0.0
@@ -915,11 +940,12 @@ class TestHalfWalk:
     @pytest.mark.parametrize("beta", [0, 1, 2, 3])
     def test_half_walk_matches_whole_arrays(self, profile, beta):
         ke = profile.evaluator(beta)
-        self.check_half_walk(ke.series)
+        self.check_half_walk(ke.series, grid_source(ke))
         G = approx_ops._grid_size(ke.truncation_index)
-        g = mirrored_grid(ke.series, G)
+        g = mirrored_grid(grid_source(ke), G)
         whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
-        ref = approx_ops._sup_refined(ke.series, *whole, G, ke.moments)
+        ref = approx_ops._sup_refined(ke.series, grid_source(ke), *whole,
+                                      G, ke.moments)
         assert sup_norm(ke) == approx_ops.NormValue(
             ref.value, with_tail(ke, math.inf, ref.error_estimate))
 
@@ -943,11 +969,13 @@ class TestHalfWalk:
     def test_random_coefficient_tables(self, k_start, beta, seed, size):
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(size) * np.exp(-rng.uniform(0, 30, size))
-        half = np.concatenate((np.zeros(k_start - 1), 0.5 * coeffs))
+        pad = np.zeros(k_start - 1)
+        half = np.concatenate((pad, 0.5 * coeffs))
+        cos, sin = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[beta]
+        series = FourierSeries(a0=0.0, a=np.concatenate((pad, coeffs * cos)),
+                               b=np.concatenate((pad, coeffs * sin)))
         folded = FourierSeries(a0=0.0, a=half, b=half)
-        series = FourierSeries.from_cosine_profile(
-            k_start, coeffs, 0.5 * math.pi * beta, folded)
-        self.check_half_walk(series)
+        self.check_half_walk(series, (folded, cos + sin, cos - sin))
 
 
 class TestDuality:

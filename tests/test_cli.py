@@ -91,6 +91,9 @@ class TestLambdaAndKernel:
         # --psi-table excludes --alpha and --r; the file is never opened
         ["characteristics", *HALF, "--psi-table", "/nonexistent.csv",
          "--t", "9"],
+        # an infinite alpha or r made psi vanish past t = 1 and mu overflow
+        ["characteristics", "--alpha", "inf", "--r", "0.5", "--t", "5"],
+        ["characteristics", "--alpha", "1", "--r", "inf", "--t", "5"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

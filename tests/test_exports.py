@@ -1,4 +1,5 @@
-"""The package's public names all resolve, and its code calls no BLAS."""
+"""The package's public names all resolve, its code calls no BLAS, and its
+generic layers import nothing kernel-specific."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ import psiapprox
 
 # numpy entry points that hand a product-sum to BLAS
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+# the modules the generic layers (psi_core, series) may not import
+UPPER_LAYERS = {"kernels", "approx_ops", "bounds", "cli"}
 
 
 def test_every_exported_name_imports():
@@ -29,4 +32,23 @@ def test_no_blas_products():
             if (isinstance(getattr(node, "op", None), ast.MatMult)
                     or isinstance(node, ast.Call) and name in BLAS_CALLS):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_generic_layers_import_no_kernel_code():
+    # psi_core and series know profiles and trigonometric series, not
+    # kernels: whatever a kernel needs of a grid, its evaluator carries
+    package = Path(psiapprox.__file__).parent
+    found = []
+    for name in ("psi_core.py", "series.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(), name)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [
+                    f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(set(m.split(".")) & UPPER_LAYERS for m in modules):
+                found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -291,6 +291,55 @@ class TestKernelEvaluator:
         with pytest.raises(DomainError):
             KernelEvaluator.build(psi_half, 12, beta)
 
+    def test_evaluator_offset_and_phase(self, psi_half):
+        # sum_{k=A}^{K} c_k cos(kt - pi/2) = sum c_k sin(kt), and at beta
+        # = 0.7 the phase's cos and sin, with no harmonic below A
+        kp = kernels.kernel_profile(psi_half, 9)
+        ks = np.arange(kp.taper_start, kp.truncation_index + 1)
+        ts = np.linspace(0.3, 5.9, 23)
+        for beta in (1.0, 0.7):
+            ke = kp.evaluator(beta)
+            want = [np.sum(kp.coeffs * np.cos(ks * t - 0.5 * math.pi * beta))
+                    for t in ts]
+            np.testing.assert_allclose(ke.series(ts), want, rtol=0,
+                                       atol=1e-14)
+            assert ke.series.degree == kp.truncation_index
+            assert ke.series.a0 == 0.0
+            assert not ke.series.a[:kp.taper_start - 1].any()
+            assert not ke.series.b[:kp.taper_start - 1].any()
+
+    def test_evaluator_quarter_turns_are_exact(self, psi_half):
+        # every whole number of quarter turns gives cos, sin in {0, +-1}:
+        # the series is exactly even or odd and the mirror (u, v) exactly
+        # (+-1, +-1); elsewhere cos and sin are math's of beta pi/2
+        kp = kernels.kernel_profile(psi_half, 9)
+        c, lo = kp.coeffs, kp.taper_start - 1
+        for beta, cos, sin in ((-1, 0, -1), (0, 1, 0), (1, 0, 1),
+                               (2, -1, 0), (3, 0, -1), (5, 0, 1)):
+            ke = kp.evaluator(float(beta))
+            assert np.array_equal(ke.series.a[lo:], c * cos)
+            assert np.array_equal(ke.series.b[lo:], c * sin)
+            assert not (ke.series.a if cos == 0 else ke.series.b).any()
+            assert ke.mirror == (cos + sin, cos - sin)
+        ke = kp.evaluator(0.5)
+        cos, sin = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
+        assert np.array_equal(ke.series.a[lo:], c * cos)
+        assert np.array_equal(ke.series.b[lo:], c * sin)
+        assert ke.mirror == (cos + sin, cos - sin)
+        for beta in (math.nan, math.inf, 1.5e308):   # the last: th overflows
+            with pytest.raises(DomainError):
+                kp.evaluator(beta)
+
+    def test_series_samples_leave_the_folded_grid_alone(self, psi_half):
+        # odd sizes and a size past one norm-pass block: a kernel's series
+        # samples from its own coefficients and caches no grid on its
+        # profile's folded series
+        kp = kernels.kernel_profile(psi_half, 9)   # K = 2041
+        for G in (4099, (1 << 17) + 3):
+            for beta in (0.0, 0.25, -1.3):
+                kp.evaluator(beta).series.uniform_samples(G)
+                assert kp.folded._sample_cache == {}
+
 
 def fft_samples(ke, G):
     """ke's samples by an FFT of its own coefficients, not its profile's."""
@@ -300,7 +349,7 @@ def fft_samples(ke, G):
 def pass_grid(ke, G):
     """The G-point grid the norm pass walks for ke: `_mirror_block`'s
     u f_j + v f_{-j} over its profile's f samples, as one block."""
-    f, u, v = ke.series._mirror
+    f, u, v = ke.folded, *ke.mirror
     return approx_ops._mirror_block(f._phases(G), u, v, 0, np.empty(G))
 
 
@@ -335,7 +384,7 @@ class TestMirroredSamples:
             ke = kernels.kernel_profile(psi_slow, n).evaluator(0.0)
             G = approx_ops._grid_size(ke.series.degree)
             assert G > FFT_BLOCK   # the split route
-            f, u, v = ke.series._mirror
+            f, u, v = ke.folded, *ke.mirror
             node0 = approx_ops._mirror_block(f._phases(G), u, v, 0,
                                              np.empty(1))[0]
             spec = np.concatenate(([0.0], ke.series.a - 1j * ke.series.b))
@@ -434,12 +483,14 @@ class TestEnvelopes:
         G = approx_ops._grid_size(kp.truncation_index)
         t = kernels._wrap(TWO_PI * np.arange(G) / G)
         rounding = 1.0 + (kp.truncation_index + 3) * np.finfo(float).eps
+        tail_only = np.arange(1, kp.truncation_index + 1) >= n
         for beta in (0.0, 0.5, 1.0, 1.7):
-            mag = np.abs(kp.evaluator(beta).series.uniform_samples(G))
+            series = kp.evaluator(beta).series
+            mag = np.abs(series.uniform_samples(G))
             assert np.max(t * t * mag) <= point_cert
             assert np.max(mag) <= uni_cert
-            tail = FourierSeries.from_cosine_profile(
-                n, kp.coeffs[n - kp.taper_start:], 0.5 * math.pi * beta)
+            tail = FourierSeries(0.0, series.a * tail_only,
+                                 series.b * tail_only)
             assert np.max(np.abs(tail.uniform_samples(G))) <= tail_cert
             if beta == 0.0:   # K*(0) = S: attained up to the rounding factor
                 assert uni_cert <= (mag[0] + kp.certified_tail) * rounding ** 2

@@ -37,6 +37,11 @@ class TestPsiFunction:
             PsiFunction.exp_power(0.0, 0.5)
         with pytest.raises(DomainError):
             PsiFunction.exp_power(1.0, -1.0)
+        # an infinite alpha or r made psi 0 past t = 1, and mu overflow
+        for alpha, r in ((math.inf, 0.5), (1.0, math.inf),
+                         (math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                PsiFunction.exp_power(alpha, r)
 
     def test_derivative_exp_power(self):
         psi = PsiFunction.exp_power(1.0, 0.5)

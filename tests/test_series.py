@@ -109,47 +109,6 @@ def test_sample_cache_is_reused():
     assert not s1.flags.writeable
 
 
-def test_from_cosine_profile_offset_and_phase():
-    # sum_{k=3}^{5} c_k cos(kt - pi/2) = sum c_k sin(kt)
-    coeffs = [2.0, -1.0, 0.5]
-    f = FourierSeries.from_cosine_profile(3, coeffs, phase=math.pi / 2)
-    ts = np.linspace(0.3, 5.9, 23)
-    want = sum(c * np.sin(k * ts) for k, c in zip((3, 4, 5), coeffs))
-    np.testing.assert_allclose(f(ts), want, atol=1e-14)
-    assert f.degree == 5
-    assert f.a0 == 0.0
-
-
-def test_from_cosine_profile_quarter_turns_are_exact():
-    # every whole number of quarter turns gives cos, sin in {0, +-1}
-    coeffs = np.array([2.0, -1.0, 0.5])
-    for q, (cos, sin) in zip(range(-4, 5), [(1, 0), (0, 1), (-1, 0),
-                                            (0, -1)] * 3):
-        f = FourierSeries.from_cosine_profile(3, coeffs, 0.5 * math.pi * q)
-        assert np.array_equal(f.a[2:], coeffs * cos)
-        assert np.array_equal(f.b[2:], coeffs * sin)
-    f = FourierSeries.from_cosine_profile(3, coeffs, 0.25 * math.pi)
-    assert np.array_equal(f.a[2:], coeffs * math.cos(0.25 * math.pi))
-    for phase in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            FourierSeries.from_cosine_profile(3, coeffs, phase)
-
-
-@pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
-def test_mirror_built_series_leaves_folded_samples_alone(G):
-    # odd sizes and sizes past one norm-pass block; 7 points carry a
-    # degree-3 series of one harmonic, the others degree 12.  A series
-    # built as a mirror of `folded` samples from its own coefficients and
-    # caches no grid on folded
-    coeffs = np.random.default_rng(G).standard_normal(min(10, (G - 1) // 2 - 2))
-    half = np.concatenate((np.zeros(2), 0.5 * coeffs))
-    for phase in (0.0, 0.4, -2.1):
-        folded = FourierSeries(a0=0.0, a=half, b=half)
-        FourierSeries.from_cosine_profile(3, coeffs, phase,
-                                          folded).uniform_samples(G)
-        assert folded._sample_cache == {}
-
-
 def test_antiderivative_inverts_differentiation():
     rng = np.random.default_rng(2)
     f = random_series(rng, 20)

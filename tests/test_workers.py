@@ -66,7 +66,7 @@ def test_split_rows_keep_their_bits(deep_profile, set_workers,
 def test_pass_records_keep_their_bits(deep_profile, set_workers,
                                       fast_switches, beta, orders):
     rows = deep_profile.folded._phases(DEEP)
-    mirror = tuple(deep_profile.evaluator(beta).series._mirror[1:])
+    mirror = deep_profile.evaluator(beta).mirror
     results = []
     for count in COUNTS:
         set_workers(count)
@@ -81,7 +81,7 @@ def test_each_worker_adds_one_set_of_pass_buffers(deep_profile,
     # a worker holds two (_BLOCK + 1)-point buffers, 1 MB whatever the
     # grid size: the panel scan writes its products into the second
     rows = deep_profile.folded._phases(DEEP)
-    mirror = tuple(deep_profile.evaluator(0.5).series._mirror[1:])
+    mirror = deep_profile.evaluator(0.5).mirror
     peaks = {}
     for count in (1, 2, 4, 8):
         set_workers(count)
