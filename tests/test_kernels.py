@@ -330,16 +330,6 @@ class TestKernelEvaluator:
             with pytest.raises(DomainError):
                 kp.evaluator(beta)
 
-    def test_series_samples_leave_the_folded_grid_alone(self, psi_half):
-        # odd sizes and a size past one norm-pass block: a kernel's series
-        # samples from its own coefficients and caches no grid on its
-        # profile's folded series
-        kp = kernels.kernel_profile(psi_half, 9)   # K = 2041
-        for G in (4099, (1 << 17) + 3):
-            for beta in (0.0, 0.25, -1.3):
-                kp.evaluator(beta).series.uniform_samples(G)
-                assert kp.folded._sample_cache == {}
-
 
 def fft_samples(ke, G):
     """ke's samples by an FFT of its own coefficients, not its profile's."""

@@ -1,12 +1,14 @@
 """Dense trigonometric polynomials and their exact FFT sampling."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from psiapprox import DomainError, FourierSeries, KernelEvaluator, PsiFunction
+from psiapprox import (DomainError, FourierSeries, KernelEvaluator, PsiFunction,
+                       kernels)
 from psiapprox.series import FFT_BLOCK
 
 TWO_PI = 2.0 * math.pi
@@ -107,6 +109,28 @@ def test_sample_cache_is_reused():
     s2 = f.uniform_samples(32)
     assert s1 is s2
     assert not s1.flags.writeable
+
+
+@pytest.mark.parametrize("G", [7, 64, 4099, (1 << 17) + 3])
+def test_mirror_built_series_leaves_folded_samples_alone(G):
+    # odd sizes and sizes past one norm-pass block; 7 points carry a
+    # degree-3 series of one harmonic, the others degree 12.  A kernel's
+    # series, the mirror u f(t) + v f(-t) of its profile's `folded` f,
+    # samples from its own coefficients and caches no grid on folded
+    coeffs = np.random.default_rng(G).standard_normal(min(10, (G - 1) // 2 - 2))
+    half = np.concatenate((np.zeros(2), 0.5 * coeffs))
+    base = kernels.kernel_profile(PsiFunction.exp_power(1.0, 0.5), 3)
+    ts = TWO_PI * np.arange(G) / G
+    for beta in (0.0, 0.25, -1.3):
+        folded = FourierSeries(a0=0.0, a=half, b=half)
+        kp = dataclasses.replace(base, truncation_index=half.size,
+                                 taper_start=3, coeffs=coeffs, folded=folded)
+        ke = kp.evaluator(beta)
+        got = ke.series.uniform_samples(G)
+        assert folded._sample_cache == {}
+        u, v = ke.mirror
+        np.testing.assert_allclose(got, u * folded(ts) + v * folded(-ts),
+                                   rtol=0, atol=1e-13 * np.sum(np.abs(coeffs)))
 
 
 def test_antiderivative_inverts_differentiation():
