@@ -7,17 +7,16 @@ a convolution with the residual kernel, which is what ties this module to
 `kernels`, which also owns the taper window and MAX_GRID.  Norm
 computation is deliberately boring: composite trapezoid on uniform grids
 (spectrally accurate for periodic integrands, with a local correction at
-sign-change panels of |g|^p).  `_grid_size` sizes every grid here: the
-norms', the sup scan's, the duality extremals' and the residual
-convolution's.  `_norms` reads a kernel's or a series' inputs in one
-place, makes every norm's record, a kernel's with its certified tail, and
-keeps a kernel's on its evaluator.  A kernel's grid, its evaluator's
-mirror of its profile's folded f, is built block by block, on up to two
-workers, from f's FFT (or a split FFT's rows), walked once for all orders
-asked together, half at integer beta; at beta = 0 and 1 a block is
-f_j +- f_{-j}.  The sup norm's Newton steps read a local interpolant of
-that cached grid.
-`conjugate_exponent` is the one map from p to p'.
+sign-change panels of |g|^p).  `_grid_size` sizes every grid here.
+`_norms` reads a kernel's or a series' inputs in one place, makes every
+norm's record, a kernel's with its certified tail, and keeps a kernel's
+on its evaluator.  A kernel's grid, its evaluator's mirror of its
+profile's folded f, is built block by block, on up to two workers, from
+f's FFT (or a split FFT's rows), walked once for all orders asked
+together, half at integer beta; at beta = 0 and 1 a block is
+f_j +- f_{-j}.  The sup norm's Newton steps and value read a local
+interpolant of that cached grid: no norm builds an evaluator's series,
+which is made on first use.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
 
 _BLOCK = 1 << 16     # points per pass block: 512 KB of float64
 _POINTS_PER_WAVELENGTH = 16   # grid nodes per wavelength of the top harmonic
-_LOCAL_M = 16   # the local interpolant reads 2 _LOCAL_M + 2 grid nodes
+_LOCAL_M = 24   # the local interpolant reads 2 _LOCAL_M + 2 grid nodes
 
 
 @dataclass(frozen=True)
@@ -313,59 +312,56 @@ def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
 
 
 def _local(source: tuple, G: int, t: float) -> tuple:
-    """g, g' and g'' at t from the 2m + 2 nodes around it (m = _LOCAL_M) of
-    the G-point grid the norm pass cached, g = u f(t) + v f(-t) for
+    """(g, g', g'', e) at t from the 2m + 2 nodes around it (m = _LOCAL_M)
+    of the G-point grid the norm pass cached, g = u f(t) + v f(-t) for
     source = (f, u, v), read by `_node`: the Gaussian-regularized sinc
-    (Schmeisser & Stenger 2007; Qian 2003) with variance m/(pi - Kh) in
-    node units, h = 2 pi/G.  No weight depends on g's scale."""
+    sum w_j g_j (Schmeisser & Stenger 2007), variance m/(pi - Kh) nodes,
+    h = 2 pi/G, K = f's degree, at h fl(t/h).  e S, S = sum |c_k| of g,
+    bounds its error (README derives it): with a = (pi - Kh)/2 = b m,
+    e^{-am} (2/sqrt(pi a m) + 4 e^{-a}/(pi a (m + 1/2))) interpolating,
+    sum |w_j| eps (4 ceil(log2 G) + 7(L - 1) + 3) for the samples' FFT
+    stages, L split rows' twiddles and mirror, and sum |w_j| eps (m/8 + 6)
+    + 5 eps (1 + sqrt(pi/b)) for the sum.  No weight reads g's scale."""
     f, *uv = source
-    h, pi2 = TWO_PI / G, math.pi ** 2
-    j = np.arange(-_LOCAL_M, _LOCAL_M + 2) + math.floor(t / h)
+    h, pi2, m = TWO_PI / G, math.pi ** 2, _LOCAL_M
+    j = np.arange(-m, m + 2) + math.floor(t / h)
     y = t / h - j   # the nodes' offsets from t, in nodes
     z, near = pi2 * y * y, np.abs(y) < 0.03   # Taylor there: quotients cancel
     s0 = np.sinc(y)   # sin(pi y)/(pi y), its derivatives s1 = r y and s2
     r = np.where(near, -pi2 / 3 * (1 - z / 10 * (1 - z / 28 * (1 - z / 54 * (
         1 - z / 88)))), (np.cos(math.pi * y) - s0) / np.where(near, 1.0, y * y))
     s1, s2 = r * y, -pi2 * s0 - 2 * r
-    b = (math.pi - f.degree * h) / (2 * _LOCAL_M)
+    b = (math.pi - f.degree * h) / (2 * m)
     w = np.exp(-b * y * y) * np.array([   # s0 exp(-b y^2) and its derivatives
         s0, s1 - 2 * b * y * s0, s2 - 4 * b * y * s1 + (4 * b * y * y - 2) * b * s0])
-    g = (w * _node(f._phases(G), *uv, j)).sum(axis=1) / h ** np.arange(3)
-    return tuple(map(float, g))
+    rows, a = f._phases(G), b * m
+    g = (w * _node(rows, *uv, j)).sum(axis=1) / h ** np.arange(3)
+    e = math.exp(-a * m) * (2 / math.sqrt(math.pi * a * m) + 4 * math.exp(-a) / (
+        math.pi * a * (m + 0.5))) + _EPS * (5 * (1 + math.sqrt(math.pi / b)) + (
+            4 * (G - 1).bit_length() + 7 * len(rows) + m / 8 + 2) * np.abs(w[0]).sum())
+    return (*map(float, g), float(e))
 
 
-def _sup_refined(series: FourierSeries, source: tuple, i: int, peak: float,
-                 G: int, moments: tuple) -> NormValue:
-    """max |g| from peak = |g_i| at the argmax i of its G-point grid,
-    refined by Newton steps on g' that read g' and g'' off `_local` of the
-    grid's source (f, u, v), each clamped to the cell around node i that
-    holds the peak at 16 nodes per wavelength; the value at the last
-    iterate is one K-term sum of the series.  With moments sum k^d |c_k|,
-    d = 0, 1, 2, the estimate is (1/2) sum k^2 |c_k| step^2 plus the sum's
-    rounding: ceil(log2 K) + 22 roundings of eps/2 sum |c_k| (pairwise
-    sums at most ceil(log2 K) + 17 for K < 2^21; cos or sin, the product,
-    two additions) and eps |t| sum k |c_k| for kt's, t the last iterate
-    wrapped into [-pi, pi]."""
-    if i == 0 and not series.b.any():   # g' = sum k b_k is 0 at node 0
+def _sup_refined(source: tuple, even: bool, i: int, peak: float, G: int,
+                 moments: tuple) -> NormValue:
+    """max |g| from peak = |g_i| at the argmax i of its G-point grid, by
+    Newton steps in the cell around node i on g' and g'' of `_local`, and
+    g there at the last iterate.  With moments sum k^d |c_k|, d = 0 and 2,
+    the estimate is (1/2) sum k^2 |c_k| step^2 + e sum |c_k|.  An even g
+    (no sine terms) peaking at node 0, where g' is 0, takes no step."""
+    if i == 0 and even:
         return NormValue(value=peak, error_estimate=0.0)
-    h = TWO_PI / G
-    lo, hi = (i - 1) * h, (i + 1) * h
-    t, step = i * h, 0.0
-    for _ in range(8):
-        _, slope, curv = _local(source, G, t)
-        if curv == 0.0:
+    h, step = TWO_PI / G, 0.0
+    lo, t, hi = (i - 1) * h, i * h, (i + 1) * h
+    for n in range(9):   # at most 8 steps, and the value at the last
+        value, slope, curv, e = _local(source, G, t)
+        if n == 8 or curv == 0.0 or n and abs(step) < 1e-13:
             break
         t_new = min(max(t - slope / curv, lo), hi)
         step, t = t_new - t, t_new
-        if abs(step) < 1e-13:
-            break
-    wrapped = math.remainder(t, TWO_PI)   # in [-pi, pi]: kt rounds less
     if t != i * h:   # at the node itself the grid sample is the value
-        peak = max(peak, abs(series.eval(wrapped)))
-    amplitude, gradient, curvature = moments
-    log2_K = (series.degree - 1).bit_length()   # ceil(log2 K)
-    rounding = _EPS * ((log2_K + 22) / 2 * amplitude + abs(wrapped) * gradient)
-    return NormValue(peak, 0.5 * curvature * step ** 2 + rounding)
+        peak = max(peak, abs(value))
+    return NormValue(peak, 0.5 * moments[1] * step ** 2 + e * moments[0])
 
 
 def _norms(g, orders) -> dict:
@@ -375,17 +371,20 @@ def _norms(g, orders) -> dict:
     grid, the refined maximum at p = inf and else the trapezoid with the
     half-grid Richardson estimate, except at even p below G / degree:
     there the rule is exact for |g|^p and, as for Parseval, only the
-    rounding of the summed terms is left.  A kernel's profile gives its
-    energy and sum k^2 |c_k|, each order's estimate adds the certified
-    tail, tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so
-    an order is computed once however it is asked for.  A kernel's grid
-    is its mirror of the profile's folded samples; a series' its own."""
+    rounding of the summed terms is left.  A kernel (degree K, even if
+    u == v) reads its profile's moments and mirrors its folded samples,
+    each order's estimate adds the certified tail, tail_eps (2 pi)^{1/p},
+    and the evaluator keeps the records, so an order is computed once
+    however it is asked for.  A series' grid is its own."""
     if isinstance(g, KernelEvaluator):
-        series, source, record = g.series, (g.folded, *g.mirror), g._norm_cache
+        source, record = (g.folded, *g.mirror), g._norm_cache
+        degree, even = g.truncation_index, g.mirror[0] == g.mirror[1]
         energy, moments, tail = g.energy, g.moments, g.tail_eps
     elif isinstance(g, FourierSeries):
-        series, source, record = g, (g, 1.0, 0.0), {}
-        energy, moments, tail = g.energy(), _moments(np.hypot(g.a, g.b)), 0.0
+        source, record = (g, 1.0, 0.0), {}
+        degree, even = g.degree, not g.b.any()
+        moments = _moments(np.hypot(g.a, g.b), 0.5 * abs(g.a0))
+        energy, tail = g.energy(), 0.0
     else:
         raise DomainError(f"cannot take norms of {type(g).__name__}")
     new, grid = {}, []
@@ -397,23 +396,23 @@ def _norms(g, orders) -> dict:
         if p == 2.0:
             value = math.sqrt(math.pi * energy)
             new[p] = NormValue(value=value, error_estimate=value * (
-                series.degree + 1) * _EPS)
+                degree + 1) * _EPS)
         else:
             grid.append(p)
     if grid:
-        G = _grid_size(series.degree)
+        G = _grid_size(degree)
         finite = [p for p in grid if not math.isinf(p)]
         sums, found = _grid_pass(source[0]._phases(G), finite, TWO_PI / G,
                                  peak=len(finite) < len(grid), mirror=source[1:])
         for p in finite:
             full, half = sums[p]
-            exact = p == 2.0 * round(p / 2.0) and p * series.degree < G
+            exact = p == 2.0 * round(p / 2.0) and p * degree < G
             err_i = full * (G + 2) * _EPS if exact else abs(full - half) / 3.0
             value = full ** (1.0 / p) if full > 0.0 else 0.0
             new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                                else err_i ** (1.0 / p))
         if found is not None:
-            new[math.inf] = _sup_refined(series, source, *found, G, moments)
+            new[math.inf] = _sup_refined(source, even, *found, G, moments)
     for p, nv in new.items():
         measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
         record[p] = NormValue(nv.value, nv.error_estimate + tail * measure)

@@ -9,11 +9,12 @@ across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
 truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase
-th = beta*pi/2, as its series and its mirror (u, v) = (cos th + sin th,
-cos th - sin th).  One sampling per grid size (cache-sized FFTs on deep
-grids) serves the profile's f = sum (c_k/2)(cos kt + sin kt); the norm
-pass builds each beta's grid u f(t) + v f(-t) from it, over half the
-period at integer beta, where u, v = +-1 make the kernel even or odd.
+th = beta*pi/2, as its mirror (u, v) = (cos th + sin th, cos th - sin th);
+its own series is built on first use, by point values and tests.  One
+sampling per grid size (cache-sized FFTs on deep grids) serves the
+profile's f = sum (c_k/2)(cos kt + sin kt); the norm pass builds each
+beta's grid u f(t) + v f(-t) from it, over half the period at integer
+beta, where u, v = +-1 make the kernel even or odd.
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -243,22 +245,22 @@ class KernelProfile:
 
     def evaluator(self, beta: float) -> "KernelEvaluator":
         """The kernel a_k = c_k cos th, b_k = c_k sin th, th = beta*pi/2,
-        which is (cos th + sin th) f(t) + (cos th - sin th) f(-t), f = folded.
-        At whole quarter turns (math.cos(pi/2) is 6.1e-17) cos and sin are
-        exact, so the kernel is exactly even or odd."""
-        th = 0.5 * math.pi * beta
-        if not math.isfinite(th):
-            raise DomainError(f"beta pi/2 must be finite, got beta = {beta}")
-        q = round(th / (0.5 * math.pi))   # whole quarter turns are exact
-        cos, sin = (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[q % 4]
-                    if 0.5 * math.pi * q == th else (math.cos(th), math.sin(th)))
-        a, b = np.zeros((2, self.truncation_index))
-        a[self.taper_start - 1:] = self.coeffs * cos
-        b[self.taper_start - 1:] = self.coeffs * sin
+        which is (cos th + sin th) f(t) + (cos th - sin th) f(-t), f = folded."""
+        cos, sin = _phase(beta)
         return KernelEvaluator(
             **{f.name: getattr(self, f.name) for f in fields(KernelProfile)},
-            beta=float(beta), series=FourierSeries(0.0, a, b),
-            mirror=(cos + sin, cos - sin))
+            beta=float(beta), mirror=(cos + sin, cos - sin))
+
+
+def _phase(beta: float) -> tuple:
+    """(cos th, sin th), th = beta*pi/2, exact at whole quarter turns
+    (math.cos(pi/2) is 6.1e-17): such a kernel is exactly even or odd."""
+    th = 0.5 * math.pi * beta
+    if not math.isfinite(th):
+        raise DomainError(f"beta pi/2 must be finite, got beta = {beta}")
+    q = round(th / (0.5 * math.pi))   # whole quarter turns are exact
+    return (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[q % 4]
+            if 0.5 * math.pi * q == th else (math.cos(th), math.sin(th)))
 
 
 def kernel_profile(psi: PsiFunction, n: int,
@@ -288,15 +290,22 @@ def kernel_profile(psi: PsiFunction, n: int,
 
 @dataclass(frozen=True, eq=False)
 class KernelEvaluator(KernelProfile):
-    """One (psi, n, beta) residual kernel: its profile plus the phase, as a
-    FourierSeries for grid work and as the mirror (u, v) under which it is
-    u f(t) + v f(-t) of the profile's folded f, and the norm records
-    `approx_ops._norms` has made for it, certified tail included."""
+    """One (psi, n, beta) residual kernel: its profile, the phase as the
+    mirror (u, v) under which it is u f(t) + v f(-t) of the folded f, and
+    the norm records `approx_ops._norms` made for it, tail included."""
 
     beta: float
-    series: FourierSeries
     mirror: tuple   # (cos th + sin th, cos th - sin th), th = beta*pi/2
     _norm_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def series(self) -> FourierSeries:
+        """The kernel's own coefficients, built on first use; no norm does."""
+        cos, sin = _phase(self.beta)
+        a, b = np.zeros((2, self.truncation_index))
+        a[self.taper_start - 1:] = self.coeffs * cos
+        b[self.taper_start - 1:] = self.coeffs * sin
+        return FourierSeries(0.0, a, b)
 
     @classmethod
     def build(cls, psi: PsiFunction, n: int, beta: float) -> "KernelEvaluator":

@@ -112,11 +112,19 @@ class PsiFunction:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _power(self, t, e: Optional[float] = None) -> float:
+        """float(t) ** e, e = r unless given; DomainError if it overflows."""
+        try:
+            return float(t) ** (self.r if e is None else e)
+        except OverflowError:
+            raise DomainError(f"exp-power psi(t) = exp(-{self.alpha} t^{self.r}) "
+                              f"overflows float64 at t = {t}") from None
+
     def __call__(self, t):
         if self.family == "exp-power":
             if isinstance(t, np.ndarray):
                 return np.exp(-self.alpha * np.power(t, self.r))
-            return math.exp(-self.alpha * float(t) ** self.r)
+            return math.exp(-self.alpha * self._power(t))
         return self._eval(t)
 
     def log_value(self, t):
@@ -124,7 +132,7 @@ class PsiFunction:
         if self.family == "exp-power":
             if isinstance(t, np.ndarray):
                 return -self.alpha * np.power(t, self.r)
-            return -self.alpha * float(t) ** self.r
+            return -self.alpha * self._power(t)
         if self._log_eval is not None:
             return self._log_eval(t)
         val = self._eval(t)
@@ -139,7 +147,7 @@ class PsiFunction:
     def halving_point(self, t: float, tol: float) -> float:
         """eta(t), closed form for exp-power, else bisected to tol in log psi."""
         if self.family == "exp-power":
-            return (float(t) ** self.r + LN2 / self.alpha) ** (1.0 / self.r)
+            return (self._power(t) + LN2 / self.alpha) ** (1.0 / self.r)
         return _solve_eta(self, t, tol)
 
     def derivative(self, t):
@@ -147,8 +155,7 @@ class PsiFunction:
         if self.family == "exp-power":
             if isinstance(t, np.ndarray):
                 return -self.alpha * self.r * np.power(t, self.r - 1.0) * self(t)
-            t = float(t)
-            return -self.alpha * self.r * t ** (self.r - 1.0) * self(t)
+            return -self.alpha * self.r * self._power(t, self.r - 1.0) * self(t)
         if self._deriv is None:
             raise CapabilityError("this generator has no derivative callable")
         return self._deriv(t)
@@ -274,8 +281,8 @@ def characteristics(psi: PsiFunction, t: float,
         raise DomainError(f"t = {t} below domain start {psi.domain_start}")
     eta = _solve_eta(psi, t, tol_inv)
     gap = eta - t
-    if gap <= 0.0:
-        raise NumericError(f"eta({t}) did not exceed t; generator is not decreasing here")
+    if gap <= 0.0:   # log psi(t) - ln 2 rounded back to log psi(t)
+        raise NumericError(f"eta({t}) - {t} is below float64's resolution at t")
     mu = t / gap
     floor_gap = None
     if float(t).is_integer():

@@ -58,11 +58,11 @@ def _spread(task, count: int) -> list:
     return out
 
 
-def _moments(c: np.ndarray) -> tuple:
-    """sum k^d c_k, d = 0, 1, 2, over harmonics k = 1..c.size: with
-    c_k = |c_k|, bounds on |g|, |g'| and |g''| of the series."""
+def _moments(c: np.ndarray, c0: float = 0.0) -> tuple:
+    """sum k^d c_k, d = 0 and 2, over harmonics k = 1..c.size, and c0 at
+    k = 0: with c_k = |c_k|, bounds on |g| and |g''| of the series."""
     k = np.arange(1.0, c.size + 1.0)
-    return float(np.sum(c)), float(np.sum(k * c)), float(np.sum(k * (k * c)))
+    return float(np.sum(c)) + c0, float(np.sum(k * (k * c)))
 
 
 @dataclass(frozen=True, eq=False)

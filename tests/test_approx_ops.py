@@ -725,12 +725,12 @@ class TestBlockedPasses:
 
 class TestSupRefinement:
     """Newton steps read g' and g'' off `_local`, the interpolant of the
-    cached grid; the value is one K-term sum at the last iterate."""
+    cached grid, and the value at the last iterate too: no K-term sum."""
 
     @staticmethod
     def tables(monkeypatch, size):
         """[(name, argument)] of each np.cos and np.sin call on a
-        `size`-long array, from here on: the refinement's tables."""
+        `size`-long array, from here on: K-long tables."""
         seen = []
         for name in ("cos", "sin"):
             def spy(x, *args, fn=getattr(np, name), name=name, **kwargs):
@@ -747,6 +747,20 @@ class TestSupRefinement:
         return G, approx_ops._grid_pass(ke.folded._phases(G), (), TWO_PI / G,
                                         peak=True, mirror=ke.mirror)[1]
 
+    @classmethod
+    def refined(cls, ke, monkeypatch):
+        """`_sup_refined` at ke's grid argmax, and the last point `_local`
+        read: the last iterate."""
+        G, found = cls.peak_node(ke)
+        points = []
+        local = approx_ops._local
+        monkeypatch.setattr(approx_ops, "_local", lambda source, G, t: (
+            points.append(t) or local(source, G, t)))
+        nv = approx_ops._sup_refined(grid_source(ke), False, *found, G,
+                                     ke.moments)
+        monkeypatch.undo()
+        return nv, points[-1]
+
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_sup_norm_matches_an_independent_peak(self, psi_slow, beta):
         # golden-section search on direct sums from the argmax of the
@@ -756,62 +770,82 @@ class TestSupRefinement:
         ref = golden_peak(ke, approx_ops._grid_size(ke.truncation_index))
         assert abs(nv.value - ref) <= nv.error_estimate + 1e-15 * ref
 
-    @pytest.mark.parametrize("beta, tables", [(0.0, 0), (1.0, 1)])
-    def test_sup_norm_makes_one_table_off_node_zero(self, deep_profile, beta,
-                                                    tables, monkeypatch):
-        # an even kernel peaks at node 0, where g' = sum k b_k is exactly
-        # 0: no Newton step; an odd one vanishes there, steps on the
-        # interpolant and sums its K terms once
-        ke = deep_profile.evaluator(beta)
-        built = []
-        derivative = FourierSeries.derivative
-        monkeypatch.setattr(FourierSeries, "derivative",
-                            lambda self: built.append(self) or derivative(self))
-        seen = self.tables(monkeypatch, ke.truncation_index)
-        sup_norm(ke)
-        assert [name for name, _ in seen] == ["cos", "sin"] * tables
-        assert not built
+    def test_sweep_step_does_no_kernel_long_work(self, psi_slow, deep_profile,
+                                                 monkeypatch):
+        # one deep sweep step, criterion 5's modes at beta 0 and 1: no
+        # K-long cos or sin table, no K-term sum and no kernel series,
+        # which the evaluators build only on first use
+        made, calls = [], []
+        evaluator = kernels.KernelProfile.evaluator
+        monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
+            made.append(evaluator(*a)) or made[-1]))
+        for name in ("eval", "__call__", "derivative"):
+            monkeypatch.setattr(FourierSeries, name, lambda *a, name=name, fn=(
+                getattr(FourierSeries, name)): calls.append(name) or fn(*a))
+        seen = self.tables(monkeypatch, deep_profile.truncation_index)
+        modes = [(mode, p) for mode in ("theorem1", "theorem2")
+                 for p in (1.0, 2.0, 4.0, math.inf)]
+        reports = verify_sweep(psi_slow, [0.0, 1.0], modes, [200])
+        assert len(reports) == 16 and all(rep.ok for rep in reports)
+        assert [ke.truncation_index for ke in made] == [
+            deep_profile.truncation_index] * 2
+        assert not seen and not calls
+        assert not any("series" in vars(ke) for ke in made)
 
     @pytest.mark.parametrize("alpha, r, n", [
         (2.0, 0.3, 226), (0.5, 0.5, 200), (1.0, 0.5, 40)])
     def test_estimate_covers_the_sums_rounding(self, alpha, r, n,
                                                monkeypatch):
-        # the value is a numpy pairwise sum at the last iterate t, read
-        # off eval's (1, K) kt table: the long-double sum at that t and
-        # the long-double peak both lie within the estimate
+        # the value is the interpolant's at the last iterate t: the
+        # long-double sum at t and the long-double peak both lie within
+        # the estimate, which past the last Newton step is `_local`'s
+        # bound e sum |c_k| there (kernels whose values moved by up to 3.5
+        # of the old estimate when the K-term sums left BLAS)
         ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, 1.0)
-        G, found = self.peak_node(ke)
-        seen = self.tables(monkeypatch, ke.truncation_index)
-        nv = approx_ops._sup_refined(ke.series, grid_source(ke), *found,
-                                     G, ke.moments)
-        monkeypatch.undo()
-        (_, kt), _ = seen
-        assert kt.shape == (1, ke.truncation_index)
-        t = kt[0, 0]
+        nv, t = self.refined(ke, monkeypatch)
+        G = approx_ops._grid_size(ke.truncation_index)
+        bound = approx_ops._local(grid_source(ke), G, t)[3] * ke.moments[0]
+        assert bound <= nv.error_estimate <= 1.001 * bound
         for ref in (abs(long_double_sums(ke.series, t)[0]),
                     long_double_peak(ke.series, t)):
             assert abs(nv.value - ref) <= nv.error_estimate
 
+    @pytest.mark.parametrize("alpha, r", [
+        (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7), (2.0, 0.3),
+        (2.0, 0.5), (2.0, 0.7)])
+    def test_estimate_covers_the_long_double_peak(self, alpha, r,
+                                                   monkeypatch):
+        # every 8th n of criterion 5 at beta = 1: the refined value lies
+        # within its estimate of the long-double sum at its last iterate
+        # and of the long-double peak
+        psi = PsiFunction.exp_power(alpha, r)
+        for n in range(exp_power_thresholds(alpha, r)[2], 257, 8):
+            ke = kernels.kernel_profile(psi, n).evaluator(1.0)
+            nv, t = self.refined(ke, monkeypatch)
+            for ref in (abs(long_double_sums(ke.series, t)[0]),
+                        long_double_peak(ke.series, t)):
+                assert abs(nv.value - ref) <= nv.error_estimate, n
+
     @pytest.mark.parametrize("beta", [1.25, 1.7])
     def test_sum_at_the_wrapped_iterate(self, psi_slow, beta, monkeypatch):
-        # at (2.0, 0.3), n = 160 these kernels peak near 2 pi; summed at
-        # the iterate wrapped into [-pi, pi], kt's rounding term
-        # eps |t| sum k |c_k| shrinks with |t| from about 6.28, and the
-        # estimate still holds the long-double peak
-        ke = kernels.kernel_profile(psi_slow, 160).evaluator(beta)
-        G, (i, top) = self.peak_node(ke)
+        # at (2.0, 0.3), n = 160 these kernels peak near 2 pi, where a
+        # K-term sum at t rounds kt by about eps |t| sum k |c_k|; read off
+        # the grid, the value needs no wrap of t into [-pi, pi]: the
+        # estimate is the mirrored kernel's (beta -> -beta peaks at
+        # 2 pi - t) and still holds the long-double sum and peak
+        kp = kernels.kernel_profile(psi_slow, 160)
+        ke = kp.evaluator(beta)
+        G, (i, _) = self.peak_node(ke)
         assert i > G // 2
-        seen = self.tables(monkeypatch, ke.truncation_index)
-        nv = approx_ops._sup_refined(ke.series, grid_source(ke), i, top,
-                                     G, ke.moments)
-        monkeypatch.undo()
-        t = seen[0][1][0, 0]
-        assert -math.pi <= t < 0.0
-        unwrapped = nv.error_estimate + approx_ops._EPS * (
-            abs(t + TWO_PI) - abs(t)) * ke.moments[1]
-        assert 10.0 * nv.error_estimate <= unwrapped
-        ref = long_double_peak(ke.series, t)
-        assert abs(nv.value - ref) <= nv.error_estimate
+        nv, t = self.refined(ke, monkeypatch)
+        assert t > 6.0
+        mirrored, s = self.refined(kp.evaluator(-beta), monkeypatch)
+        assert s == pytest.approx(TWO_PI - t, abs=1e-12)
+        assert nv.error_estimate == pytest.approx(mirrored.error_estimate,
+                                                  rel=1e-6)
+        for ref in (abs(long_double_sums(ke.series, t)[0]),
+                    long_double_peak(ke.series, t)):
+            assert abs(nv.value - ref) <= nv.error_estimate
 
     @pytest.mark.parametrize("alpha, r", [
         (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7), (2.0, 0.3),
@@ -829,17 +863,17 @@ class TestSupRefinement:
             assert abs(nv.value - exact) <= nv.error_estimate, n
 
     def test_refinement_takes_no_table_sized_temporaries(self, deep_profile):
-        # one cos and one sin table, written over kt, and no series
+        # no cos or sin table and no series: nothing K-long at all
         ke = deep_profile.evaluator(1.0)
         G, found = self.peak_node(ke)
         tracemalloc.start()
         try:
-            approx_ops._sup_refined(ke.series, grid_source(ke), *found,
-                                    G, ke.moments)
+            approx_ops._sup_refined(grid_source(ke), False, *found, G,
+                                    ke.moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * ke.truncation_index
+        assert peak < ke.truncation_index
 
     @pytest.fixture(scope="class", params=["split rows", "natural", "plain"])
     def layout(self, request, deep_profile, psi_half):
@@ -866,16 +900,20 @@ class TestSupRefinement:
         ts = np.concatenate([rng.uniform(0.0, TWO_PI, 20), [0.0, h * (G - 1)],
                              h * rng.uniform(-m, m, 10),
                              h * (G - 1 + rng.uniform(-m, m, 10))])
-        d1 = series.derivative()
-        want = np.stack([g.eval(ts) for g in (series, d1, d1.derivative())],
-                        axis=1)
+        # the weights are those of the point (t/h) 2 pi/G, within eps |t|
+        # of t: where |g'| is near sum k |c_k|, that shift alone moves g
+        # by more than the bound e, so the long-double sums are taken there
+        pi = 4 * np.arctan(np.longdouble(1))
+        want = np.array([[float(x) for x in long_double_sums(
+            series, t / h * (2 * pi / G))] for t in ts])
         got = np.array([approx_ops._local(source, G, t) for t in ts])
+        S = float(np.sum(np.hypot(series.a, series.b)))
+        assert np.all(np.abs(got[:, 0] - want[:, 0]) <= got[:, 3] * S)
         # relative to sum |c_k| K^d, about ten times the largest errors
-        # measured at m = 16 over the three layouts: 1.4e-13 to 3.1e-13
-        # (g), 1.2e-12 to 5.0e-12 (g') and 4.4e-11 to 1.3e-10 (g'')
-        scale = (float(np.sum(np.hypot(series.a, series.b)))
-                 * float(series.degree) ** np.arange(3))
-        assert np.all(np.abs(got - want) <= [3e-12, 5e-11, 1.5e-9] * scale)
+        # measured at m = 24 over the three layouts: 0.9e-16 to 2.8e-16
+        # (g), 3.5e-15 to 1.2e-14 (g') and 0.8e-12 to 2.7e-12 (g'')
+        scale = S * float(series.degree) ** np.arange(3)
+        assert np.all(np.abs(got[:, :3] - want) <= [3e-15, 1.2e-13, 3e-11] * scale)
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)
@@ -944,7 +982,7 @@ class TestHalfWalk:
         G = approx_ops._grid_size(ke.truncation_index)
         g = mirrored_grid(grid_source(ke), G)
         whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
-        ref = approx_ops._sup_refined(ke.series, grid_source(ke), *whole,
+        ref = approx_ops._sup_refined(grid_source(ke), beta % 2 == 0, *whole,
                                       G, ke.moments)
         assert sup_norm(ke) == approx_ops.NormValue(
             ref.value, with_tail(ke, math.inf, ref.error_estimate))

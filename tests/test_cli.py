@@ -94,12 +94,24 @@ class TestLambdaAndKernel:
         # an infinite alpha or r made psi vanish past t = 1 and mu overflow
         ["characteristics", "--alpha", "inf", "--r", "0.5", "--t", "5"],
         ["characteristics", "--alpha", "1", "--r", "inf", "--t", "5"],
+        # t^r overflows float64: a raw OverflowError exited 3
+        ["characteristics", "--alpha", "1", "--r", "1e300", "--t", "5"],
+        ["kernel-eval", "--alpha", "1", "--r", "1e300", "--n", "5",
+         "--t", "0.1"],
     ])
     def test_non_finite_options_exit_config(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_halving_below_resolution_says_so(self, capsys):
+        # -5^400 - ln 2 rounds to -5^400: eta(5) - 5 is lost, not negative
+        code, out, err = run_cli(capsys, "characteristics", "--alpha", "1",
+                                 "--r", "400", "--t", "5")
+        assert (code, out) == (3, "")
+        assert "below float64's resolution" in err
+        assert "not decreasing" not in err
 
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",

@@ -385,7 +385,7 @@ class TestMirroredSamples:
         ke = deep_profile.evaluator(beta)
         d2 = ke.series.derivative().derivative()
         assert ke.energy == ke.series.energy()
-        assert ke.moments[2] == float(np.sum(np.hypot(d2.a, d2.b)))
+        assert ke.moments[1] == float(np.sum(np.hypot(d2.a, d2.b)))
         # and a plain series' moments, from its own coefficients
         assert ke.moments == kernels._moments(np.hypot(ke.series.a,
                                                        ke.series.b))

@@ -43,6 +43,16 @@ class TestPsiFunction:
             with pytest.raises(DomainError):
                 PsiFunction.exp_power(alpha, r)
 
+    def test_power_overflow_names_the_inputs(self):
+        # a finite r whose t^r float64 cannot hold: every scalar route
+        # refuses it with alpha, r and t named, not a bare OverflowError
+        psi = PsiFunction.exp_power(1.0, 1e300)
+        for route in (psi, psi.log_value, psi.derivative,
+                      lambda t: psi.halving_point(t, 1e-6)):
+            with pytest.raises(DomainError, match=r"1\.0 t\^1e\+300.* t = 5\.0"):
+                route(5.0)
+        assert psi(1.0) == math.exp(-1.0)   # 1^r is still 1
+
     def test_derivative_exp_power(self):
         psi = PsiFunction.exp_power(1.0, 0.5)
         t = 9.0
