@@ -770,6 +770,25 @@ class TestSupRefinement:
         ref = golden_peak(ke, approx_ops._grid_size(ke.truncation_index))
         assert abs(nv.value - ref) <= nv.error_estimate + 1e-15 * ref
 
+    @pytest.mark.parametrize("beta, steps", [(0.0, 0), (1.0, 1)])
+    def test_sup_norm_makes_one_table_off_node_zero(self, deep_profile, beta,
+                                                    steps, monkeypatch):
+        # an even kernel peaks at node 0, where g' = sum k b_k is exactly
+        # 0: no Newton step and no read of the interpolant; an odd one
+        # vanishes there and steps on the interpolant, whose node table
+        # gives its value too: no K-long cos or sin table either way
+        ke = deep_profile.evaluator(beta)
+        built, points = [], []
+        derivative, local = FourierSeries.derivative, approx_ops._local
+        monkeypatch.setattr(FourierSeries, "derivative",
+                            lambda self: built.append(self) or derivative(self))
+        monkeypatch.setattr(approx_ops, "_local", lambda source, G, t: (
+            points.append(t) or local(source, G, t)))
+        seen = self.tables(monkeypatch, ke.truncation_index)
+        assert sup_norm(ke).value > 0.0
+        assert not seen and not built
+        assert bool(points) == bool(steps)
+
     def test_sweep_step_does_no_kernel_long_work(self, psi_slow, deep_profile,
                                                  monkeypatch):
         # one deep sweep step, criterion 5's modes at beta 0 and 1: no
