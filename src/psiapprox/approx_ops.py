@@ -15,8 +15,9 @@ profile's folded f, is built block by block, on up to two workers, from
 f's FFT (or a split FFT's rows), walked once for all orders asked
 together, half at integer beta; at beta = 0 and 1 a block is
 f_j +- f_{-j}.  The sup norm's Newton steps and value read a local
-interpolant of that cached grid: no norm builds an evaluator's series,
-which is made on first use.  `conjugate_exponent` maps p to p'.
+interpolant of that cached grid, and the duality extremals and the
+residual check read the grid whole: nothing here builds an evaluator's
+series, which only point values use.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .kernels import MAX_GRID, KernelEvaluator, _taper_window, _wrap
+from .kernels import MAX_GRID, KernelEvaluator, _taper_window
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries, _moments, _spread
+from .series import FourierSeries, _moments, _spread, _wrap
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -112,7 +113,8 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     phi with the residual kernel, (1/pi) int phi(t) K*(x - t) dt, by exact
     trapezoid on the norm grid of degree K + deg phi (the integrand is
     band-limited, so a grid of more than twice the joint bandwidth
-    integrates it exactly).  x points are snapped to that grid; both
+    integrates it exactly), the kernel's samples its profile's, mirrored
+    as the norm pass reads them.  x points are snapped to that grid; both
     routes use the snapped x, so the returned max-absolute discrepancy is
     grid-artifact-free.
     """
@@ -126,13 +128,11 @@ def residual_consistency(psi: PsiFunction, beta: float, n: int,
     ke = KernelEvaluator.build(psi, n, beta)
     grid = _grid_size(ke.truncation_index + phi.degree)
     phi_s = phi.uniform_samples(grid)
-    ker_s = ke.series.uniform_samples(grid)
+    ker_s = _mirror_block(ke.folded._phases(grid), *ke.mirror, 0, np.empty(grid))
     conv = np.fft.irfft(np.fft.rfft(phi_s) * np.fft.rfft(ker_s), grid)
     idx = np.round(xs * grid / TWO_PI).astype(int) % grid
-    x_snap = TWO_PI * idx / grid
-    route1 = np.asarray(resid.eval(x_snap), dtype=float)
-    route2 = (2.0 / grid) * conv[idx]
-    return float(np.max(np.abs(route1 - route2)))
+    route1 = resid.eval(TWO_PI * idx / grid)   # at the snapped x
+    return float(np.max(np.abs(route1 - (2.0 / grid) * conv[idx])))
 
 
 # -- norms -------------------------------------------------------------------
@@ -495,7 +495,8 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid, the norm grid of at least 2^17
-    points, so S is an exact index reversal.
+    points, so S is an exact index reversal of the kernel's mirrored grid,
+    on the norm grid the very grid the norm pass walks.
     """
     p_prime = conjugate_exponent(p)
     if not math.isfinite(x0):
@@ -503,30 +504,24 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
     ke = _kernel(psi, n, beta, evaluator)
     G = max(1 << 17, _grid_size(ke.truncation_index))
     h = TWO_PI / G
-    samples = ke.series.uniform_samples(G)
     i0 = int(round(x0 / h)) % G
     x0s = h * i0
-    S = samples[(i0 - np.arange(G)) % G]
+    S = _mirror_block(ke.folded._phases(G), *ke.mirror, 0, np.empty(G))[
+        (i0 - np.arange(G)) % G]
 
     def S_of(t):
         return ke.eval(x0s - np.asarray(t, dtype=float))
 
-    mean_corrected = False
-    width = None
+    mean_corrected, width = False, None
     if math.isinf(p):
-        phi_s = np.sign(S)
-        mean = float(np.mean(phi_s))
-        shift = 0.0
-        if abs(mean) > MEAN_TOL:
-            shift = mean
-            phi_s = (phi_s - shift) / (1.0 + abs(shift))
-            mean_corrected = True
-            mean = float(np.mean(phi_s))
-        norm_p = float(np.max(np.abs(phi_s)))
+        mean = float(np.mean(np.sign(S)))
+        mean_corrected = abs(mean) > MEAN_TOL
+        shift = mean if mean_corrected else 0.0   # 0: sign itself, exactly
 
         def fn(t):
-            raw = np.sign(S_of(t))
-            return (raw - shift) / (1.0 + abs(shift)) if mean_corrected else raw
+            return (np.sign(S_of(t)) - shift) / (1.0 + abs(shift))
+        phi_s = (np.sign(S) - shift) / (1.0 + abs(shift))
+        mean, norm_p = float(np.mean(phi_s)), float(np.max(np.abs(phi_s)))
     elif p == 1.0:
         i_star = int(np.argmax(np.abs(S)))
         t_star = h * i_star
@@ -534,7 +529,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         width = 16.0 * h
 
         def fn(t):
-            u = np.asarray(_wrap(np.asarray(t, dtype=float) - t_star))
+            u = _wrap(np.subtract(t, t_star))
             out = np.where(np.abs(u) <= width,
                            0.5 * (1.0 + np.cos(math.pi * u / width)) / width, 0.0)
             return s_star * out

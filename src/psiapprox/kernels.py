@@ -10,11 +10,11 @@ truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase
 th = beta*pi/2, as its mirror (u, v) = (cos th + sin th, cos th - sin th);
-its own series is built on first use, by point values and tests.  One
+its own series is built on first use, by point values alone.  One
 sampling per grid size (cache-sized FFTs on deep grids) serves the
-profile's f = sum (c_k/2)(cos kt + sin kt); the norm pass builds each
-beta's grid u f(t) + v f(-t) from it, over half the period at integer
-beta, where u, v = +-1 make the kernel even or odd.
+profile's f = sum (c_k/2)(cos kt + sin kt): every beta's grid, for its
+norms, extremals and residual check, is u f(t) + v f(-t), which the norm
+pass walks over half the period at integer beta (u, v = +-1).
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
@@ -24,7 +24,7 @@ Three evaluation routes are kept alive on purpose (coefficient sum, partial
 Abel, full Abel over Dirichlet-type kernels); their mutual agreement is a
 standing regression check.  Both Abel routes sum by parts in `_by_parts`,
 over the one Dirichlet kernel `dirichlet`, which takes arrays of orders and
-of points alike.
+of points alike.  Every point value reduces t by `series._wrap`.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from .errors import (DegenerateGapError, DomainError, InvalidPsiError,
                      NumericError)
 from .psi_core import (LN2, CharacteristicProfile, PsiFunction,
                        characteristics)
-from .series import FourierSeries, _moments
+from .series import FourierSeries, _moments, _wrap
 
-TWO_PI = 2.0 * math.pi
 T_SWITCH = 1e-3
 # relative scale for the default truncation budget
 TAIL_EPS_SCALE = 1e-15
@@ -51,11 +50,6 @@ TAIL_MAX_BLOCKS = 400
 TAIL_ETA_TOL = 1e-6
 # cap on every norm grid and on the truncation index K
 MAX_GRID = 1 << 21
-
-
-def _wrap(t):
-    """Reduce to the principal period (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(t, dtype=float), TWO_PI)
 
 
 def dirichlet(k, beta: float, t):
@@ -208,9 +202,13 @@ def _taper_window(psi: PsiFunction, n: int,
     psi(n) (F - 2n + k) / (F - n) for k from that harmonic to n - 1.
 
     The weight at k = 2n - F is exactly 0, so the window starts one past
-    it (and never below harmonic 1).  F = n leaves no window to build and
-    raises DegenerateGapError.
+    it (and never below harmonic 1).  A psi(n) that is 0 in float64 scales
+    every weight and the tail budget to 0 and raises NumericError; F = n
+    leaves no window to build and raises DegenerateGapError.
     """
+    psi_n = float(psi(float(n)))
+    if psi_n == 0.0:
+        raise NumericError(f"psi(n) is 0 in float64 at n = {n}: use a smaller n")
     eta_floor = n + prof.floor_gap
     g = eta_floor - n
     if g == 0:
@@ -219,7 +217,7 @@ def _taper_window(psi: PsiFunction, n: int,
             "use a larger n or a slower-decaying generator")
     start = max(1, 2 * n - eta_floor + 1)
     ks = np.arange(start, n)
-    return eta_floor, start, float(psi(float(n))) * (eta_floor - 2 * n + ks) / g
+    return eta_floor, start, psi_n * (eta_floor - 2 * n + ks) / g
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +298,7 @@ class KernelEvaluator(KernelProfile):
 
     @cached_property
     def series(self) -> FourierSeries:
-        """The kernel's own coefficients, built on first use; no norm does."""
+        """The kernel's own coefficients, built on first use by `eval` alone."""
         cos, sin = _phase(self.beta)
         a, b = np.zeros((2, self.truncation_index))
         a[self.taper_start - 1:] = self.coeffs * cos
@@ -321,16 +319,17 @@ class KernelEvaluator(KernelProfile):
           "direct"  coefficient-by-coefficient cosine sum;
           "x"       taper resummed through Dirichlet kernels, tail direct;
           "for1"    full Abel transform over Dirichlet kernels.
-        All three agree to within rounding plus the shared truncation budget.
+        All three agree to within rounding plus the shared truncation budget,
+        at t reduced once by `_wrap`.
         """
+        t = _wrap(t)
         if representation == "direct":
             return self.series.eval(t)
         if representation not in ("x", "for1"):
             raise DomainError(f"unknown representation {representation!r}")
-        scalar = np.ndim(t) == 0
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self._eval_abel(float(tt), representation) for tt in ts])
-        return float(out[0]) if scalar else out
+        out = np.array([self._eval_abel(float(tt), representation)
+                        for tt in np.atleast_1d(t)])
+        return float(out[0]) if t.ndim == 0 else out
 
     def _eval_abel(self, t: float, representation: str) -> float:
         c, split = self.coeffs, self.n - self.taper_start   # taper, then tail

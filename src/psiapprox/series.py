@@ -6,7 +6,7 @@ is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
 external or hierarchical memory, 1990) and cached as the rows they write;
 `uniform_samples` reads it in natural order.  `_spread` runs the rows (and
 the norm pass's blocks) on one thread per core, at most two, with bits
-that do not depend on the count.
+that do not depend on the count.  `_wrap` reduces every point value's t.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError
 
-TWO_PI = 2.0 * math.pi
 EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 FFT_BLOCK = 1 << 17    # largest one-shot irfft: 1 MB of samples, cache-sized
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -56,6 +55,14 @@ def _spread(task, count: int) -> list:
     if errors:
         raise errors[0]
     return out
+
+
+def _wrap(t) -> np.ndarray:
+    """t in [-pi, pi]: t itself where |t| <= pi, bit for bit, and else
+    atan2(sin t, cos t), a few eps from the exact reduction at any finite
+    t, since libm's sin and cos reduce their argument exactly."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) <= math.pi, t, np.arctan2(np.sin(t), np.cos(t)))
 
 
 def _moments(c: np.ndarray, c0: float = 0.0) -> tuple:
@@ -97,14 +104,15 @@ class FourierSeries:
 
     def eval(self, t):
         """Evaluate at scalar or array t by direct summation: 0.5 a0 +
-        (sum cos(kt) a_k + sum sin(kt) b_k), each a numpy pairwise row sum.
+        (sum cos(kt) a_k + sum sin(kt) b_k), each a numpy pairwise row sum,
+        at t reduced by `_wrap`, so kt's rounding does not grow with |t|.
 
         Points go in blocks of EVAL_BLOCK // degree (at least one), so a
         block's points x degree phase matrix holds at most EVAL_BLOCK
         entries whenever the degree does; the products are written over
         the cos and sin tables.
         """
-        t_arr = np.ravel(np.asarray(t, dtype=float))
+        t_arr = np.ravel(_wrap(t))
         k = np.arange(1.0, self.degree + 1.0)
         step = max(1, EVAL_BLOCK // max(1, self.degree))
         out = np.empty(t_arr.size)
@@ -184,11 +192,6 @@ class FourierSeries:
             raise DomainError("antiderivative of a nonzero-mean series is not periodic")
         k = np.arange(1, self.degree + 1, dtype=float)
         return FourierSeries(a0=0.0, a=-self.b / k, b=self.a / k)
-
-    def derivative(self) -> "FourierSeries":
-        """Term-by-term derivative; the mean term drops out."""
-        k = np.arange(1, self.degree + 1, dtype=float)
-        return FourierSeries(a0=0.0, a=k * self.b, b=-k * self.a)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         n = max(self.degree, other.degree)

@@ -346,6 +346,19 @@ class TestResidualConsistency:
         with pytest.raises(NumericError, match="MAX_GRID"):
             residual_consistency(psi_half, 0.0, 9, wide, [0.3])
 
+    def test_convolves_the_profile_grid(self, psi_half, monkeypatch):
+        # the kernel's samples are its profile's folded f, mirrored: one
+        # FFT of f at the convolution grid and no series of the kernel
+        made, evaluator = [], kernels.KernelProfile.evaluator
+        monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
+            made.append(evaluator(*a)) or made[-1]))
+        phi = zero_mean_series(np.random.default_rng(16), 25)
+        assert residual_consistency(psi_half, 0.5, 9, phi, [0.3, 4.0]) <= 1e-8
+        (ke,) = made
+        G = approx_ops._grid_size(ke.truncation_index + phi.degree)
+        assert list(ke.folded._sample_cache) == [G]
+        assert "series" not in vars(ke)
+
     @pytest.mark.parametrize("xs", [[math.nan], [0.3, math.inf], -math.inf,
                                     []])
     def test_non_finite_points_refused(self, psi_half, xs):
@@ -778,15 +791,12 @@ class TestSupRefinement:
         # vanishes there and steps on the interpolant, whose node table
         # gives its value too: no K-long cos or sin table either way
         ke = deep_profile.evaluator(beta)
-        built, points = [], []
-        derivative, local = FourierSeries.derivative, approx_ops._local
-        monkeypatch.setattr(FourierSeries, "derivative",
-                            lambda self: built.append(self) or derivative(self))
+        points, local = [], approx_ops._local
         monkeypatch.setattr(approx_ops, "_local", lambda source, G, t: (
             points.append(t) or local(source, G, t)))
         seen = self.tables(monkeypatch, ke.truncation_index)
         assert sup_norm(ke).value > 0.0
-        assert not seen and not built
+        assert not seen
         assert bool(points) == bool(steps)
 
     def test_sweep_step_does_no_kernel_long_work(self, psi_slow, deep_profile,
@@ -798,7 +808,7 @@ class TestSupRefinement:
         evaluator = kernels.KernelProfile.evaluator
         monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
             made.append(evaluator(*a)) or made[-1]))
-        for name in ("eval", "__call__", "derivative"):
+        for name in ("eval", "__call__"):
             monkeypatch.setattr(FourierSeries, name, lambda *a, name=name, fn=(
                 getattr(FourierSeries, name)): calls.append(name) or fn(*a))
         seen = self.tables(monkeypatch, deep_profile.truncation_index)
@@ -1092,6 +1102,30 @@ class TestDuality:
         scale = math.pi * ex.attainment / (h * float(np.sum(S * S)))
         np.testing.assert_allclose(vals, scale * S[j], rtol=1e-9,
                                    atol=1e-12 * float(np.max(np.abs(vals))))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_reads_the_norm_grid(self, deep_profile, beta):
+        # K ~ 51k: the working grid is the 2^20-point norm grid, which
+        # the norm pass sampled; the extremal reads those cached samples
+        # under the kernel's mirror, makes no FFT and no kernel series,
+        # and its S is the pass's grid at nodes i0 - j, bit for bit
+        ke = deep_profile.evaluator(beta)
+        lp_norm(ke, 1.0)
+        cached = list(ke.folded._sample_cache)
+        ex = duality_extremal_phi(ke.psi, beta, ke.n, 2.0, x0=1.0,
+                                  evaluator=ke)
+        assert list(ke.folded._sample_cache) == cached
+        assert "series" not in vars(ke)
+        G, h = ex.grid_size, TWO_PI / ex.grid_size
+        assert [G] == cached
+        g = approx_ops._mirror_block(ke.folded._phases(G), *ke.mirror, 0,
+                                     np.empty(G))
+        S = g[(round(ex.x0 / h) - np.arange(G)) % G]
+        # at p = p' = 2, phi = S / ||S||_2: the records by its arithmetic
+        phi = np.sign(S) * np.abs(S) ** 1.0 / (
+            h * float(np.sum(np.abs(S) ** 2.0))) ** 0.5
+        assert ex.attainment == h * float(np.sum(phi * S)) / math.pi
+        assert ex.mean_offset == h * float(np.sum(phi)) / TWO_PI
 
     def test_x0_snapped_to_grid(self, psi_half):
         # the working grid is the norm grid, at least 2^17 points

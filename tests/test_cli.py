@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ class TestLambdaAndKernel:
         assert (code, out) == (3, "")
         assert "below float64's resolution" in err
         assert "not decreasing" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel-norm", *HALF, "--n", "100000000", "--p", "1"],
+        ["lambda", *HALF, "--n", "100000000"]])
+    def test_zero_psi_n_is_refused_by_name(self, capsys, argv):
+        # psi(10^8) = e^{-10^4} is 0 in float64: refused, naming n, before
+        # the kernel's K-long or the multiplier's n-long arrays are made
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: psi(n) is 0 in float64")
+        assert "n = 100000000" in err
+        assert peak < 1 << 20
 
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",

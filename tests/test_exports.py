@@ -1,5 +1,6 @@
-"""The package's public names all resolve, its code calls no BLAS, and its
-generic layers import nothing kernel-specific."""
+"""The package's public names all resolve, its code calls no BLAS, its
+generic layers import nothing kernel-specific, and only `kernels` reads a
+kernel's own coefficients."""
 
 import ast
 from pathlib import Path
@@ -50,5 +51,18 @@ def test_generic_layers_import_no_kernel_code():
             else:
                 continue
             if any(set(m.split(".")) & UPPER_LAYERS for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_kernel_series_is_read_only_in_kernels():
+    # norms, extremals, residual checks and reports read a kernel's grid
+    # through its profile and mirror; its own coefficients, an
+    # evaluator's `series`, serve point values inside `kernels` alone
+    package = Path(psiapprox.__file__).parent
+    found = []
+    for name in ("approx_ops.py", "bounds.py", "cli.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(), name)):
+            if isinstance(node, ast.Attribute) and node.attr == "series":
                 found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -1,7 +1,9 @@
 """Residual kernel construction, its three representations, tail control."""
 
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +14,25 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        lemma1_check, tail_sum_bound_check, taper_coefficients,
                        truncation_index, verify_sweep)
 from psiapprox import approx_ops, kernels
+from psiapprox.cli import main
 from psiapprox.psi_core import LN2, _solve_log_decreasing
 from psiapprox.series import FFT_BLOCK
 
 TWO_PI = 2.0 * math.pi
+
+
+def mpmath_kernel(kp, t, betas):
+    """[the truncated kernel sum c_k cos(kr - beta pi/2) at each beta],
+    r = t mod 2 pi taken at 400 digits from the float t, the sum at 50."""
+    with mpmath.workdps(400):
+        r = mpmath.fmod(mpmath.mpf(t), 2 * mpmath.pi)
+    terms = list(zip(range(kp.taper_start, kp.truncation_index + 1),
+                     map(mpmath.mpf, kp.coeffs.tolist())))
+    with mpmath.workdps(50):
+        C = mpmath.fsum(c * mpmath.cos(k * r) for k, c in terms)
+        S = mpmath.fsum(c * mpmath.sin(k * r) for k, c in terms)
+        return [float(mpmath.cospi(b / 2) * C + mpmath.sinpi(b / 2) * S)
+                for b in betas]
 
 
 def dirichlet_direct(k, beta, t):
@@ -256,6 +273,27 @@ class TestKernelEvaluator:
         ke = KernelEvaluator.build(psi_unit_gap, 10, 0.0)
         assert float(ke.eval(0.0)) == pytest.approx(2.0 ** -9, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [-7.5, 5.0, 1e17, 1e300])
+    def test_point_values_reduce_t(self, psi_half, capsys, t):
+        # t is reduced once, exactly enough: every route, and kernel-eval,
+        # lies within eps sum k |c_k| of the exactly reduced sum, where an
+        # unreduced k t at 1e300 keeps no digit of the phase
+        kp = kernels.kernel_profile(psi_half, 9)
+        betas = (0.0, 0.5, 1.0)
+        k = np.arange(kp.taper_start, kp.truncation_index + 1)
+        tol = np.finfo(float).eps * float(np.sum(k * kp.coeffs))
+        for beta, want in zip(betas, mpmath_kernel(kp, t, betas)):
+            ke = kp.evaluator(beta)
+            got = [ke.eval(t, rep) for rep in ("direct", "x", "for1")]
+            got.append(ke.series.eval(t))
+            if t == 1e300:
+                assert main(["kernel-eval", "--alpha", "1", "--r", "0.5",
+                             "--n", "9", "--beta", str(beta), "--t",
+                             "1e300"]) == 0
+                got.append(json.loads(capsys.readouterr().out)["rows"][0][
+                    "value"])
+            assert max(abs(v - want) for v in got) <= tol
+
     def test_uniform_samples_match_eval(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 9, 1.0)   # K = 2041
         G = 4096
@@ -383,9 +421,11 @@ class TestMirroredSamples:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_profile_sums_keep_the_series_bits(self, deep_profile, beta):
         ke = deep_profile.evaluator(beta)
-        d2 = ke.series.derivative().derivative()
+        # the second derivative's coefficients, up to sign
+        k = np.arange(1.0, ke.series.degree + 1.0)
+        d2a, d2b = k * (k * ke.series.a), k * (k * ke.series.b)
         assert ke.energy == ke.series.energy()
-        assert ke.moments[1] == float(np.sum(np.hypot(d2.a, d2.b)))
+        assert ke.moments[1] == float(np.sum(np.hypot(d2a, d2b)))
         # and a plain series' moments, from its own coefficients
         assert ke.moments == kernels._moments(np.hypot(ke.series.a,
                                                        ke.series.b))
