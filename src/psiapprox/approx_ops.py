@@ -16,8 +16,8 @@ f's FFT (or a split FFT's rows), walked once for all orders asked
 together, half at integer beta; at beta = 0 and 1 a block is
 f_j +- f_{-j}.  The sup norm's Newton steps and value read a local
 interpolant of that cached grid, and the duality extremals and the
-residual check read the grid whole: nothing here builds an evaluator's
-series, which only point values use.  `conjugate_exponent` maps p to p'.
+residual check read the grid whole.  The records of a g far from unit
+scale are taken in units of 2^e.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -372,29 +372,40 @@ def _norms(g, orders) -> dict:
     half-grid Richardson estimate, except at even p below G / degree:
     there the rule is exact for |g|^p and, as for Parseval, only the
     rounding of the summed terms is left.  A kernel (degree K, even if
-    u == v) reads its profile's moments and mirrors its folded samples,
-    each order's estimate adds the certified tail, tail_eps (2 pi)^{1/p},
-    and the evaluator keeps the records, so an order is computed once
-    however it is asked for.  A series' grid is its own."""
+    u == v) reads its profile's moments, mirrors its folded samples, has
+    twice f's energy, each order's estimate adds the certified tail,
+    tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so an
+    order is computed once however it is asked for.  A series' grid is
+    its own.  Where S = sum |c_k| lies outside [2^-200, 2^200], g is
+    walked, and its energy summed, in units of 2^e, e the multiple of 3
+    nearest log2 S (so |g|^{4/3} scales exactly too), and each record is
+    scaled back: no product or power under- or overflows.  Inside, e = 0."""
     if isinstance(g, KernelEvaluator):
-        source, record = (g.folded, *g.mirror), g._norm_cache
-        degree, even = g.truncation_index, g.mirror[0] == g.mirror[1]
-        energy, moments, tail = g.energy, g.moments, g.tail_eps
+        (f, u, v), record = (g.folded, *g.mirror), g._norm_cache
+        degree, even = g.truncation_index, u == v
+        moments, tail, twice = g.moments, g.tail_eps, 2.0
     elif isinstance(g, FourierSeries):
-        source, record = (g, 1.0, 0.0), {}
+        (f, u, v), record = (g, 1.0, 0.0), {}
         degree, even = g.degree, not g.b.any()
         moments = _moments(np.hypot(g.a, g.b), 0.5 * abs(g.a0))
-        energy, tail = g.energy(), 0.0
+        tail, twice = 0.0, 1.0
     else:
         raise DomainError(f"cannot take norms of {type(g).__name__}")
+    S = moments[0]
+    e = (3 * round(math.log2(S) / 3) if 0.0 < S < math.inf
+         and not 2.0 ** -200 <= S <= 2.0 ** 200 else 0)
+    source = (f, math.ldexp(u, -e), math.ldexp(v, -e))   # g / 2^e
+    moments = tuple(math.ldexp(m, -e) for m in moments)
     new, grid = {}, []
     for p in dict.fromkeys(orders):
         if p in record:
             continue
         if not p >= 1.0:
             raise DomainError(f"p must be >= 1, got {p}")
-        if p == 2.0:
-            value = math.sqrt(math.pi * energy)
+        if p == 2.0:   # a kernel's sum c_k^2 is twice its f's energy
+            unit = FourierSeries(math.ldexp(f.a0, -e), np.ldexp(f.a, -e),
+                                 np.ldexp(f.b, -e)) if e else f
+            value = math.sqrt(math.pi * (twice * unit.energy()))
             new[p] = NormValue(value=value, error_estimate=value * (
                 degree + 1) * _EPS)
         else:
@@ -415,7 +426,8 @@ def _norms(g, orders) -> dict:
             new[math.inf] = _sup_refined(source, even, *found, G, moments)
     for p, nv in new.items():
         measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
-        record[p] = NormValue(nv.value, nv.error_estimate + tail * measure)
+        record[p] = NormValue(math.ldexp(nv.value, e), math.ldexp(
+            nv.error_estimate, e) + tail * measure)
     return {p: record[p] for p in orders}
 
 

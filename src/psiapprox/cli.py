@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# verify lemma1's ceiling on --trials: about 20 s and 16 MB of JSON
+MAX_TRIALS = 100_000
 
 
 def _exponent(text) -> float:
@@ -335,8 +337,9 @@ def _cmd_verify_theorems(cfg: argparse.Namespace) -> int:
 def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
     if not 0.0 <= cfg.tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0, got {cfg.tol}")
-    if cfg.trials < 1:
-        raise DomainError(f"--trials must be >= 1, got {cfg.trials}")
+    if not 1 <= cfg.trials <= MAX_TRIALS:
+        raise DomainError(f"--trials must be in 1..{MAX_TRIALS}, "
+                          f"got {cfg.trials}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0

@@ -9,12 +9,13 @@ across k = 2n - F, ..., n - 1, with F = floor(eta(n)).  The infinite tail is
 truncated at a certified index K.  The window, K, its certified tail and
 the magnitudes |c_k| do not depend on beta: they form one `KernelProfile`
 per (psi, n), and each beta's `KernelEvaluator` adds only the phase
-th = beta*pi/2, as its mirror (u, v) = (cos th + sin th, cos th - sin th);
-its own series is built on first use, by point values alone.  One
-sampling per grid size (cache-sized FFTs on deep grids) serves the
-profile's f = sum (c_k/2)(cos kt + sin kt): every beta's grid, for its
-norms, extremals and residual check, is u f(t) + v f(-t), which the norm
-pass walks over half the period at integer beta (u, v = +-1).
+th = beta*pi/2, as its mirror (u, v) = (cos th + sin th, cos th - sin th).
+The kernel is u f(t) + v f(-t) of the folded f = sum (c_k/2)(cos kt +
+sin kt), and nothing else holds its coefficients: a point value is
+(u + v) C + (u - v) S of f's cos and sin sums, and every grid, for norms,
+extremals and residual check, mirrors f's one sampling per grid size
+(cache-sized FFTs on deep grids), which the norm pass walks over half
+the period at integer beta (u, v = +-1).
 The envelope and tail-sum checks certify their bounds from sums over the
 |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -238,7 +238,6 @@ class KernelProfile:
     certified_tail: float
     coeffs: np.ndarray      # |c_k|, k = taper_start..truncation_index
     folded: FourierSeries   # sum (c_k/2)(cos kt + sin kt): all betas' grids
-    energy: float           # sum c_k^2, Parseval's energy at every beta
     moments: tuple          # `_moments` of |c_k|, the same at every beta
 
     def evaluator(self, beta: float) -> "KernelEvaluator":
@@ -282,7 +281,6 @@ def kernel_profile(psi: PsiFunction, n: int,
                          taper_start=start, certified_tail=float(bound),
                          coeffs=c[start - 1:],
                          folded=FourierSeries(0.0, half, half),
-                         energy=float(np.sum(c * c)),   # as series.energy
                          moments=_moments(c))
 
 
@@ -296,15 +294,6 @@ class KernelEvaluator(KernelProfile):
     mirror: tuple   # (cos th + sin th, cos th - sin th), th = beta*pi/2
     _norm_cache: dict = field(default_factory=dict, repr=False)
 
-    @cached_property
-    def series(self) -> FourierSeries:
-        """The kernel's own coefficients, built on first use by `eval` alone."""
-        cos, sin = _phase(self.beta)
-        a, b = np.zeros((2, self.truncation_index))
-        a[self.taper_start - 1:] = self.coeffs * cos
-        b[self.taper_start - 1:] = self.coeffs * sin
-        return FourierSeries(0.0, a, b)
-
     @classmethod
     def build(cls, psi: PsiFunction, n: int, beta: float) -> "KernelEvaluator":
         """One kernel on its own; a sweep over betas shares one profile."""
@@ -316,7 +305,7 @@ class KernelEvaluator(KernelProfile):
         """Kernel value(s) at t.
 
         representation:
-          "direct"  coefficient-by-coefficient cosine sum;
+          "direct"  (u + v) C + (u - v) S, of the folded f's row sums;
           "x"       taper resummed through Dirichlet kernels, tail direct;
           "for1"    full Abel transform over Dirichlet kernels.
         All three agree to within rounding plus the shared truncation budget,
@@ -324,7 +313,9 @@ class KernelEvaluator(KernelProfile):
         """
         t = _wrap(t)
         if representation == "direct":
-            return self.series.eval(t)
+            (u, v), (C, S) = self.mirror, self.folded._row_sums(t)
+            out = (u + v) * C + (u - v) * S
+            return out if t.ndim else float(out[0])
         if representation not in ("x", "for1"):
             raise DomainError(f"unknown representation {representation!r}")
         out = np.array([self._eval_abel(float(tt), representation)

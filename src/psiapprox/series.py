@@ -103,28 +103,31 @@ class FourierSeries:
                 and np.array_equal(self.b, other.b))
 
     def eval(self, t):
-        """Evaluate at scalar or array t by direct summation: 0.5 a0 +
-        (sum cos(kt) a_k + sum sin(kt) b_k), each a numpy pairwise row sum,
-        at t reduced by `_wrap`, so kt's rounding does not grow with |t|.
-
-        Points go in blocks of EVAL_BLOCK // degree (at least one), so a
-        block's points x degree phase matrix holds at most EVAL_BLOCK
-        entries whenever the degree does; the products are written over
-        the cos and sin tables.
-        """
-        t_arr = np.ravel(_wrap(t))
-        k = np.arange(1.0, self.degree + 1.0)
-        step = max(1, EVAL_BLOCK // max(1, self.degree))
-        out = np.empty(t_arr.size)
-        for i in range(0, t_arr.size, step):
-            kt = np.outer(t_arr[i:i + step], k)
-            cos = np.cos(kt)   # sin goes over kt
-            out[i:i + step] = 0.5 * self.a0 + (
-                np.multiply(cos, self.a, out=cos).sum(axis=1) + np.multiply(
-                    np.sin(kt, out=kt), self.b, out=kt).sum(axis=1))
+        """0.5 a0 + (C + S) at scalar or array t, by `_row_sums`."""
+        C, S = self._row_sums(t)
+        out = 0.5 * self.a0 + (C + S)
         return out if np.ndim(t) else float(out[0])
 
     __call__ = eval
+
+    def _row_sums(self, t) -> tuple:
+        """(C, S) = (sum a_k cos kt, sum b_k sin kt) at the points of t,
+        raveled, each a numpy pairwise row sum, at t reduced by `_wrap`, so
+        kt's rounding does not grow with |t|.  Points go in blocks of
+        EVAL_BLOCK // degree (at least one), so a block's points x degree
+        phase matrix holds at most EVAL_BLOCK entries whenever the degree
+        does; the products are written over the cos and sin tables."""
+        t_arr = np.ravel(_wrap(t))
+        k = np.arange(1.0, self.degree + 1.0)
+        step = max(1, EVAL_BLOCK // max(1, self.degree))
+        C, S = np.empty((2, t_arr.size))
+        for i in range(0, t_arr.size, step):
+            kt = np.outer(t_arr[i:i + step], k)
+            cos = np.cos(kt)   # sin goes over kt
+            C[i:i + step] = np.multiply(cos, self.a, out=cos).sum(axis=1)
+            S[i:i + step] = np.multiply(np.sin(kt, out=kt), self.b,
+                                        out=kt).sum(axis=1)
+        return C, S
 
     def uniform_samples(self, grid_size: int) -> np.ndarray:
         """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, by a real

@@ -1,8 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
-from psiapprox import PsiFunction, series
+from psiapprox import FourierSeries, PsiFunction, kernels, series
+
+
+def kernel_series(ke):
+    """The kernel ke as a plain series of its own coefficients,
+    a_k = c_k cos th and b_k = c_k sin th (th = beta pi/2) on harmonics
+    1..K: what its profile's folded f and its mirror stand for."""
+    cos, sin = kernels._phase(ke.beta)
+    a, b = np.zeros((2, ke.truncation_index))
+    a[ke.taper_start - 1:] = ke.coeffs * cos
+    b[ke.taper_start - 1:] = ke.coeffs * sin
+    return FourierSeries(0.0, a, b)
 
 
 @pytest.fixture(scope="session")

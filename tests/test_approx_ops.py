@@ -1,12 +1,13 @@
 """Taper multiplier, synthesis, norm machinery, duality extremals."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -20,6 +21,8 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        residual_consistency, sup_norm,
                        synthesize_class_function, taper_coefficients,
                        verify_sweep)
+
+from conftest import kernel_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +41,7 @@ def reference_lp(ke, p, grid=1 << 15, max_width=TWO_PI / 64, order=20):
     brentq, so |K*|^p is smooth on every piece; pieces are split to at most
     max_width.  Independent of the trapezoid rule under test.
     """
-    s = ke.series.uniform_samples(grid)
+    s = kernel_series(ke).uniform_samples(grid)
     h = TWO_PI / grid
     cross = np.nonzero(s * np.roll(s, -1) < 0.0)[0]
     roots = [brentq(lambda t: float(ke.eval(t)), i * h, (i + 1) * h,
@@ -66,7 +69,7 @@ def odd_kernel_lp(ke, p, G=1 << 20, order=20):
     root end, so |K*|^p ~ |t - root|^p is smooth in u; u-panels keep t-steps
     below 80 / K.
     """
-    g = FourierSeries(0.0, np.zeros(ke.series.degree), ke.series.b)
+    g = FourierSeries(0.0, np.zeros(ke.truncation_index), kernel_series(ke).b)
     t = TWO_PI / G * np.arange(G // 2 + 1)
     s = g.uniform_samples(G)[:G // 2 + 1]
     spline = CubicSpline(t, s)
@@ -188,14 +191,14 @@ def deep_profile(psi_slow):
 def deep_kernel(psi_slow):
     """(2.0, 0.3), n = 200: K ~ 51k, so its norms take a 2^20-point grid."""
     ke = KernelEvaluator.build(psi_slow, 200, 0.0)
-    assert approx_ops._grid_size(ke.series.degree) == 1 << 20
+    assert approx_ops._grid_size(ke.truncation_index) == 1 << 20
     return ke
 
 
 def golden_peak(ke, G=1 << 14):
     """max |K*| by golden-section search in the cell around the FFT argmax."""
     h = TWO_PI / G
-    i = int(np.argmax(np.abs(ke.series.uniform_samples(G))))
+    i = int(np.argmax(np.abs(kernel_series(ke).uniform_samples(G))))
     lo, hi = (i - 1) * h, (i + 1) * h
     f = lambda t: abs(float(ke.eval(t)))
     g = (math.sqrt(5.0) - 1.0) / 2.0
@@ -348,7 +351,7 @@ class TestResidualConsistency:
 
     def test_convolves_the_profile_grid(self, psi_half, monkeypatch):
         # the kernel's samples are its profile's folded f, mirrored: one
-        # FFT of f at the convolution grid and no series of the kernel
+        # FFT of f at the convolution grid
         made, evaluator = [], kernels.KernelProfile.evaluator
         monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
             made.append(evaluator(*a)) or made[-1]))
@@ -357,7 +360,6 @@ class TestResidualConsistency:
         (ke,) = made
         G = approx_ops._grid_size(ke.truncation_index + phi.degree)
         assert list(ke.folded._sample_cache) == [G]
-        assert "series" not in vars(ke)
 
     @pytest.mark.parametrize("xs", [[math.nan], [0.3, math.inf], -math.inf,
                                     []])
@@ -440,10 +442,12 @@ class TestNorms:
     def test_l2_by_parseval_takes_no_grid(self, psi_half):
         ke = KernelEvaluator.build(psi_half, 16, 0.5)
         nv = lp_norm(ke, 2.0)
-        assert ke.series._sample_cache == {}
-        # the energy is the profile's sum c_k^2, the phased series' to rounding
-        assert nv.value == math.sqrt(math.pi * ke.energy)
-        assert ke.energy == pytest.approx(ke.series.energy(), rel=1e-15)
+        assert ke.folded._sample_cache == {}
+        # sum c_k^2 is twice the folded f's energy, the phased series' to
+        # rounding
+        energy = 2.0 * ke.folded.energy()
+        assert nv.value == math.sqrt(math.pi * energy)
+        assert energy == pytest.approx(kernel_series(ke).energy(), rel=1e-15)
         # worst-case rounding of the degree-term sum, nothing more
         assert nv.error_estimate <= 1e-12 * nv.value
 
@@ -473,9 +477,8 @@ class TestNorms:
         ke = KernelEvaluator.build(psi_half, 40, 0.5)
         for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
             lp_norm(ke, p)
-        # the one grid is the profile's f; the kernel's own is never built
+        # the one grid is the profile's f
         assert len(ke.folded._sample_cache) == 1
-        assert ke.series._sample_cache == {}
 
     def test_float_protocol(self):
         f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
@@ -491,7 +494,7 @@ class TestNorms:
         # at beta = 0 the series' Parseval sum is the profile's, bit for
         # bit; the kernel's record adds the certified tail to its estimate
         ke = KernelEvaluator.build(psi_half, 16, 0.0)
-        plain = lp_norm(ke.series, 2.0)
+        plain = lp_norm(kernel_series(ke), 2.0)
         kn = kernel_norm(psi_half, 0.0, 16, 2.0, evaluator=ke)
         assert kn.value == plain.value
         assert kn.error_estimate == with_tail(ke, 2.0, plain.error_estimate)
@@ -545,7 +548,7 @@ class TestNormRecord:
     def test_equal_series_give_equal_records(self, deep_profile, beta):
         # a kernel's series is its coefficients: its norms are those of an
         # equal copy, bit for bit, whatever grid its evaluator's norms read
-        series = deep_profile.evaluator(beta).series
+        series = kernel_series(deep_profile.evaluator(beta))
         copy = FourierSeries(0.0, series.a.copy(), series.b.copy())
         for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
             assert lp_norm(series, p) == lp_norm(copy, p), p
@@ -654,7 +657,7 @@ class TestBlockedPasses:
     def test_orders_in_one_pass_match_single_orders(self, deep_kernel):
         one_block = zero_mean_series(np.random.default_rng(7), 300)
         orders = (1.0, 4.0 / 3.0, 4.0, math.inf)
-        for g in (deep_kernel.series, one_block):
+        for g in (kernel_series(deep_kernel), one_block):
             together = approx_ops._norms(g, orders)
             assert together == {p: lp_norm(g, p) for p in orders}
             assert together[math.inf] == sup_norm(g)
@@ -802,13 +805,13 @@ class TestSupRefinement:
     def test_sweep_step_does_no_kernel_long_work(self, psi_slow, deep_profile,
                                                  monkeypatch):
         # one deep sweep step, criterion 5's modes at beta 0 and 1: no
-        # K-long cos or sin table, no K-term sum and no kernel series,
-        # which the evaluators build only on first use
+        # K-long cos or sin table and no K-term sum, which only point
+        # values take
         made, calls = [], []
         evaluator = kernels.KernelProfile.evaluator
         monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
             made.append(evaluator(*a)) or made[-1]))
-        for name in ("eval", "__call__"):
+        for name in ("eval", "__call__", "_row_sums"):
             monkeypatch.setattr(FourierSeries, name, lambda *a, name=name, fn=(
                 getattr(FourierSeries, name)): calls.append(name) or fn(*a))
         seen = self.tables(monkeypatch, deep_profile.truncation_index)
@@ -819,7 +822,6 @@ class TestSupRefinement:
         assert [ke.truncation_index for ke in made] == [
             deep_profile.truncation_index] * 2
         assert not seen and not calls
-        assert not any("series" in vars(ke) for ke in made)
 
     @pytest.mark.parametrize("alpha, r, n", [
         (2.0, 0.3, 226), (0.5, 0.5, 200), (1.0, 0.5, 40)])
@@ -835,8 +837,9 @@ class TestSupRefinement:
         G = approx_ops._grid_size(ke.truncation_index)
         bound = approx_ops._local(grid_source(ke), G, t)[3] * ke.moments[0]
         assert bound <= nv.error_estimate <= 1.001 * bound
-        for ref in (abs(long_double_sums(ke.series, t)[0]),
-                    long_double_peak(ke.series, t)):
+        own = kernel_series(ke)
+        for ref in (abs(long_double_sums(own, t)[0]),
+                    long_double_peak(own, t)):
             assert abs(nv.value - ref) <= nv.error_estimate
 
     @pytest.mark.parametrize("alpha, r", [
@@ -851,8 +854,9 @@ class TestSupRefinement:
         for n in range(exp_power_thresholds(alpha, r)[2], 257, 8):
             ke = kernels.kernel_profile(psi, n).evaluator(1.0)
             nv, t = self.refined(ke, monkeypatch)
-            for ref in (abs(long_double_sums(ke.series, t)[0]),
-                        long_double_peak(ke.series, t)):
+            own = kernel_series(ke)
+            for ref in (abs(long_double_sums(own, t)[0]),
+                        long_double_peak(own, t)):
                 assert abs(nv.value - ref) <= nv.error_estimate, n
 
     @pytest.mark.parametrize("beta", [1.25, 1.7])
@@ -872,8 +876,9 @@ class TestSupRefinement:
         assert s == pytest.approx(TWO_PI - t, abs=1e-12)
         assert nv.error_estimate == pytest.approx(mirrored.error_estimate,
                                                   rel=1e-6)
-        for ref in (abs(long_double_sums(ke.series, t)[0]),
-                    long_double_peak(ke.series, t)):
+        own = kernel_series(ke)
+        for ref in (abs(long_double_sums(own, t)[0]),
+                    long_double_peak(own, t)):
             assert abs(nv.value - ref) <= nv.error_estimate
 
     @pytest.mark.parametrize("alpha, r", [
@@ -918,7 +923,7 @@ class TestSupRefinement:
         assert kp.folded._phases(G).shape[0] == (
             8 if request.param == "split rows" else 1)
         ke = kp.evaluator(0.5)
-        return ke.series, grid_source(ke), G
+        return kernel_series(ke), grid_source(ke), G
 
     def test_local_interpolant_matches_the_sums(self, layout):
         series, source, G = layout
@@ -948,16 +953,46 @@ class TestSupRefinement:
               derandomize=True)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 400),
            st.integers(-60, 60))
+    @example(0, 40, 600)
+    @example(0, 40, -600)
+    @example(7, 400, 600)
+    @example(7, 400, -600)
     def test_power_of_two_scaling_is_exact(self, seed, degree, e):
         # nothing in the norms, the interpolant or the estimates depends
-        # on g's scale: 2^e g has 2^e times every value and estimate
+        # on g's scale: 2^e g has 2^e times every value and estimate, also
+        # at 2^+-600, whose records are taken in units of 2^e', and at
+        # p = 4/3 when e is a multiple of 3 (cbrt then scales exactly)
         g = zero_mean_series(np.random.default_rng(seed), degree)
         scaled = FourierSeries(a0=0.0, a=np.ldexp(g.a, e), b=np.ldexp(g.b, e))
-        orders = (1.0, 2.0, math.inf)
+        orders = (1.0, 2.0, math.inf) + ((4.0 / 3.0,) if e % 3 == 0 else ())
         assert approx_ops._norms(scaled, orders) == {
             p: approx_ops.NormValue(math.ldexp(nv.value, e),
                                     math.ldexp(nv.error_estimate, e))
             for p, nv in approx_ops._norms(g, orders).items()}
+
+    @pytest.mark.parametrize("alpha, r, n", [
+        (2.0, 0.7, 880), (2.0, 0.7, 2369), (1.0, 0.7, 2369), (1.0, 0.7, 6377)])
+    def test_far_scale_kernels_keep_their_unit_records(self, alpha, r, n):
+        # psi(n) ~ 1e-100 and 1e-200 for two pairs: every order's record,
+        # value and estimate less the tail, is 2^e times that of the kernel
+        # with coefficients |c_k| 2^-e, which lies at unit scale
+        kp = kernels.kernel_profile(PsiFunction.exp_power(alpha, r), n)
+        e = 3 * round(math.log2(kp.moments[0]) / 3)
+        assert e < -300
+        half = np.ldexp(kp.folded.a, -e)
+        unit = dataclasses.replace(
+            kp, coeffs=np.ldexp(kp.coeffs, -e), tail_eps=0.0,
+            folded=FourierSeries(0.0, half, half),
+            moments=tuple(math.ldexp(m, -e) for m in kp.moments))
+        orders = (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
+        for beta in (0.0, 1.0, 0.5):
+            far = dataclasses.replace(kp, tail_eps=0.0).evaluator(beta)
+            got = approx_ops._norms(far, orders)
+            assert got == {p: approx_ops.NormValue(
+                math.ldexp(nv.value, e), math.ldexp(nv.error_estimate, e))
+                for p, nv in approx_ops._norms(unit.evaluator(beta),
+                                               orders).items()}
+            assert all(nv.value > 0.0 for nv in got.values())
 
 
 class TestHalfWalk:
@@ -1007,7 +1042,7 @@ class TestHalfWalk:
     @pytest.mark.parametrize("beta", [0, 1, 2, 3])
     def test_half_walk_matches_whole_arrays(self, profile, beta):
         ke = profile.evaluator(beta)
-        self.check_half_walk(ke.series, grid_source(ke))
+        self.check_half_walk(kernel_series(ke), grid_source(ke))
         G = approx_ops._grid_size(ke.truncation_index)
         g = mirrored_grid(grid_source(ke), G)
         whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
@@ -1080,7 +1115,8 @@ class TestDuality:
         # where S > 0 and one where S < 0; with them the grid's S gives
         # the attainment
         G, h = ex.grid_size, TWO_PI / ex.grid_size
-        S = ke.series.uniform_samples(G)[(round(ex.x0 / h) - np.arange(G)) % G]
+        S = kernel_series(ke).uniform_samples(G)[
+            (round(ex.x0 / h) - np.arange(G)) % G]
         j = np.arange(0, G, G // 256)
         vals = np.asarray(ex(h * j), dtype=float)
         up, down = vals[S[j] > 0.0], vals[S[j] < 0.0]
@@ -1096,7 +1132,8 @@ class TestDuality:
         # is h sum S^2 / (pi ||S||_2): the callable on 256 of its nodes is
         # S times the scale the attainment gives
         G, h = ex.grid_size, TWO_PI / ex.grid_size
-        S = ke.series.uniform_samples(G)[(round(ex.x0 / h) - np.arange(G)) % G]
+        S = kernel_series(ke).uniform_samples(G)[
+            (round(ex.x0 / h) - np.arange(G)) % G]
         j = np.arange(0, G, G // 256)
         vals = np.asarray(ex(h * j), dtype=float)
         scale = math.pi * ex.attainment / (h * float(np.sum(S * S)))
@@ -1107,15 +1144,14 @@ class TestDuality:
     def test_reads_the_norm_grid(self, deep_profile, beta):
         # K ~ 51k: the working grid is the 2^20-point norm grid, which
         # the norm pass sampled; the extremal reads those cached samples
-        # under the kernel's mirror, makes no FFT and no kernel series,
-        # and its S is the pass's grid at nodes i0 - j, bit for bit
+        # under the kernel's mirror, makes no FFT, and its S is the
+        # pass's grid at nodes i0 - j, bit for bit
         ke = deep_profile.evaluator(beta)
         lp_norm(ke, 1.0)
         cached = list(ke.folded._sample_cache)
         ex = duality_extremal_phi(ke.psi, beta, ke.n, 2.0, x0=1.0,
                                   evaluator=ke)
         assert list(ke.folded._sample_cache) == cached
-        assert "series" not in vars(ke)
         G, h = ex.grid_size, TWO_PI / ex.grid_size
         assert [G] == cached
         g = approx_ops._mirror_block(ke.folded._phases(G), *ke.mirror, 0,

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from psiapprox import (DomainError, PsiFunction, approx_ops, asymp_scan,
-                       bounds, characteristics, conjugate_exponent, const_Ca,
-                       const_Cab, const_Cab_p, const_Cab_star,
-                       exp_power_characteristics, exp_power_thresholds,
-                       verify_sweep, verify_theorem1,
+from psiapprox import (DomainError, KernelEvaluator, PsiFunction,
+                       approx_ops, asymp_scan, bounds, characteristics,
+                       conjugate_exponent, const_Ca, const_Cab, const_Cab_p,
+                       const_Cab_star, exp_power_characteristics,
+                       exp_power_thresholds, verify_sweep, verify_theorem1,
                        verify_theorem2)
 from psiapprox.series import FFT_BLOCK
 
@@ -157,13 +157,23 @@ class TestVerify:
         assert r2.X == pytest.approx(w * prof.eta_gap ** 0.75, rel=1e-9)
 
     def test_zero_proxy_fails_the_lower_bracket(self):
-        # ||K*||_4 underflows to 0 at (2.0, 0.7), n = 1000, where C_a < 1e-6:
-        # the tolerance is the error estimate alone, so 0 cannot pass
-        rep = verify_theorem2(PsiFunction.exp_power(2.0, 0.7), 0.0, 4.0, 1000)
-        assert rep.status == "ok" and rep.proxy == 0.0
+        # at (2.0, 0.7), n = 1000, psi(n) ~ 1e-109 and C_a < 1e-6: ||K*||_4,
+        # taken in units of 2^e, no longer underflows to 0 and the proxy
+        # sits in its bracket, near the sharp constant L_4 ~ 0.49 times X
+        psi = PsiFunction.exp_power(2.0, 0.7)
+        rep = verify_theorem2(psi, 0.0, 4.0, 1000)
+        assert rep.status == "ok" and rep.ok
+        assert 0.45 <= rep.proxy / rep.X <= 1.45
         assert 0.0 < rep.lower < 1e-6 * rep.X
-        assert rep.tol < rep.lower
-        assert not rep.pass_lower and rep.pass_upper and not rep.ok
+        # a zero record keeps its error estimate as the tolerance alone,
+        # so a zero proxy cannot pass the lower bracket
+        prof = characteristics(psi, 1000.0)
+        ke = KernelEvaluator.build(psi, 1000, 0.0)
+        ke._norm_cache[4.0] = approx_ops.NormValue(0.0, math.pi * rep.tol)
+        zero = bounds._verify(psi, 0.0, "theorem2", 4.0, 1000, rep.a, rep.b,
+                              prof, ke)
+        assert zero.proxy == 0.0 and zero.tol == rep.tol < zero.lower
+        assert not zero.pass_lower and zero.pass_upper and not zero.ok
 
     def test_non_finite_beta_refused(self, psi_half):
         # n = 3 is below the preconditions, so no evaluator checks beta

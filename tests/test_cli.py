@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psiapprox import exp_power_thresholds
+from psiapprox import cli, exp_power_thresholds
 from psiapprox.cli import main
 
 HALF = ["--alpha", "1", "--r", "0.5"]
@@ -163,12 +163,17 @@ class TestVerifyCommand:
         assert json.loads(out)["reports"][0]["mode"] == "theorem2"
 
     def test_zero_proxy_exits_one(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "theorem2", "--alpha", "2",
-                               "--r", "0.7", "--n", "1000", "--s", "4")
-        assert code == 1
-        report = json.loads(out)["reports"][0]
-        assert report["proxy"] == 0.0
-        assert (report["pass_lower"], report["pass_upper"]) == (False, True)
+        # psi(n) ~ 1e-109 to 1e-193: the norms, taken in units of 2^e, no
+        # longer underflow to a zero proxy that fails the lower bracket
+        for argv in (("theorem2", "--alpha", "2", "--n", "1000", "--s", "4"),
+                     ("theorem2", "--alpha", "0.5", "--n", "8000", "--s", "4"),
+                     ("theorem1", "--alpha", "0.5", "--n", "16384", "--p",
+                      "2")):
+            code, out, _ = run_cli(capsys, "verify", *argv, "--r", "0.7")
+            assert code == 0, argv
+            report = json.loads(out)["reports"][0]
+            assert 0.45 <= report["proxy"] / report["X"] <= 1.45, argv
+            assert report["pass_lower"] and report["pass_upper"], argv
 
     def test_below_threshold_exits_config(self, capsys):
         code, _, err = run_cli(capsys, "verify", "theorem1", *HALF,
@@ -201,6 +206,16 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["worst"] <= 1e-12
+
+    def test_lemma1_trials_ceiling(self, capsys, monkeypatch):
+        # one past the ceiling is refused before any trial runs
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(cli, "lemma1_check", no_trial)
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--trials",
+                                 str(cli.MAX_TRIALS + 1))
+        assert code == 2 and out == ""
+        assert "--trials" in err and str(cli.MAX_TRIALS) in err
 
     def test_lemma2_threshold_gate(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lemma2", *HALF,

@@ -1,6 +1,6 @@
 """The package's public names all resolve, its code calls no BLAS, its
-generic layers import nothing kernel-specific, and only `kernels` reads a
-kernel's own coefficients."""
+generic layers import nothing kernel-specific, and no module reads a
+`series` attribute: a kernel is its profile's folded f and its mirror."""
 
 import ast
 from pathlib import Path
@@ -56,13 +56,13 @@ def test_generic_layers_import_no_kernel_code():
 
 
 def test_kernel_series_is_read_only_in_kernels():
-    # norms, extremals, residual checks and reports read a kernel's grid
-    # through its profile and mirror; its own coefficients, an
-    # evaluator's `series`, serve point values inside `kernels` alone
-    package = Path(psiapprox.__file__).parent
+    # point values, norms, extremals, residual checks and reports read a
+    # kernel through its profile's folded f and its mirror: no module
+    # reads a `series` attribute, and an evaluator has none
     found = []
-    for name in ("approx_ops.py", "bounds.py", "cli.py"):
-        for node in ast.walk(ast.parse((package / name).read_text(), name)):
+    for path in sorted(Path(psiapprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "series":
-                found.append(f"{name}:{node.lineno}")
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
+    assert not hasattr(psiapprox.KernelEvaluator, "series")

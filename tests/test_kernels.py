@@ -18,6 +18,8 @@ from psiapprox.cli import main
 from psiapprox.psi_core import LN2, _solve_log_decreasing
 from psiapprox.series import FFT_BLOCK
 
+from conftest import kernel_series
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -219,14 +221,13 @@ class TestKernelEvaluator:
         # c_k must equal (1 - lambda(k)) psi(k) below n and psi(k) above;
         # at beta = 0 the cosine coefficient a_k is c_k itself
         n = 16
-        ke = KernelEvaluator.build(psi_half, n, 0.0)
+        a = kernel_series(KernelEvaluator.build(psi_half, n, 0.0)).a
         tc = taper_coefficients(psi_half, n)
         for k in range(1, n):
             want = (1.0 - tc.lam[k]) * float(psi_half(float(k)))
-            assert ke.series.a[k - 1] == pytest.approx(want, abs=1e-18,
-                                                       rel=1e-13)
+            assert a[k - 1] == pytest.approx(want, abs=1e-18, rel=1e-13)
         for k in range(n, n + 40):
-            assert ke.series.a[k - 1] == pytest.approx(
+            assert a[k - 1] == pytest.approx(
                 float(psi_half(float(k))), rel=1e-13)
 
     def test_window_start_and_gap(self, psi_half):
@@ -235,8 +236,9 @@ class TestKernelEvaluator:
         assert ke.eta_floor == 13
         assert ke.eta_floor - ke.n == 4
         assert ke.taper_start == 6
-        assert ke.series.a[5 - 1] == 0.0
-        assert ke.series.a[6 - 1] > 0.0
+        a = kernel_series(ke).a
+        assert a[5 - 1] == 0.0
+        assert a[6 - 1] > 0.0
 
     def test_degenerate_gap_raises(self):
         psi = PsiFunction.exp_power(2.0, 1.0)  # halves every 0.35 steps
@@ -285,7 +287,7 @@ class TestKernelEvaluator:
         for beta, want in zip(betas, mpmath_kernel(kp, t, betas)):
             ke = kp.evaluator(beta)
             got = [ke.eval(t, rep) for rep in ("direct", "x", "for1")]
-            got.append(ke.series.eval(t))
+            got.append(kernel_series(ke).eval(t))
             if t == 1e300:
                 assert main(["kernel-eval", "--alpha", "1", "--r", "0.5",
                              "--n", "9", "--beta", str(beta), "--t",
@@ -298,8 +300,8 @@ class TestKernelEvaluator:
         ke = KernelEvaluator.build(psi_half, 9, 1.0)   # K = 2041
         G = 4096
         grid = TWO_PI * np.arange(G) / G
-        np.testing.assert_allclose(ke.series.uniform_samples(G), ke.eval(grid),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel_series(ke).uniform_samples(G),
+                                   ke.eval(grid), rtol=0, atol=1e-12)
 
     def test_beta_rotation_of_coefficients(self, psi_half):
         # beta = 2 flips the sign of every harmonic: cos(kt - pi) = -cos(kt)
@@ -339,31 +341,35 @@ class TestKernelEvaluator:
             ke = kp.evaluator(beta)
             want = [np.sum(kp.coeffs * np.cos(ks * t - 0.5 * math.pi * beta))
                     for t in ts]
-            np.testing.assert_allclose(ke.series(ts), want, rtol=0,
-                                       atol=1e-14)
-            assert ke.series.degree == kp.truncation_index
-            assert ke.series.a0 == 0.0
-            assert not ke.series.a[:kp.taper_start - 1].any()
-            assert not ke.series.b[:kp.taper_start - 1].any()
+            np.testing.assert_allclose(ke.eval(ts), want, rtol=0, atol=1e-14)
+        f = kp.folded
+        assert f.degree == kp.truncation_index and f.a0 == 0.0
+        assert not f.a[:kp.taper_start - 1].any()
+        assert not f.b[:kp.taper_start - 1].any()
 
     def test_evaluator_quarter_turns_are_exact(self, psi_half):
         # every whole number of quarter turns gives cos, sin in {0, +-1}:
-        # the series is exactly even or odd and the mirror (u, v) exactly
-        # (+-1, +-1); elsewhere cos and sin are math's of beta pi/2
+        # the kernel is exactly even or odd, the mirror (u, v) exactly
+        # (+-1, +-1), and a point value has the bits of the kernel's own
+        # series (u +- v is 0 or +-2, and f's c_k / 2 is exact); elsewhere
+        # cos and sin are math's of beta pi/2, and a point value lies
+        # within eps sum |c_k| of that series
         kp = kernels.kernel_profile(psi_half, 9)
-        c, lo = kp.coeffs, kp.taper_start - 1
+        ts = np.concatenate(([0.5, 1.0, -2.0, 3.1, 1e300],
+                             np.random.default_rng(5).uniform(-9, 9, 30)))
         for beta, cos, sin in ((-1, 0, -1), (0, 1, 0), (1, 0, 1),
                                (2, -1, 0), (3, 0, -1), (5, 0, 1)):
             ke = kp.evaluator(float(beta))
-            assert np.array_equal(ke.series.a[lo:], c * cos)
-            assert np.array_equal(ke.series.b[lo:], c * sin)
-            assert not (ke.series.a if cos == 0 else ke.series.b).any()
+            assert kernels._phase(float(beta)) == (cos, sin)
             assert ke.mirror == (cos + sin, cos - sin)
+            assert np.array_equal(ke.eval(ts), kernel_series(ke).eval(ts))
         ke = kp.evaluator(0.5)
         cos, sin = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
-        assert np.array_equal(ke.series.a[lo:], c * cos)
-        assert np.array_equal(ke.series.b[lo:], c * sin)
+        assert kernels._phase(0.5) == (cos, sin)
         assert ke.mirror == (cos + sin, cos - sin)
+        np.testing.assert_allclose(
+            ke.eval(ts), kernel_series(ke).eval(ts), rtol=0,
+            atol=np.finfo(float).eps * kp.moments[0])
         for beta in (math.nan, math.inf, 1.5e308):   # the last: th overflows
             with pytest.raises(DomainError):
                 kp.evaluator(beta)
@@ -371,7 +377,7 @@ class TestKernelEvaluator:
 
 def fft_samples(ke, G):
     """ke's samples by an FFT of its own coefficients, not its profile's."""
-    return FourierSeries(0.0, ke.series.a, ke.series.b).uniform_samples(G)
+    return kernel_series(ke).uniform_samples(G)
 
 
 def pass_grid(ke, G):
@@ -410,25 +416,26 @@ class TestMirroredSamples:
         # equal a one-shot irfft of the kernel's own coefficients
         for n in range(160, 257):
             ke = kernels.kernel_profile(psi_slow, n).evaluator(0.0)
-            G = approx_ops._grid_size(ke.series.degree)
+            G = approx_ops._grid_size(ke.truncation_index)
             assert G > FFT_BLOCK   # the split route
             f, u, v = ke.folded, *ke.mirror
             node0 = approx_ops._mirror_block(f._phases(G), u, v, 0,
                                              np.empty(1))[0]
-            spec = np.concatenate(([0.0], ke.series.a - 1j * ke.series.b))
+            own = kernel_series(ke)
+            spec = np.concatenate(([0.0], own.a - 1j * own.b))
             assert node0 == np.fft.irfft(0.5 * spec, G, norm="forward")[0]
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_profile_sums_keep_the_series_bits(self, deep_profile, beta):
         ke = deep_profile.evaluator(beta)
+        own = kernel_series(ke)
         # the second derivative's coefficients, up to sign
-        k = np.arange(1.0, ke.series.degree + 1.0)
-        d2a, d2b = k * (k * ke.series.a), k * (k * ke.series.b)
-        assert ke.energy == ke.series.energy()
+        k = np.arange(1.0, own.degree + 1.0)
+        d2a, d2b = k * (k * own.a), k * (k * own.b)
+        assert 2.0 * ke.folded.energy() == own.energy()
         assert ke.moments[1] == float(np.sum(np.hypot(d2a, d2b)))
         # and a plain series' moments, from its own coefficients
-        assert ke.moments == kernels._moments(np.hypot(ke.series.a,
-                                                       ke.series.b))
+        assert ke.moments == kernels._moments(np.hypot(own.a, own.b))
 
 
 class TestLemma1:
@@ -515,7 +522,7 @@ class TestEnvelopes:
         rounding = 1.0 + (kp.truncation_index + 3) * np.finfo(float).eps
         tail_only = np.arange(1, kp.truncation_index + 1) >= n
         for beta in (0.0, 0.5, 1.0, 1.7):
-            series = kp.evaluator(beta).series
+            series = kernel_series(kp.evaluator(beta))
             mag = np.abs(series.uniform_samples(G))
             assert np.max(t * t * mag) <= point_cert
             assert np.max(mag) <= uni_cert

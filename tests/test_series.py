@@ -11,6 +11,8 @@ from psiapprox import (DomainError, FourierSeries, KernelEvaluator, PsiFunction,
                        kernels)
 from psiapprox.series import FFT_BLOCK
 
+from conftest import kernel_series
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -26,10 +28,10 @@ def test_eval_memory_is_blocked():
     # points x degree matrices would take over 100 MB
     ke = KernelEvaluator.build(PsiFunction.exp_power(1.0, 0.5), 9, 0.0)
     ts = TWO_PI * np.arange(4096) / 4096
-    ref = ke.series.uniform_samples(4096)
+    ref = kernel_series(ke).uniform_samples(4096)
     tracemalloc.start()
     try:
-        vals = ke.series.eval(ts)
+        vals = ke.eval(ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,8 +117,9 @@ def test_sample_cache_is_reused():
 def test_mirror_built_series_leaves_folded_samples_alone(G):
     # odd sizes and sizes past one norm-pass block; 7 points carry a
     # degree-3 series of one harmonic, the others degree 12.  A kernel's
-    # series, the mirror u f(t) + v f(-t) of its profile's `folded` f,
-    # samples from its own coefficients and caches no grid on folded
+    # point values, the mirror u f(t) + v f(-t) of its profile's `folded`
+    # f, are read off f's row sums: no grid is cached on folded and
+    # nothing on the evaluator
     coeffs = np.random.default_rng(G).standard_normal(min(10, (G - 1) // 2 - 2))
     half = np.concatenate((np.zeros(2), 0.5 * coeffs))
     base = kernels.kernel_profile(PsiFunction.exp_power(1.0, 0.5), 3)
@@ -126,8 +129,11 @@ def test_mirror_built_series_leaves_folded_samples_alone(G):
         kp = dataclasses.replace(base, truncation_index=half.size,
                                  taper_start=3, coeffs=coeffs, folded=folded)
         ke = kp.evaluator(beta)
-        got = ke.series.uniform_samples(G)
+        before = dict(vars(ke))
+        got = ke.eval(ts)
         assert folded._sample_cache == {}
+        assert vars(ke).keys() == before.keys()
+        assert ke._norm_cache == {}
         u, v = ke.mirror
         np.testing.assert_allclose(got, u * folded(ts) + v * folded(-ts),
                                    rtol=0, atol=1e-13 * np.sum(np.abs(coeffs)))
