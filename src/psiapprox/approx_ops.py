@@ -15,9 +15,9 @@ profile's folded f, is built block by block, on up to two workers, from
 f's FFT (or a split FFT's rows), walked once for all orders asked
 together, half at integer beta; at beta = 0 and 1 a block is
 f_j +- f_{-j}.  The sup norm's Newton steps and value read a local
-interpolant of that cached grid, and the duality extremals and the
-residual check read the grid whole.  The records of a g far from unit
-scale are taken in units of 2^e.  `conjugate_exponent` maps p to p'.
+interpolant of that cached grid; the duality extremals and the residual
+check take the kernel they check and read its grid whole.  A g far from
+unit scale is read in units of 2^e.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -105,31 +105,28 @@ def synthesize_class_function(psi: PsiFunction, beta: float,
                          b=psi_k * (phi.a * s + phi.b * c))
 
 
-def residual_consistency(psi: PsiFunction, beta: float, n: int,
-                         phi: FourierSeries, x_samples) -> float:
-    """Compare f - V_n(f) computed two ways at the given x points.
+def residual_consistency(ke: KernelEvaluator, phi: FourierSeries,
+                         x_samples) -> float:
+    """Compare f - V_n(f), f of phi in ke's class, two ways at x points.
 
     Route 1 drops/damps Fourier coefficients directly; route 2 convolves
-    phi with the residual kernel, (1/pi) int phi(t) K*(x - t) dt, by exact
-    trapezoid on the norm grid of degree K + deg phi (the integrand is
-    band-limited, so a grid of more than twice the joint bandwidth
-    integrates it exactly), the kernel's samples its profile's, mirrored
-    as the norm pass reads them.  x points are snapped to that grid; both
-    routes use the snapped x, so the returned max-absolute discrepancy is
-    grid-artifact-free.
+    phi with the residual kernel ke, (1/pi) int phi(t) K*(x - t) dt, by
+    exact trapezoid on the norm grid of degree K + deg phi (the integrand
+    is band-limited, so a grid of more than twice the joint bandwidth
+    integrates it exactly), on ke's `_kernel_grid`.  x points are snapped
+    to that grid; both routes use the snapped x, so the returned
+    max-absolute discrepancy is grid-artifact-free.
     """
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
     if not xs.size or not np.all(np.isfinite(xs)):
         raise DomainError(f"x samples must be finite and not empty, got {x_samples}")
-    f = synthesize_class_function(psi, beta, phi, a0=0.0)
-    resid = f - apply_vn(f, taper_coefficients(psi, n))
-    ke = KernelEvaluator.build(psi, n, beta)
+    f = synthesize_class_function(ke.psi, ke.beta, phi, a0=0.0)
+    resid = f - apply_vn(f, taper_coefficients(ke.psi, ke.n))
     grid = _grid_size(ke.truncation_index + phi.degree)
-    phi_s = phi.uniform_samples(grid)
-    ker_s = _mirror_block(ke.folded._phases(grid), *ke.mirror, 0, np.empty(grid))
-    conv = np.fft.irfft(np.fft.rfft(phi_s) * np.fft.rfft(ker_s), grid)
+    ker = np.fft.rfft(_kernel_grid(ke, grid))
+    conv = np.fft.irfft(np.fft.rfft(phi.uniform_samples(grid)) * ker, grid)
     idx = np.round(xs * grid / TWO_PI).astype(int) % grid
     route1 = resid.eval(TWO_PI * idx / grid)   # at the snapped x
     return float(np.max(np.abs(route1 - (2.0 / grid) * conv[idx])))
@@ -245,6 +242,21 @@ def _node(rows: np.ndarray, u: float, v: float, j):
     L, M = rows.shape
     return (u * rows[j % L, j % (L * M) // L]
             + v * rows[-j % L, -j % (L * M) // L])
+
+
+def _kernel_grid(ke: KernelEvaluator, G: int, e: int = 0) -> np.ndarray:
+    """ke's whole G-point grid in units of 2^e, mirrored from its profile's
+    folded f as the norm pass builds its blocks: one FFT of f per G."""
+    u, v = ke.mirror
+    return _mirror_block(ke.folded._phases(G), math.ldexp(u, -e),
+                         math.ldexp(v, -e), 0, np.empty(G))
+
+
+def _unit_exponent(S: float) -> int:
+    """e to read a g with S = sum |c_k| in units of 2^e: 0 in [2^-200, 2^200],
+    else the multiple of 3 nearest log2 S, so |g|^{4/3} scales exactly."""
+    return (3 * round(math.log2(S) / 3) if 0.0 < S < math.inf
+            and not 2.0 ** -200 <= S <= 2.0 ** 200 else 0)
 
 
 def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
@@ -376,10 +388,10 @@ def _norms(g, orders) -> dict:
     twice f's energy, each order's estimate adds the certified tail,
     tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so an
     order is computed once however it is asked for.  A series' grid is
-    its own.  Where S = sum |c_k| lies outside [2^-200, 2^200], g is
-    walked, and its energy summed, in units of 2^e, e the multiple of 3
-    nearest log2 S (so |g|^{4/3} scales exactly too), and each record is
-    scaled back: no product or power under- or overflows.  Inside, e = 0."""
+    its own.  g is walked, and its energy summed, in units of 2^e, e =
+    `_unit_exponent(S)`, S = sum |c_k|, and each record is scaled back:
+    no product or power under- or overflows.  Inside [2^-200, 2^200],
+    e = 0."""
     if isinstance(g, KernelEvaluator):
         (f, u, v), record = (g.folded, *g.mirror), g._norm_cache
         degree, even = g.truncation_index, u == v
@@ -391,9 +403,7 @@ def _norms(g, orders) -> dict:
         tail, twice = 0.0, 1.0
     else:
         raise DomainError(f"cannot take norms of {type(g).__name__}")
-    S = moments[0]
-    e = (3 * round(math.log2(S) / 3) if 0.0 < S < math.inf
-         and not 2.0 ** -200 <= S <= 2.0 ** 200 else 0)
+    e = _unit_exponent(moments[0])
     source = (f, math.ldexp(u, -e), math.ldexp(v, -e))   # g / 2^e
     moments = tuple(math.ldexp(m, -e) for m in moments)
     new, grid = {}, []
@@ -442,24 +452,17 @@ def sup_norm(g) -> NormValue:
     return _norms(g, (math.inf,))[math.inf]
 
 
-def _kernel(psi: PsiFunction, n: int, beta: float,
-            evaluator: Optional[KernelEvaluator]) -> KernelEvaluator:
-    """The (psi, n, beta) kernel: evaluator, refused with DomainError when
-    it is another kernel's, or else one built for the call."""
-    if evaluator is None:
-        return KernelEvaluator.build(psi, n, beta)
-    if (evaluator.psi, evaluator.n, evaluator.beta) != (psi, n, beta):
-        raise DomainError(
-            f"the kernel of n = {n}, beta = {beta} was given the evaluator "
-            f"of n = {evaluator.n}, beta = {evaluator.beta} or of another psi")
-    return evaluator
-
-
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
                 evaluator: Optional[KernelEvaluator] = None) -> NormValue:
     """||K*||_{p'} for the (psi, n, beta) residual kernel: the record
-    `_norms` keeps on its evaluator, certified tail included."""
-    return _norms(_kernel(psi, n, beta, evaluator), (p_prime,))[p_prime]
+    `_norms` keeps on its evaluator (one built for the call if None,
+    refused if another kernel's), certified tail included."""
+    ke = evaluator or KernelEvaluator.build(psi, n, beta)
+    if (ke.psi, ke.n, ke.beta) != (psi, n, beta):
+        raise DomainError(
+            f"the kernel of n = {n}, beta = {beta} was given the evaluator "
+            f"of n = {ke.n}, beta = {ke.beta} or of another psi")
+    return _norms(ke, (p_prime,))[p_prime]
 
 
 # -- duality -----------------------------------------------------------------
@@ -497,32 +500,30 @@ class ExtremalFunction:
         return self._fn(t)
 
 
-def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
-                         x0: float, evaluator: Optional[KernelEvaluator] = None
-                         ) -> ExtremalFunction:
-    """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0.
+def duality_extremal_phi(ke: KernelEvaluator, p: float,
+                         x0: float) -> ExtremalFunction:
+    """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0, K* = ke.
 
     p in (1, inf): phi = sign(S)|S|^{p'-1} / ||S||_{p'}^{p'/p} with
     S(t) = K*(x0 - t); equality is exact up to quadrature.  p = inf: the
     sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid, the norm grid of at least 2^17
-    points, so S is an exact index reversal of the kernel's mirrored grid,
-    on the norm grid the very grid the norm pass walks.
+    points, so S is an exact index reversal of ke's `_kernel_grid`, on the
+    norm grid the very grid the norm pass walks.  S (the callable's too) is
+    in the records' units 2^e; phi, of degree 0 in S, needs no scaling back.
     """
     p_prime = conjugate_exponent(p)
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
-    ke = _kernel(psi, n, beta, evaluator)
     G = max(1 << 17, _grid_size(ke.truncation_index))
-    h = TWO_PI / G
+    h, e = TWO_PI / G, _unit_exponent(ke.moments[0])
     i0 = int(round(x0 / h)) % G
     x0s = h * i0
-    S = _mirror_block(ke.folded._phases(G), *ke.mirror, 0, np.empty(G))[
-        (i0 - np.arange(G)) % G]
+    S = _kernel_grid(ke, G, e)[(i0 - np.arange(G)) % G]
 
     def S_of(t):
-        return ke.eval(x0s - np.asarray(t, dtype=float))
+        return np.ldexp(ke.eval(x0s - np.asarray(t, dtype=float)), -e)
 
     mean_corrected, width = False, None
     if math.isinf(p):
@@ -536,9 +537,8 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         mean, norm_p = float(np.mean(phi_s)), float(np.max(np.abs(phi_s)))
     elif p == 1.0:
         i_star = int(np.argmax(np.abs(S)))
-        t_star = h * i_star
+        t_star, width = h * i_star, 16.0 * h
         s_star = float(np.sign(S[i_star]))
-        width = 16.0 * h
 
         def fn(t):
             u = _wrap(np.subtract(t, t_star))
@@ -549,8 +549,7 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         norm_p = 1.0  # analytic: the bump integrates to exactly its width
         mean = s_star / TWO_PI
     else:
-        s_norm_pp = h * float(np.sum(np.abs(S) ** p_prime))
-        denom = s_norm_pp ** (1.0 / p)
+        denom = (h * float(np.sum(np.abs(S) ** p_prime))) ** (1.0 / p)
         phi_s = np.sign(S) * np.abs(S) ** (p_prime - 1.0) / denom
         norm_p = (h * float(np.sum(np.abs(phi_s) ** p))) ** (1.0 / p)
         mean = h * float(np.sum(phi_s)) / TWO_PI
@@ -558,11 +557,10 @@ def duality_extremal_phi(psi: PsiFunction, beta: float, n: int, p: float,
         def fn(t):
             sv = np.asarray(S_of(t), dtype=float)
             return np.sign(sv) * np.abs(sv) ** (p_prime - 1.0) / denom
-    attainment = h * float(np.sum(phi_s * S)) / math.pi
+    attainment = math.ldexp(h * float(np.sum(phi_s * S)) / math.pi, e)
     target = lp_norm(ke, p_prime).value / math.pi
     return ExtremalFunction(p=p, p_prime=p_prime, x0=x0s, grid_size=G,
-                            norm_p=float(norm_p), attainment=float(attainment),
-                            target=target,
+                            norm_p=float(norm_p), attainment=attainment, target=target,
                             ratio=float(attainment / target) if target else math.nan,
                             mean_offset=float(mean), mean_corrected=mean_corrected,
                             mollify_width=width, _fn=fn)

@@ -180,12 +180,14 @@ def _tail_budget(psi: PsiFunction, n: int,
                  eta_gap: float) -> tuple[float, int, float]:
     """(tail_eps, K, bound): the budget TAIL_EPS_SCALE psi(n) (eta(n) - n),
     the index K that meets it and K's certified bound on sum_{k>K} psi(k).
-
+    A budget that is 0 in float64 is refused with NumericError naming n.
     K starts at the probe index and grows by 1.25x until the certified tail
     bound fits; a K above MAX_GRID is refused before anything K-sized is
     allocated.
     """
     tail_eps = TAIL_EPS_SCALE * float(psi(float(n))) * eta_gap
+    if tail_eps == 0.0:
+        raise NumericError(f"the tail budget is 0 in float64 at n = {n}: use a smaller n")
     K = truncation_index(psi, n, tail_eps)
     while K <= MAX_GRID:
         bound = certified_tail_sum(psi, K)

@@ -236,8 +236,7 @@ def test_criterion_6_duality_attainment(verdict):
         for beta in (0.0, 1.0):
             ke = KernelEvaluator.build(psi, n, beta)
             for p, need in ((2.0, 0.999), (math.inf, 0.999), (1.0, 0.98)):
-                ex = duality_extremal_phi(psi, beta, n, p, x0=0.0,
-                                          evaluator=ke)
+                ex = duality_extremal_phi(ke, p, x0=0.0)
                 if ex.ratio < need:
                     bad.append((alpha, r, beta, p, round(ex.ratio, 5)))
     verdict(6, "duality attainment", not bad,
@@ -249,7 +248,7 @@ def test_criterion_7_residual_consistency(verdict):
     worst = 0.0
     configs = ((1.0, 0.5, 16, 0.0), (1.0, 0.5, 9, 1.0), (0.5, 0.7, 12, 0.5))
     for alpha, r, n, beta in configs:
-        psi = PsiFunction.exp_power(alpha, r)
+        ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, beta)
         for _ in range(20):
             deg = int(rng.integers(5, 60))
             k = np.arange(1, deg + 1, dtype=float)
@@ -257,7 +256,7 @@ def test_criterion_7_residual_consistency(verdict):
                                 a=rng.standard_normal(deg) / k,
                                 b=rng.standard_normal(deg) / k)
             xs = rng.uniform(0.0, TWO_PI, 7)
-            worst = max(worst, residual_consistency(psi, beta, n, phi, xs))
+            worst = max(worst, residual_consistency(ke, phi, xs))
     ok = worst <= 1e-8
     verdict(7, "residual consistency", ok, f"worst {worst:.1e}")
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -323,41 +324,41 @@ class TestSynthesis:
 class TestResidualConsistency:
     def test_routes_agree(self, psi_half):
         rng = np.random.default_rng(12)
+        ke = KernelEvaluator.build(psi_half, 16, 0.0)
         for _ in range(3):
             phi = zero_mean_series(rng, 40)
             xs = rng.uniform(0.0, TWO_PI, 9)
-            assert residual_consistency(psi_half, 0.0, 16, phi, xs) <= 1e-8
+            assert residual_consistency(ke, phi, xs) <= 1e-8
 
     def test_rotated_class(self, psi_half):
         rng = np.random.default_rng(13)
         phi = zero_mean_series(rng, 25)
         xs = rng.uniform(0.0, TWO_PI, 5)
-        assert residual_consistency(psi_half, 1.0, 9, phi, xs) <= 1e-8
+        ke = KernelEvaluator.build(psi_half, 9, 1.0)
+        assert residual_consistency(ke, phi, xs) <= 1e-8
 
     def test_convolution_takes_the_norm_grid(self, psi_half, monkeypatch):
         # the grid of degree K + deg phi: exact, since G >= 16 x that band,
         # and refused, as every grid is, once it would pass MAX_GRID
-        K = KernelEvaluator.build(psi_half, 9, 0.0).truncation_index
+        ke = KernelEvaluator.build(psi_half, 9, 0.0)
+        K = ke.truncation_index
         degrees, grid_size = [], approx_ops._grid_size
         monkeypatch.setattr(approx_ops, "_grid_size", lambda degree: (
             degrees.append(degree) or grid_size(degree)))
         rng = np.random.default_rng(14)
         phi = zero_mean_series(rng, 25)
-        assert residual_consistency(psi_half, 0.0, 9, phi, [0.3]) <= 1e-8
+        assert residual_consistency(ke, phi, [0.3]) <= 1e-8
         assert degrees == [K + 25]
         wide = zero_mean_series(rng, approx_ops.MAX_GRID // 16 - K + 1)
         with pytest.raises(NumericError, match="MAX_GRID"):
-            residual_consistency(psi_half, 0.0, 9, wide, [0.3])
+            residual_consistency(ke, wide, [0.3])
 
-    def test_convolves_the_profile_grid(self, psi_half, monkeypatch):
+    def test_convolves_the_profile_grid(self, psi_half):
         # the kernel's samples are its profile's folded f, mirrored: one
         # FFT of f at the convolution grid
-        made, evaluator = [], kernels.KernelProfile.evaluator
-        monkeypatch.setattr(kernels.KernelProfile, "evaluator", lambda *a: (
-            made.append(evaluator(*a)) or made[-1]))
+        ke = KernelEvaluator.build(psi_half, 9, 0.5)
         phi = zero_mean_series(np.random.default_rng(16), 25)
-        assert residual_consistency(psi_half, 0.5, 9, phi, [0.3, 4.0]) <= 1e-8
-        (ke,) = made
+        assert residual_consistency(ke, phi, [0.3, 4.0]) <= 1e-8
         G = approx_ops._grid_size(ke.truncation_index + phi.degree)
         assert list(ke.folded._sample_cache) == [G]
 
@@ -367,8 +368,9 @@ class TestResidualConsistency:
         # a NaN point used to be cast to a grid index and compared there;
         # no point at all left numpy's max a zero-size array
         phi = zero_mean_series(np.random.default_rng(15), 10)
+        ke = KernelEvaluator.build(psi_half, 9, 0.0)
         with pytest.raises(DomainError, match="finite"):
-            residual_consistency(psi_half, 0.0, 9, phi, xs)
+            residual_consistency(ke, phi, xs)
 
 
 class TestNorms:
@@ -540,8 +542,6 @@ class TestNormRecord:
         call = {**dict(psi=psi_half, beta=0.0, n=16), **other}
         with pytest.raises(DomainError, match="evaluator"):
             kernel_norm(p_prime=2.0, evaluator=ke, **call)
-        with pytest.raises(DomainError, match="evaluator"):
-            duality_extremal_phi(p=2.0, x0=0.0, evaluator=ke, **call)
         assert ke._norm_cache == {}
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -1081,20 +1081,28 @@ class TestHalfWalk:
 
 
 class TestDuality:
-    def test_conjugate_pair_attains(self, psi_half):
-        ex = duality_extremal_phi(psi_half, 0.0, 16, 2.0, x0=0.0)
+    @pytest.fixture
+    def ke16(self, psi_half):
+        return KernelEvaluator.build(psi_half, 16, 0.0)
+
+    @pytest.fixture
+    def ke9(self, psi_half):
+        return KernelEvaluator.build(psi_half, 9, 0.0)
+
+    def test_conjugate_pair_attains(self, ke16):
+        ex = duality_extremal_phi(ke16, 2.0, x0=0.0)
         assert ex.ratio >= 0.999
         assert ex.norm_p == pytest.approx(1.0, rel=1e-10)
         assert not ex.mean_corrected
 
-    def test_sign_function_attains(self, psi_half):
-        ex = duality_extremal_phi(psi_half, 0.0, 16, math.inf, x0=1.0)
+    def test_sign_function_attains(self, ke16):
+        ex = duality_extremal_phi(ke16, math.inf, x0=1.0)
         assert ex.ratio >= 0.999
         assert abs(ex.mean_offset) <= 5e-3   # below the correction trigger
         assert ex.p_prime == 1.0
 
-    def test_mollified_bump_attains(self, psi_half):
-        ex = duality_extremal_phi(psi_half, 0.0, 16, 1.0, x0=0.0)
+    def test_mollified_bump_attains(self, ke16):
+        ex = duality_extremal_phi(ke16, 1.0, x0=0.0)
         assert ex.ratio >= 0.98
         assert ex.mollify_width is not None
         # reported mean is the bump's own, deliberately not corrected
@@ -1106,7 +1114,7 @@ class TestDuality:
         # MEAN_TOL, so it is shifted and rescaled to a zero-mean unit phi
         psi = PsiFunction.exp_power(0.5, 0.7)
         ke = KernelEvaluator.build(psi, 12, 0.0)
-        ex = duality_extremal_phi(psi, 0.0, 12, math.inf, x0=0.0, evaluator=ke)
+        ex = duality_extremal_phi(ke, math.inf, x0=0.0)
         assert ex.mean_corrected
         assert ex.norm_p == 1.0
         assert abs(ex.mean_offset) <= 1e-15
@@ -1125,14 +1133,13 @@ class TestDuality:
                         + down[0] * np.sum(S[S < 0.0])) / math.pi
         assert attained == pytest.approx(ex.attainment, rel=1e-9)
 
-    def test_callable_reproduces_attainment(self, psi_half):
-        ke = KernelEvaluator.build(psi_half, 9, 0.0)
-        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.7, evaluator=ke)
+    def test_callable_reproduces_attainment(self, ke9):
+        ex = duality_extremal_phi(ke9, 2.0, x0=0.7)
         # at p = 2 phi = S / ||S||_2 on the working grid, so the attainment
         # is h sum S^2 / (pi ||S||_2): the callable on 256 of its nodes is
         # S times the scale the attainment gives
         G, h = ex.grid_size, TWO_PI / ex.grid_size
-        S = kernel_series(ke).uniform_samples(G)[
+        S = kernel_series(ke9).uniform_samples(G)[
             (round(ex.x0 / h) - np.arange(G)) % G]
         j = np.arange(0, G, G // 256)
         vals = np.asarray(ex(h * j), dtype=float)
@@ -1149,8 +1156,7 @@ class TestDuality:
         ke = deep_profile.evaluator(beta)
         lp_norm(ke, 1.0)
         cached = list(ke.folded._sample_cache)
-        ex = duality_extremal_phi(ke.psi, beta, ke.n, 2.0, x0=1.0,
-                                  evaluator=ke)
+        ex = duality_extremal_phi(ke, 2.0, x0=1.0)
         assert list(ke.folded._sample_cache) == cached
         G, h = ex.grid_size, TWO_PI / ex.grid_size
         assert [G] == cached
@@ -1163,34 +1169,33 @@ class TestDuality:
         assert ex.attainment == h * float(np.sum(phi * S)) / math.pi
         assert ex.mean_offset == h * float(np.sum(phi)) / TWO_PI
 
-    def test_x0_snapped_to_grid(self, psi_half):
+    def test_x0_snapped_to_grid(self, ke9):
         # the working grid is the norm grid, at least 2^17 points
-        ex = duality_extremal_phi(psi_half, 0.0, 9, 2.0, x0=0.1234)
+        ex = duality_extremal_phi(ke9, 2.0, x0=0.1234)
         assert ex.grid_size == 1 << 17
         h = TWO_PI / ex.grid_size
         assert ex.x0 == pytest.approx(round(0.1234 / h) * h, abs=1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
-    def test_p_prime_is_the_conjugate_exponent(self, psi_half, p):
-        ex = duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0)
+    def test_p_prime_is_the_conjugate_exponent(self, ke16, p):
+        ex = duality_extremal_phi(ke16, p, x0=0.0)
         assert ex.p_prime == approx_ops.conjugate_exponent(p)
 
-    def test_invalid_p(self, psi_half):
+    def test_invalid_p(self, ke16):
         for p in (0.7, math.nan, -math.inf):
             with pytest.raises(DomainError):
-                duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0)
+                duality_extremal_phi(ke16, p, x0=0.0)
 
     @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
-    def test_non_finite_x0_refused(self, psi_half, x0):
+    def test_non_finite_x0_refused(self, ke16, x0):
         # NaN used to raise ValueError and inf OverflowError
         with pytest.raises(DomainError, match="finite"):
-            duality_extremal_phi(psi_half, 0.0, 16, 2.0, x0=x0)
+            duality_extremal_phi(ke16, 2.0, x0=x0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-    def test_target_is_the_kernel_norm(self, psi_half, p):
-        ke = KernelEvaluator.build(psi_half, 16, 0.0)
-        ex = duality_extremal_phi(psi_half, 0.0, 16, p, x0=0.0, evaluator=ke)
-        assert ex.target == lp_norm(ke, ex.p_prime).value / math.pi
+    def test_target_is_the_kernel_norm(self, ke16, p):
+        ex = duality_extremal_phi(ke16, p, x0=0.0)
+        assert ex.target == lp_norm(ke16, ex.p_prime).value / math.pi
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -1202,7 +1207,39 @@ class TestDuality:
         # above it, so that order waits on an exact p' = 1 quadrature
         psi = PsiFunction.exp_power(alpha, 0.5)
         ke = KernelEvaluator.build(psi, n, beta)
-        ex = duality_extremal_phi(psi, beta, n, p, x0=0.0, evaluator=ke)
+        ex = duality_extremal_phi(ke, p, x0=0.0)
         nv = lp_norm(ke, ex.p_prime)
         assert ex.attainment <= (ex.norm_p * (nv.value + nv.error_estimate)
                                  / math.pi)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 4.0, math.inf])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1000, 2369])
+    def test_far_scale_kernels_attain(self, n, beta, p):
+        # at (2.0, 0.7) sum |c_k| is 3.2e-109 (n = 1000) and 1.0e-199
+        # (n = 2369): on the unscaled grid sum |S|^{p'} underflows to 0, and
+        # phi is nan at n = 1000, p = 4/3 and inf at n = 2369, p = 2; in
+        # units of 2^e it does not.  The ratio above 1 at p = 4 and inf
+        # is the p' = 4/3 and 1 records' chord kink bias, not the extremal's
+        ke = KernelEvaluator.build(PsiFunction.exp_power(2.0, 0.7), n, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ex = duality_extremal_phi(ke, p, x0=0.0)
+            values = ex(np.linspace(0.0, 6.0, 7))
+        assert 0.999 <= ex.ratio <= 1.01
+        assert ex.norm_p == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+
+    def test_checks_build_no_kernel(self, psi_half, monkeypatch):
+        # the extremal and the residual check read the kernel they are
+        # given: neither builds a profile or an evaluator of its own
+        ke = KernelEvaluator.build(psi_half, 9, 1.0)
+
+        def refuse(*args):
+            raise AssertionError("a kernel was built")
+        monkeypatch.setattr(kernels, "kernel_profile", refuse)
+        monkeypatch.setattr(KernelEvaluator, "build", refuse)
+        for p in (1.0, 2.0, math.inf):
+            assert math.isfinite(duality_extremal_phi(ke, p, x0=0.5).ratio)
+        phi = zero_mean_series(np.random.default_rng(17), 20)
+        assert residual_consistency(ke, phi, [0.3, 4.0]) <= 1e-8

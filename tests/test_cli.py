@@ -131,6 +131,20 @@ class TestLambdaAndKernel:
         assert "n = 100000000" in err
         assert peak < 1 << 20
 
+    def test_zero_tail_budget_is_refused_by_name(self, capsys):
+        # psi(530000) ~ 1e-316 is not 0, but the budget 1e-15 psi(n) (eta(n)
+        # - n) is: refused naming n (exit 3), not as a DomainError on an
+        # internal tail_eps (exit 2); at n = 480000 it is subnormal, not 0
+        code, out, err = run_cli(capsys, "kernel-norm", *HALF, "--n",
+                                 "530000", "--p", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: the tail budget is 0")
+        assert "n = 530000" in err and "tail_eps" not in err
+        code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n",
+                               "480000", "--p", "2")
+        assert code == 0
+        assert 0.0 < json.loads(out)["rows"][0]["norm"] < 1e-290
+
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",
                                "--p", "2", "inf")
