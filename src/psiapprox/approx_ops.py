@@ -11,13 +11,12 @@ sign-change panels of |g|^p).  `_grid_size` sizes every grid here.
 `_norms` reads a kernel's or a series' inputs in one place, makes every
 norm's record, a kernel's with its certified tail, and keeps a kernel's
 on its evaluator.  A kernel's grid, its evaluator's mirror of its
-profile's folded f, is built block by block, on up to two workers, from
-f's FFT (or a split FFT's rows), walked once for all orders asked
-together, half at integer beta; at beta = 0 and 1 a block is
-f_j +- f_{-j}.  The sup norm's Newton steps and value read a local
-interpolant of that cached grid; the duality extremals and the residual
-check take the kernel they check and read its grid whole.  A g far from
-unit scale is read in units of 2^e.  `conjugate_exponent` maps p to p'.
+profile's folded f, is read off f's cached samples by `series`, which
+owns their row layout, block by block on up to two workers, and walked
+once for all orders asked together, half at integer beta.  The sup norm
+reads a local interpolant of that grid; the duality extremals and the
+residual check read it whole.  A g far from unit scale is read in units
+of 2^e.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window
 from .psi_core import PsiFunction, characteristics
-from .series import FourierSeries, _moments, _spread, _wrap
+from .series import (FourierSeries, _mirror_block, _moments, _node, _spread,
+                     _wrap)
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -113,9 +113,9 @@ def residual_consistency(ke: KernelEvaluator, phi: FourierSeries,
     phi with the residual kernel ke, (1/pi) int phi(t) K*(x - t) dt, by
     exact trapezoid on the norm grid of degree K + deg phi (the integrand
     is band-limited, so a grid of more than twice the joint bandwidth
-    integrates it exactly), on ke's `_kernel_grid`.  x points are snapped
-    to that grid; both routes use the snapped x, so the returned
-    max-absolute discrepancy is grid-artifact-free.
+    integrates it exactly), on ke's grid mirrored whole.  x points are
+    snapped to that grid and both routes use the snapped x, so the
+    returned max-absolute discrepancy is grid-artifact-free.
     """
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
@@ -125,7 +125,7 @@ def residual_consistency(ke: KernelEvaluator, phi: FourierSeries,
     f = synthesize_class_function(ke.psi, ke.beta, phi, a0=0.0)
     resid = f - apply_vn(f, taper_coefficients(ke.psi, ke.n))
     grid = _grid_size(ke.truncation_index + phi.degree)
-    ker = np.fft.rfft(_kernel_grid(ke, grid))
+    ker = np.fft.rfft(ke.folded._mirrored(grid, *ke.mirror))
     conv = np.fft.irfft(np.fft.rfft(phi.uniform_samples(grid)) * ker, grid)
     idx = np.round(xs * grid / TWO_PI).astype(int) % grid
     route1 = resid.eval(TWO_PI * idx / grid)   # at the snapped x
@@ -201,55 +201,10 @@ def _kinks(A: list, B: list, orders, h: float) -> dict:
     h) whose endpoint magnitudes are gathered in A and B.  With g linear
     across a panel, int |g|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B))
     against the rule's h (A^p + B^p)/2."""
-    if not orders:
-        return {}
     A, B = np.concatenate(A), np.concatenate(B)
     return {p: float(h * np.sum(
         (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
         - 0.5 * (A ** p + B ** p))) for p in orders}
-
-
-def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
-                  out: np.ndarray) -> np.ndarray:
-    """out[i] = u f_j + v f_{-j}, j = lo + i, for the G samples f: natural
-    order (read as L = 1), or `FourierSeries._phases` rows (L, M) whose row
-    r holds the nodes Lq + r.  lo is a multiple of L, out.size a multiple
-    of L or one more, and lo + out.size <= G."""
-    rows = np.atleast_2d(f)
-    L = rows.shape[0]
-    c, q0 = out.size // L, lo // L   # the block's columns, from q0
-    for r in range(L if c else 0):
-        # f_{-j}, j = Lq + r, is row L - r at column M - 1 - q, and for
-        # r = 0 row 0 at (M - q) mod M; node 0 (f_{-0} is f_0) comes last
-        skip = int(r == 0 and q0 == 0)
-        fwd, dst = rows[r, q0 + skip:q0 + c], out[L * skip + r:L * c:L]
-        back = rows[-r, ::-1][q0 + skip - (r == 0):q0 + c - (r == 0)]
-        if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
-            (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
-        else:
-            np.multiply(fwd, u, out=dst)
-            dst += v * back
-    if lo == 0:
-        out[0] = _node(rows, u, v, 0)
-    if out.size > L * c:   # the next block's first node, or node G/2
-        out[-1] = _node(rows, u, v, lo + L * c)
-    return out
-
-
-def _node(rows: np.ndarray, u: float, v: float, j):
-    """u f_j + v f_{-j} at node index or indices j (mod G) of
-    `_mirror_block`'s rows, by the arithmetic of its vector ops."""
-    L, M = rows.shape
-    return (u * rows[j % L, j % (L * M) // L]
-            + v * rows[-j % L, -j % (L * M) // L])
-
-
-def _kernel_grid(ke: KernelEvaluator, G: int, e: int = 0) -> np.ndarray:
-    """ke's whole G-point grid in units of 2^e, mirrored from its profile's
-    folded f as the norm pass builds its blocks: one FFT of f per G."""
-    u, v = ke.mirror
-    return _mirror_block(ke.folded._phases(G), math.ldexp(u, -e),
-                         math.ldexp(v, -e), 0, np.empty(G))
 
 
 def _unit_exponent(S: float) -> int:
@@ -331,9 +286,9 @@ def _local(source: tuple, G: int, t: float) -> tuple:
     h = 2 pi/G, K = f's degree, at h fl(t/h).  e S, S = sum |c_k| of g,
     bounds its error (README derives it): with a = (pi - Kh)/2 = b m,
     e^{-am} (2/sqrt(pi a m) + 4 e^{-a}/(pi a (m + 1/2))) interpolating,
-    sum |w_j| eps (4 ceil(log2 G) + 7(L - 1) + 3) for the samples' FFT
-    stages, L split rows' twiddles and mirror, and sum |w_j| eps (m/8 + 6)
-    + 5 eps (1 + sqrt(pi/b)) for the sum.  No weight reads g's scale."""
+    sum |w_j| eps f's `_rounding_stages` for the samples, and sum |w_j|
+    eps (m/8 + 6) + 5 eps (1 + sqrt(pi/b)) for the sum.  No weight reads
+    g's scale."""
     f, *uv = source
     h, pi2, m = TWO_PI / G, math.pi ** 2, _LOCAL_M
     j = np.arange(-m, m + 2) + math.floor(t / h)
@@ -346,11 +301,11 @@ def _local(source: tuple, G: int, t: float) -> tuple:
     b = (math.pi - f.degree * h) / (2 * m)
     w = np.exp(-b * y * y) * np.array([   # s0 exp(-b y^2) and its derivatives
         s0, s1 - 2 * b * y * s0, s2 - 4 * b * y * s1 + (4 * b * y * y - 2) * b * s0])
-    rows, a = f._phases(G), b * m
-    g = (w * _node(rows, *uv, j)).sum(axis=1) / h ** np.arange(3)
+    a = b * m
+    g = (w * _node(f._phases(G), *uv, j)).sum(axis=1) / h ** np.arange(3)
     e = math.exp(-a * m) * (2 / math.sqrt(math.pi * a * m) + 4 * math.exp(-a) / (
         math.pi * a * (m + 0.5))) + _EPS * (5 * (1 + math.sqrt(math.pi / b)) + (
-            4 * (G - 1).bit_length() + 7 * len(rows) + m / 8 + 2) * np.abs(w[0]).sum())
+            f._rounding_stages(G) + m / 8 + 6) * np.abs(w[0]).sum())
     return (*map(float, g), float(e))
 
 
@@ -509,7 +464,7 @@ def duality_extremal_phi(ke: KernelEvaluator, p: float,
     sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid, the norm grid of at least 2^17
-    points, so S is an exact index reversal of ke's `_kernel_grid`, on the
+    points, so S is an exact index reversal of ke's mirrored grid, on the
     norm grid the very grid the norm pass walks.  S (the callable's too) is
     in the records' units 2^e; phi, of degree 0 in S, needs no scaling back.
     """
@@ -520,7 +475,7 @@ def duality_extremal_phi(ke: KernelEvaluator, p: float,
     h, e = TWO_PI / G, _unit_exponent(ke.moments[0])
     i0 = int(round(x0 / h)) % G
     x0s = h * i0
-    S = _kernel_grid(ke, G, e)[(i0 - np.arange(G)) % G]
+    S = np.roll(ke.folded._mirrored(G, *np.ldexp(ke.mirror, -e))[::-1], i0 + 1)
 
     def S_of(t):
         return np.ldexp(ke.eval(x0s - np.asarray(t, dtype=float)), -e)

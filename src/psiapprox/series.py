@@ -3,10 +3,11 @@
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series is its coefficients and the grids sampled from them.  A deep grid
 is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
-external or hierarchical memory, 1990) and cached as the rows they write;
-`uniform_samples` reads it in natural order.  `_spread` runs the rows (and
-the norm pass's blocks) on one thread per core, at most two, with bits
-that do not depend on the count.  `_wrap` reduces every point value's t.
+external or hierarchical memory, 1990) and cached as the rows they write,
+read only here: by `uniform_samples` in natural order, and as u f(t) +
+v f(-t) by `_mirror_block`, `_node` and `_mirrored`.  `_spread` runs the
+rows (and the norm pass's blocks) on one thread per core, at most two,
+with bits independent of the count.  `_wrap` reduces every point value's t.
 """
 
 from __future__ import annotations
@@ -175,10 +176,9 @@ class FourierSeries:
             w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
                          np.exp(c * np.arange(256))).ravel()[:spec.size]
             samples = np.empty((L, FFT_BLOCK))
-            copies = [spec.copy() for _ in range(min(_CORES, _MAX_WORKERS, L) - 1)]
 
             def rows(lo, hi):   # spec w^r by the r products of one loop
-                twisted = copies.pop() if lo else spec   # caller's: spec
+                twisted = spec.copy()   # each worker's own: spec stays
                 for _ in range(lo):
                     twisted *= w
                 for row in samples[lo:hi]:
@@ -188,6 +188,15 @@ class FourierSeries:
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
         return np.atleast_2d(samples)
+
+    def _mirrored(self, G: int, u: float, v: float) -> np.ndarray:
+        """u f_j + v f_{-j} at every node of the G-point grid, f = self."""
+        return _mirror_block(self._phases(G), u, v, 0, np.empty(G))
+
+    def _rounding_stages(self, G: int) -> int:
+        """Roundings in a `_node` value of the G-point grid of L rows: 4
+        ceil(log2 G) FFT stages, 7(L - 1) for the twiddles, 3 the mirror."""
+        return 4 * (G - 1).bit_length() + 7 * (len(self._phases(G)) - 1) + 3
 
     def antiderivative(self) -> "FourierSeries":
         """Periodic antiderivative with zero mean; requires a0 == 0."""
@@ -207,3 +216,38 @@ class FourierSeries:
         """Squared L2 norm over the period divided by pi: a0^2/2 + sum(a^2 + b^2)."""
         return 0.5 * self.a0 ** 2 + float(   # numpy sums: no BLAS threads
             np.sum(self.a * self.a) + np.sum(self.b * self.b))
+
+
+def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
+                  out: np.ndarray) -> np.ndarray:
+    """out[i] = u f_j + v f_{-j}, j = lo + i, for the G samples f: natural
+    order (read as L = 1), or `FourierSeries._phases` rows (L, M) whose row
+    r holds the nodes Lq + r.  lo is a multiple of L, out.size a multiple
+    of L or one more, and lo + out.size <= G."""
+    rows = np.atleast_2d(f)
+    L = rows.shape[0]
+    c, q0 = out.size // L, lo // L   # the block's columns, from q0
+    for r in range(L if c else 0):
+        # f_{-j}, j = Lq + r, is row L - r at column M - 1 - q, and for
+        # r = 0 row 0 at (M - q) mod M; node 0 (f_{-0} is f_0) comes last
+        skip = int(r == 0 and q0 == 0)
+        fwd, dst = rows[r, q0 + skip:q0 + c], out[L * skip + r:L * c:L]
+        back = rows[-r, ::-1][q0 + skip - (r == 0):q0 + c - (r == 0)]
+        if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
+            (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
+        else:
+            np.multiply(fwd, u, out=dst)
+            dst += v * back
+    if lo == 0:
+        out[0] = _node(rows, u, v, 0)
+    if out.size > L * c:   # the next block's first node, or node G/2
+        out[-1] = _node(rows, u, v, lo + L * c)
+    return out
+
+
+def _node(rows: np.ndarray, u: float, v: float, j):
+    """u f_j + v f_{-j} at node index or indices j (mod G) of
+    `_mirror_block`'s rows, by the arithmetic of its vector ops."""
+    L, M = rows.shape
+    return (u * rows[j % L, j % (L * M) // L]
+            + v * rows[-j % L, -j % (L * M) // L])

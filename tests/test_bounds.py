@@ -1,6 +1,7 @@
 """Bracket constants, validity thresholds, certified reports."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,11 @@ THRESHOLD_TABLE = {
     (2.0, 0.5): (2.116708, 2.423117, 10),
     (2.0, 0.7): (2.005696, 3.234931, 106),
 }
+# sha256 of the float.hex of every proxy and tol of one deep sweep step.
+# A change that moves a bit updates the digest here and says why in
+# CHANGES.md.
+DEEP_STEP_SHA256 = (
+    "cf48807e9d29aab975109cbe8c42966e07cb6c32c03a292d4d45339b2776e4ad")
 
 
 class TestConstants:
@@ -283,6 +289,19 @@ class TestVerify:
             spec *= w
         assert np.array_equal(f.uniform_samples(G), strided)
         assert list(f._sample_cache) == [G]
+
+    def test_deep_step_keeps_its_bits(self, psi_slow):
+        # (2.0, 0.3), n = 160 over criterion 5's betas and eight modes: a
+        # 2^20-point split grid, K ~ 49k
+        modes = [(mode, v) for mode in ("theorem1", "theorem2")
+                 for v in (1.0, 2.0, 4.0, math.inf)]
+        reps = verify_sweep(psi_slow, [0.0, 1.0], modes, [160])
+        K = KernelEvaluator.build(psi_slow, 160, 0.0).truncation_index
+        assert approx_ops._grid_size(K) == 1 << 20 and 48_000 < K < 50_000
+        assert len(reps) == 16 and all(rep.ok for rep in reps)
+        text = " ".join(float.hex(v) for rep in reps
+                        for v in (rep.proxy, rep.tol))
+        assert hashlib.sha256(text.encode()).hexdigest() == DEEP_STEP_SHA256
 
     def test_sweep_matches_single_calls(self, psi_half):
         rep_s = verify_sweep(psi_half, [0.0], [("theorem1", 2.0)], [16])[0]

@@ -66,3 +66,15 @@ def test_kernel_series_is_read_only_in_kernels():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert not hasattr(psiapprox.KernelEvaluator, "series")
+
+
+def test_row_layout_is_read_in_series():
+    # series writes a split grid as rows and alone reads them: the other
+    # modules hand the rows to its readers and never index them
+    found = {}
+    for path in sorted(Path(psiapprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("_mirror_block", "_node")):
+                found.setdefault(node.name, []).append(path.name)
+    assert found == {"_mirror_block": ["series.py"], "_node": ["series.py"]}
