@@ -331,6 +331,17 @@ def _sup_refined(source: tuple, even: bool, i: int, peak: float, G: int,
     return NormValue(peak, 0.5 * moments[1] * step ** 2 + e * moments[0])
 
 
+def _powered_in_range(total: float, G: int, p: float, S: float) -> None:
+    """Refuse order p when total, the sum of |g|^p over the G grid nodes in
+    the record's units 2^e, is not finite or lies below G 2^-1023, where
+    the terms lost to underflow, at most G 2^-1075 in all, could exceed
+    eps of it: a silent 0 or inf norm.  An identically zero g (S = 0) has
+    the exact norm 0."""
+    if S and not math.ldexp(G, -1023) <= total < math.inf:
+        raise NumericError(f"norm order {p}: the sum of |g|^{p} over the "
+                           f"{G}-point grid, {total:.3g}, leaves float64's range")
+
+
 def _norms(g, orders) -> dict:
     """{p: NormValue} for each order p in [1, inf] of a series or a kernel,
     the one place a norm's record is made.  p = 2 is Parseval's
@@ -382,6 +393,7 @@ def _norms(g, orders) -> dict:
                                  peak=len(finite) < len(grid), mirror=source[1:])
         for p in finite:
             full, half = sums[p]
+            _powered_in_range(full / (TWO_PI / G), G, p, moments[0])
             exact = p == 2.0 * round(p / 2.0) and p * degree < G
             err_i = full * (G + 2) * _EPS if exact else abs(full - half) / 3.0
             value = full ** (1.0 / p) if full > 0.0 else 0.0
@@ -504,7 +516,9 @@ def duality_extremal_phi(ke: KernelEvaluator, p: float,
         norm_p = 1.0  # analytic: the bump integrates to exactly its width
         mean = s_star / TWO_PI
     else:
-        denom = (h * float(np.sum(np.abs(S) ** p_prime))) ** (1.0 / p)
+        total = float(np.sum(np.abs(S) ** p_prime))
+        _powered_in_range(total, G, p_prime, ke.moments[0])
+        denom = (h * total) ** (1.0 / p)
         phi_s = np.sign(S) * np.abs(S) ** (p_prime - 1.0) / denom
         norm_p = (h * float(np.sum(np.abs(phi_s) ** p))) ** (1.0 / p)
         mean = h * float(np.sum(phi_s)) / TWO_PI

@@ -340,6 +340,8 @@ def _cmd_verify_lemma1(cfg: argparse.Namespace) -> int:
     if not 1 <= cfg.trials <= MAX_TRIALS:
         raise DomainError(f"--trials must be in 1..{MAX_TRIALS}, "
                           f"got {cfg.trials}")
+    if cfg.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
@@ -365,11 +367,11 @@ def _cmd_verify_lemma2(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     b = cfg.b if cfg.b is not None else bnd._resolve_thresholds(
         psi, None, None)[1]
-    if not cfg.force:
-        low = [t for t in cfg.t if characteristics(psi, t).mu < b]
-        if low:
-            raise DomainError(
-                f"mu(t) < b at t = {low[:4]}; pass --force to run anyway")
+    # every t's characteristics, so a t they fail at exits 3 with --force too
+    low = [t for t in cfg.t if characteristics(psi, t).mu < b]
+    if low and not cfg.force:
+        raise DomainError(
+            f"mu(t) < b at t = {low[:4]}; pass --force to run anyway")
     rows, failed = [], 0
     for t in cfg.t:
         try:

@@ -9,11 +9,12 @@ two derived quantities:
 
 All root finding runs on log(psi) so that families decaying below the
 float64 underflow threshold (e.g. exp(-2 t^0.7) past t ~ 5000) still
-resolve.  `characteristics` bisects even for the exp-power family, on
-purpose: its closed forms sit in `bounds.exp_power_characteristics`, so
-tests can compare the two routes independently.  The one closed form kept
-here is `PsiFunction.halving_point`'s exp-power eta, which the certified
-tail sums walk block by block.
+resolve.  `characteristics` bisects once, to float64's resolution, even
+for the exp-power family, on purpose: its closed forms sit in
+`bounds.exp_power_characteristics`, so tests can compare the two routes
+independently.  The one closed form kept here is
+`PsiFunction.halving_point`'s exp-power eta, which the certified tail sums
+walk block by block.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ from .errors import CapabilityError, DomainError, InvalidPsiError, NumericError
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
-
-DEFAULT_TOL_INV = 1e-12
-# floor guard: recompute eta at this tolerance before flooring
-FLOOR_RECHECK_TOL = 1e-14
-FLOOR_GUARD_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,19 +180,15 @@ def finite_difference_psi_prime(psi: PsiFunction, t: float) -> float:
 
 # -- root finding on log(psi) ------------------------------------------------
 
-def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
-                          lo: float, tol: float) -> float:
-    """Solve log_eval(x) == target for strictly decreasing log_eval, x >= lo.
-
-    Bracket by doubling, then bisect.  Convergence is declared on the
-    function value (|log_eval(x) - target| <= tol, i.e. relative tolerance
-    on psi itself) or when the bracket hits float64 resolution, whichever
-    comes first; only iteration exhaustion raises.
-    """
+def _solve_eta(psi: PsiFunction, t: float, tol: float) -> float:
+    """eta(t), where log psi falls by ln 2 from t: bracketed by doubling
+    steps, then bisected until |log psi - target| <= tol or the bracket is
+    4 eps max(1, |eta|) wide, float64's resolution; only iteration
+    exhaustion raises.  A ln 2 lost to rounding returns t."""
+    log_eval, lo = psi.log_value, float(t)
     f_lo = float(log_eval(lo))
-    if f_lo < target - tol:
-        raise DomainError("target above psi at the bracket start")
-    if abs(f_lo - target) <= tol:
+    target = f_lo - LN2
+    if f_lo - target <= tol:
         return lo
     step = 0.5
     a = lo
@@ -225,28 +217,14 @@ def _solve_log_decreasing(log_eval: Callable[[float], float], target: float,
     raise NumericError("bisection failed to converge after 200 iterations")
 
 
-def _solve_eta(psi: PsiFunction, t: float, tol_inv: float) -> float:
-    """eta(t): the abscissa where psi halves, solved on log(psi)."""
-    target = float(psi.log_value(t)) - LN2
-    return _solve_log_decreasing(psi.log_value, target, float(t), tol_inv)
-
-
-def guarded_eta_floor(psi: PsiFunction, t: float, eta: float,
-                      tol_inv: float = DEFAULT_TOL_INV) -> int:
-    """floor(eta(t)) with a near-integer guard.
-
-    When eta lands within FLOOR_GUARD_BAND of an integer it is re-solved at
-    tolerance FLOOR_RECHECK_TOL; if it still sits within the float64 noise
-    band of that integer the floor is taken AT the integer (families like
-    exp(-t ln 2) have eta(n) = n + 1 exactly, and truncating the solver's
-    n + 1 - 1e-15 down to n would fabricate a degenerate taper).
-    """
+def guarded_eta_floor(eta: float) -> int:
+    """floor(eta), taken AT an integer within max(1e-12, 64 eps |eta|) of
+    eta: families like exp(-t ln 2) have eta(n) = n + 1 exactly, and
+    truncating a solved n + 1 - 1e-15 down to n would fabricate a
+    degenerate taper."""
     nearest = round(eta)
-    if abs(eta - nearest) <= FLOOR_GUARD_BAND:
-        eta = _solve_eta(psi, float(t), min(tol_inv, FLOOR_RECHECK_TOL))
-        nearest = round(eta)
-        if abs(eta - nearest) <= max(1e-12, 64.0 * _EPS * max(1.0, abs(eta))):
-            return int(nearest)
+    if abs(eta - nearest) <= max(1e-12, 64.0 * _EPS * max(1.0, abs(eta))):
+        return int(nearest)
     return int(math.floor(eta))
 
 
@@ -267,9 +245,9 @@ class CharacteristicProfile:
         return self.floor_gap + int(round(self.t))
 
 
-def characteristics(psi: PsiFunction, t: float,
-                    tol_inv: float = DEFAULT_TOL_INV) -> CharacteristicProfile:
-    """eta, eta - t, mu and floor(eta) - t at abscissa t.
+def characteristics(psi: PsiFunction, t: float) -> CharacteristicProfile:
+    """eta, eta - t, mu and floor(eta) - t at abscissa t, eta solved once to
+    float64's resolution.
 
     floor_gap is populated only for integer t (the taper construction is the
     sole consumer and only ever asks at integers).
@@ -279,24 +257,22 @@ def characteristics(psi: PsiFunction, t: float,
         raise DomainError(f"t must be finite, got {t}")
     if t < psi.domain_start - 1e-12:
         raise DomainError(f"t = {t} below domain start {psi.domain_start}")
-    eta = _solve_eta(psi, t, tol_inv)
+    eta = _solve_eta(psi, t, 0.0)
     gap = eta - t
     if gap <= 0.0:   # log psi(t) - ln 2 rounded back to log psi(t)
         raise NumericError(f"eta({t}) - {t} is below float64's resolution at t")
     mu = t / gap
     floor_gap = None
     if float(t).is_integer():
-        floor_gap = guarded_eta_floor(psi, t, eta, tol_inv) - int(t)
+        floor_gap = guarded_eta_floor(eta) - int(t)
     return CharacteristicProfile(t=t, eta=eta, eta_gap=gap, mu=mu,
                                  floor_gap=floor_gap)
 
 
 def eta_derivative(psi: PsiFunction, t: float) -> float:
-    """Forward-difference eta'(t), step 1e-5, at solver tolerance 1e-13."""
-    h, tol = 1e-5, 1e-13
-    e0 = _solve_eta(psi, float(t), tol)
-    e1 = _solve_eta(psi, float(t) + h, tol)
-    return (e1 - e0) / h
+    """Forward-difference eta'(t), step 1e-5, each eta to resolution."""
+    h, t = 1e-5, float(t)
+    return (_solve_eta(psi, t + h, 0.0) - _solve_eta(psi, t, 0.0)) / h
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_criterion_2_characteristics(verdict):
     worst_mu = 0.0
     for t in np.concatenate([np.arange(2.0, 41.0),
                              np.geomspace(50.0, 1000.0, 25)]):
-        prof = characteristics(psi_u, float(t), tol_inv=1e-16)
+        prof = characteristics(psi_u, float(t))
         worst_gap = max(worst_gap, abs(prof.eta_gap - 1.0))
         worst_mu = max(worst_mu, abs(prof.mu - t) / t)
 

@@ -492,6 +492,23 @@ class TestNorms:
             with pytest.raises(DomainError):
                 lp_norm(f, p)
 
+    def test_orders_leaving_float64_refused(self, psi_half):
+        # at (1.0, 0.5), n = 12, |K*| <= 0.3581: |K*|^1000 underflows on
+        # every node and the norm read 0; order 400 keeps its value, below
+        # (2 pi)^{1/400} ||K*||_inf.  |2 cos t|^1100 overflows (on one
+        # block, so on the calling thread, where numpy warns).  An
+        # identically zero series keeps its exact 0.
+        ke = KernelEvaluator.build(psi_half, 12, 0.0)
+        with pytest.raises(NumericError, match="order 1000.0"):
+            lp_norm(ke, 1000.0)
+        v400 = lp_norm(ke, 400.0).value
+        assert v400 == pytest.approx(0.3534, abs=1e-4)
+        assert v400 <= TWO_PI ** (1.0 / 400.0) * sup_norm(ke).value
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NumericError, match="order 1100.0"):
+            lp_norm(FourierSeries(0.0, [2.0], [0.0]), 1100.0)
+        assert lp_norm(FourierSeries(0.0, [0.0], [0.0]), 1000.0).value == 0.0
+
     def test_kernel_norm_tail_budget(self, psi_half):
         # at beta = 0 the series' Parseval sum is the profile's, bit for
         # bit; the kernel's record adds the certified tail to its estimate
@@ -1180,6 +1197,12 @@ class TestDuality:
     def test_p_prime_is_the_conjugate_exponent(self, ke16, p):
         ex = duality_extremal_phi(ke16, p, x0=0.0)
         assert ex.p_prime == approx_ops.conjugate_exponent(p)
+
+    def test_sum_leaving_float64_refused(self, psi_half):
+        # p' = 1001: sum |S|^{p'} underflowed to 0 and phi was 0/0, nan
+        ke = KernelEvaluator.build(psi_half, 12, 0.0)
+        with pytest.raises(NumericError, match="order 1001.0"):
+            duality_extremal_phi(ke, 1.001, 0.0)
 
     def test_invalid_p(self, ke16):
         for p in (0.7, math.nan, -math.inf):

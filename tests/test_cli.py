@@ -145,6 +145,20 @@ class TestLambdaAndKernel:
         assert code == 0
         assert 0.0 < json.loads(out)["rows"][0]["norm"] < 1e-290
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel-norm", *HALF, "--n", "12", "--p", "1000"],
+        ["verify", "theorem2", *HALF, "--n", "12", "--s", "1000"]])
+    def test_order_leaving_float64_exits_numeric(self, capsys, argv):
+        # |K*|^1000 underflows: the norm printed 0 and theorem2 FAILed
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: norm order 1000.0")
+        code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "12",
+                               "--p", "400")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["norm"] == pytest.approx(
+            0.3534, abs=1e-4)
+
     def test_kernel_norm_inf_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-norm", *HALF, "--n", "16",
                                "--p", "2", "inf")
@@ -230,6 +244,25 @@ class TestVerifyCommand:
                                  str(cli.MAX_TRIALS + 1))
         assert code == 2 and out == ""
         assert "--trials" in err and str(cli.MAX_TRIALS) in err
+
+    def test_lemma1_negative_seed_refused(self, capsys, monkeypatch):
+        # numpy's ValueError escaped as a traceback with exit 1
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(cli, "lemma1_check", no_trial)
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--trials", "1",
+                                 "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --seed") and "-1" in err
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_lemma2_unsolvable_t_exits_numeric(self, capsys, force):
+        # eta(1e300) - 1e300 is lost to rounding: with --force too, not a
+        # row of nulls with exit 1
+        code, out, err = run_cli(capsys, "verify", "lemma2", *HALF, "--t",
+                                 "20", "1e300", *force)
+        assert (code, out) == (3, "")
+        assert "below float64's resolution" in err
 
     def test_lemma2_threshold_gate(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lemma2", *HALF,

@@ -15,7 +15,7 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        truncation_index, verify_sweep)
 from psiapprox import approx_ops, kernels
 from psiapprox.cli import main
-from psiapprox.psi_core import LN2, _solve_log_decreasing
+from psiapprox.psi_core import LN2, _solve_eta
 from psiapprox.series import FFT_BLOCK
 
 from conftest import kernel_series
@@ -143,8 +143,7 @@ class TestTruncation:
             return closed(psi, t, tol)
 
         def bisected(psi, t, tol):
-            return _solve_log_decreasing(
-                psi.log_value, float(psi.log_value(t)) - LN2, float(t), tol)
+            return _solve_eta(psi, t, tol)
 
         others = [(0.5, 0.5), (0.5, 0.7), (1.0, 0.7), (2.0, 0.5), (2.0, 0.7)]
         cases = [(2.0, 0.3, range(160, 257)), (1.0, 0.5, range(11, 65))] + [
@@ -167,9 +166,9 @@ class TestTruncation:
     def test_halving_point_of_a_table_bisects(self):
         ts = np.arange(1.0, 200.0)
         psi = PsiFunction.from_table(ts, np.exp(-np.sqrt(ts)))
-        target = float(psi.log_value(30.0)) - LN2
-        assert psi.halving_point(30.0, 1e-6) == _solve_log_decreasing(
-            psi.log_value, target, 30.0, 1e-6)
+        eta = psi.halving_point(30.0, 1e-6)
+        assert eta == _solve_eta(psi, 30.0, 1e-6)
+        assert abs(psi.log_value(eta) - psi.log_value(30.0) + LN2) <= 1e-6
 
     @pytest.mark.parametrize("alpha, r", [
         (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7),

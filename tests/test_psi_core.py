@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from psiapprox import (CapabilityError, DomainError, InvalidPsiError,
                        NumericError, PsiFunction, characteristics,
-                       eta_derivative, eval_psi_prime,
-                       finite_difference_psi_prime, lemma2_margins)
+                       eta_derivative, eval_psi_prime, exp_power_thresholds,
+                       finite_difference_psi_prime, guarded_eta_floor,
+                       lemma2_margins, psi_core)
 
 LN2 = math.log(2.0)
 
@@ -116,6 +118,34 @@ class TestHalvingPoint:
         # eta(7) = 8 exactly; the floor must not drop to 7
         prof = characteristics(psi_unit_gap, 7.0)
         assert prof.floor_gap == 1
+
+    def test_one_solve_per_call(self, psi_unit_gap, monkeypatch):
+        # eta(7) = 8 sits on an integer, where the floor needs no re-solve
+        calls = []
+        solve = psi_core._solve_eta
+        monkeypatch.setattr(psi_core, "_solve_eta",
+                            lambda *args: calls.append(args) or solve(*args))
+        assert characteristics(psi_unit_gap, 7.0).floor_gap == 1
+        assert len(calls) == 1
+
+    def test_floor_snaps_only_within_float_noise(self):
+        assert guarded_eta_floor(8.0 - 1e-15) == 8
+        assert guarded_eta_floor(8.0 + 1e-15) == 8
+        assert guarded_eta_floor(8.0 - 1e-11) == 7
+        assert guarded_eta_floor(13.639336097277875) == 13
+        assert guarded_eta_floor(1e6 - 64 * 2.2e-16 * 1e6) == 1_000_000
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.5), (2.0, 0.3)])
+    def test_eta_within_ulps_of_fifty_digits(self, alpha, r):
+        # every criterion-5 n of the pair: eta(n) = (n^r + ln 2/alpha)^{1/r}
+        # of the float64 alpha and r, to 50 digits
+        psi = PsiFunction.exp_power(alpha, r)
+        with mpmath.workdps(50):
+            a, r_mp = mpmath.mpf(alpha), mpmath.mpf(r)
+            for n in range(exp_power_thresholds(alpha, r)[2], 257):
+                eta = characteristics(psi, n).eta
+                ref = (mpmath.mpf(n) ** r_mp + mpmath.log(2) / a) ** (1 / r_mp)
+                assert abs(mpmath.mpf(eta) - ref) <= 8 * math.ulp(eta), n
 
     def test_floor_bracket_property(self, psi_half):
         rng = np.random.default_rng(11)
