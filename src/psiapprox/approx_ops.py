@@ -1,22 +1,18 @@
 """Tapered partial sums, class-function synthesis, and integral norms.
 
 The linear method is a Fourier multiplier: harmonics below the taper window
-pass through, harmonics in the window are damped by lam(k), and everything
-from n on is dropped.  Its residual against a synthesized class function is
-a convolution with the residual kernel, which is what ties this module to
-`kernels`, which also owns the taper window and MAX_GRID.  Norm
-computation is deliberately boring: composite trapezoid on uniform grids
-(spectrally accurate for periodic integrands, with a local correction at
-sign-change panels of |g|^p).  `_grid_size` sizes every grid here.
-`_norms` reads a kernel's or a series' inputs in one place, makes every
-norm's record, a kernel's with its certified tail, and keeps a kernel's
-on its evaluator.  A kernel's grid, its evaluator's mirror of its
-profile's folded f, is read off f's cached samples by `series`, which
-owns their row layout, block by block on up to two workers, and walked
-once for all orders asked together, half at integer beta.  The sup norm
-reads a local interpolant of that grid; the duality extremals and the
-residual check read it whole.  A g far from unit scale is read in units
-of 2^e.  `conjugate_exponent` maps p to p'.
+pass through, those in it are damped by lam(k), and from n on all are
+dropped.  Its residual against a synthesized class function is a
+convolution with the residual kernel of `kernels` (which owns the taper
+window and MAX_GRID).  Norms are composite trapezoid sums on the uniform
+grids `_grid_size` sizes, with a local correction at sign-change panels of
+|g|^p.  `_norms` makes every norm's record, a kernel's with its certified
+tail, kept on its evaluator.  A kernel's grid, its mirror of its profile's
+folded f, is walked in place in the rows `series` cached f's samples in,
+block by block on up to two workers, once for all orders asked together,
+half at integer beta; the sup norm reads a local interpolant of it, the
+duality extremals and the residual check read it whole, in units of 2^e
+far from unit scale.  `conjugate_exponent` maps p to p'.
 """
 
 from __future__ import annotations
@@ -30,7 +26,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window
 from .psi_core import PsiFunction, characteristics
-from .series import (FourierSeries, _mirror_block, _moments, _node, _spread,
+from .series import (FourierSeries, _crossings, _every, _mirror_rows,
+                     _moments, _node, _pairs, _row_maxima, _rows, _spread,
                      _wrap)
 
 TWO_PI = 2.0 * math.pi
@@ -51,13 +48,10 @@ class TaperCoefficients:
 
 def taper_coefficients(psi: PsiFunction, n: int) -> TaperCoefficients:
     """lam(k) = 1 - c_k / psi(k), with c_k the kernel's taper weights
-    psi(n) (F-2n+k)/(F-n) across the window and c_k = 0 below it,
-    F = floor(eta(n)).
-
-    The ramp numerator vanishes at k = 2n - F, so the window's first
-    multiplier is still exactly 1.  F = n (halving inside one step) leaves
-    no window to build and raises DegenerateGapError.
-    """
+    psi(n) (F-2n+k)/(F-n) across the window and c_k = 0 below it, F =
+    floor(eta(n)).  The ramp numerator vanishes at k = 2n - F, so the
+    window's first multiplier is still exactly 1.  F = n (halving inside
+    one step) leaves no window and raises DegenerateGapError."""
     if n < 2 or int(n) != n:
         raise DomainError("taper needs integer n >= 2")
     n = int(n)
@@ -72,9 +66,7 @@ def taper_coefficients(psi: PsiFunction, n: int) -> TaperCoefficients:
 
 def apply_vn(f: FourierSeries, tc: TaperCoefficients) -> FourierSeries:
     """Apply the multiplier; output degree n-1, mean preserved.
-
-    Coefficients of f beyond its stored degree count as zero.
-    """
+    Coefficients of f beyond its stored degree count as zero."""
     m = tc.n - 1
     a = np.zeros(m)
     b = np.zeros(m)
@@ -87,13 +79,11 @@ def apply_vn(f: FourierSeries, tc: TaperCoefficients) -> FourierSeries:
 
 def synthesize_class_function(psi: PsiFunction, beta: float,
                               phi: FourierSeries, a0: float = 0.0) -> FourierSeries:
-    """Build f whose k-th harmonic is psi(k) times phi's, rotated by beta*pi/2.
-
-    Concretely a_k(f) = psi(k)(alpha_k cos th - beta_k sin th) and
-    b_k(f) = psi(k)(alpha_k sin th + beta_k cos th) where (alpha_k, beta_k)
-    are phi's cosine/sine coefficients and th = beta*pi/2.  phi must have
-    zero mean; the free constant a0 becomes f's mean term.
-    """
+    """Build f whose k-th harmonic is psi(k) times phi's, rotated by beta*pi/2:
+    a_k(f) = psi(k)(alpha_k cos th - beta_k sin th) and b_k(f) =
+    psi(k)(alpha_k sin th + beta_k cos th), (alpha_k, beta_k) phi's cosine
+    and sine coefficients, th = beta*pi/2.  phi must have zero mean; the
+    free constant a0 becomes f's mean term."""
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
     k = np.arange(1, phi.degree + 1, dtype=float)
@@ -111,12 +101,9 @@ def residual_consistency(ke: KernelEvaluator, phi: FourierSeries,
 
     Route 1 drops/damps Fourier coefficients directly; route 2 convolves
     phi with the residual kernel ke, (1/pi) int phi(t) K*(x - t) dt, by
-    exact trapezoid on the norm grid of degree K + deg phi (the integrand
-    is band-limited, so a grid of more than twice the joint bandwidth
-    integrates it exactly), on ke's grid mirrored whole.  x points are
-    snapped to that grid and both routes use the snapped x, so the
-    returned max-absolute discrepancy is grid-artifact-free.
-    """
+    the trapezoid rule on ke's grid mirrored whole, of degree K + deg phi,
+    exact for that band-limited integrand.  x points are snapped to that
+    grid for both routes: the max-absolute discrepancy has no grid artifact."""
     if phi.a0 != 0.0:
         raise DomainError("phi must have zero mean")
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
@@ -174,18 +161,6 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _halving_sum(parts) -> float:
-    """Sum block partials pairwise, neighbours first.
-
-    np.sum's pairwise summation halves a power-of-two array down to
-    blocks of _BLOCK points, so on such grids this adds the blocks'
-    np.sum values in its order and gives its bits.
-    """
-    while len(parts) > 1:
-        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
-    return float(parts[0])
-
-
 def _power(w: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     """w**p (w >= 0) into out; at p = 4 the square of the square and at
     p = 4/3 w cbrt(w), both cheaper than np.power."""
@@ -196,15 +171,14 @@ def _power(w: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return np.power(w, p, out=out)
 
 
-def _kinks(A: list, B: list, orders, h: float) -> dict:
-    """{p: trapezoid correction} on the sign-change panels of a grid (step
-    h) whose endpoint magnitudes are gathered in A and B.  With g linear
-    across a panel, int |g|^p is h (A^{p+1} + B^{p+1}) / ((p+1)(A+B))
-    against the rule's h (A^p + B^p)/2."""
-    A, B = np.concatenate(A), np.concatenate(B)
-    return {p: float(h * np.sum(
+def _kinks(A: np.ndarray, B: np.ndarray, orders, h: float) -> dict:
+    """{p: trapezoid correction} on the sign-change panels (step h) with
+    |g| = A and B at their ends: with g linear across a panel, int |g|^p is
+    h (A^{p+1} + B^{p+1}) / ((p+1)(A+B)) against the rule's h (A^p + B^p)/2,
+    summed in ascending order, whatever order the panels came in."""
+    return {p: float(h * np.sum(np.sort(
         (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
-        - 0.5 * (A ** p + B ** p))) for p in orders}
+        - 0.5 * (A ** p + B ** p)))) for p in orders}
 
 
 def _unit_exponent(S: float) -> int:
@@ -214,68 +188,65 @@ def _unit_exponent(S: float) -> int:
             and not 2.0 ** -200 <= S <= 2.0 ** 200 else 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # `_powered_in_range` refuses
 def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
-               mirror: tuple = (1.0, 0.0)) -> tuple[dict, Optional[tuple]]:
+               mirror: tuple = (1.0, 0.0), strides: dict = {}
+               ) -> tuple[dict, Optional[tuple]]:
     """One blocked walk over a grid g (step h): {p: (full, half)}, the
     composite rule for int |g|^p on g and on its even nodes (step 2h), and
     with `peak` (i, |g_i|) at the first index i of max |g| (else None).
-    g is u f(t) + v f(-t), mirror = (u, v), of f's samples s, natural or
-    in rows as `_mirror_block` reads them, built block by block (the
-    default (1, 0) walks s itself: x 1 + 0 y is x); if |u| == |v|, |g| is
-    even and the walk ends at node G/2 (G a multiple of 4): nodes 0 and G/2
-    count once, the rest and their panels twice.  Each _BLOCK-point block
-    (even, so its even entries are the half grid's) takes |g| once and
-    each power once into its worker's buffers (`_spread`); the blocks'
-    records combine in block order, with no bit depending on the worker
-    count: sums in `_halving_sum` order, a later block's max only if
-    strictly larger.  Orders that are not even integers (|g|^p is then no
-    trigonometric polynomial) share one panel scan per grid for `_kinks`;
-    a whole walk adds its wrap panels."""
-    G = s.size
-    halved = abs(mirror[0]) == abs(mirror[1])
-    stop = G // 2 if halved else G
-    kinked = [p for p in orders if p != 2.0 * round(p / 2.0)]
-    starts = range(0, stop, _BLOCK)
+    g = u f(t) + v f(-t), mirror (u, v), of f's samples s, natural or in
+    rows, read in place as `series._rows` ((1, 0) walks s: x 1 + 0 y is x);
+    if |u| == |v| the walk stops at node G/2 (G a multiple of 4): nodes 0
+    and G/2 count once, the rest and their panels twice.  An even p in
+    `strides` sums its exact stride-k sub-grid alone (step k h, no half).
+    Each block of columns (`_mirror_rows`, in a worker's two _BLOCK-point
+    buffers, `_spread`) takes |g| and each power once and leaves its rows'
+    sums of even and of odd nodes, added in block order: no bit depends on
+    the worker count.  Orders that are not even integers (|g|^p is then no
+    trigonometric polynomial) share one sign scan (`_crossings`)."""
+    rows, G, halved = _rows(s), s.size, abs(mirror[0]) == abs(mirror[1])
+    (L, M), kinked = rows.shape, [p for p in orders if p != 2.0 * round(p / 2.0)]
+    stop, C = (M // 2 if halved else M), max(1, _BLOCK // L)
+    starts = range(0, stop, C)
 
-    def block(start, bufs):
-        n = min(_BLOCK, stop - start)   # the block's nodes, and node
-        m = min(n + 1, G - start)       # start + n for its last panel
-        buf, powered = bufs[:, :m]
-        blk = _mirror_block(s, *mirror, start, buf)
-        first, panels = float(blk[0]), []
-        for b in (blk, blk[::2]) if kinked else ():   # grid, half grid
-            c = np.flatnonzero(np.multiply(b[:-1], b[1:], out=powered[:b.size - 1]) < 0)
-            panels.append((np.abs(b[c]), np.abs(b[c + 1]), float(b[-1])))
-        w = np.abs(blk, out=buf)
-        j = int(np.argmax(w)) if peak else 0
-        top, sums = (start + j, float(w[j])), {}
-        for p in orders:
-            x = w if p == 1.0 else _power(w, p, powered)   # |g|^p
-            sums[p] = (x[:n].sum(), x[:n:2].sum(), float(x[0]), float(x[-1]))
-        return first, panels, top, sums
+    def block(lo, bufs):
+        buf, powered = bufs[:, :L * (min(lo + C, stop) - lo)]
+        X = _mirror_rows(rows, *mirror, lo, min(lo + C, stop), buf, powered)
+        cols = _crossings(X, lo) if kinked else None
+        np.abs(X, out=X)
+        sums = {}
+        for p in orders:   # |g|^p on the grid or its stride-k sub-grid
+            x = _every(X, strides.get(p, 1))
+            x = x if p == 1.0 else _power(x, p, powered[:x.size].reshape(x.shape))
+            sums[p] = (_every(x, 2).sum(axis=1), _every(x, 2, 1).sum(axis=1))
+        return cols, _row_maxima(X, lo) if peak else None, sums
 
+    @np.errstate(over="ignore", invalid="ignore")   # per thread
     def walk(lo, hi):   # one worker's blocks, in one set of buffers
-        bufs = np.empty((2, min(G, _BLOCK + 1)))
+        bufs = np.empty((2, min(G, L * C)))
         return [block(start, bufs) for start in starts[lo:hi]]
-    firsts, panels, tops, sums = zip(*(
+    cols, tops, sums = zip(*(
         rec for part in _spread(walk, len(starts)) for rec in part))
-    twice, g0, kinks = (2.0 if halved else 1.0), firsts[0], [{}, {}]
-    for i, step in enumerate((twice * h, twice * 2.0 * h) if kinked else ()):
-        A, B, lasts = zip(*(blk[i] for blk in panels))
-        if not halved and lasts[-1] * g0 < 0.0:   # a whole walk's wrap
-            A, B = (*A, [abs(lasts[-1])]), (*B, [abs(g0)])
-        kinks[i] = _kinks(A, B, kinked, step)
+    twice, kinks = (2.0 if halved else 1.0), [{}, {}]
+    for i, (a, b) in enumerate(_pairs(rows, *mirror, np.concatenate(cols))
+                               if kinked else ()):   # grid, half grid
+        c = a * b < 0   # a sign change, not a zero
+        kinks[i] = _kinks(np.abs(a[c]), np.abs(b[c]), kinked, twice * (i + 1) * h)
+    j = np.concatenate(([0, G // 2], *(tops if peak else ())))
+    w = np.abs(_node(rows, *mirror, j))   # nodes 0, G/2, each row's first max
     out = {}
     for p in orders:
-        full, half, heads, tails = zip(*(blk[p] for blk in sums))
-        full, half = _halving_sum(full), _halving_sum(half)
+        half, odd = (float(np.sum(np.concatenate(x)))
+                     for x in zip(*(blk[p] for blk in sums)))
+        k, full = strides.get(p, 1), half + odd   # even nodes: the half grid
         if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
-            full = 2.0 * full - heads[0] + tails[-1]
-            half = 2.0 * half - heads[0] + tails[-1]
-        out[p] = (h * full + kinks[0].get(p, 0.0),
-                  2.0 * h * half + kinks[1].get(p, 0.0))
-    # the first block's max, then a later one's only if strictly larger
-    return out, max((0, -1.0), *tops, key=lambda f: f[1]) if peak else None
+            head, tail = map(float, _power(w[:2], p, np.empty(2)))
+            full, half = 2.0 * full - head + tail, 2.0 * half - head + tail
+        out[p] = (k * h * full + kinks[0].get(p, 0.0),
+                  None if k > 1 else 2.0 * h * half + kinks[1].get(p, 0.0))
+    i = np.lexsort((j, -w))[0]   # the largest |g|, at its first node
+    return out, (int(j[i]), float(w[i])) if peak else None
 
 
 def _local(source: tuple, G: int, t: float) -> tuple:
@@ -345,19 +316,16 @@ def _powered_in_range(total: float, G: int, p: float, S: float) -> None:
 def _norms(g, orders) -> dict:
     """{p: NormValue} for each order p in [1, inf] of a series or a kernel,
     the one place a norm's record is made.  p = 2 is Parseval's
-    sqrt(pi * energy); the others share one `_grid_pass` over the norm
-    grid, the refined maximum at p = inf and else the trapezoid with the
-    half-grid Richardson estimate, except at even p below G / degree:
-    there the rule is exact for |g|^p and, as for Parseval, only the
-    rounding of the summed terms is left.  A kernel (degree K, even if
-    u == v) reads its profile's moments, mirrors its folded samples, has
-    twice f's energy, each order's estimate adds the certified tail,
-    tail_eps (2 pi)^{1/p}, and the evaluator keeps the records, so an
-    order is computed once however it is asked for.  A series' grid is
-    its own.  g is walked, and its energy summed, in units of 2^e, e =
-    `_unit_exponent(S)`, S = sum |c_k|, and each record is scaled back:
-    no product or power under- or overflows.  Inside [2^-200, 2^200],
-    e = 0."""
+    sqrt(pi * energy); the others share one `_grid_pass`: the refined
+    maximum at p = inf, else the trapezoid with the half-grid Richardson
+    estimate, or at even p whose rule is exact on a stride-k sub-grid
+    (p degree k < G) that sub-grid's sum, with only its G/k terms'
+    rounding left.  A kernel (degree K, even if u == v) mirrors its
+    folded samples, has twice f's energy, adds the certified tail,
+    tail_eps (2 pi)^{1/p}, to each estimate, and keeps the records on its
+    evaluator, so an order is computed once.  g is walked, and its energy
+    summed, in units of 2^e, e = `_unit_exponent(S)`, S = sum |c_k| (0
+    inside [2^-200, 2^200]): no product or power under- or overflows."""
     if isinstance(g, KernelEvaluator):
         (f, u, v), record = (g.folded, *g.mirror), g._norm_cache
         degree, even = g.truncation_index, u == v
@@ -389,13 +357,16 @@ def _norms(g, orders) -> dict:
     if grid:
         G = _grid_size(degree)
         finite = [p for p in grid if not math.isinf(p)]
+        strides = {p: 1 << ((G - 1) // int(p * degree or 1)).bit_length() - 1
+                   for p in finite if p == 2.0 * round(p / 2.0) and p * degree < G}
         sums, found = _grid_pass(source[0]._phases(G), finite, TWO_PI / G,
-                                 peak=len(finite) < len(grid), mirror=source[1:])
+                                 peak=len(finite) < len(grid), mirror=source[1:],
+                                 strides=strides)
         for p in finite:
             full, half = sums[p]
             _powered_in_range(full / (TWO_PI / G), G, p, moments[0])
-            exact = p == 2.0 * round(p / 2.0) and p * degree < G
-            err_i = full * (G + 2) * _EPS if exact else abs(full - half) / 3.0
+            err_i = (full * (G // strides[p] + 2) * _EPS if p in strides
+                     else abs(full - half) / 3.0)
             value = full ** (1.0 / p) if full > 0.0 else 0.0
             new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
                                else err_i ** (1.0 / p))
@@ -440,15 +411,12 @@ MEAN_TOL = 5e-3
 
 @dataclass(frozen=True)
 class ExtremalFunction:
-    """Near-extremal phi of the Hoelder duality step at a fixed point x0.
-
-    attainment = (1/pi) int phi(t) K*(x0 - t) dt, to be compared with
-    target = (1/pi) ||K*||_{p'}, the kernel's `lp_norm`.  For p = 1 the
-    extremal is a cosine bump of recorded width at the kernel argmax; its
-    nonzero mean is reported rather than corrected, because subtracting a
-    constant from phi cannot change the attained value (the kernel has zero
-    mean) yet would inflate ||phi||_1 and wreck the normalization.
-    """
+    """Near-extremal phi of the Hoelder duality step at a fixed point x0:
+    attainment = (1/pi) int phi(t) K*(x0 - t) dt, against target =
+    (1/pi) ||K*||_{p'}, the kernel's `lp_norm`.  At p = 1 phi is a cosine
+    bump of recorded width at the kernel argmax, whose nonzero mean is
+    reported, not corrected: a constant cannot change the attained value
+    (K* has zero mean) but would inflate ||phi||_1."""
 
     p: float
     p_prime: float
@@ -470,16 +438,14 @@ class ExtremalFunction:
 def duality_extremal_phi(ke: KernelEvaluator, p: float,
                          x0: float) -> ExtremalFunction:
     """Unit-ball phi nearly attaining (1/pi)||K*||_{p'} at x0, K* = ke.
-
     p in (1, inf): phi = sign(S)|S|^{p'-1} / ||S||_{p'}^{p'/p} with
     S(t) = K*(x0 - t); equality is exact up to quadrature.  p = inf: the
     sign function (mean-corrected only beyond MEAN_TOL, and the correction
     is flagged).  p = 1: mollified point mass at the argmax of |S|.
     x0 is snapped to the working grid, the norm grid of at least 2^17
-    points, so S is an exact index reversal of ke's mirrored grid, on the
-    norm grid the very grid the norm pass walks.  S (the callable's too) is
-    in the records' units 2^e; phi, of degree 0 in S, needs no scaling back.
-    """
+    points, so S is an exact index reversal of ke's mirrored grid (the
+    norm pass's own).  S (the callable's too) is in the records' units
+    2^e; phi, of degree 0 in S, needs no scaling back."""
     p_prime = conjugate_exponent(p)
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")

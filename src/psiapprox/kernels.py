@@ -12,12 +12,10 @@ per (psi, n), and each beta's `KernelEvaluator` adds only the phase
 th = beta*pi/2, as its mirror (u, v) = (cos th + sin th, cos th - sin th).
 The kernel is u f(t) + v f(-t) of the folded f = sum (c_k/2)(cos kt +
 sin kt), and nothing else holds its coefficients: a point value is
-(u + v) C + (u - v) S of f's cos and sin sums, and every grid, for norms,
-extremals and residual check, mirrors f's one sampling per grid size
-(cache-sized FFTs on deep grids), which the norm pass walks over half
-the period at integer beta (u, v = +-1).
-The envelope and tail-sum checks certify their bounds from sums over the
-|c_k|: every beta at once, no grid.
+(u + v) C + (u - v) S of f's cos and sin sums, and every grid mirrors f's
+one sampling per grid size (the norm pass's over half the period at
+integer beta).  The envelope and tail-sum checks certify their bounds from
+sums over the |c_k|: every beta at once, no grid.
 `_unmet_hypotheses` holds the paper's hypotheses on (psi, n, a, b), which
 every check and the bracket sweep read with their own floor on a;
 `kernel_profile` alone sets K, which never passes MAX_GRID.
@@ -148,18 +146,19 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     The un-summed remainder is dominated by a geometric series once the
     observed gap growth ratio stays below 1.9; generators whose halving gaps
     keep accelerating (slower than exponential-of-power decay) fail with
-    NumericError rather than return an uncertified number.
-    """
+    NumericError rather than return an uncertified number.  No block
+    counts below the smallest subnormal; under psi(K+1) = e^-700 they sum
+    in units of psi(K+1), scaled back rounded up: the bound is never 0."""
     s = float(K + 1)
     log0 = float(psi.log_value(s))
+    shift = 0.0 if log0 > -700.0 else -log0
     total = 0.0
     gaps = []
     for j in range(TAIL_MAX_BLOCKS):
         s_next = psi.halving_point(s, TAIL_ETA_TOL)
         gap = s_next - s
         gaps.append(gap)
-        log_block = log0 - j * LN2
-        term = (gap + 1.0) * (math.exp(log_block) if log_block > -700.0 else 0.0)
+        term = (gap + 1.0) * max(math.exp(log0 - j * LN2 + shift), math.ulp(0.0))
         total += term
         if j >= 6:
             ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 6, len(gaps) - 1)]
@@ -167,11 +166,12 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
             if rho < 1.9:
                 q = 0.5 * rho
                 rem = term * q / (1.0 - q)
-                if rem <= 1e-6 * total or term == 0.0:
+                if rem <= 1e-6 * total:
                     # TAIL_ETA_TOL slop inflates each halving by at most
                     # e^{TAIL_ETA_TOL}
-                    safety = 1.0 + 1e-4 + TAIL_MAX_BLOCKS * TAIL_ETA_TOL
-                    return (total + rem) * safety
+                    bound = (total + rem) * (1.0 + 1e-4 + TAIL_MAX_BLOCKS * TAIL_ETA_TOL)
+                    return bound if not shift else max(math.ulp(0.0), math.nextafter(
+                        math.exp(math.log(bound) - shift), math.inf))
         s = s_next
     raise NumericError("tail certification failed: halving gaps kept growing")
 

@@ -4,10 +4,10 @@ Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series is its coefficients and the grids sampled from them.  A deep grid
 is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
 external or hierarchical memory, 1990) and cached as the rows they write,
-read only here: by `uniform_samples` in natural order, and as u f(t) +
-v f(-t) by `_mirror_block`, `_node` and `_mirrored`.  `_spread` runs the
-rows (and the norm pass's blocks) on one thread per core, at most two,
-with bits independent of the count.  `_wrap` reduces every point value's t.
+read only here: in natural order by `uniform_samples`, and in place by the
+norm pass's readers from `_rows` to `_node`.  `_spread` runs the rows (and
+the pass's blocks) on one thread per core, at most two, with bits
+independent of the count.  `_wrap` reduces every point value's t.
 """
 
 from __future__ import annotations
@@ -132,14 +132,11 @@ class FourierSeries:
 
     def uniform_samples(self, grid_size: int) -> np.ndarray:
         """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, by a real
-        inverse FFT, exact to rounding; a grid of at most twice the degree
-        is refused.  L >= 2 times FFT_BLOCK points of a series of degree
-        below FFT_BLOCK / 2 take L FFT_BLOCK-point transforms: node 0 keeps
-        a one-shot irfft's bits, other nodes its accuracy; grids that are
-        not split keep all its bits.  Samples are cached per grid size in
-        `_phases`' layout and are read-only; a split grid comes back as an
-        uncached natural-order copy of its rows.
-        """
+        inverse FFT, exact to rounding (more than twice the degree).  L >= 2
+        times FFT_BLOCK points of degree below FFT_BLOCK / 2 take L
+        FFT_BLOCK-point transforms: node 0 keeps a one-shot irfft's bits,
+        other nodes its accuracy.  Cached read-only in `_phases`' layout; a
+        split grid comes back as an uncached natural-order copy."""
         rows = self._phases(grid_size)
         if rows.shape[0] == 1:
             return self._sample_cache[grid_size]
@@ -190,8 +187,12 @@ class FourierSeries:
         return np.atleast_2d(samples)
 
     def _mirrored(self, G: int, u: float, v: float) -> np.ndarray:
-        """u f_j + v f_{-j} at every node of the G-point grid, f = self."""
-        return _mirror_block(self._phases(G), u, v, 0, np.empty(G))
+        """u f_j + v f_{-j} at every node of the G-point grid, f = self, in
+        natural order: `_mirror_rows` over the whole grid, transposed."""
+        rows, out = self._phases(G), np.empty(G)
+        X = _mirror_rows(rows, u, v, 0, G // len(rows), np.empty(G), out)
+        np.copyto(out.reshape(-1, len(rows)), X.T)
+        return out
 
     def _rounding_stages(self, G: int) -> int:
         """Roundings in a `_node` value of the G-point grid of L rows: 4
@@ -218,36 +219,69 @@ class FourierSeries:
             np.sum(self.a * self.a) + np.sum(self.b * self.b))
 
 
-def _mirror_block(f: np.ndarray, u: float, v: float, lo: int,
-                  out: np.ndarray) -> np.ndarray:
-    """out[i] = u f_j + v f_{-j}, j = lo + i, for the G samples f: natural
-    order (read as L = 1), or `FourierSeries._phases` rows (L, M) whose row
-    r holds the nodes Lq + r.  lo is a multiple of L, out.size a multiple
-    of L or one more, and lo + out.size <= G."""
-    rows = np.atleast_2d(f)
-    L = rows.shape[0]
-    c, q0 = out.size // L, lo // L   # the block's columns, from q0
-    for r in range(L if c else 0):
-        # f_{-j}, j = Lq + r, is row L - r at column M - 1 - q, and for
-        # r = 0 row 0 at (M - q) mod M; node 0 (f_{-0} is f_0) comes last
-        skip = int(r == 0 and q0 == 0)
-        fwd, dst = rows[r, q0 + skip:q0 + c], out[L * skip + r:L * c:L]
-        back = rows[-r, ::-1][q0 + skip - (r == 0):q0 + c - (r == 0)]
+def _rows(grid: np.ndarray) -> np.ndarray:
+    """grid as (L, M) rows, row r holding the nodes Lq + r: a split grid's
+    cached rows, any other grid a strided view in the rows the split route
+    writes at its size (at least two, unless G is odd), alike bit for bit."""
+    G = grid.size
+    return grid if grid.ndim == 2 and len(grid) > 1 else grid.reshape(
+        -1, max(G // FFT_BLOCK if G % FFT_BLOCK == 0 else 1, 2 - G % 2)).T
+
+
+def _mirror_rows(rows: np.ndarray, u: float, v: float, lo: int, hi: int,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """u f_j + v f_{-j} at the nodes j = Lq + r, lo <= q < hi, of `_rows`'
+    (L, M) rows of f, written over out as (L, hi - lo) rows: f_{-j} is row
+    L - r reversed, at column M - 1 - q, or for r = 0 row 0 one column
+    over, M - q (mod M); node 0 comes last.  scratch takes v f_{-j}."""
+    L, s = len(rows), int(lo == 0)
+    X = out[:L * (hi - lo)].reshape(L, hi - lo)
+    for dst, fwd, back in (
+            (X[1:], rows[1:, lo:hi], rows[:0:-1, ::-1][:, lo:hi]),
+            (X[0, s:], rows[0, lo + s:hi], rows[0, ::-1][lo + s - 1:hi - 1])):
         if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
             (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
         else:
             np.multiply(fwd, u, out=dst)
-            dst += v * back
-    if lo == 0:
-        out[0] = _node(rows, u, v, 0)
-    if out.size > L * c:   # the next block's first node, or node G/2
-        out[-1] = _node(rows, u, v, lo + L * c)
-    return out
+            dst += np.multiply(back, v, out=scratch[:back.size].reshape(back.shape))
+    if s:
+        X[0, 0] = _node(rows, u, v, 0)
+    return X
+
+
+def _every(X: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+    """The nodes j = first (mod k) of a block of rows X: its rows r = first
+    (mod k), or for k > L every (k/L)-th column of row 0 (L = 1 or first 0)."""
+    return X[first::k] if k <= len(X) else X[:1, first::k // len(X)]
+
+
+def _crossings(X: np.ndarray, lo: int) -> np.ndarray:
+    """The columns, from lo, of a block's rows X whose sign bits change
+    down the column or on to the next column's row 0, and its last: every
+    sign change of g and of its even nodes is in one (see `_pairs`)."""
+    S = np.signbit(X)
+    mixed = S.any(axis=0) != S.all(axis=0)
+    mixed[:-1] |= S[-1, :-1] != S[0, 1:]
+    mixed[-1] = True
+    return lo + np.flatnonzero(mixed)
+
+
+def _pairs(rows: np.ndarray, u: float, v: float, cols: np.ndarray) -> list:
+    """[(a, b)] on the grid and on its even nodes: g at both ends of each
+    two consecutive nodes of the columns cols, row r then r + 1 (or r + 2)
+    and the last row then row 0 one column on, read by `_node`."""
+    Z = _node(rows, u, v, len(rows) * cols + np.arange(len(rows) + 1)[:, None])
+    return [(Y[:-1], Y[1:]) for Y in (Z, Z[::2])]
+
+
+def _row_maxima(w: np.ndarray, lo: int) -> np.ndarray:
+    """The node of each row's first maximum in a block's rows w from lo."""
+    return len(w) * (lo + np.argmax(w, axis=1)) + np.arange(len(w))
 
 
 def _node(rows: np.ndarray, u: float, v: float, j):
     """u f_j + v f_{-j} at node index or indices j (mod G) of
-    `_mirror_block`'s rows, by the arithmetic of its vector ops."""
+    `_mirror_rows`' rows, by the arithmetic of its vector ops."""
     L, M = rows.shape
     return (u * rows[j % L, j % (L * M) // L]
             + v * rows[-j % L, -j % (L * M) // L])

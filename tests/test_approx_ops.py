@@ -98,7 +98,8 @@ def power(w, p):
 
 
 def panel_kink(a, b, p, h):
-    """Sign-change correction over the panels (a_i, b_i), in their order."""
+    """Sign-change correction over the panels (a_i, b_i), summed in
+    ascending order, as the pass sums it."""
     if p == 2.0 * round(p / 2.0):
         return 0.0
     cross = a * b < 0.0
@@ -108,7 +109,7 @@ def panel_kink(a, b, p, h):
     B = np.abs(b[cross])
     exact = (A ** (p + 1.0) + B ** (p + 1.0)) / ((p + 1.0) * (A + B))
     trap = 0.5 * (A ** p + B ** p)
-    return float(h * np.sum(exact - trap))
+    return float(h * np.sum(np.sort(exact - trap)))
 
 
 def roll_kink(s, p, h):
@@ -116,36 +117,68 @@ def roll_kink(s, p, h):
     return panel_kink(s, np.roll(s, -1), p, h)
 
 
-def blocked_trapezoid(s, p, h):
-    """The composite rule on s (step h) and on its even nodes (step 2h):
-    one np.sum of |s|^p per _BLOCK-point block of s, added in the pass's
-    pairwise order, plus the whole-grid np.roll panel correction."""
-    B = approx_ops._BLOCK
-    blocks = [power(np.abs(s[i:i + B]), p) for i in range(0, s.size, B)]
-    full = approx_ops._halving_sum([np.sum(b) for b in blocks])
-    half = approx_ops._halving_sum([np.sum(b[::2]) for b in blocks])
-    return (h * full + roll_kink(s, p, h),
-            2.0 * h * half + roll_kink(s[::2], p, 2.0 * h))
+def every(blk, k, first=0):
+    """The nodes j = first (mod k) of a block of rows (L, C): its rows
+    r = first (mod k), or, when k > L, every (k/L)-th column of one row."""
+    L = blk.shape[0]
+    if k <= L:
+        return blk[first::k]
+    return blk[first % L:first % L + 1, first // L::k // L]
 
 
-def whole_grid_trapezoid(s, p, h):
-    """The rule on s and on s[::2] with one np.sum over |s|^p per grid."""
-    def integral(samples, step):
-        return (step * float(np.sum(power(np.abs(samples), p)))
-                + roll_kink(samples, p, step))
-    return integral(s, h), integral(s[::2], 2.0 * h)
+def pass_sums(x, k=1, stop=None):
+    """(sum, even-node sum) of x (natural order) in the pass's order, or
+    with k > 1 the sum of its stride-k nodes: x read in the pass's rows
+    (L, M), cut into blocks of _BLOCK // L columns below column `stop`;
+    each block's row sums of its even nodes, then of its odd ones; all the
+    even sums added, in block order, then all the odd ones, and the two
+    totals."""
+    rows = psiapprox.series._rows(x)
+    stop, C = stop or rows.shape[1], max(1, approx_ops._BLOCK // len(rows))
+    even, odd = [], []
+    for lo in range(0, stop, C):
+        blk = np.ascontiguousarray(every(rows[:, lo:min(lo + C, stop)], k))
+        even.append(every(blk, 2).sum(axis=1))
+        odd.append(every(blk, 2, 1).sum(axis=1))
+    even, odd = (float(np.sum(np.concatenate(parts))) for parts in (even, odd))
+    return even + odd, even
 
 
-def half_period_trapezoid(s, p, h):
-    """The same two rules for an even |s| from nodes 0..G/2 alone, with
-    whole-array sums: twice the np.sum over the nodes below G/2, less
-    node 0, plus node G/2, and twice the panels between those nodes."""
-    def integral(H, step):
-        w = power(np.abs(H), p)
-        return (step * (2.0 * np.sum(w[:-1]) - w[0] + w[-1])
-                + 2.0 * panel_kink(H[:-1], H[1:], p, step))
-    H = s[:s.size // 2 + 1]
-    return integral(H, h), integral(H[::2], 2.0 * h)
+def blocked_trapezoid(s, p, h, k=1):
+    """The composite rule on s (step h) and on its even nodes (step 2h),
+    or with k > 1 on its stride-k nodes alone (step k h, no half): node
+    sums in the pass's order (`pass_sums`) plus the whole-grid np.roll
+    panel corrections.  An odd-sized grid, read as one row, has no
+    half-grid panels."""
+    full, half = pass_sums(power(np.abs(s), p), k)
+    if k > 1:
+        return k * h * full, None
+    return (h * full + roll_kink(s, p, h), 2.0 * h * half + (
+        roll_kink(s[::2], p, 2.0 * h) if s.size % 2 == 0 else 0.0))
+
+
+def half_period_trapezoid(s, p, h, k=1):
+    """The same two rules for an even |s| from nodes 0..G/2 alone, in the
+    pass's order: twice the sums over the nodes below G/2, less node 0,
+    plus node G/2, and twice the panels between those nodes."""
+    G, x = s.size, power(np.abs(s), p)
+    stop = psiapprox.series._rows(x).shape[1] // 2
+    sums = [2.0 * y - x[0] + x[G // 2] for y in pass_sums(x, k, stop)]
+    if k > 1:
+        return k * h * sums[0], None
+    H = s[:G // 2 + 1]
+    return (h * sums[0] + 2.0 * panel_kink(H[:-1], H[1:], p, h),
+            2.0 * h * sums[1] + 2.0 * panel_kink(H[:-1:2], H[2::2], p, 2.0 * h))
+
+
+def exact_stride(p, degree, G):
+    """The coarsest power-of-two stride k whose sub-grid the rule is
+    exact on for |g|^p, g of the given degree (p k degree < G), or 1 when
+    p is no even integer or p degree >= G."""
+    k = 1
+    while p % 2.0 == 0.0 and 2 * k * p * degree < G:
+        k *= 2
+    return k
 
 
 def grid_source(ke):
@@ -168,15 +201,17 @@ def with_tail(ke, p, err):
     return err + ke.tail_eps * (1.0 if math.isinf(p) else TWO_PI ** (1.0 / p))
 
 
-def unblocked_lp(s, p, rule=whole_grid_trapezoid):
-    """lp_norm's value and error estimate from the two whole-array
-    integrals of `rule`.  The estimate is Richardson's, or at even p,
-    where the rule is exact on these 16-nodes-per-wavelength grids, the
-    rounding of G terms."""
-    full, half = rule(s, p, TWO_PI / s.size)
+def unblocked_lp(s, p, degree, rule=blocked_trapezoid):
+    """lp_norm's value and error estimate from the two integrals of
+    `rule` for a g of the given degree.  The estimate is Richardson's, or
+    at even p, where the rule is exact on the stride-k sub-grid of these
+    16-nodes-per-wavelength grids, the rounding of its G/k terms."""
+    G = s.size
+    k = exact_stride(p, degree, G)
+    full, half = rule(s, p, TWO_PI / G, k)
     value = full ** (1.0 / p)
-    err = (full * (s.size + 2) * np.finfo(float).eps if p % 2.0 == 0.0
-           else abs(full - half) / 3.0)
+    err = (full * (G // k + 2) * np.finfo(float).eps
+           if p % 2.0 == 0.0 and p * degree < G else abs(full - half) / 3.0)
     return value, value * err / (p * full)
 
 
@@ -495,8 +530,8 @@ class TestNorms:
     def test_orders_leaving_float64_refused(self, psi_half):
         # at (1.0, 0.5), n = 12, |K*| <= 0.3581: |K*|^1000 underflows on
         # every node and the norm read 0; order 400 keeps its value, below
-        # (2 pi)^{1/400} ||K*||_inf.  |2 cos t|^1100 overflows (on one
-        # block, so on the calling thread, where numpy warns).  An
+        # (2 pi)^{1/400} ||K*||_inf.  |2 cos t|^1100 overflows, and the
+        # pass keeps numpy quiet about it: the refusal alone speaks.  An
         # identically zero series keeps its exact 0.
         ke = KernelEvaluator.build(psi_half, 12, 0.0)
         with pytest.raises(NumericError, match="order 1000.0"):
@@ -504,9 +539,10 @@ class TestNorms:
         v400 = lp_norm(ke, 400.0).value
         assert v400 == pytest.approx(0.3534, abs=1e-4)
         assert v400 <= TWO_PI ** (1.0 / 400.0) * sup_norm(ke).value
-        with pytest.warns(RuntimeWarning, match="overflow"), \
-                pytest.raises(NumericError, match="order 1100.0"):
-            lp_norm(FourierSeries(0.0, [2.0], [0.0]), 1100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="order 1100.0"):
+                lp_norm(FourierSeries(0.0, [2.0], [0.0]), 1100.0)
         assert lp_norm(FourierSeries(0.0, [0.0], [0.0]), 1000.0).value == 0.0
 
     def test_kernel_norm_tail_budget(self, psi_half):
@@ -582,11 +618,12 @@ class TestBlockedPasses:
         assert G <= approx_ops._BLOCK
         nv = lp_norm(f, p)
         assert (nv.value, nv.error_estimate) == unblocked_lp(
-            f.uniform_samples(G), p)
+            f.uniform_samples(G), p, f.degree)
 
     @staticmethod
     def check_many_blocks(ke, p, rule):
-        value, err = unblocked_lp(mirrored_grid(grid_source(ke), 1 << 20), p, rule)
+        value, err = unblocked_lp(mirrored_grid(grid_source(ke), 1 << 20), p,
+                                  ke.truncation_index, rule)
         nv = lp_norm(ke, p)
         assert nv.value == pytest.approx(value, rel=1e-14, abs=0.0)
         assert nv.error_estimate == pytest.approx(with_tail(ke, p, err),
@@ -596,7 +633,7 @@ class TestBlockedPasses:
     def test_lp_norm_on_many_blocks(self, deep_profile, p):
         # a non-integer beta walks the whole grid
         self.check_many_blocks(deep_profile.evaluator(0.5), p,
-                               whole_grid_trapezoid)
+                               blocked_trapezoid)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0])
@@ -638,12 +675,15 @@ class TestBlockedPasses:
         assert np.all(np.abs(got - ref) <= 3.0 * np.spacing(ref) + drift)
 
     def test_even_order_error_is_rounding(self):
-        # |sin|^4 is a trigonometric polynomial the 4,096-point rule
-        # integrates exactly: the estimate is the rounding of its terms
+        # |sin|^4 is a trigonometric polynomial of degree 4, which the
+        # rule integrates exactly on every 512th of the 4,096 nodes: the
+        # estimate is the rounding of those 8 terms (up to the rounding of
+        # the record's own quotient)
         f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
         nv = lp_norm(f, 4.0)
         eps = np.finfo(float).eps
-        assert nv.error_estimate == nv.value * 4098 * eps / 4.0
+        assert nv.error_estimate == pytest.approx(
+            nv.value * (8 + 2) * eps / 4.0, rel=4 * eps)
         assert abs(nv.value - (0.75 * math.pi) ** 0.25) <= nv.error_estimate
         # at p = 16 the 4,096 nodes of a degree-256 series no longer
         # integrate |g|^p exactly, so the half-grid estimate is back
@@ -651,6 +691,25 @@ class TestBlockedPasses:
         assert approx_ops._grid_size(top.degree) == 4096
         nv = lp_norm(top, 16.0)
         assert nv.error_estimate > 1e-6 * nv.value
+
+    @pytest.mark.parametrize("alpha, r, n", [(2.0, 0.7, 112), (1.0, 0.5, 40)])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_four_norm_matches_the_convolution_oracle(self, alpha, r, n,
+                                                      beta):
+        # int |K*|^4 = int |K*^2|^2 = 2 pi sum |delta_m|^2, delta = gamma *
+        # gamma the self-convolution of K*'s complex coefficients: the
+        # p = 4 record, summed on its exact stride-4 sub-grid, lies within
+        # its own estimate of that
+        ke = KernelEvaluator.build(PsiFunction.exp_power(alpha, r), n, beta)
+        G = approx_ops._grid_size(ke.truncation_index)
+        assert exact_stride(4.0, ke.truncation_index, G) == 4
+        own = kernel_series(ke)
+        half = 0.5 * (own.a - 1j * own.b)
+        gamma = np.concatenate((np.conj(half[::-1]), [0.5 * own.a0], half))
+        delta = np.convolve(gamma, gamma)
+        oracle = (TWO_PI * float(np.sum(np.abs(delta) ** 2))) ** 0.25
+        nv = lp_norm(ke, 4.0)
+        assert abs(nv.value - oracle) <= nv.error_estimate
 
     def test_argmax_keeps_first_index_rule(self):
         B = approx_ops._BLOCK
@@ -689,24 +748,30 @@ class TestBlockedPasses:
             self, deep_profile, u, v):
         # (u, v) = (1, +-1) adds or subtracts f_{-j}; the products by +-1
         # it skips are exact, so the bits are those of u f_j + v f_{-j},
-        # written here on the natural grid; the block builder reads that
-        # grid (L = 1) or the eight rows its split FFT wrote (L = 8)
-        G, B = 1 << 20, approx_ops._BLOCK
+        # written here on the natural grid; the row mirror writes a block
+        # of columns of every row (node Lq + r at row r, column q) from the
+        # eight rows the split FFT wrote, or from that grid read as rows
+        G, C = 1 << 20, approx_ops._BLOCK // 8
         f = deep_profile.folded.uniform_samples(G)
-        rows = deep_profile.folded._phases(G)
-        assert rows.shape == (8, G // 8)
-        # the first block, an interior one, the half walk's last block
-        # (with node G/2), a whole walk's last and the whole grid
-        for lo, m in ((0, B + 1), (3 * B, B + 1), (G // 2 - B, B + 1),
-                      (G - B, B), (0, G)):
-            j = lo + np.arange(m)
+        split = deep_profile.folded._phases(G)
+        assert split.shape == (8, G // 8)
+        natural = psiapprox.series._rows(f)
+        assert natural.shape == split.shape and not natural.flags.c_contiguous
+        # the first block, an interior one, the half walk's last block, a
+        # whole walk's last and the whole grid
+        M = G // 8
+        for lo, hi in ((0, C), (3 * C, 4 * C), (M // 2 - C, M // 2),
+                       (M - C, M), (0, M)):
+            j = 8 * np.arange(lo, hi) + np.arange(8)[:, None]
             want = np.multiply(f[j], u) + np.multiply(f[-j % G], v)
-            for grid in (f, rows):
-                got = approx_ops._mirror_block(grid, u, v, lo, np.empty(m))
+            for rows in (split, natural):
+                got = approx_ops._mirror_rows(rows, u, v, lo, hi, np.empty(
+                    j.size), np.empty(j.size))
                 assert np.array_equal(got, want)
             # (1, 0), a series without a mirror, reads f itself
-            assert np.array_equal(approx_ops._mirror_block(
-                rows, 1.0, 0.0, lo, np.empty(m)), f[j])
+            assert np.array_equal(approx_ops._mirror_rows(
+                split, 1.0, 0.0, lo, hi, np.empty(j.size), np.empty(j.size)),
+                f[j])
 
     @pytest.mark.parametrize("alpha, r, n, L", [
         (1.0, 0.5, 40, 1), (0.5, 0.5, 100, 2), (2.0, 0.3, 200, 8)])
@@ -1041,7 +1106,7 @@ class TestHalfWalk:
             assert sums[p] == half_period_trapezoid(g, p, h)
             assert all(type(x) is float for x in sums[p])   # not np.float64
             # and the whole walk, up to the order of the rounding
-            assert sums[p] == pytest.approx(whole_grid_trapezoid(g, p, h),
+            assert sums[p] == pytest.approx(blocked_trapezoid(g, p, h),
                                             rel=1e-12, abs=0.0)
         # the p = inf node and value are the whole walk's, bit for bit
         i = int(np.argmax(np.abs(g)))
@@ -1177,8 +1242,7 @@ class TestDuality:
         assert list(ke.folded._sample_cache) == cached
         G, h = ex.grid_size, TWO_PI / ex.grid_size
         assert [G] == cached
-        g = approx_ops._mirror_block(ke.folded._phases(G), *ke.mirror, 0,
-                                     np.empty(G))
+        g = ke.folded._mirrored(G, *ke.mirror)
         S = g[(round(ex.x0 / h) - np.arange(G)) % G]
         # at p = p' = 2, phi = S / ||S||_2: the records by its arithmetic
         phi = np.sign(S) * np.abs(S) ** 1.0 / (

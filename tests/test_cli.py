@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestLambdaAndKernel:
         assert (code, out) == (3, "")
         assert "below float64's resolution" in err
         assert "not decreasing" not in err
+
+    def test_large_order_refused_without_a_numpy_warning(self, capsys):
+        # |g|^1000 overflows in the pass and its kink correction reads
+        # inf - inf: numpy keeps quiet and the refusal alone is printed
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "kernel-norm", "--alpha", "0.2",
+                                     "--r", "0.7", "--n", "4", "--p", "inf",
+                                     "1000")
+        assert (code, out) == (3, "")
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert err == ("numeric error: norm order 1000.0: the sum of "
+                       "|g|^1000.0 over the 65536-point grid, nan, leaves "
+                       "float64's range\n")
 
     @pytest.mark.parametrize("argv", [
         ["kernel-norm", *HALF, "--n", "100000000", "--p", "1"],

@@ -68,13 +68,16 @@ def test_kernel_series_is_read_only_in_kernels():
     assert not hasattr(psiapprox.KernelEvaluator, "series")
 
 
+READERS = ("_rows", "_mirror_rows", "_every", "_crossings", "_pairs",
+           "_row_maxima", "_node")
+
+
 def test_row_layout_is_read_in_series():
     # series writes a split grid as rows and alone reads them: the other
     # modules hand the rows to its readers and never index them
     found = {}
     for path in sorted(Path(psiapprox.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name in ("_mirror_block", "_node")):
+            if isinstance(node, ast.FunctionDef) and node.name in READERS:
                 found.setdefault(node.name, []).append(path.name)
-    assert found == {"_mirror_block": ["series.py"], "_node": ["series.py"]}
+    assert found == {name: ["series.py"] for name in READERS}

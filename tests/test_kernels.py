@@ -16,7 +16,7 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
 from psiapprox import approx_ops, kernels
 from psiapprox.cli import main
 from psiapprox.psi_core import LN2, _solve_eta
-from psiapprox.series import FFT_BLOCK
+from psiapprox.series import FFT_BLOCK, _node
 
 from conftest import kernel_series
 
@@ -123,6 +123,30 @@ class TestTruncation:
             true_tail = float(np.sum(psi_half(ks)))
             assert true_tail <= bound
             assert bound <= 6.0 * true_tail  # not wildly loose
+
+    @pytest.mark.parametrize("K, log_first", [
+        (4304, -699.5), (4610, -734.0), (5200, -798.5)])
+    def test_certified_tail_far_down(self, K, log_first):
+        # (2.0, 0.7): the halving blocks run below e^-700, and at K = 5200
+        # below the smallest subnormal; none is dropped, so the bound stays
+        # positive and covers the 30-digit tail (at K = 4610 it read 0)
+        psi = PsiFunction.exp_power(2.0, 0.7)
+        assert float(psi.log_value(K + 1.0)) == pytest.approx(log_first,
+                                                               abs=0.05)
+        with mpmath.workdps(30):
+            tail = mpmath.nsum(lambda k: mpmath.exp(-2 * k ** mpmath.mpf(0.7)),
+                               [K + 1, mpmath.inf])
+        bound = certified_tail_sum(psi, K)
+        assert bound >= max(tail, math.ulp(0.0))
+        assert bound <= max(3 * tail, math.ulp(0.0))
+
+    def test_tail_budget_far_down_grows_K(self):
+        # at (2.0, 0.7), n = 4300, K = 4610 certified a tail of 0; its
+        # positive bound now passes the budget, so K grows until it fits
+        psi = PsiFunction.exp_power(2.0, 0.7)
+        kp = kernels.kernel_profile(psi, 4300)
+        assert kp.truncation_index > 4610
+        assert 0.0 < kp.certified_tail <= kp.tail_eps
 
     def test_certified_tail_unit_gap(self, psi_unit_gap):
         # geometric series: tail of 2^-t from K+1 is exactly 2 * 2^-(K+1);
@@ -380,10 +404,9 @@ def fft_samples(ke, G):
 
 
 def pass_grid(ke, G):
-    """The G-point grid the norm pass walks for ke: `_mirror_block`'s
-    u f_j + v f_{-j} over its profile's f samples, as one block."""
-    f, u, v = ke.folded, *ke.mirror
-    return approx_ops._mirror_block(f._phases(G), u, v, 0, np.empty(G))
+    """The G-point grid the norm pass walks for ke: u f_j + v f_{-j} over
+    its profile's f samples, by the row mirror, in natural order."""
+    return ke.folded._mirrored(G, *ke.mirror)
 
 
 class TestMirroredSamples:
@@ -418,8 +441,7 @@ class TestMirroredSamples:
             G = approx_ops._grid_size(ke.truncation_index)
             assert G > FFT_BLOCK   # the split route
             f, u, v = ke.folded, *ke.mirror
-            node0 = approx_ops._mirror_block(f._phases(G), u, v, 0,
-                                             np.empty(1))[0]
+            node0 = _node(f._phases(G), u, v, 0)
             own = kernel_series(ke)
             spec = np.concatenate(([0.0], own.a - 1j * own.b))
             assert node0 == np.fft.irfft(0.5 * spec, G, norm="forward")[0]

@@ -37,9 +37,9 @@ STDOUT_SHA256 = {
     "kernel-norm --alpha 1 --r 0.5 --n 12 --p 2":
         "f3fdced0d003394a335163648111f869cd6fb1c6f338abc06d98bb72bb0a12d4",
     "verify theorem1 --alpha 1 --r 0.5 --n-range 11:40 --p 1 2 inf":
-        "5aeb1776c7d62cdd2769bed4a2b33795e6b9770ee5123e34157b1fabc5b60115",
+        "e9f9f3d805bdef0a976df52788b8b06a717b979a4be801054d9f135f4b8becb5",
     "verify theorem2 --alpha 2 --r 0.5 --n 12 --s 2 4":
-        "53f229b4437368dfcc6ae565355191b7dc8dbc1d9bb07abf1b15ec3f69adc8dd",
+        "365f0e94d92399a03624a570b1a0a97d077613b529b14118f13b6ff1f4015b20",
     "verify lemma1 --trials 200 --seed 3":
         "954d309c8f6b65c84c29eb14c729c9baa6a17afc216aeea9299256b1e62f16f4",
     "verify lemma2 --alpha 1 --r 0.5 --t 11 20 50":

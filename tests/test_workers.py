@@ -78,8 +78,8 @@ def test_pass_records_keep_their_bits(deep_profile, set_workers,
 
 def test_each_worker_adds_one_set_of_pass_buffers(deep_profile,
                                                   set_workers):
-    # a worker holds two (_BLOCK + 1)-point buffers, 1 MB whatever the
-    # grid size: the panel scan writes its products into the second
+    # a worker holds two _BLOCK-point buffers, 1 MB whatever the grid
+    # size: the mirror writes v f_{-j} into the second before the powers
     rows = deep_profile.folded._phases(DEEP)
     mirror = deep_profile.evaluator(0.5).mirror
     peaks = {}
@@ -143,14 +143,14 @@ def test_row_error_reaches_the_caller(deep_profile, set_workers, monkeypatch,
 def test_pass_error_reaches_the_caller(deep_profile, set_workers,
                                        monkeypatch, count):
     set_workers(count)
-    build = approx_ops._mirror_block
-    last = DEEP - approx_ops._BLOCK
+    build = approx_ops._mirror_rows
+    last = (DEEP - approx_ops._BLOCK) // 8   # the last block's first column
 
-    def failing(s, u, v, lo, out):
+    def failing(rows, u, v, lo, hi, out, scratch):
         if lo == last:
             raise FloatingPointError("last block")
-        return build(s, u, v, lo, out)
-    monkeypatch.setattr(approx_ops, "_mirror_block", failing)
+        return build(rows, u, v, lo, hi, out, scratch)
+    monkeypatch.setattr(approx_ops, "_mirror_rows", failing)
     with pytest.raises(FloatingPointError, match="last block"):
         approx_ops._norms(deep_profile.evaluator(0.5), (1.0, math.inf))
 
