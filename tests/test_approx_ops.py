@@ -677,13 +677,15 @@ class TestBlockedPasses:
     def test_even_order_error_is_rounding(self):
         # |sin|^4 is a trigonometric polynomial of degree 4, which the
         # rule integrates exactly on every 512th of the 4,096 nodes: the
-        # estimate is the rounding of those 8 terms (up to the rounding of
-        # the record's own quotient)
+        # estimate is the rounding of those 8 terms
         f = FourierSeries(a0=0.0, a=[0.0], b=[1.0])
         nv = lp_norm(f, 4.0)
         eps = np.finfo(float).eps
-        assert nv.error_estimate == pytest.approx(
-            nv.value * (8 + 2) * eps / 4.0, rel=4 * eps)
+        full = blocked_trapezoid(f.uniform_samples(4096), 4.0,
+                                 TWO_PI / 4096, 512)[0]
+        assert nv.value == full ** 0.25
+        assert nv.error_estimate == nv.value * (full * (8 + 2) * eps) / (
+            4.0 * full)
         assert abs(nv.value - (0.75 * math.pi) ** 0.25) <= nv.error_estimate
         # at p = 16 the 4,096 nodes of a degree-256 series no longer
         # integrate |g|^p exactly, so the half-grid estimate is back
