@@ -43,9 +43,8 @@ from .series import FourierSeries, _moments, _wrap
 T_SWITCH = 1e-3
 # relative scale for the default truncation budget
 TAIL_EPS_SCALE = 1e-15
-# halving blocks certified_tail_sum may take, and its halving-point tolerance
+# halving blocks certified_tail_sum may take
 TAIL_MAX_BLOCKS = 400
-TAIL_ETA_TOL = 1e-6
 # cap on every norm grid and on the truncation index K
 MAX_GRID = 1 << 21
 
@@ -141,8 +140,8 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     """Upper bound on sum_{k > K} psi(k) via halving blocks.
 
     Block j starts at s_j (s_0 = K+1, s_{j+1} = psi.halving_point(s_j),
-    exact for exp-power and to TAIL_ETA_TOL otherwise), holds at most
-    gap_j + 1 integers, each with psi <= psi(s_j) = psi(K+1) 2^{-j}.
+    to float64's resolution), holds at most gap_j + 1 integers, each with
+    psi <= psi(s_j) = psi(K+1) 2^{-j} up to the start's rounding.
     The un-summed remainder is dominated by a geometric series once the
     observed gap growth ratio stays below 1.9; generators whose halving gaps
     keep accelerating (slower than exponential-of-power decay) fail with
@@ -155,7 +154,7 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
     total = 0.0
     gaps = []
     for j in range(TAIL_MAX_BLOCKS):
-        s_next = psi.halving_point(s, TAIL_ETA_TOL)
+        s_next = psi.halving_point(s)
         gap = s_next - s
         gaps.append(gap)
         term = (gap + 1.0) * max(math.exp(log0 - j * LN2 + shift), math.ulp(0.0))
@@ -167,9 +166,11 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
                 q = 0.5 * rho
                 rem = term * q / (1.0 - q)
                 if rem <= 1e-6 * total:
-                    # TAIL_ETA_TOL slop inflates each halving by at most
-                    # e^{TAIL_ETA_TOL}
-                    bound = (total + rem) * (1.0 + 1e-4 + TAIL_MAX_BLOCKS * TAIL_ETA_TOL)
+                    # each start's log psi is off by ~3 eps |log psi| (closed
+                    # form) or 4 eps s/gap (a solve: convexity caps the slope
+                    # at 1/gap), under 8e-5 over 400 blocks while |log psi|
+                    # and s/gap stay below 1e8
+                    bound = (total + rem) * (1.0 + 1e-4)
                     return bound if not shift else max(math.ulp(0.0), math.nextafter(
                         math.exp(math.log(bound) - shift), math.inf))
         s = s_next
@@ -407,7 +408,7 @@ def _unmet_hypotheses(prof, a: float, b: float, a_floor: float) -> list:
 def envelope_check(kp: KernelProfile, a: float, b: float) -> EnvelopeReport:
     """Certify |K*| against its two envelopes from the magnitudes |c_k|.
 
-    Pointwise:  t^2 |K*(t)| <= pi^2 (2(b+1)^2/b^2 + a/(a-1)) psi(n) / (eta-n)
+    Pointwise:  t^2 |K*(t)| <= pi^2 (2(1+1/b)^2 + a/(a-1)) psi(n) / (eta-n)
     Uniform:    |K*(t)| <= (2b/(b-2) + 1/a + 1/2) psi(n) (eta-n)
 
     With the |c_k| padded by zeros below the taper start and at K+1, K+2,
@@ -435,7 +436,7 @@ def envelope_check(kp: KernelProfile, a: float, b: float) -> EnvelopeReport:
     K, dropped = kp.truncation_index, kp.certified_tail
     scale = float(kp.psi(float(kp.n)))
     point_margin = (
-        math.pi ** 2 * (2.0 * (b + 1.0) ** 2 / b ** 2 + a / (a - 1.0))
+        math.pi ** 2 * (2.0 * (1.0 + 1.0 / b) ** 2 + a / (a - 1.0))
         * scale / kp.eta_gap
         - _certified(0.25 * math.pi ** 2 * (V + 4.0 * dropped), K))
     uni_margin = ((2.0 * b / (b - 2.0) + 1.0 / a + 0.5) * scale * kp.eta_gap

@@ -7,14 +7,11 @@ two derived quantities:
     eta(t) = psi^{-1}(psi(t) / 2)     (where the value halves)
     mu(t)  = t / (eta(t) - t)         (halving distance relative to t)
 
-All root finding runs on log(psi) so that families decaying below the
-float64 underflow threshold (e.g. exp(-2 t^0.7) past t ~ 5000) still
-resolve.  `characteristics` bisects once, to float64's resolution, even
-for the exp-power family, on purpose: its closed forms sit in
-`bounds.exp_power_characteristics`, so tests can compare the two routes
-independently.  The one closed form kept here is
-`PsiFunction.halving_point`'s exp-power eta, which the certified tail sums
-walk block by block.
+`PsiFunction.halving_point` is the one source of eta: the closed form
+(t^r + ln 2/alpha)^{1/r} for exp-power, else a solve on log(psi), which
+never underflows (exp(-2 t^0.7) leaves float64 past t ~ 5000).  Tests
+check it against a second closed form, `bounds.exp_power_characteristics`'
+gap, and against 50-digit references.
 """
 
 from __future__ import annotations
@@ -140,11 +137,14 @@ class PsiFunction:
             raise InvalidPsiError(f"psi({t}) = {val} is not positive")
         return math.log(val)
 
-    def halving_point(self, t: float, tol: float) -> float:
-        """eta(t), closed form for exp-power, else bisected to tol in log psi."""
-        if self.family == "exp-power":
+    def halving_point(self, t: float) -> float:
+        """eta(t): closed form for exp-power, else solved on log psi."""
+        if self.family != "exp-power":
+            return _solve_eta(self, t)
+        try:
             return (self._power(t) + LN2 / self.alpha) ** (1.0 / self.r)
-        return _solve_eta(self, t, tol)
+        except OverflowError:
+            raise NumericError(f"eta({t}) overflows float64") from None
 
     def derivative(self, t):
         """psi'(t) (right derivative for piecewise generators)."""
@@ -180,41 +180,40 @@ def finite_difference_psi_prime(psi: PsiFunction, t: float) -> float:
 
 # -- root finding on log(psi) ------------------------------------------------
 
-def _solve_eta(psi: PsiFunction, t: float, tol: float) -> float:
+def _solve_eta(psi: PsiFunction, t: float) -> float:
     """eta(t), where log psi falls by ln 2 from t: bracketed by doubling
-    steps, then bisected until |log psi - target| <= tol or the bracket is
-    4 eps max(1, |eta|) wide, float64's resolution; only iteration
-    exhaustion raises.  A ln 2 lost to rounding returns t."""
-    log_eval, lo = psi.log_value, float(t)
-    f_lo = float(log_eval(lo))
-    target = f_lo - LN2
-    if f_lo - target <= tol:
-        return lo
-    step = 0.5
-    a = lo
+    steps, then narrowed by false position with the Illinois step (Dowell
+    & Jarratt, BIT 11, 1971) to an exact hit or a bracket 4 eps max(1,
+    |eta|) wide, float64's resolution.  A ln 2 lost to rounding returns t."""
+    log_eval, a, step = psi.log_value, float(t), 0.5
+    f_a = float(log_eval(a))
+    target = f_a - LN2
+    g_a = f_a - target
+    if g_a <= 0.0:
+        return a
     for _ in range(200):
         b = a + step
-        f_b = float(log_eval(b))
-        if f_b <= target:
+        g_b = float(log_eval(b)) - target
+        if g_b <= 0.0 or step > 1e13 * max(1.0, abs(t)):
             break
-        a = b
-        step *= 2.0
-        if step > 1e13 * max(1.0, abs(lo)):
-            raise NumericError("bracket growth exhausted; psi decays too slowly")
-    else:
-        raise NumericError("no upper bracket found")
+        a, g_a, step = b, g_b, 2.0 * step
+    if g_b > 0.0:
+        raise NumericError("bracket growth exhausted; psi decays too slowly")
+    kept = 0   # g_a > 0 >= g_b; an end kept twice in a row has its g halved
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        f_mid = float(log_eval(mid))
-        if abs(f_mid - target) <= tol:
-            return mid
-        if b - a <= 4.0 * _EPS * max(1.0, abs(mid)):
-            return mid  # resolution-limited: best float64 can represent
-        if f_mid > target:
-            a = mid
+        if g_b == 0.0:
+            return b
+        if b - a <= 4.0 * _EPS * max(1.0, abs(b)):
+            return 0.5 * (a + b)
+        x = b - g_b * (b - a) / (g_b - g_a)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        g_x = float(log_eval(x)) - target
+        if g_x > 0.0:
+            a, g_a, g_b, kept = x, g_x, (0.5 if kept == 1 else 1.0) * g_b, 1
         else:
-            b = mid
-    raise NumericError("bisection failed to converge after 200 iterations")
+            b, g_b, g_a, kept = x, g_x, (0.5 if kept == -1 else 1.0) * g_a, -1
+    raise NumericError("false position failed to converge after 200 iterations")
 
 
 def guarded_eta_floor(eta: float) -> int:
@@ -257,7 +256,7 @@ def characteristics(psi: PsiFunction, t: float) -> CharacteristicProfile:
         raise DomainError(f"t must be finite, got {t}")
     if t < psi.domain_start - 1e-12:
         raise DomainError(f"t = {t} below domain start {psi.domain_start}")
-    eta = _solve_eta(psi, t, 0.0)
+    eta = psi.halving_point(t)
     gap = eta - t
     if gap <= 0.0:   # log psi(t) - ln 2 rounded back to log psi(t)
         raise NumericError(f"eta({t}) - {t} is below float64's resolution at t")
@@ -272,7 +271,7 @@ def characteristics(psi: PsiFunction, t: float) -> CharacteristicProfile:
 def eta_derivative(psi: PsiFunction, t: float) -> float:
     """Forward-difference eta'(t), step 1e-5, each eta to resolution."""
     h, t = 1e-5, float(t)
-    return (_solve_eta(psi, t + h, 0.0) - _solve_eta(psi, t, 0.0)) / h
+    return (psi.halving_point(t + h) - psi.halving_point(t)) / h
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,17 @@ def psi_slow():
     return PsiFunction.exp_power(2.0, 0.3)
 
 
+@pytest.fixture(scope="session")
+def sqrt_profiles():
+    """exp(-sqrt t) as a custom callable and as a 6,000-knot table (the
+    knots at t = 1..6000), with the table's knot logs as it keeps them:
+    the profiles whose eta is solved, not taken in closed form."""
+    ts = np.arange(1.0, 6001.0)
+    values = np.exp(-np.sqrt(ts))
+    return (PsiFunction.custom(lambda t: np.exp(-np.sqrt(t))),
+            PsiFunction.from_table(ts, values), np.log(values))
+
+
 @pytest.fixture
 def set_workers(monkeypatch):
     """set_workers(count) runs deep grids on count workers, whatever the

@@ -115,6 +115,13 @@ class TestLambdaAndKernel:
         assert "below float64's resolution" in err
         assert "not decreasing" not in err
 
+    def test_halving_point_overflow_says_so(self, capsys):
+        # (5^0.001 + ln 2/0.001)^1000 leaves float64: refused by name
+        code, out, err = run_cli(capsys, "characteristics", "--alpha", "0.001",
+                                 "--r", "0.001", "--t", "5")
+        assert (code, out) == (3, "")
+        assert err == "numeric error: eta(5.0) overflows float64\n"
+
     def test_large_order_refused_without_a_numpy_warning(self, capsys):
         # |g|^1000 overflows in the pass and its kink correction reads
         # inf - inf: numpy keeps quiet and the refusal alone is printed
@@ -321,6 +328,19 @@ class TestVerifyCommand:
         rows = json.loads(out)["rows"]
         assert all(r["envelope_status"] == "ok" for r in rows)
         assert all(r["tail_ok"] for r in rows)
+
+    def test_envelopes_huge_b_stays_finite(self, capsys):
+        # the pointwise constant is 2(1 + 1/b)^2, so (b + 1)^2 never
+        # overflows: a b above 1.34e154 is reported, mu < b, not exit 3
+        code, out, err = run_cli(capsys, "verify", "envelopes", *HALF,
+                                 "--n", "20", "--a", "3", "--b", "1e300")
+        assert code == 2
+        row = json.loads(out)["rows"][0]
+        assert row["envelope_status"] == "precondition_violated"
+        assert math.isfinite(row["pointwise_margin"])
+        assert math.isfinite(row["uniform_margin"])
+        assert err == ("verify envelopes: 0/1 ok, 0 failed, "
+                       "1 outside preconditions\n")
 
 
 class TestTableAndAsymp:

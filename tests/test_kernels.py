@@ -155,19 +155,47 @@ class TestTruncation:
         exact = 2.0 * 2.0 ** (-31.0)
         assert exact <= bound <= 2.2 * exact
 
+    def test_tail_blocks_start_at_halving_points(self, psi_half, sqrt_profiles,
+                                                 monkeypatch):
+        custom, table, _ = sqrt_profiles
+        halving = PsiFunction.halving_point
+        starts = []
+        monkeypatch.setattr(PsiFunction, "halving_point",
+                            lambda psi, t: starts.append(t) or halving(psi, t))
+        for psi in (psi_half, custom, table):
+            for K in (30, 200):
+                starts.clear()
+                certified_tail_sum(psi, K)
+                assert starts[:2] == [K + 1.0, halving(psi, K + 1.0)]
+                assert all(halving(psi, s) == s_next
+                           for s, s_next in zip(starts, starts[1:]))
+
+    def test_solved_tails_bound_thirty_digits(self, sqrt_profiles):
+        # the custom tail by mpmath.nsum; the table's sums its knots exactly
+        # plus the geometric run past its last knot
+        custom, table, log_v = sqrt_profiles
+        with mpmath.workdps(30):
+            q = mpmath.exp(mpmath.mpf(float(log_v[-1] - log_v[-2])))
+            past = mpmath.exp(mpmath.mpf(float(log_v[-1]))) * q / (1 - q)
+            for K in (30, 200, 1000):
+                tails = {
+                    custom: mpmath.nsum(lambda k: mpmath.exp(-mpmath.sqrt(k)),
+                                        [K + 1, mpmath.inf]),
+                    table: mpmath.fsum(mpmath.exp(mpmath.mpf(float(x)))
+                                       for x in log_v[K:]) + past}
+                for psi, tail in tails.items():
+                    bound = certified_tail_sum(psi, K)
+                    assert tail <= bound <= 3 * tail, (K, bound, tail)
+
     def test_closed_form_halving_keeps_K(self, monkeypatch):
         # exp-power halving points come in closed form; K must be the one
-        # the bisected chain gave, and each point within its tolerance
-        tol = kernels.TAIL_ETA_TOL
+        # the solved chain gives, and each point within resolution of it
         closed = PsiFunction.halving_point
         points = []
 
-        def recording(psi, t, tol):
+        def recording(psi, t):
             points.append((psi, t))
-            return closed(psi, t, tol)
-
-        def bisected(psi, t, tol):
-            return _solve_eta(psi, t, tol)
+            return closed(psi, t)
 
         others = [(0.5, 0.5), (0.5, 0.7), (1.0, 0.7), (2.0, 0.5), (2.0, 0.7)]
         cases = [(2.0, 0.3, range(160, 257)), (1.0, 0.5, range(11, 65))] + [
@@ -179,20 +207,20 @@ class TestTruncation:
                 gap = characteristics(psi, float(n)).eta_gap
                 monkeypatch.setattr(PsiFunction, "halving_point", recording)
                 K = kernels._tail_budget(psi, n, gap)[1]
-                monkeypatch.setattr(PsiFunction, "halving_point", bisected)
+                monkeypatch.setattr(PsiFunction, "halving_point", _solve_eta)
                 assert kernels._tail_budget(psi, n, gap)[1] == K, (alpha, r, n)
         monkeypatch.undo()
         assert len(points) > 1000
         for psi, t in points:
-            assert abs(psi.log_value(closed(psi, t, tol))
-                       - psi.log_value(bisected(psi, t, tol))) <= tol
+            eta = closed(psi, t)
+            assert abs(eta - _solve_eta(psi, t)) <= 8 * math.ulp(eta)
 
-    def test_halving_point_of_a_table_bisects(self):
+    def test_halving_point_of_a_table_solves(self):
         ts = np.arange(1.0, 200.0)
         psi = PsiFunction.from_table(ts, np.exp(-np.sqrt(ts)))
-        eta = psi.halving_point(30.0, 1e-6)
-        assert eta == _solve_eta(psi, 30.0, 1e-6)
-        assert abs(psi.log_value(eta) - psi.log_value(30.0) + LN2) <= 1e-6
+        eta = psi.halving_point(30.0)
+        assert eta == _solve_eta(psi, 30.0)
+        assert abs(psi.log_value(eta) - psi.log_value(30.0) + LN2) <= 1e-14
 
     @pytest.mark.parametrize("alpha, r", [
         (0.5, 0.5), (0.5, 0.7), (1.0, 0.5), (1.0, 0.7),

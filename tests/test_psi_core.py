@@ -10,7 +10,7 @@ from psiapprox import (CapabilityError, DomainError, InvalidPsiError,
                        NumericError, PsiFunction, characteristics,
                        eta_derivative, eval_psi_prime, exp_power_thresholds,
                        finite_difference_psi_prime, guarded_eta_floor,
-                       lemma2_margins, psi_core)
+                       lemma2_margins)
 
 LN2 = math.log(2.0)
 
@@ -50,7 +50,7 @@ class TestPsiFunction:
         # refuses it with alpha, r and t named, not a bare OverflowError
         psi = PsiFunction.exp_power(1.0, 1e300)
         for route in (psi, psi.log_value, psi.derivative,
-                      lambda t: psi.halving_point(t, 1e-6)):
+                      psi.halving_point):
             with pytest.raises(DomainError, match=r"1\.0 t\^1e\+300.* t = 5\.0"):
                 route(5.0)
         assert psi(1.0) == math.exp(-1.0)   # 1^r is still 1
@@ -122,8 +122,8 @@ class TestHalvingPoint:
     def test_one_solve_per_call(self, psi_unit_gap, monkeypatch):
         # eta(7) = 8 sits on an integer, where the floor needs no re-solve
         calls = []
-        solve = psi_core._solve_eta
-        monkeypatch.setattr(psi_core, "_solve_eta",
+        solve = PsiFunction.halving_point
+        monkeypatch.setattr(PsiFunction, "halving_point",
                             lambda *args: calls.append(args) or solve(*args))
         assert characteristics(psi_unit_gap, 7.0).floor_gap == 1
         assert len(calls) == 1
@@ -175,6 +175,55 @@ class TestHalvingPoint:
 
     def test_unit_gap_eta_derivative(self, psi_unit_gap):
         assert eta_derivative(psi_unit_gap, 12.0) == pytest.approx(1.0, abs=1e-7)
+
+
+class TestOneEta:
+    SOLVE_TS = (12.0, 40.0, 256.0, 2077.0, 5000.0)
+
+    def test_characteristics_read_the_halving_point(self, psi_half,
+                                                    sqrt_profiles):
+        custom, table, _ = sqrt_profiles
+        for psi in (psi_half, PsiFunction.exp_power(2.0, 0.3), custom, table):
+            for t in (1.0, 11.0, 12.5, 256.0, 2077.0):
+                assert characteristics(psi, t).eta == psi.halving_point(t)
+
+    def test_custom_eta_within_ulps_of_fifty_digits(self, sqrt_profiles):
+        custom, _, _ = sqrt_profiles
+        with mpmath.workdps(50):
+            for t in self.SOLVE_TS:
+                eta = custom.halving_point(t)
+                ref = (mpmath.sqrt(t) + mpmath.log(2)) ** 2
+                assert abs(mpmath.mpf(eta) - ref) <= 2 * math.ulp(eta), t
+
+    def test_table_eta_within_ulps_of_its_interpolant(self, sqrt_profiles):
+        # t is a knot, so log psi(t) is its knot log; the root lies on the
+        # chord between the two knot logs around it
+        _, table, log_v = sqrt_profiles
+        with mpmath.workdps(50):
+            for t in self.SOLVE_TS:
+                eta = table.halving_point(t)
+                i = int(math.floor(eta))   # knot i sits at index i - 1
+                lo, hi = (mpmath.mpf(float(x)) for x in log_v[i - 1:i + 1])
+                target = mpmath.mpf(float(log_v[int(t) - 1])) - mpmath.log(2)
+                root = i + (target - lo) / (hi - lo)
+                assert i <= root <= i + 1
+                assert abs(mpmath.mpf(eta) - root) <= 2 * math.ulp(eta), t
+
+    def test_solve_cost(self, psi_half, sqrt_profiles, monkeypatch):
+        custom, table, _ = sqrt_profiles
+        calls = []
+        log_value = PsiFunction.log_value
+        monkeypatch.setattr(PsiFunction, "log_value",
+                            lambda psi, t: calls.append(t) or log_value(psi, t))
+        for psi in (custom, table):
+            for t in self.SOLVE_TS:
+                calls.clear()
+                psi.halving_point(t)
+                assert len(calls) <= 16, (psi, t, len(calls))
+        calls.clear()
+        for n in range(11, 257):
+            characteristics(psi_half, n)
+        assert calls == []
 
 
 class TestLemma2Margins:

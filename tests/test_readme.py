@@ -27,29 +27,29 @@ def readme_commands():
 # updates the digest here and says why in CHANGES.md.
 STDOUT_SHA256 = {
     "characteristics --alpha 1 --r 0.5 --t 16 100":
-        "277ac8a1270ebb541b7fba7ec003ffec117ce5bb70ef61f3959f9f1d6f33ae62",
+        "ebe45e418beb57d33a956b65c25baad6642149cf5bd51f9c88442ac2e6433f97",
     "characteristics --alpha 1 --r 0.5 --n-range 11:20":
-        "908a9d86daaa76678d1e5af65aacfbf8f5701199c05155f88c1fe43d1a385415",
+        "57da931dc1fba9ffe9740de545140c889622c5b7456d666e087cc37fdddc84e8",
     "lambda --alpha 1 --r 0.5 --n 12":
         "2767f08c7c284969b17eb7d25149c185dbe8cd8f552eb6210bee4378312f94cd",
     "kernel-eval --alpha 1 --r 0.5 --n 9 --beta 1 --t 0.5 1.0":
-        "d5d395dfa3c102cf8b92d7675d357ab87778f6b20014ff5aeae5d8ae90d873ee",
+        "297e6d97502e9ad6eb4e910e9d6c07b6c5f21943a70500d199f7dd05a3808143",
     "kernel-norm --alpha 1 --r 0.5 --n 12 --p 2":
         "f3fdced0d003394a335163648111f869cd6fb1c6f338abc06d98bb72bb0a12d4",
     "verify theorem1 --alpha 1 --r 0.5 --n-range 11:40 --p 1 2 inf":
-        "e9f9f3d805bdef0a976df52788b8b06a717b979a4be801054d9f135f4b8becb5",
+        "82f8fd135b26d6c50dc54f8931a5681e790f2749e0a627cbe18e880d142f2083",
     "verify theorem2 --alpha 2 --r 0.5 --n 12 --s 2 4":
-        "365f0e94d92399a03624a570b1a0a97d077613b529b14118f13b6ff1f4015b20",
+        "f1de58efed05a3dd398f60039a1f98363f9f14b38ff2ca50e6ac43cd36d16b61",
     "verify lemma1 --trials 200 --seed 3":
         "954d309c8f6b65c84c29eb14c729c9baa6a17afc216aeea9299256b1e62f16f4",
     "verify lemma2 --alpha 1 --r 0.5 --t 11 20 50":
-        "eb34c7ab0e043145bd1b9990c324e2e5afb36dda05d7a4528ce7fde104a461a9",
+        "cf936b94ce4f4a21cdc9a34147a4094e07a7038b349521332c3b11291aa41d57",
     "verify envelopes --alpha 1 --r 0.5 --n-range 11:40":
-        "97d7f4aa7f40ca8007a5bdfb12159bec5e4c2bad1add359f9877a65dcd418bfe",
+        "5655f02b609780c22e5737a18e3c339fb04cb179da16bcc20935eea18b09844b",
     "table --alpha 1 --r 0.5 --n-range 11:32 --p 2 --format csv":
-        "9906a6fad43cd06158b9e1b2ccc39dc301723ab987108f6ac9cde18b403aa6c5",
+        "8bca52a759999a4c6fd24d637d1212bc0b3e69a5ae1d6708193918e2667ad2d6",
     "asymp --alpha 1 --r 0.5 --p 2 --n-range 11:64":
-        "c6fbfffb0d6d93c57fdbd44dbc5a3683d65489c325ae51d35984096c444995e0",
+        "18d4803b5be1898b160b4a8019dd998b24ddfba0494710ab3b10b282f8d2c5ef",
 }
 
 
