@@ -6,13 +6,10 @@ dropped.  Its residual against a synthesized class function is a
 convolution with the residual kernel of `kernels` (which owns the taper
 window and MAX_GRID).  Norms are composite trapezoid sums on the uniform
 grids `_grid_size` sizes, with a local correction at sign-change panels of
-|g|^p.  `_norms` makes every norm's record, a kernel's with its certified
-tail, kept on its evaluator.  A kernel's grid, its mirror of its profile's
-folded f, is walked in place in the rows `series` cached f's samples in,
-block by block on up to two workers, once for all orders asked together,
-half at integer beta; the sup norm reads a local interpolant of it, the
-duality extremals and the residual check read it whole, in units of 2^e
-far from unit scale.  `conjugate_exponent` maps p to p'.
+|g|^p.  `_norms` makes every record; one pass walks all of a profile's
+kernels (mirrors of its folded f, half a period at integer beta) in the
+tasks that sample f's row pairs, for every order at once.  The sup norm,
+the extremals and the residual check read the grid, in units of 2^e.
 """
 
 from __future__ import annotations
@@ -26,9 +23,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window
 from .psi_core import PsiFunction, characteristics
-from .series import (FourierSeries, _crossings, _every, _mirror_rows,
-                     _moments, _node, _pairs, _row_maxima, _rows, _spread,
-                     _wrap)
+from .series import (FourierSeries, _crossings, _mirror_rows, _moments,
+                     _node, _pairs, _sums, _totals, _wrap)
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -189,64 +185,73 @@ def _unit_exponent(S: float) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # `_powered_in_range` refuses
-def _grid_pass(s: np.ndarray, orders, h: float, peak: bool = False,
-               mirror: tuple = (1.0, 0.0), strides: dict = {}
-               ) -> tuple[dict, Optional[tuple]]:
-    """One blocked walk over a grid g (step h): {p: (full, half)}, the
-    composite rule for int |g|^p on g and on its even nodes (step 2h), and
-    with `peak` (i, |g_i|) at the first index i of max |g| (else None).
-    g = u f(t) + v f(-t), mirror (u, v), of f's samples s, natural or in
-    rows, read in place as `series._rows` ((1, 0) walks s: x 1 + 0 y is x);
-    if |u| == |v| the walk stops at node G/2 (G a multiple of 4): nodes 0
-    and G/2 count once, the rest and their panels twice.  An even p in
-    `strides` sums its exact stride-k sub-grid alone (step k h, no half).
-    Each block of columns (`_mirror_rows`, in a worker's two _BLOCK-point
-    buffers, `_spread`) takes |g| and each power once and leaves its rows'
-    sums of even and of odd nodes, added in block order: no bit depends on
-    the worker count.  Orders that are not even integers (|g|^p is then no
-    trigonometric polynomial) share one sign scan (`_crossings`)."""
-    rows, G, halved = _rows(s), s.size, abs(mirror[0]) == abs(mirror[1])
-    (L, M), kinked = rows.shape, [p for p in orders if p != 2.0 * round(p / 2.0)]
-    stop, C = (M // 2 if halved else M), max(1, _BLOCK // L)
-    starts = range(0, stop, C)
+def _grid_pass(f: FourierSeries, G: int, walks, strides=None) -> list:
+    """One walk of the G-point grid (step h = 2 pi/G) of each g = u f(t) +
+    v f(-t) of walks [((u, v), orders, peak)]: [({p: (full, half)},
+    found)], the rule for int |g|^p on g and on its even nodes (step 2h),
+    and with peak (i, |g_i|) at the first i of max |g|.  If |u| == |v|
+    nodes 0 and G/2 count once and those between twice, with their panels;
+    an even p in strides sums its exact stride-k sub-grid alone (step kh).
+    Each task of f's `_phases` builds every g on its rows (`_mirror_rows`)
+    in spans of whole _BLOCK // L-column chunks and records each chunk's
+    row sums (`_sums`, added in chunk order by `_totals`), sign bits and
+    maxima: no bit depends on the workers."""
+    h, strides, recs = TWO_PI / G, strides or {}, []
 
-    def block(lo, bufs):
-        buf, powered = bufs[:, :L * (min(lo + C, stop) - lo)]
-        X = _mirror_rows(rows, *mirror, lo, min(lo + C, stop), buf, powered)
-        cols = _crossings(X, lo) if kinked else None
-        np.abs(X, out=X)
-        sums = {}
-        for p in orders:   # |g|^p on the grid or its stride-k sub-grid
-            x = _every(X, strides.get(p, 1))
-            x = x if p == 1.0 else _power(x, p, powered[:x.size].reshape(x.shape))
-            sums[p] = (_every(x, 2).sum(axis=1), _every(x, 2, 1).sum(axis=1))
-        return cols, _row_maxima(X, lo) if peak else None, sums
+    def start(rows):   # each walk's records, every task writing its rows'
+        (L, M), C = rows.shape, max(1, _BLOCK // len(rows))
+        for mirror, orders, _ in walks:
+            stop = M // 2 if abs(mirror[0]) == abs(mirror[1]) else M
+            kinked = any(p != 2.0 * round(p / 2.0) for p in orders)
+            recs.append((stop, np.empty((L, stop * kinked), bool), [], {
+                p: np.zeros((-(-stop // C), L, 2)) for p in orders}))
+        return visit
 
     @np.errstate(over="ignore", invalid="ignore")   # per thread
-    def walk(lo, hi):   # one worker's blocks, in one set of buffers
-        bufs = np.empty((2, min(G, L * C)))
-        return [block(start, bufs) for start in starts[lo:hi]]
-    cols, tops, sums = zip(*(
-        rec for part in _spread(walk, len(starts)) for rec in part))
-    twice, kinks = (2.0 if halved else 1.0), [{}, {}]
-    for i, (a, b) in enumerate(_pairs(rows, *mirror, np.concatenate(cols))
-                               if kinked else ()):   # grid, half grid
-        c = a * b < 0   # a sign change, not a zero
-        kinks[i] = _kinks(np.abs(a[c]), np.abs(b[c]), kinked, twice * (i + 1) * h)
-    j = np.concatenate(([0, G // 2], *(tops if peak else ())))
-    w = np.abs(_node(rows, *mirror, j))   # nodes 0, G/2, each row's first max
-    out = {}
-    for p in orders:
-        half, odd = (float(np.sum(np.concatenate(x)))
-                     for x in zip(*(blk[p] for blk in sums)))
-        k, full = strides.get(p, 1), half + odd   # even nodes: the half grid
-        if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
-            head, tail = map(float, _power(w[:2], p, np.empty(2)))
-            full, half = 2.0 * full - head + tail, 2.0 * half - head + tail
-        out[p] = (k * h * full + kinks[0].get(p, 0.0),
-                  None if k > 1 else 2.0 * h * half + kinks[1].get(p, 0.0))
-    i = np.lexsort((j, -w))[0]   # the largest |g|, at its first node
-    return out, (int(j[i]), float(w[i])) if peak else None
+    def visit(rows, task):   # span by span of the task's rows, every walk
+        L, t, C = len(rows), len(task), max(1, _BLOCK // len(rows))
+        bufs = np.empty((2, _BLOCK))   # one size, which malloc reuses call to call
+        W = C * max(1, bufs.shape[1] // (t * C) * all(   # whole chunks
+            rec[0] % min(C, rec[0]) == 0 for rec in recs))
+        for lo in range(0, max(rec[0] for rec in recs), W):
+            for (mirror, orders, peak), (stop, signs, tops, sums) in zip(
+                    walks, recs):
+                hi, c = min(lo + W, stop), min(C, stop)   # c: a chunk
+                if lo >= stop:
+                    continue
+                X = _mirror_rows(rows, task, *mirror, lo, hi, *bufs)
+                if signs.size:   # orders that are not even integers
+                    signs[list(task), lo:hi] = np.signbit(X)
+                np.abs(X, out=X)
+                if peak:   # each row's first maximum in the span
+                    tops.append(L * (lo + np.argmax(X, axis=1)) + task)
+                for p in orders:   # |g|^p on the grid or its stride-k sub-grid
+                    _sums(X, task, strides.get(p, 1), lambda x: x if p == 1.0
+                          else _power(x, p, bufs[1, :x.size].reshape(x.shape)),
+                          sums[p][lo // c:-(-hi // c)])
+    rows, out = f._phases(G, start), []
+    for (mirror, orders, peak), (stop, signs, tops, sums) in zip(walks, recs):
+        kinked, kinks = [p for p in orders if p != 2.0 * round(p / 2.0)], [{}, {}]
+        halved = stop < rows.shape[1]
+        for i, (a, b) in enumerate(_pairs(rows, *mirror, _crossings(signs))
+                                   if kinked else ()):   # grid, half grid
+            c = a * b < 0   # a sign change, not a zero
+            kinks[i] = _kinks(np.abs(a[c]), np.abs(b[c]), kinked,
+                              (1 + halved) * (i + 1) * h)
+        j = np.concatenate(([0, G // 2], *tops))
+        w = np.abs(_node(rows, *mirror, j))   # nodes 0, G/2, rows' first maxima
+        for p in orders:
+            k = strides.get(p, 1)
+            half, odd = _totals(sums[p], k)
+            full = half + odd   # even nodes: the half grid
+            if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
+                head, tail = map(float, _power(w[:2], p, np.empty(2)))
+                full, half = 2.0 * full - head + tail, 2.0 * half - head + tail
+            sums[p] = (k * h * full + kinks[0].get(p, 0.0),
+                       None if k > 1 else 2.0 * h * half + kinks[1].get(p, 0.0))
+        i = np.lexsort((j, -w))[0]   # the largest |g|, at its first node
+        out.append((sums, (int(j[i]), float(w[i])) if peak else None))
+    return out
 
 
 def _local(source: tuple, G: int, t: float) -> tuple:
@@ -313,81 +318,78 @@ def _powered_in_range(total: float, G: int, p: float, S: float) -> None:
                            f"{G}-point grid, {total:.3g}, leaves float64's range")
 
 
-def _norms(g, orders) -> dict:
-    """{p: NormValue} for each order p in [1, inf] of a series or a kernel,
-    the one place a norm's record is made.  p = 2 is Parseval's
-    sqrt(pi * energy); the others share one `_grid_pass`: the refined
-    maximum at p = inf, else the trapezoid with the half-grid Richardson
-    estimate, or at even p whose rule is exact on a stride-k sub-grid
-    (p degree k < G) that sub-grid's sum, with only its G/k terms'
-    rounding left.  A kernel (degree K, even if u == v) mirrors its
-    folded samples, has twice f's energy, adds the certified tail,
-    tail_eps (2 pi)^{1/p}, to each estimate, and keeps the records on its
-    evaluator, so an order is computed once.  g is walked, and its energy
-    summed, in units of 2^e, e = `_unit_exponent(S)`, S = sum |c_k| (0
-    inside [2^-200, 2^200]): no product or power under- or overflows."""
-    if isinstance(g, KernelEvaluator):
-        (f, u, v), record = (g.folded, *g.mirror), g._norm_cache
-        degree, even = g.truncation_index, u == v
-        moments, tail, twice = g.moments, g.tail_eps, 2.0
-    elif isinstance(g, FourierSeries):
-        (f, u, v), record = (g, 1.0, 0.0), {}
-        degree, even = g.degree, not g.b.any()
+def _norms(gs, orders) -> list:
+    """[{p: NormValue}] for each order p in [1, inf] of each of gs, one
+    series or one profile's kernels.  p = 2 is Parseval's sqrt(pi *
+    energy), summed once; one `_grid_pass` gives the refined max at p = inf,
+    else the trapezoid with the half-grid Richardson estimate, or at even
+    p exact on a stride-k sub-grid (p degree k < G) its sum, with only its
+    G/k terms' rounding left.  A kernel (degree K, even if u == v) mirrors
+    its folded samples, has twice f's energy, adds the certified tail,
+    tail_eps (2 pi)^{1/p}, to each estimate and keeps its records.  g is
+    taken in units of 2^e, e = `_unit_exponent(sum |c_k|)`."""
+    g = gs[0]
+    if isinstance(g, FourierSeries) and len(gs) == 1:
+        f, degree, tail, twice = g, g.degree, 0.0, 1.0
         moments = _moments(np.hypot(g.a, g.b), 0.5 * abs(g.a0))
-        tail, twice = 0.0, 1.0
+        jobs = [((1.0, 0.0), {}, not g.b.any())]
+    elif all(isinstance(k, KernelEvaluator) and k.folded is g.folded for k in gs):
+        f, degree, moments, tail, twice = (g.folded, g.truncation_index,
+                                           g.moments, g.tail_eps, 2.0)
+        jobs = [(k.mirror, k._norm_cache, k.mirror[0] == k.mirror[1]) for k in gs]
     else:
-        raise DomainError(f"cannot take norms of {type(g).__name__}")
-    e = _unit_exponent(moments[0])
-    source = (f, math.ldexp(u, -e), math.ldexp(v, -e))   # g / 2^e
-    moments = tuple(math.ldexp(m, -e) for m in moments)
-    new, grid = {}, []
-    for p in dict.fromkeys(orders):
-        if p in record:
-            continue
-        if not p >= 1.0:
-            raise DomainError(f"p must be >= 1, got {p}")
-        if p == 2.0:   # a kernel's sum c_k^2 is twice its f's energy
+        raise DomainError("norms are taken of one series or of one profile's "
+                          f"kernels, not of {[type(k).__name__ for k in gs]}")
+    for p in (p for p in orders if not p >= 1.0):   # the first, by name
+        raise DomainError(f"p must be >= 1, got {p}")
+    e, two, walks, passes = _unit_exponent(moments[0]), None, [], []
+    moments, new = tuple(math.ldexp(m, -e) for m in moments), [{} for _ in jobs]
+    for (mirror, record, even), got in zip(jobs, new):
+        want = [p for p in dict.fromkeys(orders) if p not in record]
+        if 2.0 in want and two is None:   # sum c_k^2: twice f's energy
             unit = FourierSeries(math.ldexp(f.a0, -e), np.ldexp(f.a, -e),
                                  np.ldexp(f.b, -e)) if e else f
             value = math.sqrt(math.pi * (twice * unit.energy()))
-            new[p] = NormValue(value=value, error_estimate=value * (
-                degree + 1) * _EPS)
-        else:
-            grid.append(p)
-    if grid:
+            two = NormValue(value, value * (degree + 1) * _EPS)
+        got.update({2.0: two} if 2.0 in want else {})   # beta-free: once
+        finite = [p for p in want if p != 2.0 and not math.isinf(p)]
+        if math.inf in want or finite:   # g / 2^e
+            walks.append((got, even, (f, *(math.ldexp(x, -e) for x in mirror)),
+                          finite, math.inf in want))
+    if walks:
         G = _grid_size(degree)
-        finite = [p for p in grid if not math.isinf(p)]
         strides = {p: 1 << ((G - 1) // int(p * degree or 1)).bit_length() - 1
-                   for p in finite if p == 2.0 * round(p / 2.0) and p * degree < G}
-        sums, found = _grid_pass(source[0]._phases(G), finite, TWO_PI / G,
-                                 peak=len(finite) < len(grid), mirror=source[1:],
-                                 strides=strides)
+                   for *_, finite, _ in walks for p in finite
+                   if p == 2.0 * round(p / 2.0) and p * degree < G}
+        passes = _grid_pass(f, G, [(source[1:], finite, peak) for *_, source,
+                                   finite, peak in walks], strides)
+    for (got, even, source, finite, _), (sums, found) in zip(walks, passes):
         for p in finite:
             full, half = sums[p]
             _powered_in_range(full / (TWO_PI / G), G, p, moments[0])
             err_i = (full * (G // strides[p] + 2) * _EPS if p in strides
                      else abs(full - half) / 3.0)
             value = full ** (1.0 / p) if full > 0.0 else 0.0
-            new[p] = NormValue(value, value * err_i / (p * full) if full > 0.0
-                               else err_i ** (1.0 / p))
+            got[p] = NormValue(value, value * err_i / (p * full)
+                               if full > 0.0 else err_i ** (1.0 / p))
         if found is not None:
-            new[math.inf] = _sup_refined(source, even, *found, G, moments)
-    for p, nv in new.items():
-        measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
-        record[p] = NormValue(math.ldexp(nv.value, e), math.ldexp(
-            nv.error_estimate, e) + tail * measure)
-    return {p: record[p] for p in orders}
+            got[math.inf] = _sup_refined(source, even, *found, G, moments)
+    for (_, record, _), got in zip(jobs, new):
+        for p, nv in got.items():
+            measure = 1.0 if math.isinf(p) else TWO_PI ** (1.0 / p)
+            record[p] = NormValue(math.ldexp(nv.value, e), math.ldexp(
+                nv.error_estimate, e) + tail * measure)
+    return [{p: record[p] for p in orders} for _, record, _ in jobs]
 
 
 def lp_norm(g, p: float) -> NormValue:
-    """(int_0^{2pi} |g|^p dt)^{1/p}, or max |g| at p = inf, for a
-    FourierSeries or a KernelEvaluator: `_norms` with one order."""
-    return _norms(g, (p,))[p]
+    """(int_0^{2pi} |g|^p dt)^{1/p}, or max |g| at p = inf, of a series or kernel."""
+    return _norms([g], (p,))[0][p]
 
 
 def sup_norm(g) -> NormValue:
     """max |g| by the dense norm grid plus Newton refinement at its argmax."""
-    return _norms(g, (math.inf,))[math.inf]
+    return _norms([g], (math.inf,))[0][math.inf]
 
 
 def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
@@ -400,7 +402,7 @@ def kernel_norm(psi: PsiFunction, beta: float, n: int, p_prime: float,
         raise DomainError(
             f"the kernel of n = {n}, beta = {beta} was given the evaluator "
             f"of n = {ke.n}, beta = {ke.beta} or of another psi")
-    return _norms(ke, (p_prime,))[p_prime]
+    return _norms([ke], (p_prime,))[0][p_prime]
 
 
 # -- duality -----------------------------------------------------------------

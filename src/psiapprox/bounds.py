@@ -215,8 +215,8 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
 
     Each n's characteristics decide viability once, by the hypotheses
     with C_a's floor: a > 2, b > 2, gap >= a and mu >= b.  A viable n gets
-    one kernel profile, and each beta one evaluator whose grid is sampled
-    and walked once for every norm order of the modes; the others are
+    one kernel profile, whose grid is sampled once, and each beta an
+    evaluator; one walk takes every beta's norm orders.  The others are
     reported precondition_violated.
     """
     a, b = _resolve_thresholds(psi, a, b)
@@ -225,18 +225,16 @@ def verify_sweep(psi: PsiFunction, betas: Sequence[float],
     for beta in betas:
         if not math.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta}")
-    orders = {_mode_exponents(mode, value)[1] for mode, value in modes}
-    out = []
+    orders, out = {_mode_exponents(mode, value)[1] for mode, value in modes}, []
     for n in ns:
         prof = characteristics(psi, float(n))
         viable = not _unmet_hypotheses(prof, a, b, 2.0)
         kp = kernel_profile(psi, n, prof) if viable else None
-        for beta in betas:
-            ke = kp.evaluator(beta) if viable else None
-            if viable:
-                _norms(ke, orders)
-            out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
-                       for mode, value in modes)
+        kes = [kp.evaluator(beta) if viable else None for beta in betas]
+        if viable and kes:   # every beta's walk in the tasks sampling f
+            _norms(kes, orders)
+        out.extend(_verify(psi, beta, mode, value, n, a, b, prof, ke)
+                   for beta, ke in zip(betas, kes) for mode, value in modes)
     return out
 
 

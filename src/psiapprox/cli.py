@@ -307,7 +307,7 @@ def _cmd_kernel_eval(cfg: argparse.Namespace) -> int:
 def _cmd_kernel_norm(cfg: argparse.Namespace) -> int:
     psi = _make_psi(cfg)
     ke = KernelEvaluator.build(psi, cfg.n, cfg.beta)
-    _norms(ke, cfg.p)   # every order from one pass over the grid
+    _norms([ke], cfg.p)   # every order from one pass over the grid
     rows = []
     for p in cfg.p:
         nv = kernel_norm(psi, cfg.beta, cfg.n, p, evaluator=ke)

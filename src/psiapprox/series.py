@@ -4,10 +4,9 @@ Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series is its coefficients and the grids sampled from them.  A deep grid
 is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
 external or hierarchical memory, 1990) and cached as the rows they write,
-read only here: in natural order by `uniform_samples`, and in place by the
-norm pass's readers from `_rows` to `_node`.  `_spread` runs the rows (and
-the pass's blocks) on one thread per core, at most two, with bits
-independent of the count.  `_wrap` reduces every point value's t.
+read only here.  `_phases` samples each mirrored row pair in a task that
+hands it, hot, to a visit: the norm pass's one walk of every beta of a
+profile (readers `_rows` to `_node`), on up to two threads (`_spread`).
 """
 
 from __future__ import annotations
@@ -26,36 +25,34 @@ EVAL_BLOCK = 1 << 20   # entries of one phase matrix in eval
 FFT_BLOCK = 1 << 17    # largest one-shot irfft: 1 MB of samples, cache-sized
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-# a worker past the first holds about 3 MB more, and speed was measured on
+# a worker past the first holds about 4 MB more, and speed was measured on
 # two cores: raise this only after measuring a larger host
 _MAX_WORKERS = 2
 
 
-def _spread(task, count: int) -> list:
-    """[task(lo, hi) for min(_CORES, _MAX_WORKERS, count) ranges cutting
-    0..count-1]: the first on the calling thread, each other on a thread of
-    its own, all joined before it returns or raises."""
-    w = min(_CORES, _MAX_WORKERS, count)
-    cuts = [count * i // w for i in range(w + 1)]
-    out, errors, threads = [None] * w, [], []
+def _spread(step, items: list, workers: int) -> None:
+    """step(item) for each item, in contiguous ranges on min(_CORES,
+    _MAX_WORKERS, workers, len(items)) threads, the calling one first, all
+    joined before it returns or raises the first error."""
+    w = min(_CORES, _MAX_WORKERS, workers, len(items))
+    cuts, errors, threads = [len(items) * i // w for i in range(w + 1)], [], []
 
     def run(i):
         try:
-            out[i] = task(cuts[i], cuts[i + 1])
+            for item in items[cuts[i]:cuts[i + 1]]:
+                step(item)
         except BaseException as e:   # raised again on the calling thread
             errors.append(e)
     try:
         for i in range(1, w):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        out[0] = task(0, cuts[1])
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+        run(0)
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[0]
-    return out
 
 
 def _wrap(t) -> np.ndarray:
@@ -132,72 +129,76 @@ class FourierSeries:
 
     def uniform_samples(self, grid_size: int) -> np.ndarray:
         """Values at t_j = 2*pi*j/grid_size, j = 0..grid_size-1, by a real
-        inverse FFT, exact to rounding (more than twice the degree).  L >= 2
-        times FFT_BLOCK points of degree below FFT_BLOCK / 2 take L
-        FFT_BLOCK-point transforms: node 0 keeps a one-shot irfft's bits,
-        other nodes its accuracy.  Cached read-only in `_phases`' layout; a
-        split grid comes back as an uncached natural-order copy."""
-        rows = self._phases(grid_size)
-        if rows.shape[0] == 1:
-            return self._sample_cache[grid_size]
-        samples = rows.T.ravel()
-        samples.flags.writeable = False
+        inverse FFT (`_phases`), exact to rounding (more than twice the
+        degree), read-only: a split grid's as an uncached natural copy."""
+        rows, samples = self._phases(grid_size), self._sample_cache[grid_size]
+        if samples is rows:   # a split grid's rows: an uncached natural copy
+            samples = rows.T.ravel()
+            samples.flags.writeable = False
         return samples
 
-    def _phases(self, grid_size: int) -> np.ndarray:
-        """The grid_size samples as (L, M) rows, row r holding the nodes
-        Lq + r: a split grid as its L transforms wrote them, any other as
-        one row.  Cached per grid size and read-only."""
+    def _phases(self, grid_size: int, start=None) -> np.ndarray:
+        """The samples as `_rows`, after visit(rows, task), visit =
+        start(rows), for each task: a mirrored row pair (r, L - r), or rows
+        0 and L/2.  L >= 2 times FFT_BLOCK points of degree < FFT_BLOCK/2
+        take L FFT_BLOCK-point transforms (node 0 keeps a one-shot irfft's
+        bits), each task's on `_spread`'s workers before its visit (rows 0
+        and L/2 apart); other grids one irfft, visited on this thread."""
         if grid_size <= 2 * self.degree:
             raise DomainError(f"a {grid_size}-point grid does not exceed "
                               f"twice the degree {self.degree}")
-        cached = self._sample_cache.get(grid_size)
-        if cached is not None:
-            return np.atleast_2d(cached)
-        # irfft pads the spectrum with zeros up to grid_size // 2 + 1; a
-        # halved spectrum without irfft's 1/G needs no pass over the
-        # samples, and on power-of-two grids both scalings are exact
-        spec = np.empty(self.degree + 1, dtype=complex)
-        spec[0] = self.a0
-        spec[1:] = self.a - 1j * self.b
-        spec *= 0.5
-        L = grid_size // FFT_BLOCK
-        if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
-            samples = np.fft.irfft(spec, grid_size, norm="forward")
-        else:
-            # row r, the nodes Lq + r, is the FFT_BLOCK-point transform of
-            # the spectrum times w^{rk}, w = e^{2 pi i/G}, written
-            # contiguously; r = 0 is untwisted, and w^k is a K/256 x 256
-            # outer product
-            c = 2j * math.pi / grid_size
-            w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
-                         np.exp(c * np.arange(256))).ravel()[:spec.size]
-            samples = np.empty((L, FFT_BLOCK))
+        samples = self._sample_cache.get(grid_size)
+        if samples is not None and start is None:   # a cache hit, no visit
+            return _rows(samples)
+        sample = visit = lambda *task: None
+        if samples is None:
+            # halved, and without irfft's 1/G: exact on power-of-two grids
+            spec = np.empty(self.degree + 1, dtype=complex)
+            spec[0] = self.a0
+            np.subtract(self.a, 0.0 * self.b, out=spec.real[1:])   # a - 1j b,
+            np.subtract(0.0, self.b, out=spec.imag[1:])   # its zeros' signs too
+            spec *= 0.5
+            L = grid_size // FFT_BLOCK
+            if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
+                samples = np.fft.irfft(spec, grid_size, norm="forward")
+            else:
+                # row r, the nodes Lq + r, is the FFT_BLOCK-point transform
+                # of spec w^{rk}, w = e^{2 pi i/G}, written contiguously;
+                # w^k is a K/256 x 256 outer product
+                c = 2j * math.pi / grid_size
+                w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
+                             np.exp(c * np.arange(256))).ravel()[:spec.size]
+                samples = np.empty((L, FFT_BLOCK))
 
-            def rows(lo, hi):   # spec w^r by the r products of one loop
-                twisted = spec.copy()   # each worker's own: spec stays
-                for _ in range(lo):
-                    twisted *= w
-                for row in samples[lo:hi]:
-                    np.fft.irfft(twisted, FFT_BLOCK, norm="forward", out=row)
-                    twisted *= w
-            _spread(rows, L)
+                def sample(task):   # row r of spec w^r: r products in turn
+                    twisted, done = spec.copy(), 0   # the task's own
+                    for r in task:
+                        for _ in range(r - done):
+                            twisted *= w
+                        np.fft.irfft(twisted, FFT_BLOCK, norm="forward",
+                                     out=samples[r])
+                        done = r
+        rows = _rows(samples)
+        visit, L = start(rows) if start else visit, len(rows)
+        pairs, ends = [(r, L - r) for r in range(1, (L + 1) // 2)], (0, L // 2)[:2 - L % 2]
+        tasks = (pairs[:L // 4] + [ends[:1]] + pairs[L // 4:] + [ends[1:]]   # split:
+                 if rows is samples else pairs + [ends])   # 2 workers of L/2 rows
+        _spread(lambda task: sample(task) or visit(rows, task),   # rows, then
+                tasks, len(tasks) if rows is samples else 1)   # their visit
         samples.flags.writeable = False
         self._sample_cache[grid_size] = samples
-        return np.atleast_2d(samples)
+        return rows
 
     def _mirrored(self, G: int, u: float, v: float) -> np.ndarray:
-        """u f_j + v f_{-j} at every node of the G-point grid, f = self, in
-        natural order: `_mirror_rows` over the whole grid, transposed."""
-        rows, out = self._phases(G), np.empty(G)
-        X = _mirror_rows(rows, u, v, 0, G // len(rows), np.empty(G), out)
-        np.copyto(out.reshape(-1, len(rows)), X.T)
-        return out
+        """Natural-order u f_j + v f_{-j} by `_mirror_rows`' arithmetic."""
+        s = self.uniform_samples(G)
+        return u * s + v * np.roll(s[::-1], 1)
 
     def _rounding_stages(self, G: int) -> int:
-        """Roundings in a `_node` value of the G-point grid of L rows: 4
-        ceil(log2 G) FFT stages, 7(L - 1) for the twiddles, 3 the mirror."""
-        return 4 * (G - 1).bit_length() + 7 * (len(self._phases(G)) - 1) + 3
+        """Roundings in a `_node` value of the G-point grid, split in L rows
+        (else L = 1): 4 ceil(log2 G) FFT stages, 7(L - 1) twiddles, 3."""
+        return 4 * (G - 1).bit_length() + 7 * (len(self._phases(G)) - 1) * (
+            self._sample_cache[G].ndim - 1) + 3   # a split grid is cached 2-D
 
     def antiderivative(self) -> "FourierSeries":
         """Periodic antiderivative with zero mean; requires a0 == 0."""
@@ -228,42 +229,56 @@ def _rows(grid: np.ndarray) -> np.ndarray:
         -1, max(G // FFT_BLOCK if G % FFT_BLOCK == 0 else 1, 2 - G % 2)).T
 
 
-def _mirror_rows(rows: np.ndarray, u: float, v: float, lo: int, hi: int,
-                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """u f_j + v f_{-j} at the nodes j = Lq + r, lo <= q < hi, of `_rows`'
-    (L, M) rows of f, written over out as (L, hi - lo) rows: f_{-j} is row
-    L - r reversed, at column M - 1 - q, or for r = 0 row 0 one column
-    over, M - q (mod M); node 0 comes last.  scratch takes v f_{-j}."""
-    L, s = len(rows), int(lo == 0)
-    X = out[:L * (hi - lo)].reshape(L, hi - lo)
-    for dst, fwd, back in (
-            (X[1:], rows[1:, lo:hi], rows[:0:-1, ::-1][:, lo:hi]),
-            (X[0, s:], rows[0, lo + s:hi], rows[0, ::-1][lo + s - 1:hi - 1])):
+def _mirror_rows(rows: np.ndarray, task: tuple, u: float, v: float, lo: int,
+                 hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """u f_j + v f_{-j}, j = Lq + r, lo <= q < hi, r in task, of `_rows`'
+    (L, M) rows of f, over out as task's rows: f_{-j} is row L - r reversed
+    (column M - 1 - q), for r = 0 row 0 one column over (M - q mod M), node
+    0 set last.  scratch takes v f_{-j}."""
+    X, zero = out[:len(task) * (hi - lo)].reshape(len(task), hi - lo), int(task[0] == 0)
+    for dst, g, shift in ((X[:zero], task[:zero], 1), (X[zero:], task[zero:], 0)):
+        if not g:   # row 0 apart, then a pair or row L/2
+            continue
+        s, step = shift * int(lo == 0), g[-1] - g[0] or 1
+        fwd, dst = rows[g[0]::step][:len(g), lo + s:hi], dst[:, s:]
+        back = rows[-g[0] % len(rows)::-step][:len(g), ::-1][:, lo + s - shift:hi - shift]
         if u == 1.0 and abs(v) == 1.0:   # f_j +- f_{-j}: exact products
             (np.add if v > 0.0 else np.subtract)(fwd, back, out=dst)
         else:
             np.multiply(fwd, u, out=dst)
             dst += np.multiply(back, v, out=scratch[:back.size].reshape(back.shape))
-    if s:
+    if zero and lo == 0:
         X[0, 0] = _node(rows, u, v, 0)
     return X
 
 
-def _every(X: np.ndarray, k: int, first: int = 0) -> np.ndarray:
-    """The nodes j = first (mod k) of a block of rows X: its rows r = first
-    (mod k), or for k > L every (k/L)-th column of row 0 (L = 1 or first 0)."""
-    return X[first::k] if k <= len(X) else X[:1, first::k // len(X)]
+def _sums(X: np.ndarray, task: tuple, k: int, power, out: np.ndarray):
+    """Into out (chunks, L, 2), per chunk of X (task's rows), the pairwise
+    sums of power(x) on nodes j = 0 and = k (mod 2k): row r = 0 (mod k < L)
+    at [r, r/k mod 2], or for k >= L row 0's (k/L)-th columns at [0, 0:2]."""
+    n, L = out.shape[:2]
+    if k >= L and task[0] == 0:
+        x = power(X[:1, ::k // L]).reshape(n, -1)
+        out[:, 0] = np.transpose([x[:, 0::2].sum(axis=1), x[:, 1::2].sum(axis=1)])
+    elif k < L and task[0] % k == 0:   # all its rows, or row 0 and not L/2
+        rs = [r for r in task if r % k == 0]
+        out[:, rs, [r // k % 2 for r in rs]] = power(X[:len(rs)]).reshape(
+            len(rs), n, -1).sum(axis=2).T
 
 
-def _crossings(X: np.ndarray, lo: int) -> np.ndarray:
-    """The columns, from lo, of a block's rows X whose sign bits change
-    down the column or on to the next column's row 0, and its last: every
-    sign change of g and of its even nodes is in one (see `_pairs`)."""
-    S = np.signbit(X)
+def _totals(A: np.ndarray, k: int) -> tuple:
+    """(even, odd) of a walk's `_sums` records A, each slot's one numpy sum."""
+    return tuple(float(np.sum(A[:, r::2 * k, i].ravel()))
+                 for i, r in enumerate((0, k % A.shape[1])))
+
+
+def _crossings(S: np.ndarray) -> np.ndarray:
+    """Columns of a walk's sign bits S (in rows) mixed down the column or on
+    to the next one's row 0, and the last: every sign change lies in one."""
     mixed = S.any(axis=0) != S.all(axis=0)
     mixed[:-1] |= S[-1, :-1] != S[0, 1:]
     mixed[-1] = True
-    return lo + np.flatnonzero(mixed)
+    return np.flatnonzero(mixed)
 
 
 def _pairs(rows: np.ndarray, u: float, v: float, cols: np.ndarray) -> list:
@@ -272,11 +287,6 @@ def _pairs(rows: np.ndarray, u: float, v: float, cols: np.ndarray) -> list:
     and the last row then row 0 one column on, read by `_node`."""
     Z = _node(rows, u, v, len(rows) * cols + np.arange(len(rows) + 1)[:, None])
     return [(Y[:-1], Y[1:]) for Y in (Z, Z[::2])]
-
-
-def _row_maxima(w: np.ndarray, lo: int) -> np.ndarray:
-    """The node of each row's first maximum in a block's rows w from lo."""
-    return len(w) * (lo + np.argmax(w, axis=1)) + np.arange(len(w))
 
 
 def _node(rows: np.ndarray, u: float, v: float, j):

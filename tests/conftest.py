@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psiapprox import FourierSeries, PsiFunction, kernels, series
+from psiapprox import FourierSeries, PsiFunction, approx_ops, kernels, series
 
 
 def kernel_series(ke):
@@ -15,6 +15,15 @@ def kernel_series(ke):
     a[ke.taper_start - 1:] = ke.coeffs * cos
     b[ke.taper_start - 1:] = ke.coeffs * sin
     return FourierSeries(0.0, a, b)
+
+
+def walk(s, orders=(), peak=False, mirror=(1.0, 0.0), strides=None):
+    """One walk of `approx_ops._grid_pass` (step 2 pi / s.size) over the
+    samples s, natural or in split rows, as the cached grid of a series
+    of no other use: (sums, found)."""
+    f = FourierSeries(0.0, [0.0], [0.0], {s.size: s})
+    return approx_ops._grid_pass(f, s.size, [(mirror, orders, peak)],
+                                 strides)[0]
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from psiapprox import (DegenerateGapError, DomainError, FourierSeries,
                        synthesize_class_function, taper_coefficients,
                        verify_sweep)
 
-from conftest import kernel_series
+from conftest import kernel_series, walk
 
 TWO_PI = 2.0 * math.pi
 
@@ -566,9 +566,9 @@ class TestNormRecord:
                                           monkeypatch):
         filled, fill = [], bounds._norms
 
-        def keep(ke, orders):   # the evaluator verify_sweep fills
-            filled.append(ke)
-            return fill(ke, orders)
+        def keep(kes, orders):   # the evaluators verify_sweep fills
+            filled.extend(kes)
+            return fill(kes, orders)
         monkeypatch.setattr(bounds, "_norms", keep)
         reps = verify_sweep(psi_half, [beta],
                             [("theorem2", p) for p in self.ORDERS], [40])
@@ -654,10 +654,9 @@ class TestBlockedPasses:
         s[100], s[101], s[102] = -1.0, 0.0, 1.0   # an exact zero: no panel
         s[200], s[201] = -0.0, -1.0
         s[300:310] = np.where(np.arange(10) % 2, -1.0, 1.0) * 1.3
-        h = TWO_PI / G
         for grid in (s, s[::2]):
-            sums, _ = approx_ops._grid_pass(grid, (p,), h)
-            assert sums[p] == blocked_trapezoid(grid, p, h)
+            sums, _ = walk(grid, (p,))
+            assert sums[p] == blocked_trapezoid(grid, p, TWO_PI / grid.size)
 
     @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 3.0])
     def test_power_helper_within_ulps_of_np_power(self, p):
@@ -728,7 +727,7 @@ class TestBlockedPasses:
             s = base.copy()
             for i, v in case.items():
                 s[i] = v
-            _, (i, top) = approx_ops._grid_pass(s, (), 1.0, peak=True)
+            _, (i, top) = walk(s, peak=True)
             assert i == int(np.argmax(np.abs(s)))
             assert top == abs(s[i])
 
@@ -736,11 +735,11 @@ class TestBlockedPasses:
         one_block = zero_mean_series(np.random.default_rng(7), 300)
         orders = (1.0, 4.0 / 3.0, 4.0, math.inf)
         for g in (kernel_series(deep_kernel), one_block):
-            together = approx_ops._norms(g, orders)
+            (together,) = approx_ops._norms([g], orders)
             assert together == {p: lp_norm(g, p) for p in orders}
             assert together[math.inf] == sup_norm(g)
         ke = KernelEvaluator.build(PsiFunction.exp_power(2.0, 0.3), 200, 0.0)
-        approx_ops._norms(ke, orders)
+        approx_ops._norms([ke], orders)
         assert ke._norm_cache == {p: lp_norm(deep_kernel, p) for p in orders}
 
     @pytest.mark.parametrize("u, v", [
@@ -766,14 +765,16 @@ class TestBlockedPasses:
                        (M - C, M), (0, M)):
             j = 8 * np.arange(lo, hi) + np.arange(8)[:, None]
             want = np.multiply(f[j], u) + np.multiply(f[-j % G], v)
-            for rows in (split, natural):
-                got = approx_ops._mirror_rows(rows, u, v, lo, hi, np.empty(
-                    j.size), np.empty(j.size))
-                assert np.array_equal(got, want)
-            # (1, 0), a series without a mirror, reads f itself
-            assert np.array_equal(approx_ops._mirror_rows(
-                split, 1.0, 0.0, lo, hi, np.empty(j.size), np.empty(j.size)),
-                f[j])
+            # each task's rows: a mirrored pair, row 0 or 4 alone, or both
+            for task in ((1, 7), (2, 6), (0,), (3, 5), (4,), (0, 4)):
+                for rows in (split, natural):
+                    got = approx_ops._mirror_rows(rows, task, u, v, lo, hi,
+                                                  *np.empty((2, j.size)))
+                    assert np.array_equal(got, want[list(task)])
+                # (1, 0), a series without a mirror, reads f itself
+                assert np.array_equal(approx_ops._mirror_rows(
+                    split, task, 1.0, 0.0, lo, hi, *np.empty((2, j.size))),
+                    f[j[list(task)]])
 
     @pytest.mark.parametrize("alpha, r, n, L", [
         (1.0, 0.5, 40, 1), (0.5, 0.5, 100, 2), (2.0, 0.3, 200, 8)])
@@ -785,14 +786,13 @@ class TestBlockedPasses:
         kp = kernels.kernel_profile(PsiFunction.exp_power(alpha, r), n)
         G = approx_ops._grid_size(kp.truncation_index)
         rows, natural = kp.folded._phases(G), kp.folded.uniform_samples(G)
-        assert rows.shape == (L, G // L)
-        orders, h = (1.0, 4.0 / 3.0, 3.0, 4.0), TWO_PI / G
+        # L transforms, or one read as two rows (even and odd nodes)
+        assert rows.shape == (max(L, 2), G // max(L, 2))
+        orders = (1.0, 4.0 / 3.0, 3.0, 4.0)
         for mirror in [kp.evaluator(beta).mirror
                        for beta in (0.0, 1.0, 0.5, 1.7)] + [(1.0, 0.0)]:
-            assert approx_ops._grid_pass(
-                rows, orders, h, peak=True, mirror=mirror
-            ) == approx_ops._grid_pass(natural, orders, h, peak=True,
-                                       mirror=mirror)
+            assert walk(rows, orders, True, mirror) == walk(
+                natural, orders, True, mirror)
 
     @staticmethod
     def check_no_grid_sized_temporaries(profile, beta, monkeypatch):
@@ -844,8 +844,8 @@ class TestSupRefinement:
     def peak_node(ke):
         """The grid, and (i, |g_i|) at the argmax, as `_norms` finds them."""
         G = approx_ops._grid_size(ke.truncation_index)
-        return G, approx_ops._grid_pass(ke.folded._phases(G), (), TWO_PI / G,
-                                        peak=True, mirror=ke.mirror)[1]
+        return G, approx_ops._grid_pass(ke.folded, G, [(ke.mirror, (), True)]
+                                        )[0][1]
 
     @classmethod
     def refined(cls, ke, monkeypatch):
@@ -1004,8 +1004,8 @@ class TestSupRefinement:
         kp = (deep_profile if request.param == "split rows"
               else kernels.kernel_profile(psi_half, 40))
         G = approx_ops._grid_size(kp.truncation_index)
-        assert kp.folded._phases(G).shape[0] == (
-            8 if request.param == "split rows" else 1)
+        assert kp.folded._phases(G).shape[0] == (   # one irfft: two rows
+            8 if request.param == "split rows" else 2)
         ke = kp.evaluator(0.5)
         return kernel_series(ke), grid_source(ke), G
 
@@ -1049,10 +1049,10 @@ class TestSupRefinement:
         g = zero_mean_series(np.random.default_rng(seed), degree)
         scaled = FourierSeries(a0=0.0, a=np.ldexp(g.a, e), b=np.ldexp(g.b, e))
         orders = (1.0, 2.0, math.inf) + ((4.0 / 3.0,) if e % 3 == 0 else ())
-        assert approx_ops._norms(scaled, orders) == {
+        assert approx_ops._norms([scaled], orders)[0] == {
             p: approx_ops.NormValue(math.ldexp(nv.value, e),
                                     math.ldexp(nv.error_estimate, e))
-            for p, nv in approx_ops._norms(g, orders).items()}
+            for p, nv in approx_ops._norms([g], orders)[0].items()}
 
     @pytest.mark.parametrize("alpha, r, n", [
         (2.0, 0.7, 880), (2.0, 0.7, 2369), (1.0, 0.7, 2369), (1.0, 0.7, 6377)])
@@ -1071,11 +1071,11 @@ class TestSupRefinement:
         orders = (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
         for beta in (0.0, 1.0, 0.5):
             far = dataclasses.replace(kp, tail_eps=0.0).evaluator(beta)
-            got = approx_ops._norms(far, orders)
+            (got,) = approx_ops._norms([far], orders)
             assert got == {p: approx_ops.NormValue(
                 math.ldexp(nv.value, e), math.ldexp(nv.error_estimate, e))
-                for p, nv in approx_ops._norms(unit.evaluator(beta),
-                                               orders).items()}
+                for p, nv in approx_ops._norms([unit.evaluator(beta)],
+                                               orders)[0].items()}
             assert all(nv.value > 0.0 for nv in got.values())
 
 
@@ -1100,9 +1100,8 @@ class TestHalfWalk:
         assert np.array_equal(np.abs(g[1:]), np.abs(g[:0:-1]))
         if u != v:   # odd: exact zeros at 0 and pi
             assert g[0] == 0.0 and g[G // 2] == 0.0
-        sums, found = approx_ops._grid_pass(
-            f.uniform_samples(G), TestHalfWalk.ORDERS, h, peak=True,
-            mirror=(u, v))
+        (sums, found), = approx_ops._grid_pass(
+            f, G, [((u, v), TestHalfWalk.ORDERS, True)])
         for p in TestHalfWalk.ORDERS:
             # the bits of whole-array sums, on one block or on eight
             assert sums[p] == half_period_trapezoid(g, p, h)
@@ -1113,7 +1112,7 @@ class TestHalfWalk:
         # the p = inf node and value are the whole walk's, bit for bit
         i = int(np.argmax(np.abs(g)))
         assert found == (i, abs(g[i]))
-        assert found == approx_ops._grid_pass(g, (), h, peak=True)[1]
+        assert found == walk(g, peak=True)[1]
 
     @pytest.fixture(scope="class", params=["deep", "one block"])
     def profile(self, request, deep_profile, psi_half):
@@ -1129,7 +1128,7 @@ class TestHalfWalk:
         self.check_half_walk(kernel_series(ke), grid_source(ke))
         G = approx_ops._grid_size(ke.truncation_index)
         g = mirrored_grid(grid_source(ke), G)
-        whole = approx_ops._grid_pass(g, (), TWO_PI / G, peak=True)[1]
+        whole = walk(g, peak=True)[1]
         ref = approx_ops._sup_refined(grid_source(ke), beta % 2 == 0, *whole,
                                       G, ke.moments)
         assert sup_norm(ke) == approx_ops.NormValue(

@@ -241,11 +241,10 @@ class TestVerify:
                             counting("passes", approx_ops._grid_pass))
         monkeypatch.setattr(np.fft, "irfft", counting("ffts", np.fft.irfft))
         reps = verify_sweep(psi_half, [0.0, 1.0], modes, [11, 12])
-        # one profile and one FFT per n, which both betas mirror block by
-        # block, no beta's grid sampled on its own; per (n, beta) evaluator
-        # one walk over its grid for orders 1, 4/3, 4 and inf (2 is
-        # Parseval's)
-        assert counts == {"profiles": 2, "ffts": 2, "passes": 4}
+        # one profile and one FFT per n, which both betas mirror row by
+        # row, no beta's grid sampled on its own; per n one pass that walks
+        # both betas' grids for orders 1, 4/3, 4 and inf (2 is Parseval's)
+        assert counts == {"profiles": 2, "ffts": 2, "passes": 2}
         assert reps == fresh
 
     def test_deep_step_samples_f_in_cache_sized_ffts(self, psi_slow,

@@ -454,7 +454,7 @@ class TestMirroredSamples:
         kp = (deep_profile if G > FFT_BLOCK
               else kernels.kernel_profile(psi_half, 9))
         ke = kp.evaluator(beta)
-        assert ke.folded._phases(G).shape[0] == (8 if G > FFT_BLOCK else 1)
+        assert ke.folded._phases(G).shape[0] == (8 if G > FFT_BLOCK else 2)
         ref = fft_samples(ke, G)
         s = pass_grid(ke, G)
         eps = np.finfo(float).eps
