@@ -8,8 +8,8 @@ window and MAX_GRID).  Norms are composite trapezoid sums on the uniform
 grids `_grid_size` sizes, with a local correction at sign-change panels of
 |g|^p.  `_norms` makes every record; one pass walks all of a profile's
 kernels (mirrors of its folded f, half a period at integer beta) in the
-tasks that sample f's row pairs, for every order at once.  The sup norm,
-the extremals and the residual check read the grid, in units of 2^e.
+tasks that sample f's row pairs, each order into a total per row.  The
+sup norm, extremals and residual check read the grid, in units of 2^e.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import DomainError, NumericError
 from .kernels import MAX_GRID, KernelEvaluator, _taper_window
 from .psi_core import PsiFunction, characteristics
 from .series import (FourierSeries, _crossings, _mirror_rows, _moments,
-                     _node, _pairs, _sums, _totals, _wrap)
+                     _node, _pairs, _sums, _wrap)
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -185,38 +185,38 @@ def _unit_exponent(S: float) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # `_powered_in_range` refuses
-def _grid_pass(f: FourierSeries, G: int, walks, strides=None) -> list:
-    """One walk of the G-point grid (step h = 2 pi/G) of each g = u f(t) +
-    v f(-t) of walks [((u, v), orders, peak)]: [({p: (full, half)},
-    found)], the rule for int |g|^p on g and on its even nodes (step 2h),
-    and with peak (i, |g_i|) at the first i of max |g|.  If |u| == |v|
-    nodes 0 and G/2 count once and those between twice, with their panels;
-    an even p in strides sums its exact stride-k sub-grid alone (step kh).
-    Each task of f's `_phases` builds every g on its rows (`_mirror_rows`)
-    in spans of whole _BLOCK // L-column chunks and records each chunk's
-    row sums (`_sums`, added in chunk order by `_totals`), sign bits and
-    maxima: no bit depends on the workers."""
-    h, strides, recs = TWO_PI / G, strides or {}, []
+def _grid_pass(f: FourierSeries, G: int, walks, strides: dict) -> list:
+    """One walk of the G-point grid (step h = 2 pi/G, G even) of each g =
+    u f(t) + v f(-t) of walks [((u, v), orders, peak)]: [({p: (full,
+    half)}, found)], the rule for int |g|^p on g and on its even nodes
+    (step 2h), and with peak (i, |g_i|) at the first i of max |g|.  If
+    |u| == |v| nodes 0 and G/2 count once and those between twice, with
+    their panels; an even p in strides sums its exact stride-k sub-grid
+    alone (step kh).  Each task of f's `_phases` builds every g on its
+    rows (`_mirror_rows`) in spans of _BLOCK // 2 columns and adds each
+    span's pairwise row sums into its rows' totals (`_sums`): the grid's
+    sum is the L totals' and the half grid's the even rows' (with one row,
+    an odd G, it would not be).  No bit of a total, sign bit or maximum
+    depends on the task, the workers, the cache or the walks beside it."""
+    h, recs = TWO_PI / G, []
 
     def start(rows):   # each walk's records, every task writing its rows'
-        (L, M), C = rows.shape, max(1, _BLOCK // len(rows))
+        L, M = rows.shape
         for mirror, orders, _ in walks:
             stop = M // 2 if abs(mirror[0]) == abs(mirror[1]) else M
             kinked = any(p != 2.0 * round(p / 2.0) for p in orders)
-            recs.append((stop, np.empty((L, stop * kinked), bool), [], {
-                p: np.zeros((-(-stop // C), L, 2)) for p in orders}))
+            recs.append((stop, np.empty((L, stop * kinked), bool), [],
+                         {p: np.zeros(L) for p in orders}))
         return visit
 
     @np.errstate(over="ignore", invalid="ignore")   # per thread
     def visit(rows, task):   # span by span of the task's rows, every walk
-        L, t, C = len(rows), len(task), max(1, _BLOCK // len(rows))
+        L, W = len(rows), _BLOCK // 2   # two rows fill a buffer
         bufs = np.empty((2, _BLOCK))   # one size, which malloc reuses call to call
-        W = C * max(1, bufs.shape[1] // (t * C) * all(   # whole chunks
-            rec[0] % min(C, rec[0]) == 0 for rec in recs))
         for lo in range(0, max(rec[0] for rec in recs), W):
             for (mirror, orders, peak), (stop, signs, tops, sums) in zip(
                     walks, recs):
-                hi, c = min(lo + W, stop), min(C, stop)   # c: a chunk
+                hi = min(lo + W, stop)
                 if lo >= stop:
                     continue
                 X = _mirror_rows(rows, task, *mirror, lo, hi, *bufs)
@@ -228,7 +228,7 @@ def _grid_pass(f: FourierSeries, G: int, walks, strides=None) -> list:
                 for p in orders:   # |g|^p on the grid or its stride-k sub-grid
                     _sums(X, task, strides.get(p, 1), lambda x: x if p == 1.0
                           else _power(x, p, bufs[1, :x.size].reshape(x.shape)),
-                          sums[p][lo // c:-(-hi // c)])
+                          sums[p])
     rows, out = f._phases(G, start), []
     for (mirror, orders, peak), (stop, signs, tops, sums) in zip(walks, recs):
         kinked, kinks = [p for p in orders if p != 2.0 * round(p / 2.0)], [{}, {}]
@@ -242,8 +242,7 @@ def _grid_pass(f: FourierSeries, G: int, walks, strides=None) -> list:
         w = np.abs(_node(rows, *mirror, j))   # nodes 0, G/2, rows' first maxima
         for p in orders:
             k = strides.get(p, 1)
-            half, odd = _totals(sums[p], k)
-            full = half + odd   # even nodes: the half grid
+            full, half = float(np.sum(sums[p])), float(np.sum(sums[p][::2]))
             if halved:   # twice nodes 0..G/2 - 1, less node 0, plus node G/2
                 head, tail = map(float, _power(w[:2], p, np.empty(2)))
                 full, half = 2.0 * full - head + tail, 2.0 * half - head + tail

@@ -167,9 +167,9 @@ def certified_tail_sum(psi: PsiFunction, K: int) -> float:
                 rem = term * q / (1.0 - q)
                 if rem <= 1e-6 * total:
                     # each start's log psi is off by ~3 eps |log psi| (closed
-                    # form) or 4 eps s/gap (a solve: convexity caps the slope
-                    # at 1/gap), under 8e-5 over 400 blocks while |log psi|
-                    # and s/gap stay below 1e8
+                    # form; a table's root adds eps s |slope|) or 4 eps s/gap
+                    # (a solve: convexity caps the slope at 1/gap), under 8e-5
+                    # over 400 blocks while those stay below 1e8 relative
                     bound = (total + rem) * (1.0 + 1e-4)
                     return bound if not shift else max(math.ulp(0.0), math.nextafter(
                         math.exp(math.log(bound) - shift), math.inf))

@@ -8,10 +8,10 @@ two derived quantities:
     mu(t)  = t / (eta(t) - t)         (halving distance relative to t)
 
 `PsiFunction.halving_point` is the one source of eta: the closed form
-(t^r + ln 2/alpha)^{1/r} for exp-power, else a solve on log(psi), which
-never underflows (exp(-2 t^0.7) leaves float64 past t ~ 5000).  Tests
-check it against a second closed form, `bounds.exp_power_characteristics`'
-gap, and against 50-digit references.
+(t^r + ln 2/alpha)^{1/r} for exp-power, a table's segment root, else a
+solve on log(psi), which never underflows (exp(-2 t^0.7) leaves float64
+past t ~ 5000).  Tests check it against a second closed form,
+`bounds.exp_power_characteristics`' gap, and against 50-digit references.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class PsiFunction:
     _eval: Optional[Callable] = field(default=None, repr=False)
     _log_eval: Optional[Callable] = field(default=None, repr=False)
     _deriv: Optional[Callable] = field(default=None, repr=False)
+    _halve: Optional[Callable] = field(default=None, repr=False)
 
     @classmethod
     def exp_power(cls, alpha: float, r: float) -> "PsiFunction":
@@ -65,6 +66,7 @@ class PsiFunction:
         log psi), which keeps positivity and monotonicity; convexity of the
         interpolant is NOT guaranteed between samples of a convex function.
         Beyond the last sample the final segment's slope is extended.
+        eta(t) is the interpolant's own root, found with no iteration.
         """
         t_arr = np.asarray(ts, dtype=float)
         v_arr = np.asarray(values, dtype=float)
@@ -94,6 +96,11 @@ class PsiFunction:
             out = np.exp(log_eval(t))
             return out if isinstance(out, np.ndarray) else float(out)
 
+        def halve(t):   # into the first knot j at or below the target
+            target = log_eval(t) - LN2   # (past the last, the last segment)
+            j = min(int(np.searchsorted(-log_v, -target)), t_arr.size - 1)
+            return float(t_arr[j - 1] + (target - log_v[j - 1]) / slopes[j - 1])
+
         def right_derivative(t):
             t_s = np.asarray(t, dtype=float)
             idx = np.clip(np.searchsorted(t_arr, t_s, side="right") - 1, 0, t_arr.size - 2)
@@ -101,7 +108,7 @@ class PsiFunction:
             return out if out.ndim else float(out)
 
         return cls(family="custom", domain_start=t0, _eval=eval_fn,
-                   _log_eval=log_eval, _deriv=right_derivative)
+                   _log_eval=log_eval, _deriv=right_derivative, _halve=halve)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -138,9 +145,10 @@ class PsiFunction:
         return math.log(val)
 
     def halving_point(self, t: float) -> float:
-        """eta(t): closed form for exp-power, else solved on log psi."""
+        """eta(t): closed form for exp-power, a table's segment root, else
+        solved on log psi."""
         if self.family != "exp-power":
-            return _solve_eta(self, t)
+            return self._halve(t) if self._halve else _solve_eta(self, t)
         try:
             return (self._power(t) + LN2 / self.alpha) ** (1.0 / self.r)
         except OverflowError:

@@ -5,8 +5,8 @@ A series is its coefficients and the grids sampled from them.  A deep grid
 is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
 external or hierarchical memory, 1990) and cached as the rows they write,
 read only here.  `_phases` samples each mirrored row pair in a task that
-hands it, hot, to a visit: the norm pass's one walk of every beta of a
-profile (readers `_rows` to `_node`), on up to two threads (`_spread`).
+hands it, hot, to a visit: the norm pass, summing every beta's rows into
+row totals (readers `_rows` to `_node`), on up to two threads (`_spread`).
 """
 
 from __future__ import annotations
@@ -253,23 +253,12 @@ def _mirror_rows(rows: np.ndarray, task: tuple, u: float, v: float, lo: int,
 
 
 def _sums(X: np.ndarray, task: tuple, k: int, power, out: np.ndarray):
-    """Into out (chunks, L, 2), per chunk of X (task's rows), the pairwise
-    sums of power(x) on nodes j = 0 and = k (mod 2k): row r = 0 (mod k < L)
-    at [r, r/k mod 2], or for k >= L row 0's (k/L)-th columns at [0, 0:2]."""
-    n, L = out.shape[:2]
-    if k >= L and task[0] == 0:
-        x = power(X[:1, ::k // L]).reshape(n, -1)
-        out[:, 0] = np.transpose([x[:, 0::2].sum(axis=1), x[:, 1::2].sum(axis=1)])
-    elif k < L and task[0] % k == 0:   # all its rows, or row 0 and not L/2
-        rs = [r for r in task if r % k == 0]
-        out[:, rs, [r // k % 2 for r in rs]] = power(X[:len(rs)]).reshape(
-            len(rs), n, -1).sum(axis=2).T
-
-
-def _totals(A: np.ndarray, k: int) -> tuple:
-    """(even, odd) of a walk's `_sums` records A, each slot's one numpy sum."""
-    return tuple(float(np.sum(A[:, r::2 * k, i].ravel()))
-                 for i, r in enumerate((0, k % A.shape[1])))
+    """Into out[r], row r's total, the pairwise sum of power(x) over its
+    row of X (task's rows) on the stride-k sub-grid: rows r = 0 (mod k), a
+    prefix of task (a pair has both or neither), for k > L row 0's
+    (k/L)-th columns."""
+    n = sum(r % k == 0 for r in task)
+    out[list(task[:n])] += power(X[:n, ::max(1, k // len(out))]).sum(axis=1)
 
 
 def _crossings(S: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ def walk(s, orders=(), peak=False, mirror=(1.0, 0.0), strides=None):
     of no other use: (sums, found)."""
     f = FourierSeries(0.0, [0.0], [0.0], {s.size: s})
     return approx_ops._grid_pass(f, s.size, [(mirror, orders, peak)],
-                                 strides)[0]
+                                 strides or {})[0]
 
 
 @pytest.fixture(scope="session")

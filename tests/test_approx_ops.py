@@ -117,44 +117,33 @@ def roll_kink(s, p, h):
     return panel_kink(s, np.roll(s, -1), p, h)
 
 
-def every(blk, k, first=0):
-    """The nodes j = first (mod k) of a block of rows (L, C): its rows
-    r = first (mod k), or, when k > L, every (k/L)-th column of one row."""
-    L = blk.shape[0]
-    if k <= L:
-        return blk[first::k]
-    return blk[first % L:first % L + 1, first // L::k // L]
-
-
 def pass_sums(x, k=1, stop=None):
-    """(sum, even-node sum) of x (natural order) in the pass's order, or
-    with k > 1 the sum of its stride-k nodes: x read in the pass's rows
-    (L, M), cut into blocks of _BLOCK // L columns below column `stop`;
-    each block's row sums of its even nodes, then of its odd ones; all the
-    even sums added, in block order, then all the odd ones, and the two
-    totals."""
+    """(sum, even-node sum) of x (natural order, even size) in the pass's
+    order, or with k > 1 the sum of its stride-k nodes: x read in the
+    pass's rows (L, M) below column `stop`, each row r = 0 (mod k) a
+    running total of its spans' pairwise sums, spans of _BLOCK // 2
+    columns (for k > L row 0's (k/L)-th columns alone); one numpy sum of
+    the L totals, and one of the even rows' totals."""
     rows = psiapprox.series._rows(x)
-    stop, C = stop or rows.shape[1], max(1, approx_ops._BLOCK // len(rows))
-    even, odd = [], []
-    for lo in range(0, stop, C):
-        blk = np.ascontiguousarray(every(rows[:, lo:min(lo + C, stop)], k))
-        even.append(every(blk, 2).sum(axis=1))
-        odd.append(every(blk, 2, 1).sum(axis=1))
-    even, odd = (float(np.sum(np.concatenate(parts))) for parts in (even, odd))
-    return even + odd, even
+    L, W, stop = len(rows), approx_ops._BLOCK // 2, stop or rows.shape[1]
+    totals = np.zeros(L)
+    for r in range(0, L, k):
+        for lo in range(0, stop, W):
+            totals[r] += np.ascontiguousarray(
+                rows[r, lo:min(lo + W, stop):max(1, k // L)]).sum()
+    return float(np.sum(totals)), float(np.sum(totals[::2]))
 
 
 def blocked_trapezoid(s, p, h, k=1):
     """The composite rule on s (step h) and on its even nodes (step 2h),
     or with k > 1 on its stride-k nodes alone (step k h, no half): node
     sums in the pass's order (`pass_sums`) plus the whole-grid np.roll
-    panel corrections.  An odd-sized grid, read as one row, has no
-    half-grid panels."""
+    panel corrections."""
     full, half = pass_sums(power(np.abs(s), p), k)
     if k > 1:
         return k * h * full, None
-    return (h * full + roll_kink(s, p, h), 2.0 * h * half + (
-        roll_kink(s[::2], p, 2.0 * h) if s.size % 2 == 0 else 0.0))
+    return (h * full + roll_kink(s, p, h),
+            2.0 * h * half + roll_kink(s[::2], p, 2.0 * h))
 
 
 def half_period_trapezoid(s, p, h, k=1):
@@ -642,7 +631,9 @@ class TestBlockedPasses:
         self.check_many_blocks(deep_profile.evaluator(beta), p,
                                half_period_trapezoid)
 
-    @pytest.mark.parametrize("G", [1 << 17, (1 << 17) + 3])
+    # 2^17 + 4 points are 2 rows of 65,538 columns, three spans a row, and
+    # s[::2] two; every grid even, as every norm grid is
+    @pytest.mark.parametrize("G", [1 << 17, (1 << 17) + 4])
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0])
     def test_kink_correction_across_blocks(self, G, p):
         B = approx_ops._BLOCK
@@ -657,6 +648,25 @@ class TestBlockedPasses:
         for grid in (s, s[::2]):
             sums, _ = walk(grid, (p,))
             assert sums[p] == blocked_trapezoid(grid, p, TWO_PI / grid.size)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_pass_sums_within_eps_of_exact_sums(self, deep_profile, beta,
+                                                monkeypatch):
+        # an oracle that reads no walk order: math.fsum's correctly rounded
+        # sums of |g|^p over the 2^20 nodes and over the even ones hold the
+        # pass's, panel corrections off, to 8 eps (1.1 eps measured)
+        monkeypatch.setattr(approx_ops, "_kinks",
+                            lambda A, B, orders, h: dict.fromkeys(orders, 0.0))
+        G, orders = 1 << 20, (1.0, 4.0 / 3.0, 3.0)
+        ke = deep_profile.evaluator(beta)
+        (sums, _), = approx_ops._grid_pass(ke.folded, G,
+                                           [(ke.mirror, orders, False)], {})
+        g, h = np.abs(mirrored_grid(grid_source(ke), G)), TWO_PI / G
+        for p in orders:
+            x = power(g, p)
+            for got, want in zip(sums[p], (h * math.fsum(x),
+                                           2.0 * h * math.fsum(x[::2]))):
+                assert abs(got - want) <= 8.0 * approx_ops._EPS * want, p
 
     @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 3.0])
     def test_power_helper_within_ulps_of_np_power(self, p):
@@ -844,8 +854,8 @@ class TestSupRefinement:
     def peak_node(ke):
         """The grid, and (i, |g_i|) at the argmax, as `_norms` finds them."""
         G = approx_ops._grid_size(ke.truncation_index)
-        return G, approx_ops._grid_pass(ke.folded, G, [(ke.mirror, (), True)]
-                                        )[0][1]
+        return G, approx_ops._grid_pass(ke.folded, G, [(ke.mirror, (), True)],
+                                        {})[0][1]
 
     @classmethod
     def refined(cls, ke, monkeypatch):
@@ -1101,7 +1111,7 @@ class TestHalfWalk:
         if u != v:   # odd: exact zeros at 0 and pi
             assert g[0] == 0.0 and g[G // 2] == 0.0
         (sums, found), = approx_ops._grid_pass(
-            f, G, [((u, v), TestHalfWalk.ORDERS, True)])
+            f, G, [((u, v), TestHalfWalk.ORDERS, True)], {})
         for p in TestHalfWalk.ORDERS:
             # the bits of whole-array sums, on one block or on eight
             assert sums[p] == half_period_trapezoid(g, p, h)

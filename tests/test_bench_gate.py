@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from psiapprox import cli
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 # the BLAS/OpenMP pools the runner holds at one thread in every child
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -60,5 +62,24 @@ def test_cli_cold_correct(bench, monkeypatch):
         monkeypatch.setenv(var, "1")
     gate = gate_pass(bench, "cli-cold", bench[0].make_inputs("cli-cold", 1))
     assert gate.attempted == 5
+    assert gate.correct, (gate.failed, gate.mismatches, gate.drift,
+                          gate.first_problems)
+
+
+def test_cli_cold_deep_rows_correct(bench, monkeypatch, capsys):
+    # every kernel-norm row of the reference, n = 160..256 at (2.0, 0.3),
+    # run in process: the benchmark's tightest rows (the p = inf tol is
+    # about 2 ulps), of which one cold run meets a single n
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    wl, gt = bench
+    gate = gt.Gate("cli-cold", gt.load_reference("cli-cold", ["cli"]))
+    labels = [key for key in gate.ref if key.startswith("kernel-norm/")]
+    for label in labels:
+        (argv,) = [cmd for name, cmd in wl.cli_commands(int(label[12:]))
+                   if name == label]
+        code = cli.main(argv)
+        gate.check(label, wl.cli_fields(label, code, capsys.readouterr().out))
+    assert gate.attempted == len(labels) == 97
     assert gate.correct, (gate.failed, gate.mismatches, gate.drift,
                           gate.first_problems)

@@ -68,8 +68,8 @@ def test_kernel_series_is_read_only_in_kernels():
     assert not hasattr(psiapprox.KernelEvaluator, "series")
 
 
-READERS = ("_rows", "_mirror_rows", "_sums", "_totals", "_crossings",
-           "_pairs", "_node")
+READERS = ("_rows", "_mirror_rows", "_sums", "_crossings", "_pairs",
+           "_node")
 
 
 def test_row_layout_is_read_in_series():

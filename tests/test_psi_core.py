@@ -10,7 +10,7 @@ from psiapprox import (CapabilityError, DomainError, InvalidPsiError,
                        NumericError, PsiFunction, characteristics,
                        eta_derivative, eval_psi_prime, exp_power_thresholds,
                        finite_difference_psi_prime, guarded_eta_floor,
-                       lemma2_margins)
+                       kernels, lemma2_margins, psi_core)
 
 LN2 = math.log(2.0)
 
@@ -224,6 +224,22 @@ class TestOneEta:
         for n in range(11, 257):
             characteristics(psi_half, n)
         assert calls == []
+
+    def test_table_eta_takes_no_solve(self, monkeypatch):
+        # a table's log psi is piecewise linear, so its eta is a segment's
+        # root: a profile's tail walk, a halving point a block, reads few
+        # log values (590 when a table's eta was solved)
+        def solve(psi, t):
+            raise AssertionError("a table's eta was solved")
+        monkeypatch.setattr(psi_core, "_solve_eta", solve)
+        calls = []
+        log_value = PsiFunction.log_value
+        monkeypatch.setattr(PsiFunction, "log_value",
+                            lambda psi, t: calls.append(t) or log_value(psi, t))
+        ts = np.arange(1.0, 4001.0)
+        table = PsiFunction.from_table(ts, np.exp(-np.sqrt(ts)))
+        kernels.kernel_profile(table, 100)
+        assert 0 < len(calls) <= 100
 
 
 class TestLemma2Margins:

@@ -76,8 +76,8 @@ def test_split_rows_keep_their_bits(deep_profile, set_workers,
 
 
 @pytest.mark.parametrize("beta, orders", [
-    (0.5, (1.0, 4.0 / 3.0, 4.0)),   # a whole walk, 16 chunks a row
-    (1.0, (1.0, 4.0 / 3.0, 4.0)),   # a half walk, 8 chunks a row
+    (0.5, (1.0, 4.0 / 3.0, 4.0)),   # a whole walk, 4 spans a row
+    (1.0, (1.0, 4.0 / 3.0, 4.0)),   # a half walk, 2 spans a row
     (0.0, (1.0, 4.0 / 3.0)),        # kinked orders only
     (1.7, ())])                     # the peak alone
 def test_pass_records_keep_their_bits(deep_profile, set_workers,
@@ -129,7 +129,7 @@ def test_each_worker_adds_one_set_of_pass_buffers(deep_profile,
             tracemalloc.start()
             try:
                 approx_ops._grid_pass(f, DEEP, [(m, (1.0, 4.0 / 3.0), True)
-                                                for m in mirrors])
+                                                for m in mirrors], {})
                 peaks[count, state] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -153,7 +153,7 @@ def test_sign_record_holds_half_a_grid_per_halved_beta(deep_profile,
             tracemalloc.start()
             try:
                 approx_ops._grid_pass(deep_profile.folded, DEEP, [
-                    (m, orders, False) for m in mirrors[:walks]])
+                    (m, orders, False) for m in mirrors[:walks]], {})
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -266,7 +266,7 @@ def test_deep_grid_threads_are_capped_and_joined(deep_profile, monkeypatch,
     before = threading.active_count()
     fresh(deep_profile.folded)._phases(DEEP)
     approx_ops._grid_pass(deep_profile.folded, DEEP, [((1.0, 0.0), (1.0,),
-                                                       False)])
+                                                       False)], {})
     assert len(started) == 2 * (min(cores, series._MAX_WORKERS) - 1)
     assert not any(thread.is_alive() for thread in started)
     assert threading.active_count() == before
@@ -311,7 +311,7 @@ def test_deep_step_samples_once_and_walks_once(psi_slow, monkeypatch):
             misses.append((grid_size, start is not None))
         return phases(self, grid_size, start)
 
-    def walking(f, G, walks, strides=None):
+    def walking(f, G, walks, strides):
         passes.append(len(walks))
         return grid_pass(f, G, walks, strides)
     monkeypatch.setattr(series.FourierSeries, "_phases", sampling)
