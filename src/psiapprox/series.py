@@ -2,11 +2,11 @@
 
 Convention: f(t) = a0/2 + sum_{k>=1} a_k cos(kt) + b_k sin(kt), period 2*pi.
 A series is its coefficients and the grids sampled from them.  A deep grid
-is split into cache-sized FFT_BLOCK-point transforms (Bailey, FFTs in
-external or hierarchical memory, 1990) and cached as the rows they write,
-read only here.  `_phases` samples each mirrored row pair in a task that
-hands it, hot, to a visit: the norm pass, summing every beta's rows into
-row totals (readers `_rows` to `_node`), on up to two threads (`_spread`).
+is cached as the rows of FFT_BLOCK-point transforms (Bailey, FFTs in
+external or hierarchical memory, 1990), each of the spectrum twisted by its
+row's own twiddles, read only here.  `_phases` samples each mirrored row
+pair in a task that hands it, hot, to a visit, the norm pass summing every
+beta's rows into row totals (`_rows` to `_node`), on up to two threads.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ class FourierSeries:
         """The samples as `_rows`, after visit(rows, task), visit =
         start(rows), for each task: a mirrored row pair (r, L - r), or rows
         0 and L/2.  L >= 2 times FFT_BLOCK points of degree < FFT_BLOCK/2
-        take L FFT_BLOCK-point transforms (node 0 keeps a one-shot irfft's
-        bits), each task's on `_spread`'s workers before its visit (rows 0
-        and L/2 apart); other grids one irfft, visited on this thread."""
+        take L FFT_BLOCK-point transforms, row r's of the spectrum twisted
+        by its own w^{rk} (row 0 untwisted keeps a one-shot irfft's bits),
+        each task's on `_spread`'s workers before its visit (rows 0 and L/2
+        apart); other grids one irfft, visited on this thread."""
         if grid_size <= 2 * self.degree:
             raise DomainError(f"a {grid_size}-point grid does not exceed "
                               f"twice the degree {self.degree}")
@@ -161,23 +162,19 @@ class FourierSeries:
             L = grid_size // FFT_BLOCK
             if L < 2 or grid_size % FFT_BLOCK or 2 * self.degree >= FFT_BLOCK:
                 samples = np.fft.irfft(spec, grid_size, norm="forward")
-            else:
-                # row r, the nodes Lq + r, is the FFT_BLOCK-point transform
-                # of spec w^{rk}, w = e^{2 pi i/G}, written contiguously;
-                # w^k is a K/256 x 256 outer product
-                c = 2j * math.pi / grid_size
-                w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
-                             np.exp(c * np.arange(256))).ravel()[:spec.size]
-                samples = np.empty((L, FFT_BLOCK))
+            else:   # row r, the nodes Lq + r: the transform of spec w^{rk}, w = e^c
+                c, samples = 2j * math.pi / grid_size, np.empty((L, FFT_BLOCK))
+                i, j = np.arange(0, spec.size, 256), np.arange(256)   # k = i + j
 
-                def sample(task):   # row r of spec w^r: r products in turn
-                    twisted, done = spec.copy(), 0   # the task's own
-                    for r in task:
-                        for _ in range(r - done):
-                            twisted *= w
-                        np.fft.irfft(twisted, FFT_BLOCK, norm="forward",
-                                     out=samples[r])
-                        done = r
+                def sample(task):   # the task's own twiddle buffer, reused
+                    w = np.empty(i.size * j.size, dtype=complex)
+                    for r in task:   # row r's own w^{rk}, row 0 untwisted
+                        if r:
+                            np.multiply.outer(np.exp(c * (r * i)), np.exp(c * (r * j)),
+                                              out=w.reshape(i.size, j.size))
+                            w[:spec.size] *= spec
+                        np.fft.irfft(w[:spec.size] if r else spec, FFT_BLOCK,
+                                     norm="forward", out=samples[r])
         rows = _rows(samples)
         visit, L = start(rows) if start else visit, len(rows)
         pairs, ends = [(r, L - r) for r in range(1, (L + 1) // 2)], (0, L // 2)[:2 - L % 2]
@@ -195,10 +192,10 @@ class FourierSeries:
         return u * s + v * np.roll(s[::-1], 1)
 
     def _rounding_stages(self, G: int) -> int:
-        """Roundings in a `_node` value of the G-point grid, split in L rows
-        (else L = 1): 4 ceil(log2 G) FFT stages, 7(L - 1) twiddles, 3."""
-        return 4 * (G - 1).bit_length() + 7 * (len(self._phases(G)) - 1) * (
-            self._sample_cache[G].ndim - 1) + 3   # a split grid is cached 2-D
+        """Roundings in a `_node` value of the G-point grid: 4 a stage of its
+        M-point transforms (FFT_BLOCK if split, else G), 9 a twiddle, 3."""
+        split = self._phases(G) is self._sample_cache[G]   # cached as rows
+        return 4 * ((FFT_BLOCK if split else G) - 1).bit_length() + 9 * split + 3
 
     def antiderivative(self) -> "FourierSeries":
         """Periodic antiderivative with zero mean; requires a0 == 0."""

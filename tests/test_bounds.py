@@ -31,7 +31,7 @@ THRESHOLD_TABLE = {
 # A change that moves a bit updates the digest here and says why in
 # CHANGES.md.
 DEEP_STEP_SHA256 = (
-    "f3b25418fcee3e7c2a15e7ade11da21cbceb0cf837578a23cd66545a77bd7da4")
+    "e6de02a3354373b95307dfe506148c92825052eec338485629588b089c33fc28")
 
 
 class TestConstants:
@@ -276,18 +276,27 @@ class TestVerify:
         assert sizes == [FFT_BLOCK] * L
         assert all(out.ndim == 1 and out.flags.c_contiguous for out in outs)
         # the natural-order reader gives the bits of the strided route,
-        # which wrote each transform to the nodes Lq + r of a G-point array
+        # which wrote each transform to the nodes Lq + r of a G-point array,
+        # row r of the spectrum times its own twiddle, row 0 untwisted
         f = prof.folded
         spec = 0.5 * np.concatenate(([f.a0], f.a - 1j * f.b))
-        c = 2j * math.pi / G
-        w = np.outer(np.exp(256 * c * np.arange(-(-spec.size // 256))),
-                     np.exp(c * np.arange(256))).ravel()[:spec.size]
+        c, i, j = 2j * math.pi / G, np.arange(0, spec.size, 256), np.arange(256)
         strided = np.empty(G)
         for r in range(L):
-            irfft(spec, FFT_BLOCK, norm="forward", out=strided[r::L])
-            spec *= w
+            w = np.multiply.outer(np.exp(c * (r * i)), np.exp(c * (r * j)))
+            irfft(w.ravel()[:spec.size] * spec if r else spec, FFT_BLOCK,
+                  norm="forward", out=strided[r::L])
         assert np.array_equal(f.uniform_samples(G), strided)
         assert list(f._sample_cache) == [G]
+        # against twiddles taken at (rk mod G)/G: node 0 keeps the one-shot
+        # irfft's bits, and every row lies within the stage count's bound
+        rows, k = f._phases(G), np.arange(spec.size)
+        assert rows[0, 0] == irfft(spec, G, norm="forward")[0]
+        bound = np.finfo(float).eps * prof.moments[0] * f._rounding_stages(G)
+        for r in range(L):
+            ref = irfft(spec * np.exp(2j * np.pi * ((r * k) % G) / G),
+                        FFT_BLOCK, norm="forward")
+            assert np.max(np.abs(rows[r] - ref)) <= bound
 
     def test_deep_step_keeps_its_bits(self, psi_slow):
         # (2.0, 0.3), n = 160 over criterion 5's betas and eight modes: a

@@ -74,12 +74,15 @@ def test_grids_at_most_twice_the_degree_are_refused(G):
     assert f.uniform_samples(101).size == 101
 
 
-@pytest.mark.parametrize("degree, G", [(300, 1 << 12), (50_000, 1 << 20)])
+@pytest.mark.parametrize("degree, G", [(300, 1 << 12), (50_000, 1 << 19),
+                                       (50_000, 1 << 20)])
 def test_uniform_samples_bitwise_at_power_of_two(degree, G):
     # the spectrum is halved before an unscaled inverse FFT; on a
     # power-of-two grid that equals irfft's 1/G then a 0.5 G rescale.
-    # Above FFT_BLOCK points the split transform keeps node 0's bits, and
-    # every other node is as accurate as the one-shot irfft's
+    # Above FFT_BLOCK points (4 and 8 rows here) the split transform keeps
+    # node 0's bits, and every other node is as accurate as the one-shot
+    # irfft's and within eps S times the stage count, S = |a0|/2 + sum
+    # |a_k - i b_k|
     f = random_series(np.random.default_rng(degree), degree)
     spec = np.concatenate(([f.a0], f.a - 1j * f.b))
     one_shot = np.fft.irfft(spec, G) * (0.5 * G)
@@ -103,6 +106,18 @@ def test_uniform_samples_bitwise_at_power_of_two(degree, G):
     err_split = np.abs(s[nodes] - ref).astype(float)
     err_one_shot = np.abs(one_shot[nodes] - ref).astype(float)
     assert np.all(err_split <= err_one_shot + 1e-16 * total)
+    assert np.all(err_split <= eps * total * f._rounding_stages(G))
+
+
+def test_rounding_stages_do_not_grow_with_rows():
+    # a split grid charges an FFT_BLOCK-point transform's stages and one
+    # twiddle (9, README) at any row count; any other grid 4 ceil(log2 G) + 3
+    f = random_series(np.random.default_rng(2), 100)
+    split = {f._rounding_stages(L * FFT_BLOCK) for L in (2, 4, 8)}
+    assert split == {f._rounding_stages(FFT_BLOCK) + 9}
+    deep = random_series(np.random.default_rng(3), FFT_BLOCK // 2)
+    for g, G in ((f, 1001), (f, FFT_BLOCK), (deep, 2 * FFT_BLOCK)):
+        assert g._rounding_stages(G) == 4 * math.ceil(math.log2(G)) + 3
 
 
 def test_sample_cache_is_reused():

@@ -47,8 +47,8 @@ def cold(kp):
 
 
 def spectrum_and_buffers(kp) -> int:
-    """Bytes a worker past the first may hold: a spectrum copy and two
-    _BLOCK-point buffers."""
+    """Bytes a worker past the first may hold: a twiddle buffer, about a
+    spectrum's size, and two _BLOCK-point buffers."""
     return 16 * (kp.folded.degree + 1) + 2 * 8 * approx_ops._BLOCK
 
 
@@ -65,7 +65,8 @@ def fast_switches():
 
 def test_split_rows_keep_their_bits(deep_profile, set_workers,
                                     fast_switches):
-    # up to eight ranges, more than cores, each twisting its own spectrum
+    # up to eight ranges, more than cores, each twisting its rows by their
+    # own twiddles in a buffer of its own
     grids = []
     for count in COUNTS:
         set_workers(count)
@@ -114,7 +115,7 @@ def test_records_keep_their_bits_across_cache_and_betas(deep_profile,
 
 def test_each_worker_adds_one_set_of_pass_buffers(deep_profile,
                                                   set_workers):
-    # a worker past the first holds at most a spectrum copy and two
+    # a worker past the first holds at most its twiddle buffer and two
     # _BLOCK-point buffers, whatever the grid size, sampling its rows and
     # walking them (cold) or walking them alone (warm); eight workers
     # find five tasks
